@@ -19,13 +19,6 @@
 //! accounting (`run_multiscalar_with_accountant`). CI runs msperf with
 //! and without this flag and asserts the accounted timings regress by
 //! less than 2%, bounding the cost of leaving accounting on in sweeps.
-//!
-//! With `--no-skip`, every machine runs with the event-driven
-//! skip-ahead stepper disabled (`SimConfig::skip_ahead(false)`) — the
-//! classic one-cycle-per-step loop. Interleaving runs with and without
-//! the flag is the A/B methodology behind PERFORMANCE.md's Pass 2
-//! tables and the CI perf-guard job; simulated cycle/instruction
-//! counts must match exactly between the two modes.
 
 use ms_bench::perf::{
     measure, measure_accounted, perf_to_json, render_perf, MachineSpec, PerfPoint,
@@ -36,7 +29,7 @@ use ms_workloads::Scale;
 fn usage() -> ! {
     eprintln!(
         "usage: msperf [--workloads a,b,...] [--scale test|full] \
-         [--machines scalar,ms4,ms8] [--reps N] [--out PATH] [--cpi] [--no-skip]"
+         [--machines scalar,ms4,ms8] [--reps N] [--out PATH] [--cpi]"
     );
     std::process::exit(2);
 }
@@ -48,7 +41,6 @@ fn main() {
     let mut reps = 3usize;
     let mut out_path = "BENCH_perf.json".to_string();
     let mut cpi = false;
-    let mut no_skip = false;
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -100,17 +92,10 @@ fn main() {
                 });
             }
             "--cpi" => cpi = true,
-            "--no-skip" => no_skip = true,
             other => {
                 eprintln!("unknown argument `{other}`");
                 usage();
             }
-        }
-    }
-
-    if no_skip {
-        for m in &mut machines {
-            m.cfg = m.cfg.skip_ahead(false);
         }
     }
 

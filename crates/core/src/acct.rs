@@ -39,32 +39,6 @@ pub trait CycleAccountant {
     /// [`StallReason::SquashRecovery`].
     fn charge_stall(&mut self, _unit: usize, _reason: StallReason) {}
 
-    /// Bulk form of [`CycleAccountant::charge_stall`]: the unit stalled
-    /// for `reason` for `n` consecutive cycles. The skip-ahead scheduler
-    /// charges a whole provably-quiet span in one call (see DESIGN.md
-    /// §13); conservation is unaffected because the span accounts for
-    /// exactly the cycles the clock jumped over. The default loops over
-    /// [`CycleAccountant::charge_stall`], so existing accountants stay
-    /// correct without changes.
-    ///
-    /// ```
-    /// use multiscalar::{CpiAccountant, CycleAccountant};
-    /// use ms_trace::StallReason;
-    ///
-    /// let mut acct = CpiAccountant::new();
-    /// acct.begin(1);
-    /// acct.charge_issued(0);
-    /// acct.charge_stall_n(0, StallReason::CacheMiss, 9);
-    /// let stack = acct.finish(10, 3).unwrap();
-    /// assert!(stack.conservation_holds());
-    /// assert_eq!(stack.stall_cycles[StallReason::CacheMiss.index()], 9);
-    /// ```
-    fn charge_stall_n(&mut self, unit: usize, reason: StallReason, n: u64) {
-        for _ in 0..n {
-            self.charge_stall(unit, reason);
-        }
-    }
-
     /// A task was assigned to `unit` (charges from the next cycle on
     /// belong to it).
     fn task_assign(&mut self, _unit: usize, _order: u64, _entry: u32) {}
@@ -105,10 +79,6 @@ impl<A: CycleAccountant> CycleAccountant for &mut A {
 
     fn charge_stall(&mut self, unit: usize, reason: StallReason) {
         (**self).charge_stall(unit, reason);
-    }
-
-    fn charge_stall_n(&mut self, unit: usize, reason: StallReason, n: u64) {
-        (**self).charge_stall_n(unit, reason, n);
     }
 
     fn task_assign(&mut self, unit: usize, order: u64, entry: u32) {
@@ -169,13 +139,6 @@ impl CycleAccountant for CpiAccountant {
         self.per_unit[unit].stall_cycles[reason.index()] += 1;
         if let Some(t) = &mut self.open[unit] {
             t.stall_cycles[reason.index()] += 1;
-        }
-    }
-
-    fn charge_stall_n(&mut self, unit: usize, reason: StallReason, n: u64) {
-        self.per_unit[unit].stall_cycles[reason.index()] += n;
-        if let Some(t) = &mut self.open[unit] {
-            t.stall_cycles[reason.index()] += n;
         }
     }
 
@@ -267,28 +230,6 @@ mod tests {
         // The retired task was charged 2 issue cycles + 1 drain.
         assert_eq!(t.issued_cycles, 2);
         assert_eq!(t.stall_cycles[StallReason::Drain.index()], 1);
-    }
-
-    #[test]
-    fn bulk_charge_equals_per_cycle_charges() {
-        let mut a = CpiAccountant::new();
-        a.begin(1);
-        a.task_assign(0, 0, 0x100);
-        for _ in 0..7 {
-            a.charge_stall(0, StallReason::RemoteDep);
-        }
-        a.task_retire(0, 0);
-        let per_cycle = a.finish(7, 0).unwrap();
-
-        let mut b = CpiAccountant::new();
-        b.begin(1);
-        b.task_assign(0, 0, 0x100);
-        b.charge_stall_n(0, StallReason::RemoteDep, 7);
-        b.task_retire(0, 0);
-        let bulk = b.finish(7, 0).unwrap();
-
-        assert_eq!(format!("{per_cycle:?}"), format!("{bulk:?}"));
-        assert!(bulk.conservation_holds());
     }
 
     #[test]

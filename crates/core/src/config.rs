@@ -51,14 +51,6 @@ pub struct SimConfig {
     pub predictor: crate::PredictorKind,
     /// Response to ARB capacity exhaustion (paper default: stall).
     pub arb_full_policy: crate::ArbFullPolicy,
-    /// Event-driven skip-ahead stepping (on by default): when the whole
-    /// machine is provably quiet for N cycles, the clock jumps by N and
-    /// the skipped cycles are bulk-charged to the same accounting
-    /// buckets the ticked loop would have used. Purely a host-side
-    /// optimization — results are byte-identical in both modes (see
-    /// DESIGN.md §13) — so it is deliberately *excluded* from
-    /// [`SimConfig::stable_key`].
-    pub skip_ahead: bool,
 }
 
 impl SimConfig {
@@ -85,7 +77,6 @@ impl SimConfig {
             ring_width: None,
             predictor: crate::PredictorKind::Pas,
             arb_full_policy: crate::ArbFullPolicy::Stall,
-            skip_ahead: true,
         }
     }
 
@@ -154,25 +145,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables or disables event-driven skip-ahead stepping (builder
-    /// style). On by default; turning it off forces the classic
-    /// one-cycle-per-step loop. The two modes are observationally
-    /// indistinguishable — `RunStats` and CPI stacks are byte-identical
-    /// (pinned by `tests/golden_stats.rs` and `tests/cpi_conservation.rs`)
-    /// — so the sweep-cache key deliberately ignores the knob:
-    ///
-    /// ```
-    /// use multiscalar::SimConfig;
-    /// let fast = SimConfig::multiscalar(4);
-    /// let ticked = fast.skip_ahead(false);
-    /// assert!(fast.skip_ahead && !ticked.skip_ahead);
-    /// assert_eq!(fast.stable_key(), ticked.stable_key());
-    /// ```
-    pub fn skip_ahead(mut self, on: bool) -> SimConfig {
-        self.skip_ahead = on;
-        self
-    }
-
     /// A canonical, versioned, line-oriented serialization of every field
     /// that affects simulation results.
     ///
@@ -181,11 +153,6 @@ impl SimConfig {
     /// `Hash`, whose hasher may change), so it is safe to use in on-disk
     /// cache keys. The leading `simconfig v1` token must be bumped
     /// whenever a field is added, removed, or changes meaning.
-    ///
-    /// [`SimConfig::skip_ahead`] is deliberately absent: it cannot
-    /// affect simulation results (both modes are byte-identical), and
-    /// keying on it would needlessly split the sweep cache between the
-    /// fast and the ticked stepper.
     pub fn stable_key(&self) -> String {
         let predictor = match self.predictor {
             crate::PredictorKind::Pas => "pas",
@@ -250,9 +217,7 @@ impl SimConfig {
 
     /// Parses a [`SimConfig::stable_key`] rendering back into a config.
     ///
-    /// This is the inverse of `stable_key` for every field the key
-    /// records; [`SimConfig::skip_ahead`] is not part of the key, so the
-    /// parsed config carries the default (`true`). The round trip
+    /// This is the inverse of `stable_key`: the round trip
     /// `from_stable_key(k)?.stable_key() == k` holds for every key
     /// produced by this crate version. Returns `None` on any version
     /// mismatch, missing/extra section, or malformed field — callers
@@ -445,10 +410,6 @@ mod tests {
             assert_eq!(back, *v, "round trip of {key}");
             assert_eq!(back.stable_key(), key);
         }
-        // skip_ahead is not in the key, so it parses back to the default
-        // even when the original had it off.
-        let ticked = base.skip_ahead(false);
-        assert_eq!(SimConfig::from_stable_key(&ticked.stable_key()).unwrap(), base);
     }
 
     #[test]
@@ -466,14 +427,5 @@ mod tests {
         // Truncated or over-long latency list.
         assert!(SimConfig::from_stable_key(&key.replace("lat=1,", "lat=")).is_none());
         assert!(SimConfig::from_stable_key(&key.replace("lat=1,", "lat=1,1,")).is_none());
-    }
-
-    #[test]
-    fn stable_key_ignores_skip_ahead() {
-        // Skip-ahead is observationally neutral; the cache key must be
-        // shared so ticked and skip-ahead runs hit the same entries.
-        let base = SimConfig::multiscalar(8);
-        assert_eq!(base.skip_ahead(false).stable_key(), base.stable_key());
-        assert_ne!(base.skip_ahead(false), base, "Eq still sees the knob");
     }
 }

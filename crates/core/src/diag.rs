@@ -9,10 +9,10 @@
 //! readable dump and serializes to JSON (fixed field order) for
 //! `mstrace`-style tooling.
 //!
-//! Snapshots taken under skip-ahead are identical to ticked ones: the
-//! timeout/watchdog cycle is pinned by the scheduler's wake clamps
-//! (DESIGN.md §13.2), and the per-unit stall reason a parked unit
-//! reports is the one its quiet certificate proved constant.
+//! Snapshots are the same whether units park or not: the processor
+//! steps every cycle either way, and a parked unit derives its stall
+//! reason through the same classifier as an unparked one (DESIGN.md
+//! §13).
 
 use ms_trace::{json, StallReason};
 use std::fmt;

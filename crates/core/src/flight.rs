@@ -41,13 +41,6 @@ impl FlightRecorder {
         now >= self.next_due
     }
 
-    /// The cycle at which the next sample is due. The skip-ahead
-    /// scheduler clamps its clock jumps here so snapshots are taken at
-    /// exactly the same cycles as a fully ticked run.
-    pub fn next_due(&self) -> u64 {
-        self.next_due
-    }
-
     /// Records `snap` (taken at `now`), evicting the oldest frame at
     /// capacity, and schedules the next sample.
     pub fn record(&mut self, now: u64, snap: DiagnosticSnapshot) {

@@ -186,19 +186,6 @@ pub struct Processor<
     /// this cycle (the rest get an idle-bucket charge). Only used when
     /// accounting is live.
     scratch_occupied: Vec<bool>,
-    /// Skip-ahead scratch: `(unit, reason)` per active unit whose quiet
-    /// span was proven this step (reused so `try_skip` allocates
-    /// nothing).
-    scratch_quiet: Vec<(usize, StallReason)>,
-    /// Whether the last `step()` issued at least one instruction on any
-    /// unit. Gates the skip-ahead probe: a quiet span can only begin
-    /// after a zero-issue cycle, so probing busy cycles would be pure
-    /// overhead on the hot path.
-    step_issued: bool,
-    /// Host-side skip-ahead telemetry: (probes attempted, spans taken,
-    /// cycles skipped). Deliberately *not* part of [`RunStats`] — the
-    /// two stepping modes must stay byte-identical there.
-    skip_telemetry: (u64, u64, u64),
     /// Always-on bounded flight recorder: periodic diagnostic snapshots,
     /// attached to [`SimError::Timeout`]/[`SimError::NoProgress`].
     flight: FlightRecorder,
@@ -328,13 +315,10 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         let units: Vec<ProcessingUnit> = (0..cfg.units)
             .map(|i| {
                 let mut u = ProcessingUnit::new(i, cfg.unit_config());
-                // Unit parking shares the skip-ahead gate: off in ticked
-                // mode, under a live trace sink (kept conservative), and
-                // under fault injection (cycle-indexed perturbations).
-                // With one unit the whole-machine skip in `run` already
-                // covers every quiet span, so parking would only pay the
-                // probe twice.
-                u.set_parking(cfg.units > 1 && cfg.skip_ahead && !S::ENABLED && !F::ENABLED);
+                // Parking is off under a live trace sink, which makes a
+                // traced run the unparked reference, and under fault
+                // injection, whose perturbations are cycle-indexed.
+                u.set_parking(!S::ENABLED && !F::ENABLED);
                 u
             })
             .collect();
@@ -381,9 +365,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             acct,
             recovering: vec![false; cfg.units],
             scratch_occupied: Vec::new(),
-            scratch_quiet: Vec::new(),
-            step_issued: false,
-            skip_telemetry: (0, 0, 0),
             flight: FlightRecorder::new(),
             log_events: std::env::var_os("MS_TRACE").is_some(),
             prog,
@@ -444,11 +425,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
 
     /// Runs to completion.
     ///
-    /// With [`SimConfig::skip_ahead`] on (the default) and no live trace
-    /// sink or fault injector, the loop skips over provably quiet spans
-    /// — the results are byte-identical to the ticked loop, just
-    /// cheaper to compute (see DESIGN.md §13).
-    ///
     /// ```
     /// use ms_asm::{assemble, AsmMode};
     /// use multiscalar::{Processor, SimConfig};
@@ -474,10 +450,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
     /// ([`SimError::NoProgress`]); the latter two carry a
     /// [`DiagnosticSnapshot`] of the stuck machine.
     pub fn run(&mut self) -> Result<RunStats, SimError> {
-        // Skip-ahead is compile-time disabled under a live trace sink
-        // (per-cycle events must keep firing every cycle) or fault
-        // injector (chaos plans are cycle-indexed; see DESIGN.md §13).
-        let skip = self.cfg.skip_ahead && !S::ENABLED && !F::ENABLED;
         while !(self.halted && self.active.is_empty()) {
             // Always-on flight recorder: a bounded ring of periodic
             // snapshots, shipped with any timeout/watchdog failure so the
@@ -503,12 +475,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                 }
             }
             self.step()?;
-            // Probe only after a zero-issue cycle: a quiet span cannot
-            // begin while instructions are still flowing, and the probe
-            // itself must stay off the busy hot path.
-            if skip && !self.step_issued {
-                self.try_skip();
-            }
         }
         self.finalize_stats();
         Ok(self.stats.clone())
@@ -775,7 +741,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             occupied.resize(n, false);
         }
         let active_len = self.active.len();
-        let mut any_issue = false;
         for pos in 0..active_len {
             let unit_idx = self.active[pos].unit;
             let mut ports = MemPorts {
@@ -789,9 +754,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             let out = self.units[unit_idx].tick_traced(now, &self.prog, &mut ports, &mut self.sink);
             if let Some(f) = self.units[unit_idx].fault() {
                 return Err(SimError::Fault(f.to_owned()));
-            }
-            if out.issued > 0 {
-                any_issue = true;
             }
             if A::ENABLED {
                 // Conservation: exactly one bucket per (unit, cycle). The
@@ -1014,141 +976,16 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             });
         }
 
-        self.step_issued = any_issue;
         self.now += 1;
         Ok(())
     }
 
-    /// Event-driven skip-ahead (DESIGN.md §13), called between steps
-    /// when `cfg.skip_ahead` is on and neither tracing nor fault
-    /// injection is live. Computes a conservative wake cycle `wake`
-    /// such that every step in `[now, wake)` would be pure bookkeeping
-    /// — no issue, fetch completion, memory response, ring arrival,
-    /// sequencer action, retirement, or stall-classification change
-    /// anywhere in the machine — then charges those cycles in bulk to
-    /// the exact buckets the ticked loop would have used and jumps the
-    /// clock. If any component might act at `now + 1`, it does nothing
-    /// and the processor ticks normally. Observational
-    /// indistinguishability (byte-identical `RunStats` and CPI stacks)
-    /// is pinned by `tests/golden_stats.rs` and
-    /// `tests/cpi_conservation.rs` running every workload both ways.
-    fn try_skip(&mut self) {
-        // The run is over (the loop condition is about to observe it):
-        // jumping now would pad the tail of the run with phantom
-        // stall cycles.
-        if self.halted && self.active.is_empty() {
-            return;
-        }
-        self.skip_telemetry.0 += 1;
-        let from = self.now;
-
-        // A retirable head is an event: only one task retires per
-        // cycle, so a backlog of completed tasks must drain by ticking.
-        if let Some(head) = self.active.front() {
-            if head.validated && self.units[head.unit].is_complete(from) {
-                return;
-            }
-        }
-
-        let mut wake = u64::MAX;
-
-        // Sequencer: only quiet when it is waiting on a known future
-        // timestamp (a descriptor fill) or permanently idle (Stop, or
-        // halted with the queue draining). While the next task is
-        // Unknown the sequencer predicts every cycle — mutating
-        // predictor state — so that is never skippable.
-        if !self.halted && self.active.len() < self.cfg.units {
-            match self.pending {
-                Pending::Entry { .. } => {
-                    if self.seq_ready_at <= from {
-                        return;
-                    }
-                    wake = wake.min(self.seq_ready_at);
-                }
-                Pending::Unknown => return,
-                Pending::Stop => {}
-            }
-        }
-
-        // Forwarding ring: the next in-flight arrival is an event.
-        if let Some(t) = self.ring.next_arrival() {
-            if t <= from {
-                return;
-            }
-            wake = wake.min(t);
-        }
-
-        // Units: each active unit must prove a quiet span and name the
-        // stall reason the ticked loop would have charged throughout.
-        let mut quiet = std::mem::take(&mut self.scratch_quiet);
-        quiet.clear();
-        for rec in &self.active {
-            // A parked unit already holds a proven certificate — reuse
-            // it rather than paying for a second probe.
-            let u = &self.units[rec.unit];
-            match u.parked_claim(from).or_else(|| u.quiet_until(from)) {
-                Some((t, reason)) if t > from => {
-                    wake = wake.min(t);
-                    quiet.push((rec.unit, reason));
-                }
-                _ => {
-                    self.scratch_quiet = quiet;
-                    return;
-                }
-            }
-        }
-
-        // Observable cadence: flight-recorder samples, the cycle bound
-        // and the watchdog must fire at identical cycles in both modes.
-        wake = wake.min(self.flight.next_due());
-        wake = wake.min(self.cfg.max_cycles);
-        if let Some(window) = self.cfg.watchdog {
-            wake = wake.min(self.last_retire_cycle + window);
-        }
-        if wake <= from {
-            self.scratch_quiet = quiet;
-            return;
-        }
-
-        // Charge the skipped span exactly as the ticked loop would have.
-        let k = wake - from;
-        for &(u, reason) in &quiet {
-            self.units[u].skip_charge(k, reason);
-            if A::ENABLED {
-                self.acct.charge_stall_n(u, reason, k);
-            }
-        }
-        if A::ENABLED {
-            let mut occupied = std::mem::take(&mut self.scratch_occupied);
-            occupied.clear();
-            occupied.resize(self.cfg.units, false);
-            for &(u, _) in &quiet {
-                occupied[u] = true;
-            }
-            for (u, taken) in occupied.iter().enumerate() {
-                if !taken {
-                    let reason = if self.recovering[u] {
-                        StallReason::SquashRecovery
-                    } else {
-                        StallReason::NoTask
-                    };
-                    self.acct.charge_stall_n(u, reason, k);
-                }
-            }
-            self.scratch_occupied = occupied;
-        }
-        self.stats.breakdown.idle += (self.cfg.units - self.active.len()) as u64 * k;
-        self.skip_telemetry.1 += 1;
-        self.skip_telemetry.2 += k;
-        self.now = wake;
-        self.scratch_quiet = quiet;
-    }
-
-    /// Host-side skip-ahead telemetry: `(probes, spans, cycles
-    /// skipped)`. Zero in ticked mode; never part of [`RunStats`], so
-    /// the simulated results stay byte-identical across modes.
+    /// Always `(0, 0, 0)`: the whole-machine skip-ahead these counters
+    /// measured is gone (unit parking is the only quiet-span mechanism,
+    /// see [`Processor::unit_park_stats`]). Kept so callers that still
+    /// report it, such as the `perfbench` harness, keep building.
     pub fn skip_telemetry(&self) -> (u64, u64, u64) {
-        self.skip_telemetry
+        (0, 0, 0)
     }
 
     /// Aggregated unit-parking telemetry: `(probes, parks, cycles

@@ -142,14 +142,6 @@ impl Ring {
         }
     }
 
-    /// The earliest cycle at which any in-flight message can complete
-    /// its current hop (`None` when the ring is idle). The skip-ahead
-    /// scheduler treats this as a wake bound: no delivery — and hence no
-    /// ring-driven state change anywhere — can happen before it.
-    pub fn next_arrival(&self) -> Option<u64> {
-        self.queues.iter().flatten().map(|f| f.available_from).min()
-    }
-
     /// Messages currently in flight.
     pub fn in_flight(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()

@@ -42,10 +42,6 @@ impl ScalarProcessor {
             mem.write_slice(seg.base, &seg.bytes);
         }
         let mut unit = ProcessingUnit::new(0, cfg.unit_config());
-        // No per-unit parking here: the run loop's whole-machine skip
-        // subsumes it (the unit *is* the machine), so parking would
-        // only double the probe cost.
-        unit.set_parking(false);
         let mut boot = [0u64; NUM_REGS];
         boot[Reg::SP.index()] = STACK_TOP as u64;
         unit.assign_task(prog.entry, RegMask::EMPTY, &boot, RegMask::EMPTY, 0);
@@ -99,13 +95,6 @@ impl ScalarProcessor {
     pub fn run(&mut self) -> Result<RunStats, SimError> {
         assert!(!self.done, "scalar processor already ran");
         let mut halted = false;
-        // Probe cooldown: cycles to sit out after a failed skip probe.
-        // Scalar stalls are mostly 1–2-cycle local dependences, so most
-        // probes fail; backing off a few cycles cuts probe waste ~4×
-        // while a genuinely long span (miss fill, drain) still gets
-        // skipped within a few cycles of starting. Purely a host-time
-        // heuristic — skipping later never changes simulated state.
-        let mut probe_debt: u32 = 0;
         loop {
             if self.now >= self.cfg.max_cycles {
                 return Err(SimError::Timeout {
@@ -133,43 +122,6 @@ impl ScalarProcessor {
                 break;
             }
             self.now += 1;
-            // Event-driven skip-ahead (DESIGN.md §13): when the unit is
-            // provably quiet until `wake`, jump the clock and charge the
-            // skipped cycles in bulk. There is no ring or sequencer in
-            // scalar mode, so the unit's own probe is the whole machine;
-            // clamping to `max_cycles` keeps the timeout cycle-exact.
-            // Probe only stall reasons that produce multi-cycle waits
-            // (FU latency, miss fills, the final drain): FetchEmpty
-            // resolves next cycle, so probing it can never win.
-            if self.cfg.skip_ahead
-                && out.issued == 0
-                && matches!(
-                    self.unit.stall_reason(),
-                    Some(
-                        ms_trace::StallReason::LocalDep
-                            | ms_trace::StallReason::CacheMiss
-                            | ms_trace::StallReason::Drain
-                            | ms_trace::StallReason::WaitRetire
-                    )
-                )
-            {
-                if probe_debt > 0 {
-                    probe_debt -= 1;
-                } else {
-                    let mut skipped = false;
-                    if let Some((wake, reason)) = self.unit.quiet_until(self.now) {
-                        let wake = wake.min(self.cfg.max_cycles);
-                        if wake > self.now {
-                            self.unit.skip_charge(wake - self.now, reason);
-                            self.now = wake;
-                            skipped = true;
-                        }
-                    }
-                    if !skipped {
-                        probe_debt = 3;
-                    }
-                }
-            }
         }
         self.done = true;
         let c = self.unit.counters();

@@ -79,15 +79,6 @@ impl MemBus {
         done
     }
 
-    /// The first cycle at which the bus is idle.
-    ///
-    /// Read on the skip-ahead probe path (DESIGN.md §13) as one of the
-    /// bounds on a quiet span, so it must stay a trivial accessor.
-    #[inline]
-    pub fn free_at(&self) -> u64 {
-        self.free_at
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> BusStats {
         self.stats

@@ -82,8 +82,8 @@ impl ICache {
     /// Whether the most recent fetch was a miss (its fill occupies the
     /// bus until the cycle the fetch call returned).
     ///
-    /// The skip-ahead probe (DESIGN.md §13) uses this to decide whether
-    /// a pre-`fetch_ready_at` span classifies as `CacheMiss` (a fill in
+    /// The unit's stall classifier uses this to decide whether a
+    /// pre-`fetch_ready_at` cycle classifies as `CacheMiss` (a fill in
     /// flight) or `FetchEmpty`; hot path, keep it a trivial accessor.
     #[inline]
     pub fn last_fetch_missed(&self) -> bool {

@@ -107,7 +107,7 @@ impl RegFile {
     }
 
     /// The cycle at which the latest local writer's result becomes
-    /// readable (0 if never locally written). The skip-ahead probe uses
+    /// readable (0 if never locally written). The parking probe uses
     /// this to bound how long a `WaitLocal` operand stays blocked.
     #[inline]
     pub fn ready_at(&self, r: Reg) -> u64 {

@@ -122,6 +122,19 @@ pub enum StallClass {
     Idle,
 }
 
+impl StallClass {
+    /// The Section 3 class of a zero-issue cycle charged to `reason`.
+    fn of(reason: StallReason) -> StallClass {
+        match reason {
+            StallReason::RemoteDep => StallClass::InterTask,
+            StallReason::WaitRetire => StallClass::WaitRetire,
+            StallReason::ArbFull => StallClass::ArbFull,
+            StallReason::NoTask | StallReason::SquashRecovery => StallClass::Idle,
+            _ => StallClass::IntraTask,
+        }
+    }
+}
+
 /// Per-task cycle/instruction counters, classified per Section 3.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TaskCounters {
@@ -147,6 +160,17 @@ impl TaskCounters {
             + self.intra_task_cycles
             + self.wait_retire_cycles
             + self.arb_stall_cycles
+    }
+
+    fn count(&mut self, class: StallClass) {
+        match class {
+            StallClass::Busy => self.busy_cycles += 1,
+            StallClass::InterTask => self.inter_task_cycles += 1,
+            StallClass::IntraTask => self.intra_task_cycles += 1,
+            StallClass::WaitRetire => self.wait_retire_cycles += 1,
+            StallClass::ArbFull => self.arb_stall_cycles += 1,
+            StallClass::Idle => {}
+        }
     }
 }
 
@@ -185,7 +209,7 @@ enum FetchMode {
     Stopped,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Blocked {
     NotDecoded,
     WaitLocal,
@@ -236,31 +260,21 @@ pub struct ProcessingUnit {
     /// and per-task slices come from the cycle accountant instead.
     stall_hist: [u64; StallReason::COUNT],
     /// Event-driven parking (DESIGN.md §13): while `now < parked_until`,
-    /// [`ProcessingUnit::tick`] takes a fast path that replays the
-    /// cached quiet classification instead of re-deriving it — the
-    /// [`ProcessingUnit::quiet_until`] certificate proved every such
-    /// cycle is a no-op with a constant stall reason. Any external
-    /// input (ring delivery, assignment, squash) clears the park.
+    /// [`ProcessingUnit::tick`] skips the issue, fetch and completion
+    /// phases, which a [`ProcessingUnit::quiet_until`] certificate proved
+    /// idle, and only classifies the cycle. Any external input (ring
+    /// delivery, assignment, squash, retirement) clears the park.
     parked_until: u64,
-    /// The stall reason every parked cycle replays.
-    parked_reason: StallReason,
-    /// Whether ticks may park (off under fault injection, or when the
-    /// caller wants the classic fully re-derived per-cycle loop).
+    /// Why the head slot is blocked throughout the park (`None`: the
+    /// buffer is empty) — the classifier's one input that is costly to
+    /// recompute, and constant over the span.
+    parked_head: Option<Blocked>,
+    /// Whether ticks may park (off under a live trace sink or fault
+    /// injector).
     park_enabled: bool,
     /// Host-side telemetry: (probe attempts, successful parks, parked
     /// cycles replayed). Never part of simulated results.
     park_stats: (u64, u64, u64),
-    /// A park was established and has not been assessed yet.
-    park_open: bool,
-    /// `park_stats.2` at the moment the open park was established —
-    /// assessment measures the park's realized yield against it.
-    park_snap: u64,
-    /// Probe cooldown: decremented instead of probing. Set when a park
-    /// dies young (an external input kills it after < 2 cheap cycles —
-    /// the churn pattern where e.g. a remote value arrives one cycle
-    /// after the park). Purely a host-time heuristic: parking is
-    /// observationally neutral, so backing off cannot change results.
-    park_debt: u8,
 }
 
 impl ProcessingUnit {
@@ -294,12 +308,9 @@ impl ProcessingUnit {
             last_stall: None,
             stall_hist: [0; StallReason::COUNT],
             parked_until: 0,
-            parked_reason: StallReason::FetchEmpty,
+            parked_head: None,
             park_enabled: true,
             park_stats: (0, 0, 0),
-            park_open: false,
-            park_snap: 0,
-            park_debt: 0,
         }
     }
 
@@ -308,25 +319,10 @@ impl ProcessingUnit {
         self.park_stats
     }
 
-    /// The live park certificate covering cycle `from`, if any: the
-    /// cached `(wake, reason)` of an earlier [`ProcessingUnit::quiet_until`]
-    /// probe. Still sound because every external input (ring delivery,
-    /// assignment, squash, retirement) clears the park, so the quiet
-    /// span it proved continues to hold. Lets the whole-machine skip
-    /// reuse the unit's own conclusion instead of re-deriving it.
-    pub fn parked_claim(&self, from: u64) -> Option<(u64, StallReason)> {
-        if from < self.parked_until {
-            Some((self.parked_until, self.parked_reason))
-        } else {
-            None
-        }
-    }
-
-    /// Enables or disables event-driven parking. Parking is
-    /// observationally neutral — ticks produce identical outputs,
-    /// counters, and stall classifications either way — so this only
-    /// trades host time; it must be off under fault injection, whose
-    /// perturbations are cycle-indexed.
+    /// Enables or disables event-driven parking (on by default). Parking
+    /// is observationally neutral — ticks produce identical outputs,
+    /// counters and stall classifications either way — so this only
+    /// trades host time.
     pub fn set_parking(&mut self, on: bool) {
         self.park_enabled = on;
         self.parked_until = 0;
@@ -383,10 +379,6 @@ impl ProcessingUnit {
         self.counters = TaskCounters::default();
         self.fault = None;
         self.last_stall = None;
-        // Kill any live park; `park_open`/`park_debt` deliberately
-        // survive task boundaries — probe churn (e.g. wait-retire parks
-        // killed at every retirement) repeats across consecutive tasks
-        // on the same unit, so the backoff must too.
         self.parked_until = 0;
     }
 
@@ -553,7 +545,30 @@ impl ProcessingUnit {
     /// fine-grained `UnitStall` reasons, fetch redirects, and the memory
     /// events of every access made this cycle. With [`NullSink`] this is
     /// exactly `tick` — the instrumentation compiles away.
+    #[inline]
     pub fn tick_traced<S: TraceSink>(
+        &mut self,
+        now: u64,
+        prog: &PredecodedProgram,
+        ports: &mut MemPorts<'_>,
+        sink: &mut S,
+    ) -> TickOutput {
+        // Parked: a quiet_until certificate proved the issue, fetch and
+        // completion phases idle this cycle, so only classify it. Only an
+        // active, fault-free unit parks, and this path is small enough to
+        // inline into the caller's per-unit loop.
+        if now < self.parked_until {
+            self.park_stats.2 += 1;
+            let reason = self.zero_issue_reason(now, self.parked_head);
+            let stall = Some(self.record_stall(now, reason, sink));
+            return TickOutput { stall, ..TickOutput::default() };
+        }
+        self.tick_unparked(now, prog, ports, sink)
+    }
+
+    /// A full cycle: issue, fetch, completion, classification and, on a
+    /// stall, the park probe.
+    fn tick_unparked<S: TraceSink>(
         &mut self,
         now: u64,
         prog: &PredecodedProgram,
@@ -563,30 +578,6 @@ impl ProcessingUnit {
         let mut out = TickOutput::default();
         if !self.active || self.fault.is_some() {
             out.stall = Some(StallClass::Idle);
-            return out;
-        }
-        if now < self.parked_until {
-            // Parked fast path: a quiet_until certificate proved this
-            // cycle is a no-op with this exact classification, so replay
-            // the bookkeeping the slow path would have produced.
-            let reason = self.parked_reason;
-            self.park_stats.2 += 1;
-            self.last_stall = Some(reason);
-            self.stall_hist[reason.index()] += 1;
-            if S::ENABLED {
-                sink.event(&TraceEvent::UnitStall { cycle: now, unit: self.id, reason });
-            }
-            let stall = match reason {
-                StallReason::RemoteDep => StallClass::InterTask,
-                StallReason::WaitRetire => StallClass::WaitRetire,
-                _ => StallClass::IntraTask,
-            };
-            match stall {
-                StallClass::InterTask => self.counters.inter_task_cycles += 1,
-                StallClass::WaitRetire => self.counters.wait_retire_cycles += 1,
-                _ => self.counters.intra_task_cycles += 1,
-            }
-            out.stall = Some(stall);
             return out;
         }
         self.fu.begin_cycle();
@@ -624,54 +615,13 @@ impl ProcessingUnit {
         self.fetch_phase(now, prog, ports, sink);
         self.completion_phase(now);
 
-        // Classify the cycle.
         let stall = if issued > 0 {
+            self.last_stall = None;
+            self.counters.count(StallClass::Busy);
             StallClass::Busy
-        } else if self.stop_resolved && self.buf.is_empty() {
-            if now >= self.outstanding_max {
-                StallClass::WaitRetire
-            } else {
-                StallClass::IntraTask
-            }
         } else {
-            match first_block {
-                Some(Blocked::WaitRemote) => StallClass::InterTask,
-                Some(Blocked::ArbFull) => StallClass::ArbFull,
-                _ => StallClass::IntraTask,
-            }
-        };
-        if issued == 0 {
-            // Refine the Section-3 class into a per-cycle reason. Kept
-            // up to date even untraced: diagnostic snapshots report it.
-            let reason = if self.stop_resolved && self.buf.is_empty() {
-                if now >= self.outstanding_max {
-                    StallReason::WaitRetire
-                } else {
-                    StallReason::Drain
-                }
-            } else {
-                match first_block {
-                    None | Some(Blocked::NotDecoded) => {
-                        // A fetch bubble with a miss fill in flight is a
-                        // memory-system penalty, not a decode artifact.
-                        if now < self.fetch_ready_at && self.icache.last_fetch_missed() {
-                            StallReason::CacheMiss
-                        } else {
-                            StallReason::FetchEmpty
-                        }
-                    }
-                    Some(Blocked::WaitLocal) => StallReason::LocalDep,
-                    Some(Blocked::WaitRemote) => StallReason::RemoteDep,
-                    Some(Blocked::Fu) => StallReason::FuBusy,
-                    Some(Blocked::Hazard) => StallReason::Hazard,
-                    Some(Blocked::ArbFull) => StallReason::ArbFull,
-                }
-            };
-            self.last_stall = Some(reason);
-            self.stall_hist[reason.index()] += 1;
-            if S::ENABLED {
-                sink.event(&TraceEvent::UnitStall { cycle: now, unit: self.id, reason });
-            }
+            let reason = self.zero_issue_reason(now, first_block);
+            let class = self.record_stall(now, reason, sink);
             // Try to park for the rest of this stall. Only reasons that
             // produce multi-cycle waits are worth the probe: FetchEmpty
             // resolves next cycle (the fetch pipeline refills every
@@ -687,59 +637,15 @@ impl ProcessingUnit {
                         | StallReason::WaitRetire
                 )
             {
-                // Assess the previous park first: one killed *externally*
-                // (`parked_until` zeroed by an input) after < 2 realized
-                // cycles (counting cycles the whole-machine skip consumed
-                // on its behalf) means probes here churn — e.g. a
-                // remote-dep park whose value arrives one cycle later —
-                // so hold off for a few stall cycles before paying again.
-                // A park that ran out naturally proved an exact span and
-                // is never punished, however short.
-                if self.park_open {
-                    self.park_open = false;
-                    if self.parked_until == 0 && self.park_stats.2.wrapping_sub(self.park_snap) < 2
-                    {
-                        self.park_debt = 8;
-                    }
-                }
-                if self.park_debt > 0 {
-                    self.park_debt -= 1;
-                } else {
-                    self.park_stats.0 += 1;
-                    let mut parked = false;
-                    if let Some((wake, span_reason)) = self.quiet_until(now + 1) {
-                        if wake > now + 1 {
-                            self.park_stats.1 += 1;
-                            self.parked_until = wake;
-                            self.parked_reason = span_reason;
-                            self.park_open = true;
-                            self.park_snap = self.park_stats.2;
-                            parked = true;
-                        }
-                    }
-                    // A failed probe (no certificate, or a 1-cycle span not
-                    // worth parking) predicts another failure next cycle,
-                    // so sit out one cycle before probing again. This
-                    // halves probe waste on workloads that stall one cycle
-                    // at a time, while a real quiet span loses at most one
-                    // cycle of coverage — longer backoffs measurably eat
-                    // into short parks (Compress averages ~13-cycle spans).
-                    if !parked {
-                        self.park_debt = 1;
-                    }
+                self.park_stats.0 += 1;
+                if let Some((wake, head)) = self.quiet_span(now + 1) {
+                    self.park_stats.1 += 1;
+                    self.parked_until = wake;
+                    self.parked_head = head;
                 }
             }
-        } else {
-            self.last_stall = None;
-        }
-        match stall {
-            StallClass::Busy => self.counters.busy_cycles += 1,
-            StallClass::InterTask => self.counters.inter_task_cycles += 1,
-            StallClass::IntraTask => self.counters.intra_task_cycles += 1,
-            StallClass::WaitRetire => self.counters.wait_retire_cycles += 1,
-            StallClass::ArbFull => self.counters.arb_stall_cycles += 1,
-            StallClass::Idle => {}
-        }
+            class
+        };
         out.stall = Some(stall);
 
         if self.stop_resolved && !self.exit_reported {
@@ -747,6 +653,116 @@ impl ProcessingUnit {
             out.exit = self.exit_kind;
         }
         out
+    }
+
+    /// Why slot `idx` cannot issue at `now`, judged by the checks that
+    /// change no state: decode readiness, operand status and out-of-order
+    /// hazards against older unissued slots. `None` leaves only the FU
+    /// and ARB checks that `try_issue` makes while issuing.
+    fn blocked(&self, idx: usize, now: u64) -> Option<Blocked> {
+        // Borrow, don't copy: this runs for every considered slot of
+        // every stalled cycle.
+        let slot = &self.buf[idx];
+        if slot.ready_from > now {
+            return Some(Blocked::NotDecoded);
+        }
+        // Operand readiness. A release is exempt: a register that has
+        // not arrived yet is passed through on arrival (see the
+        // `release_on_arrival` handling at execute) rather than stalling
+        // issue — its sources still participate in the out-of-order
+        // hazard checks below so it cannot slip past an older writer.
+        if !matches!(slot.instr.op, Op::Release { .. }) {
+            let mut remote = false;
+            let mut local = false;
+            for r in slot.meta.uses.iter() {
+                match self.regs.status(r, now) {
+                    ReadStatus::Ready => {}
+                    ReadStatus::WaitLocal => local = true,
+                    ReadStatus::WaitRemote => remote = true,
+                }
+            }
+            if remote {
+                return Some(Blocked::WaitRemote);
+            }
+            if local {
+                return Some(Blocked::WaitLocal);
+            }
+        }
+        // Out-of-order hazards against older, unissued instructions.
+        if self.cfg.ooo && idx > 0 {
+            let me = &slot.meta;
+            let my_def = me.def;
+            let my_is_mem = me.is_load || me.is_store;
+            for j in 0..idx {
+                let older = &self.buf[j].meta;
+                if older.is_control || (my_is_mem && (older.is_load || older.is_store)) {
+                    return Some(Blocked::Hazard);
+                }
+                // RAW (older defines one of my sources) or WAW.
+                if let Some(d) = older.def {
+                    if me.uses_mask.contains(d) || (my_def == Some(d) && !d.is_zero()) {
+                        return Some(Blocked::Hazard);
+                    }
+                }
+                // WAR: older reads my destination.
+                if let Some(d) = my_def {
+                    if !d.is_zero() && older.uses_mask.contains(d) {
+                        return Some(Blocked::Hazard);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The reason a zero-issue cycle at `now` is charged to, given why
+    /// the first slot the issue loop tried was blocked (`None`: the
+    /// buffer was empty). The one encoding of the stall taxonomy: `tick`,
+    /// the parked replay and [`ProcessingUnit::quiet_until`] all call it.
+    fn zero_issue_reason(&self, now: u64, first: Option<Blocked>) -> StallReason {
+        if self.stop_resolved && self.buf.is_empty() {
+            return if now >= self.outstanding_max {
+                StallReason::WaitRetire
+            } else {
+                StallReason::Drain
+            };
+        }
+        match first {
+            // A fetch bubble with a miss fill in flight is a
+            // memory-system penalty, not a decode artifact.
+            None | Some(Blocked::NotDecoded) => {
+                if now < self.fetch_ready_at && self.icache.last_fetch_missed() {
+                    StallReason::CacheMiss
+                } else {
+                    StallReason::FetchEmpty
+                }
+            }
+            Some(Blocked::WaitLocal) => StallReason::LocalDep,
+            Some(Blocked::WaitRemote) => StallReason::RemoteDep,
+            Some(Blocked::Fu) => StallReason::FuBusy,
+            Some(Blocked::Hazard) => StallReason::Hazard,
+            Some(Blocked::ArbFull) => StallReason::ArbFull,
+        }
+    }
+
+    /// Books one zero-issue cycle charged to `reason` — the diagnostic
+    /// marker (kept up to date even untraced: snapshots report it), the
+    /// stall histogram, the trace event and the Section 3 counter — and
+    /// returns its Section 3 class.
+    fn record_stall<S: TraceSink>(
+        &mut self,
+        now: u64,
+        reason: StallReason,
+        sink: &mut S,
+    ) -> StallClass {
+        self.last_stall = Some(reason);
+        self.stall_hist[reason.index()] += 1;
+        if S::ENABLED {
+            sink.event(&TraceEvent::UnitStall { cycle: now, unit: self.id, reason });
+        }
+        let class = StallClass::of(reason);
+        self.counters.count(class);
+        class
     }
 
     /// Attempts to issue the instruction at buffer index `idx`.
@@ -759,66 +775,8 @@ impl ProcessingUnit {
         out: &mut TickOutput,
         sink: &mut S,
     ) -> Result<(), Blocked> {
-        // Reject via a borrow first: the blocked checks below run every
-        // stall cycle, and copying the whole `Slot` out just to read a
-        // few fields showed up in profiles.
-        let slot_ref = &self.buf[idx];
-        if slot_ref.ready_from > now {
-            return Err(Blocked::NotDecoded);
-        }
-        // Operand readiness. A release is exempt: a register that has
-        // not arrived yet is passed through on arrival (see the
-        // `release_on_arrival` handling at execute) rather than stalling
-        // issue — its sources still participate in the out-of-order
-        // hazard checks below so it cannot slip past an older writer.
-        let is_release = matches!(slot_ref.instr.op, Op::Release { .. });
-        if !is_release {
-            let mut remote = false;
-            let mut local = false;
-            for r in slot_ref.meta.uses.iter() {
-                match self.regs.status(r, now) {
-                    ReadStatus::Ready => {}
-                    ReadStatus::WaitLocal => local = true,
-                    ReadStatus::WaitRemote => remote = true,
-                }
-            }
-            if remote {
-                return Err(Blocked::WaitRemote);
-            }
-            if local {
-                return Err(Blocked::WaitLocal);
-            }
-        }
-        // Out-of-order hazards against older, unissued instructions.
-        if self.cfg.ooo && idx > 0 {
-            let me = &self.buf[idx].meta;
-            let my_def = me.def;
-            let my_is_mem = me.is_load || me.is_store;
-            for j in 0..idx {
-                let older = &self.buf[j].meta;
-                if older.is_control {
-                    return Err(Blocked::Hazard);
-                }
-                if my_is_mem && (older.is_load || older.is_store) {
-                    return Err(Blocked::Hazard);
-                }
-                // RAW: older defines one of my sources.
-                if let Some(d) = older.def {
-                    if me.uses_mask.contains(d) {
-                        return Err(Blocked::Hazard);
-                    }
-                    // WAW.
-                    if my_def == Some(d) && !d.is_zero() {
-                        return Err(Blocked::Hazard);
-                    }
-                }
-                // WAR: older reads my destination.
-                if let Some(d) = my_def {
-                    if !d.is_zero() && older.uses_mask.contains(d) {
-                        return Err(Blocked::Hazard);
-                    }
-                }
-            }
+        if let Some(b) = self.blocked(idx, now) {
+            return Err(b);
         }
         let fu_class = self.buf[idx].meta.fu_class;
         if !self.fu.available(fu_class) {
@@ -1087,199 +1045,69 @@ impl ProcessingUnit {
         }
     }
 
-    /// The conservative skip-ahead probe (see the core crate's
-    /// `DESIGN.md` §13 for the full safety argument).
+    /// The parking certificate (DESIGN.md §13).
     ///
-    /// Decides whether every cycle in `[from, wake)` would be a pure
-    /// bookkeeping tick for this unit — zero instructions issued, no
-    /// fetch, no memory-system access, no completion transition, no
-    /// pending ring send coming due, and a *constant* stall
-    /// classification — and if so returns `(wake, reason)`: the first
-    /// cycle at which the unit may act (or its classification may
-    /// change), and the [`StallReason`] every skipped cycle would have
-    /// been charged.
+    /// Proves that in every cycle of `[from, wake)` this unit issues
+    /// nothing and its fetch and completion phases do nothing, and
+    /// returns `(wake, reason)`: the first cycle at which the unit may
+    /// act, and the [`StallReason`] cycle `from` is charged. Such a cycle
+    /// changes no state but the stall bookkeeping, which a parked
+    /// [`ProcessingUnit::tick`] derives through the same classifier as
+    /// an ordinary one.
     ///
-    /// Returns `None` when the unit may act at `from` itself, or when
-    /// quietness cannot be cheaply proven. `wake` may be `u64::MAX` when
-    /// only an *external* event (a ring delivery, squash, or retire —
-    /// all bounded separately by the caller) can change this unit's
-    /// state.
+    /// Returns `None` when the unit may act at `from` itself. `wake` may
+    /// be `u64::MAX` when only an external input (a ring delivery,
+    /// assignment, squash or retirement, each of which clears a park)
+    /// can unblock the unit.
     pub fn quiet_until(&self, from: u64) -> Option<(u64, StallReason)> {
-        if !self.active || self.fault.is_some() {
-            return None;
-        }
-        if self.stop_resolved && !self.exit_reported {
-            // The exit report is due: the caller must observe it.
+        let (wake, head) = self.quiet_span(from)?;
+        Some((wake, self.zero_issue_reason(from, head)))
+    }
+
+    /// [`ProcessingUnit::quiet_until`]'s certificate: the wake cycle, and
+    /// why the head slot is blocked. That cause holds for the whole span,
+    /// because each way it can change is an event bounded here: decode
+    /// (`NotDecoded`), a local result (`WaitLocal`), a ring delivery
+    /// (`WaitRemote`, external).
+    fn quiet_span(&self, from: u64) -> Option<(u64, Option<Blocked>)> {
+        if !self.active || self.fault.is_some() || (self.stop_resolved && !self.exit_reported) {
             return None;
         }
         let mut wake = u64::MAX;
-
-        // Fetch: would run once `fetch_ready_at` is reached (a miss fill
-        // completing, a redirect bubble expiring). Even when fetch is
-        // blocked by mode or a full buffer, `fetch_ready_at` still bounds
-        // the CacheMiss → FetchEmpty classification flip.
+        // Fetch runs once `fetch_ready_at` is reached (a miss fill
+        // completing, a redirect bubble expiring).
         if self.fetch_mode == FetchMode::Run && self.buf.len() < self.cfg.fetch_buffer {
-            if self.fetch_ready_at <= from {
-                return None;
-            }
-            wake = wake.min(self.fetch_ready_at);
-        } else if self.fetch_ready_at > from {
-            wake = wake.min(self.fetch_ready_at);
+            wake = self.fetch_ready_at;
         }
-
-        // Completion: the one-shot auto-release fires — and the
-        // Drain → WaitRetire classification flips — at `outstanding_max`.
-        if self.stop_resolved && self.buf.is_empty() {
-            if !self.completion_handled {
-                if self.outstanding_max <= from {
-                    return None;
-                }
-                wake = wake.min(self.outstanding_max);
-            } else if self.outstanding_max > from {
-                wake = wake.min(self.outstanding_max);
-            }
-        }
-
-        // Pending ring sends are drained in the cycle they come due.
-        for &(cycle, _, _) in &self.pending_sends {
-            if cycle <= from {
-                return None;
-            }
-            wake = wake.min(cycle);
-        }
-
-        // Issue: every slot the issue loop would consider must be
-        // provably blocked at `from` (an issuable slot executes — and may
-        // touch the ARB — so it is always an event, even if it would
-        // bounce off a full ARB).
-        let considered =
-            if self.cfg.ooo { self.cfg.window.min(self.buf.len()) } else { self.buf.len().min(1) };
-        for idx in 0..considered {
-            wake = wake.min(self.slot_wake(idx, from)?);
+        // The one-shot auto-release fires at `outstanding_max`.
+        if self.stop_resolved && self.buf.is_empty() && !self.completion_handled {
+            wake = wake.min(self.outstanding_max);
         }
         if wake <= from {
             return None;
         }
-
-        // Mirror the classification `tick` would produce for every cycle
-        // of the span (the bounds above guarantee it cannot flip before
-        // `wake`). FuBusy/Hazard/ArbFull are unreachable here: slot 0 is
-        // never hazard-blocked, the FU pool resets each cycle, and an
-        // ARB-touching slot already returned `None`.
-        let reason = if self.stop_resolved && self.buf.is_empty() {
-            if from >= self.outstanding_max {
-                StallReason::WaitRetire
-            } else {
-                StallReason::Drain
-            }
-        } else {
-            let fetch_reason = if from < self.fetch_ready_at && self.icache.last_fetch_missed() {
-                StallReason::CacheMiss
-            } else {
-                StallReason::FetchEmpty
-            };
-            match self.buf.front() {
-                None => fetch_reason,
-                Some(slot) if slot.ready_from > from => fetch_reason,
-                Some(slot) => {
-                    let mut remote = false;
-                    let mut local = false;
-                    if !matches!(slot.instr.op, Op::Release { .. }) {
-                        for r in slot.meta.uses.iter() {
-                            match self.regs.status(r, from) {
-                                ReadStatus::Ready => {}
-                                ReadStatus::WaitLocal => local = true,
-                                ReadStatus::WaitRemote => remote = true,
-                            }
-                        }
-                    }
-                    if remote {
-                        StallReason::RemoteDep
-                    } else if local {
-                        StallReason::LocalDep
-                    } else {
-                        return None; // defensive: an issuable head slot
-                    }
+        // Issue: every slot the issue loop considers must be blocked (an
+        // issuable slot executes — and may touch the ARB — so it is
+        // always an event, even if it would bounce off a full ARB).
+        let considered =
+            if self.cfg.ooo { self.cfg.window.min(self.buf.len()) } else { self.buf.len().min(1) };
+        let mut head = None;
+        for (idx, slot) in self.buf.iter().take(considered).enumerate() {
+            let cause = self.blocked(idx, from)?;
+            wake = wake.min(match cause {
+                Blocked::NotDecoded => slot.ready_from,
+                // No source awaits a predecessor: the latest local
+                // result bounds the wait.
+                Blocked::WaitLocal => {
+                    slot.meta.uses.iter().map(|r| self.regs.ready_at(r)).fold(0, u64::max)
                 }
-            }
-        };
-        Some((wake, reason))
-    }
-
-    /// When can buffer slot `idx` first issue? `None` means it can issue
-    /// at `from` (not a quiet cycle); `u64::MAX` means only an external
-    /// event (ring delivery, or an older slot issuing) can unblock it.
-    fn slot_wake(&self, idx: usize, from: u64) -> Option<u64> {
-        let slot = &self.buf[idx];
-        // Out-of-order hazards against older slots clear only when an
-        // older slot issues — and every older slot's own wake bounds
-        // that — so a hazard-blocked slot imposes no time bound itself.
-        if self.cfg.ooo && idx > 0 {
-            let me = &slot.meta;
-            let my_def = me.def;
-            let my_is_mem = me.is_load || me.is_store;
-            for j in 0..idx {
-                let older = &self.buf[j].meta;
-                if older.is_control || (my_is_mem && (older.is_load || older.is_store)) {
-                    return Some(u64::MAX);
-                }
-                if let Some(d) = older.def {
-                    if me.uses_mask.contains(d) || (my_def == Some(d) && !d.is_zero()) {
-                        return Some(u64::MAX);
-                    }
-                }
-                if let Some(d) = my_def {
-                    if !d.is_zero() && older.uses_mask.contains(d) {
-                        return Some(u64::MAX);
-                    }
-                }
-            }
+                // Cleared only by a ring delivery, or when an older slot
+                // issues (which that slot's own bound covers).
+                _ => u64::MAX,
+            });
+            head = head.or(Some(cause));
         }
-        if idx == 0 && slot.ready_from > from {
-            // The head slot drives the stall classification, which flips
-            // from a fetch reason to an operand reason once the slot
-            // decodes: stop the skip at the flip, not at eventual issue.
-            return Some(slot.ready_from);
-        }
-        let mut t = slot.ready_from;
-        if !matches!(slot.instr.op, Op::Release { .. }) {
-            for r in slot.meta.uses.iter() {
-                match self.regs.status(r, from) {
-                    ReadStatus::Ready => {}
-                    ReadStatus::WaitLocal => t = t.max(self.regs.ready_at(r)),
-                    // Cleared only by a ring delivery.
-                    ReadStatus::WaitRemote => return Some(u64::MAX),
-                }
-            }
-        }
-        if t <= from {
-            None // issuable at `from`
-        } else {
-            Some(t)
-        }
-    }
-
-    /// Applies the per-cycle bookkeeping of `n` consecutive ticks that
-    /// [`ProcessingUnit::quiet_until`] proved to be no-ops: the
-    /// Section-3 class counter, the fine-grained stall histogram and the
-    /// last-stall marker end up exactly as if [`ProcessingUnit::tick`]
-    /// had run `n` times classifying `reason` each cycle.
-    pub fn skip_charge(&mut self, n: u64, reason: StallReason) {
-        debug_assert!(self.active, "skip_charge on an idle unit");
-        match reason {
-            StallReason::RemoteDep => self.counters.inter_task_cycles += n,
-            StallReason::WaitRetire => self.counters.wait_retire_cycles += n,
-            StallReason::ArbFull => self.counters.arb_stall_cycles += n,
-            _ => self.counters.intra_task_cycles += n,
-        }
-        self.stall_hist[reason.index()] += n;
-        self.last_stall = Some(reason);
-        // Cycles the whole-machine skip consumed under a live park count
-        // as realized yield, so the assessment above doesn't mistake a
-        // good park for churn just because the global jump ate its span.
-        if self.parked_until != 0 {
-            self.park_stats.2 += n;
-        }
+        Some((wake, head))
     }
 
     fn completion_phase(&mut self, now: u64) {
@@ -1332,6 +1160,8 @@ mod tests {
         banks: DataBanks,
         prog: PredecodedProgram,
         now: u64,
+        src: String,
+        cfg: UnitConfig,
     }
 
     impl Rig {
@@ -1355,11 +1185,30 @@ mod tests {
                 banks: DataBanks::new(DataBanksConfig::scalar()),
                 prog,
                 now: 0,
+                src: src.to_owned(),
+                cfg,
             }
         }
 
-        /// Runs until halt; returns (cycles, instructions).
+        /// Runs until halt; returns (cycles, instructions). The same
+        /// program also runs on a unit with parking off, and the two
+        /// must agree on cycles, counters and the stall histogram — the
+        /// unparked unit is the reference for the parked one.
         fn run(&mut self) -> (u64, u64) {
+            let parked = self.run_to_halt();
+            let mut unparked = Rig::build(&self.src, self.cfg);
+            unparked.unit.set_parking(false);
+            assert_eq!(unparked.run_to_halt(), parked, "parking changed the cycle count");
+            assert_eq!(unparked.unit.counters(), self.unit.counters(), "parking changed counters");
+            assert_eq!(
+                unparked.unit.stall_histogram(),
+                self.unit.stall_histogram(),
+                "parking changed the stall histogram"
+            );
+            parked
+        }
+
+        fn run_to_halt(&mut self) -> (u64, u64) {
             for _ in 0..200_000u64 {
                 let mut ports = MemPorts {
                     mem: &mut self.mem,
@@ -1369,13 +1218,9 @@ mod tests {
                     stage: 0,
                     active_ranks: 1,
                 };
-                let out = self.unit.tick(self.now, &self.prog, &mut ports);
+                self.unit.tick(self.now, &self.prog, &mut ports);
                 if let Some(f) = self.unit.fault() {
                     panic!("fault: {f}");
-                }
-                if out.exit == Some(ExitKind::Halt) && self.unit.is_complete(self.now) {
-                    let c = self.unit.counters();
-                    return (self.now + 1, c.instructions);
                 }
                 if self.unit.is_complete(self.now) {
                     let c = self.unit.counters();
@@ -1511,6 +1356,7 @@ mod tests {
             UnitConfig { ooo: true, issue_width: 2, ..UnitConfig::default() },
         ] {
             let mut rig = Rig::build(src, cfg);
+            rig.unit.set_parking(false);
             let mut quiet_cycles = 0u64;
             for _ in 0..200_000u64 {
                 let claim = rig.unit.quiet_until(rig.now);
@@ -1540,23 +1386,11 @@ mod tests {
                 rig.now += 1;
             }
             assert!(quiet_cycles > 0, "run must contain provably quiet cycles");
+            // The same program parks, and parking changes nothing.
+            let mut parked = Rig::build(src, cfg);
+            parked.run();
+            assert!(parked.unit.park_stats().2 > 0, "the divide's latency must be parked");
         }
-    }
-
-    #[test]
-    fn skip_charge_maps_reasons_to_section3_classes() {
-        let mut rig = Rig::scalar("main:\n halt\n");
-        rig.unit.skip_charge(3, StallReason::RemoteDep);
-        rig.unit.skip_charge(2, StallReason::WaitRetire);
-        rig.unit.skip_charge(5, StallReason::CacheMiss);
-        rig.unit.skip_charge(1, StallReason::ArbFull);
-        let c = rig.unit.counters();
-        assert_eq!(c.inter_task_cycles, 3);
-        assert_eq!(c.wait_retire_cycles, 2);
-        assert_eq!(c.intra_task_cycles, 5);
-        assert_eq!(c.arb_stall_cycles, 1);
-        assert_eq!(rig.unit.stall_histogram()[StallReason::CacheMiss.index()], 5);
-        assert_eq!(rig.unit.stall_reason(), Some(StallReason::ArbFull));
     }
 
     #[test]

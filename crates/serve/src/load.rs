@@ -285,6 +285,24 @@ fn schedule(opts: &LoadOptions, conn: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Connects with `deadline` as the read timeout and reads the daemon's
+/// greeting; returns the (reader, writer) halves.
+fn connect_and_greet(
+    opts: &LoadOptions,
+    deadline: Duration,
+) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
+    let stream = TcpStream::connect(&opts.addr)?;
+    stream.set_read_timeout(Some(deadline))?;
+    stream.set_nodelay(true)?;
+    let writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    let mut hello = String::new();
+    reader.read_line(&mut hello)?;
+    protocol::parse_response(&hello)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    Ok((reader, writer))
+}
+
 fn run_connection(
     opts: &LoadOptions,
     names: &[String],
@@ -298,21 +316,14 @@ fn run_connection(
         deadline_failures: 0,
     };
     let deadline = Duration::from_millis(opts.deadline_ms.max(1));
-    let stream = TcpStream::connect(&opts.addr)?;
-    stream.set_read_timeout(Some(deadline))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-
-    let mut hello = String::new();
-    reader.read_line(&mut hello)?;
-    protocol::parse_response(&hello)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-
-    let plan = schedule(opts, conn);
+    let greeted = connect_and_greet(opts, deadline);
     // Everybody connects and greets first, then fires together — this
-    // is what makes connections × pipelining genuinely concurrent.
+    // is what makes connections × pipelining genuinely concurrent. Every
+    // connection reaches the barrier exactly once, greeted or not, so a
+    // failure on either side of it never strands the others.
     start.wait();
+    let (mut reader, mut writer) = greeted?;
+    let plan = schedule(opts, conn);
     let t0 = Instant::now();
 
     let mut batch = String::new();
@@ -465,12 +476,7 @@ pub fn run_load(opts: &LoadOptions) -> std::io::Result<LoadOutcome> {
                 .stack_size(256 * 1024)
                 .spawn_scoped(scope, move || match run_connection(opts, names, conn, &start) {
                     Ok(tally) => tallies.lock().unwrap().push(tally),
-                    Err(e) => {
-                        // A stuck barrier would hang every other thread;
-                        // errors before the barrier still wait on it.
-                        errors.lock().unwrap().push(e);
-                        start.wait();
-                    }
+                    Err(e) => errors.lock().unwrap().push(e),
                 })
                 .expect("spawn load connection thread");
         }
@@ -666,6 +672,9 @@ mod tests {
                     break;
                 }
             }
+            // Returned, not dropped: the sockets stay open (silent, not
+            // closed) until the test joins this thread.
+            held
         });
 
         let opts = LoadOptions {
@@ -682,6 +691,42 @@ mod tests {
         assert_eq!(outcome.failed, 6, "{outcome:?}");
         assert_eq!(outcome.deadline_failures, 6, "{outcome:?}");
         assert_eq!(outcome.total, 0, "{outcome:?}");
-        server.join().unwrap();
+        drop(server.join().unwrap());
+    }
+
+    #[test]
+    fn a_connection_failing_after_the_start_barrier_strands_no_one() {
+        // The first connection gets a garbage line after its greeting and
+        // fails after the barrier; the second gets silence and times out
+        // into failure rows. The run must end, with the first's error.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for stream in listener.incoming().take(2) {
+                let mut stream = stream.unwrap();
+                let mut greeting = protocol::hello_line(1, 8);
+                if held.is_empty() {
+                    greeting.push_str("not json\n");
+                }
+                stream.write_all(greeting.as_bytes()).unwrap();
+                held.push(stream);
+            }
+            held
+        });
+
+        let opts = LoadOptions {
+            addr: addr.to_string(),
+            connections: 2,
+            requests_per_conn: 3,
+            points: 2,
+            deadline_ms: 300,
+            ..LoadOptions::default()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(run_load(&opts).map(|_| ()).map_err(|e| e.kind())));
+        let result = rx.recv_timeout(Duration::from_secs(10)).expect("run_load hung");
+        assert_eq!(result, Err(std::io::ErrorKind::InvalidData));
+        drop(server.join().unwrap());
     }
 }

@@ -32,8 +32,11 @@
 use crate::flight::{FlightBoard, FlightOutcome, Role};
 use crate::protocol::{self, Envelope, Request};
 use crate::stats::{ServeStats, StatsSnapshot};
-use ms_sweep::{artifacts, compute_and_store, Executor, Job, JobFailure, JobOutcome, SweepCache};
-use ms_workloads::{by_name, Scale, Workload};
+use ms_sweep::{
+    artifacts, compute_and_store, resolve_workload, Executor, Job, JobFailure, JobOutcome,
+    SweepCache,
+};
+use ms_workloads::{Scale, Workload};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -116,7 +119,7 @@ struct QueueState {
     stop_workers: bool,
 }
 
-type WorkloadTable = HashMap<(String, Scale), Option<(Arc<Workload>, u64)>>;
+type WorkloadTable = HashMap<(String, Scale, Option<String>), Result<(Arc<Workload>, u64), String>>;
 
 struct Shared {
     cfg: ServerConfig,
@@ -135,17 +138,17 @@ struct Shared {
 }
 
 impl Shared {
-    /// Resolves (and memoizes) a workload by name × scale.
-    fn workload(&self, name: &str, scale: Scale) -> Option<(Arc<Workload>, u64)> {
-        let key = (name.to_ascii_lowercase(), scale);
+    /// Resolves (and memoizes) a job's workload by name × scale ×
+    /// partition, exactly as the sweep engine does — so a failure
+    /// carries the engine's error text.
+    fn workload(&self, job: &Job) -> Result<(Arc<Workload>, u64), String> {
+        let key = (job.workload.to_ascii_lowercase(), job.scale, job.partition.clone());
         let mut table = self.workloads.lock().unwrap();
         table
             .entry(key)
             .or_insert_with(|| {
-                by_name(name, scale).map(|w| {
-                    let fp = w.fingerprint();
-                    (Arc::new(w), fp)
-                })
+                resolve_workload(&job.workload, job.scale, job.partition.as_deref())
+                    .map(|(w, fp)| (Arc::new(w), fp))
             })
             .clone()
     }
@@ -259,12 +262,14 @@ fn worker_loop(shared: &Shared) {
 /// Settles one design point through the three layers (flight → cache →
 /// queue) and returns the response payload or a rejection code.
 fn serve_point(shared: &Shared, job: Job) -> (Result<Arc<str>, &'static str>, Served) {
-    // Unknown workloads settle like the sweep engine settles them: a
-    // deterministic failure payload, no flight, no queue slot.
-    let Some((workload, fingerprint)) = shared.workload(&job.workload, job.scale) else {
-        let payload =
-            artifacts::outcome_json(&Err(JobFailure { job, error: "unknown workload".into() }));
-        return (Ok(payload.into()), Served::Failed);
+    // Unresolvable workloads settle like the sweep engine settles them:
+    // a deterministic failure payload, no flight, no queue slot.
+    let (workload, fingerprint) = match shared.workload(&job) {
+        Ok(resolved) => resolved,
+        Err(error) => {
+            let payload = artifacts::outcome_json(&Err(JobFailure { job, error }));
+            return (Ok(payload.into()), Served::Failed);
+        }
     };
     let key = job.cache_key(fingerprint);
 
@@ -341,7 +346,7 @@ fn serve_sweep(shared: &Shared, jobs: Vec<Job>) -> Result<String, (&'static str,
 
     /// How each point in the sweep will produce its fragment.
     enum Pending {
-        /// Settled immediately (unknown workload or cache hit).
+        /// Settled immediately (unresolvable workload or cache hit).
         Done(Arc<str>),
         /// Wait on this flight (we lead it or joined it).
         Wait(Arc<crate::flight::Flight>),
@@ -355,11 +360,14 @@ fn serve_sweep(shared: &Shared, jobs: Vec<Job>) -> Result<String, (&'static str,
     let mut misses: Vec<WorkItem> = Vec::new();
 
     for job in jobs {
-        let Some((workload, fingerprint)) = shared.workload(&job.workload, job.scale) else {
-            let frag =
-                artifacts::outcome_json(&Err(JobFailure { job, error: "unknown workload".into() }));
-            pending.push(Pending::Done(frag.into()));
-            continue;
+        let (workload, fingerprint) = match shared.workload(&job) {
+            Ok(resolved) => resolved,
+            Err(error) => {
+                pending.push(Pending::Done(
+                    artifacts::outcome_json(&Err(JobFailure { job, error })).into(),
+                ));
+                continue;
+            }
         };
         let key = job.cache_key(fingerprint);
         match shared.board.join(&key) {
@@ -807,10 +815,15 @@ mod tests {
         }
         match &responses[2] {
             Response::Result { id: 3, payload } => {
-                assert!(
-                    payload.contains("\"ok\":false,\"error\":\"unknown workload\""),
-                    "{payload}"
-                );
+                // Settled exactly as a cold engine run settles it.
+                let Ok(Envelope { req: Request::Run(run), .. }) =
+                    protocol::parse_request(r#"{"op":"run","id":3,"workload":"nosuch"}"#)
+                else {
+                    panic!("not a run request");
+                };
+                let report = ms_sweep::run_jobs(vec![run.job()], &Default::default());
+                assert_eq!(*payload, artifacts::outcome_json(&report.outcomes[0]));
+                assert!(payload.contains("unknown workload `nosuch`"), "{payload}");
             }
             other => panic!("{other:?}"),
         }

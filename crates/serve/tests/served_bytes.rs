@@ -26,6 +26,9 @@ fn ask(addr: std::net::SocketAddr, line: &str) -> Response {
 
 #[test]
 fn served_point_bytes_equal_cold_engine_bytes() {
+    // One hand-annotated point and one auto-partitioned point: the
+    // partition key must reach the simulator and the fingerprint.
+    let key = "part v1;size=16;loops=1;calls=0;fwd=1;rel=1";
     let spec = SweepSpec {
         workloads: vec!["wc".into()],
         scale: Scale::Test,
@@ -33,20 +36,27 @@ fn served_point_bytes_equal_cold_engine_bytes() {
         orders: vec![false],
         unit_counts: vec![4],
         include_scalar: false,
-        partitions: Vec::new(),
+        partitions: vec![None, Some(key.into())],
     };
     // The reference bytes: what a cold, cache-less engine run renders
-    // into results.json for this design point.
+    // into results.json for each design point.
     let report = run_jobs(spec.expand(), &SweepOptions::default());
-    let cold = artifacts::outcome_json(&report.outcomes[0]);
+    let cold: Vec<String> = report.outcomes.iter().map(artifacts::outcome_json).collect();
+    assert_ne!(cold[0], cold[1], "partitioning must change the payload");
 
     let server =
         Server::start(ServerConfig::default(), Arc::new(InProcessExecutor::new())).expect("bind");
-    let served = match ask(server.addr(), r#"{"op":"run","id":1,"workload":"wc","units":4}"#) {
-        Response::Result { payload, .. } => payload,
-        other => panic!("{other:?}"),
-    };
-    assert_eq!(served, cold, "served bytes != cold engine bytes");
+    let requests = [
+        r#"{"op":"run","id":1,"workload":"wc","units":4}"#.to_string(),
+        format!(r#"{{"op":"run","id":2,"workload":"wc","units":4,"partition":"{key}"}}"#),
+    ];
+    for (line, cold) in requests.iter().zip(&cold) {
+        let served = match ask(server.addr(), line) {
+            Response::Result { payload, .. } => payload,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(&served, cold, "served bytes != cold engine bytes for {line}");
+    }
     server.shutdown();
     server.join();
 }

@@ -71,7 +71,11 @@ fn shard_artifacts_are_byte_identical_to_in_process() {
 #[test]
 fn killed_panicked_and_garbage_workers_recover_to_identical_bytes() {
     for fault in ["kill@1", "panic@0", "garbage@0"] {
+        // One worker: with a second, healthy worker the sweep can finish
+        // on it before the supervisor's respawn lands, leaving no
+        // restart to observe.
         let exec = ProcessShardExecutor::start(ShardOptions {
+            workers: 1,
             worker_env: vec![(0, FAULT_ENV.into(), fault.into())],
             ..opts()
         });
@@ -97,7 +101,9 @@ fn killed_panicked_and_garbage_workers_recover_to_identical_bytes() {
 fn stalled_workers_hit_the_job_deadline_and_recover() {
     // The stall keeps heartbeats flowing, so only the per-job deadline
     // can catch it — which is exactly what this pins down.
+    // One worker, so the sweep can only finish through a restart.
     let exec = ProcessShardExecutor::start(ShardOptions {
+        workers: 1,
         job_deadline_ms: 300,
         worker_env: vec![(0, FAULT_ENV.into(), "stall@0:60000".into())],
         ..opts()

@@ -25,11 +25,9 @@
 //! `CycleAccountant` hooks and is zero-cost when disabled, mirroring
 //! the `NullSink`/`NoFaults` pattern.
 //!
-//! Charges arrive one cycle at a time from the ticked loop *or* in
-//! bulk from the event-driven skip-ahead scheduler (`charge_stall_n`
-//! over a provably quiet span — DESIGN.md §13). The two must produce
-//! identical stacks; `tests/cpi_conservation.rs` asserts it for every
-//! suite workload in both modes.
+//! Charges arrive one cycle at a time. A parked unit (DESIGN.md §13)
+//! is charged exactly what an unparked one would be;
+//! `tests/cpi_conservation.rs` asserts it for every suite workload.
 
 use crate::event::StallReason;
 use crate::json;

@@ -23,10 +23,10 @@
 //!
 //! * **DESIGN.md** — what is built and why: system inventory,
 //!   microarchitecture parameters, testing strategy, fault injection,
-//!   differential fuzzing, cycle accounting (§11), and the
-//!   event-driven skip-ahead scheduler with its safety argument (§13).
+//!   differential fuzzing, cycle accounting (§11), and event-driven
+//!   unit parking with its safety argument (§13).
 //! * **PERFORMANCE.md** — host throughput: the `msperf`/`msprof`
-//!   harnesses, the interleaved A/B methodology, both optimization
+//!   harnesses, the interleaved A/B methodology, the optimization
 //!   passes, and the `BENCH_perf.json` artifact schema.
 //! * **EXPERIMENTS.md** — simulated results: every paper table and
 //!   figure reproduced, paper numbers beside measured ones.
@@ -35,8 +35,7 @@
 //! Simulated behaviour is byte-deterministic: wall-clock never appears
 //! in a result artifact, and host-side optimizations (PERFORMANCE.md)
 //! are admitted only when golden tests prove `RunStats` and CPI stacks
-//! unchanged — see `SimConfig::skip_ahead` for the knob that toggles
-//! the pass-2 scheduler.
+//! unchanged.
 
 pub use ms_asm;
 pub use ms_cfg;

@@ -43,25 +43,28 @@ fn stale_ring_delivery_regression_stays_fixed() {
     assert_eq!(r.failures(), 0, "stale ring delivery resurfaced:\n{}", r.to_json());
 }
 
-/// Fault plans are cycle-indexed, so the skip-ahead scheduler hard-gates
-/// itself off whenever an injector is live (DESIGN.md §13): jumping the
-/// clock would skip the exact cycles a plan was going to perturb.
-/// This point proves the gate — a chaotic run must be byte-identical
-/// whether the config asks for skip-ahead or not.
+/// Unit parking (DESIGN.md §13) runs on an untraced, unperturbed
+/// processor and stays off under a live trace sink (so a traced run is
+/// the unparked reference the equivalence tests compare against) and
+/// under fault injection (fault plans are cycle-indexed).
 #[test]
-fn fault_plans_reproduce_identically_under_skip_ahead_config() {
-    use ms_sweep::statsio::stats_to_json;
-    let w = ms_workloads::by_name("gcc", ms_workloads::Scale::Test).expect("gcc exists");
-    let cfg = multiscalar::SimConfig::multiscalar(4);
-    let (skipped, _) = w
-        .run_multiscalar_with_injector(cfg.skip_ahead(true), FaultPlan::storm(4))
-        .expect("chaotic run (skip-ahead config)");
-    let (ticked, _) = w
-        .run_multiscalar_with_injector(cfg.skip_ahead(false), FaultPlan::storm(4))
-        .expect("chaotic run (ticked config)");
-    assert_eq!(
-        stats_to_json(&skipped),
-        stats_to_json(&ticked),
-        "a fault plan diverged under the skip-ahead config — the injector gate is broken"
-    );
+fn parking_runs_untraced_and_stays_off_under_sinks_and_fault_plans() {
+    use ms_asm::AsmMode;
+    use multiscalar::trace::MetricsSink;
+    use multiscalar::{Processor, SimConfig};
+    let w = ms_workloads::by_name("Compress", ms_workloads::Scale::Test).expect("Compress exists");
+    let cfg = SimConfig::multiscalar(8);
+    let prog = w.assemble(AsmMode::Multiscalar).expect("Compress assembles");
+
+    let mut plain = Processor::new(prog.clone(), cfg).expect("build");
+    plain.run().expect("untraced run");
+    assert!(plain.unit_park_stats().1 > 0, "untraced Compress on ms8 never parked");
+
+    let mut traced = Processor::with_sink(prog, cfg, MetricsSink::new()).expect("build traced");
+    traced.run().expect("traced run");
+    assert_eq!(traced.unit_park_stats(), (0, 0, 0), "a unit parked under a live trace sink");
+
+    let (_, chaotic) =
+        w.run_multiscalar_with_injector(cfg, FaultPlan::storm(4)).expect("chaotic run");
+    assert_eq!(chaotic.unit_park_stats(), (0, 0, 0), "a unit parked under a fault plan");
 }

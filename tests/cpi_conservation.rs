@@ -19,7 +19,10 @@
 //!
 //! The accountant must also be purely observational: a run with
 //! accounting enabled must report the same cycles and instructions as
-//! the default `NoAccounting` run of the same program.
+//! the default `NoAccounting` run of the same program. Unit parking
+//! (DESIGN.md §13) must be too: every accounted run is compared, stats
+//! and complete CPI stack, against the same run under a live trace
+//! sink, which turns parking off.
 //!
 //! The golden fixture (`tests/golden/cpi_stack.txt`) pins the complete
 //! `CpiStack::to_json()` rendering for one workload so the bucket
@@ -33,11 +36,25 @@
 use ms_asm::{assemble, AsmMode};
 use ms_fuzz::diff::{config_points, ValidateOpts};
 use ms_fuzz::gen;
-use ms_trace::{CpiStack, StallReason};
-use multiscalar::{CpiAccountant, Processor, SimConfig};
+use ms_sweep::statsio::stats_to_json;
+use ms_trace::{CpiStack, MetricsSink, StallReason};
+use multiscalar::{CpiAccountant, NoFaults, Processor, RunStats, SimConfig};
 
 fn opts() -> ValidateOpts {
     ValidateOpts { max_cycles: 1_000_000, watchdog: 200_000 }
+}
+
+/// Asserts that a parked run and an unparked (traced) run of the same
+/// program agree on every stat and every CPI bucket.
+fn assert_parking_neutral(label: &str, parked: &RunStats, unparked: &RunStats) {
+    assert_eq!(
+        stats_to_json(parked),
+        stats_to_json(unparked),
+        "{label}: parking changed the run stats"
+    );
+    let cpi = |s: &RunStats| s.cpi.as_ref().map(CpiStack::to_json);
+    assert!(cpi(parked).is_some(), "{label}: no CPI stack");
+    assert_eq!(cpi(parked), cpi(unparked), "{label}: parking changed the CPI stack");
 }
 
 /// Asserts every form of the conservation invariant on one stack.
@@ -101,6 +118,17 @@ fn fuzz_corpus_conserves_unit_cycles() {
                 .unwrap_or_else(|e| panic!("{label}: build (accounted): {e}"));
             let stats = acct.run().unwrap_or_else(|e| panic!("{label}: run (accounted): {e}"));
 
+            let mut traced = Processor::with_parts(
+                prog.clone(),
+                *cfg,
+                MetricsSink::new(),
+                NoFaults,
+                CpiAccountant::new(),
+            )
+            .unwrap_or_else(|e| panic!("{label}: build (traced): {e}"));
+            let unparked = traced.run().unwrap_or_else(|e| panic!("{label}: run (traced): {e}"));
+            assert_parking_neutral(&label, &stats, &unparked);
+
             // Accounting is observational — same machine, same run.
             assert_eq!(stats.cycles, base.cycles, "{label}: accounting changed cycle count");
             assert_eq!(
@@ -127,26 +155,15 @@ fn workload_suite_conserves_unit_cycles() {
         for units in [1usize, 4, 8] {
             let cfg = SimConfig::multiscalar(units);
             let label = format!("{} on ms{units}", w.name);
-            // Both clocking modes: skip-ahead bulk-charges whole quiet
-            // spans (`charge_stall_n`), ticked charges cycle by cycle.
-            // Conservation must hold either way, and the two complete
-            // stacks — every bucket, per unit and per task — must be
-            // identical (DESIGN.md §13).
             let stats = w
-                .run_multiscalar_with_accountant(cfg.skip_ahead(true), CpiAccountant::new())
+                .run_multiscalar_with_accountant(cfg, CpiAccountant::new())
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
-            let ticked = w
-                .run_multiscalar_with_accountant(cfg.skip_ahead(false), CpiAccountant::new())
-                .unwrap_or_else(|e| panic!("{label} (ticked): {e}"));
+            let (unparked, _) = w
+                .run_multiscalar_instrumented(cfg, MetricsSink::new(), CpiAccountant::new())
+                .unwrap_or_else(|e| panic!("{label} (traced): {e}"));
             let cpi = stats.cpi.as_ref().unwrap_or_else(|| panic!("{label}: no CPI stack"));
             assert_conserved(&label, cpi);
-            let cpi_ticked =
-                ticked.cpi.as_ref().unwrap_or_else(|| panic!("{label}: no ticked CPI stack"));
-            assert_eq!(
-                cpi.to_json(),
-                cpi_ticked.to_json(),
-                "{label}: skip-ahead changed the CPI stack"
-            );
+            assert_parking_neutral(&label, &stats, &unparked);
         }
     }
 }
@@ -156,25 +173,18 @@ fn golden_path() -> std::path::PathBuf {
 }
 
 /// Pins the complete bucket attribution for Wc on the 4-unit machine.
-/// The snapshot is taken with skip-ahead on (the default) after checking
-/// it renders identically to a ticked run, so the fixture also gates the
-/// skip scheduler's bulk charging.
+/// The snapshot is taken with parking on (the default) after checking
+/// it renders identically to an unparked (traced) run.
 #[test]
 fn cpi_stack_matches_golden_fixture() {
     let w = ms_workloads::by_name("Wc", ms_workloads::Scale::Test).expect("Wc exists");
     let cfg = SimConfig::multiscalar(4);
-    let stats = w
-        .run_multiscalar_with_accountant(cfg.skip_ahead(true), CpiAccountant::new())
-        .expect("Wc runs");
-    let ticked = w
-        .run_multiscalar_with_accountant(cfg.skip_ahead(false), CpiAccountant::new())
-        .expect("Wc runs ticked");
+    let stats = w.run_multiscalar_with_accountant(cfg, CpiAccountant::new()).expect("Wc runs");
+    let (unparked, _) = w
+        .run_multiscalar_instrumented(cfg, MetricsSink::new(), CpiAccountant::new())
+        .expect("Wc runs traced");
+    assert_parking_neutral("Wc on ms4", &stats, &unparked);
     let mut snapshot = stats.cpi.expect("accounted run has a stack").to_json();
-    assert_eq!(
-        snapshot,
-        ticked.cpi.expect("ticked run has a stack").to_json(),
-        "skip-ahead changed the golden CPI stack"
-    );
     snapshot.push('\n');
 
     let path = golden_path();

@@ -17,11 +17,12 @@
 //! where the JSON is `ms_sweep::statsio::stats_to_json`'s fixed-order
 //! rendering. Any divergence is a behaviour change, not a speedup.
 //!
-//! Every point additionally runs in both clocking modes — event-driven
-//! skip-ahead (the default) and plain ticked (`skip_ahead(false)`) —
-//! and the two serialized `RunStats` must match byte-for-byte before
-//! either is compared against the golden file. This is the equivalence
-//! gate for the skip-ahead scheduler (DESIGN.md §13).
+//! Every multiscalar point additionally runs under a live trace sink,
+//! which turns unit parking off (DESIGN.md §13), and the parked and
+//! unparked serialized `RunStats` must match byte-for-byte before
+//! either is compared against the golden file. The scalar points are
+//! pinned by the golden file alone; the parked/unparked check for the
+//! scalar unit lives in `ms-pipeline`'s unit tests.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -31,6 +32,7 @@
 
 use ms_sweep::statsio::stats_to_json;
 use ms_workloads::{suite, Scale};
+use multiscalar::trace::MetricsSink;
 use multiscalar::SimConfig;
 
 /// The machine classes pinned by the golden file.
@@ -51,28 +53,31 @@ fn current_snapshot() -> String {
     let mut out = String::new();
     for w in suite(Scale::Test) {
         for (name, cfg, multi) in machines() {
-            // Every point runs twice: with the event-driven skip-ahead
-            // scheduler (the default) and in plain ticked mode. The two
-            // serialized stats must be byte-identical — skip-ahead is a
-            // host-time optimization and must be observationally
-            // invisible (DESIGN.md §13) — and the shared rendering is
-            // what the golden file pins.
-            let run = |cfg: SimConfig| {
-                if multi { w.run_multiscalar(cfg) } else { w.run_scalar(cfg) }
-                    .unwrap_or_else(|e| panic!("{} on {name}: {e}", w.name))
+            let label = format!("{} on {name}", w.name);
+            let stats = if multi {
+                // Parked (the default) against unparked (a traced run):
+                // parking is a host-time optimization and must be
+                // observationally invisible.
+                let parked = stats_to_json(
+                    &w.run_multiscalar(cfg).unwrap_or_else(|e| panic!("{label}: {e}")),
+                );
+                let (traced, _) = w
+                    .run_multiscalar_with_sink(cfg, MetricsSink::new())
+                    .unwrap_or_else(|e| panic!("{label} (traced): {e}"));
+                assert_eq!(
+                    parked,
+                    stats_to_json(&traced),
+                    "{label}: parking changed simulated behaviour"
+                );
+                parked
+            } else {
+                stats_to_json(&w.run_scalar(cfg).unwrap_or_else(|e| panic!("{label}: {e}")))
             };
-            let skipped = stats_to_json(&run(cfg.skip_ahead(true)));
-            let ticked = stats_to_json(&run(cfg.skip_ahead(false)));
-            assert_eq!(
-                skipped, ticked,
-                "{} on {name}: skip-ahead changed simulated behaviour",
-                w.name
-            );
             out.push_str(w.name);
             out.push(' ');
             out.push_str(name);
             out.push(' ');
-            out.push_str(&skipped);
+            out.push_str(&stats);
             out.push('\n');
         }
     }
