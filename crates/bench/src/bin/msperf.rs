@@ -16,9 +16,10 @@
 //! turnaround.
 //!
 //! With `--cpi`, multiscalar points are timed with live CPI-stack
-//! accounting (`run_multiscalar_with_accountant`). CI runs msperf with
-//! and without this flag and asserts the accounted timings regress by
-//! less than 2%, bounding the cost of leaving accounting on in sweeps.
+//! accounting (a `CpiAccountant` as the run's trace sink). CI runs
+//! msperf with and without this flag and asserts the accounted timings
+//! regress by less than 2%, bounding the cost of leaving accounting on
+//! in sweeps.
 
 use ms_bench::perf::{
     measure, measure_accounted, perf_to_json, render_perf, MachineSpec, PerfPoint,

@@ -13,25 +13,25 @@
 //!   `chrome://tracing`.
 //! * `report.json` — the [`ms_trace::MetricsReport`] (event-derived
 //!   counters and histograms) next to the simulator's own `RunStats`
-//!   and the run's CPI stack, after cross-checking that all three agree.
-//! * `trace.jsonl` (with `--jsonl`) — one JSON object per trace event.
+//!   and the run's CPI stack, after cross-checking the events against
+//!   `RunStats`.
+//! * `trace.jsonl` (with `--jsonl`) — one JSON object per trace event,
+//!   including one `unit_issue` or `unit_stall` per (unit, cycle).
 //!
-//! The run always carries a live cycle accountant, and reconciliation
-//! checks the resulting `CpiStack` three ways: the conservation
-//! invariant (every unit-cycle in exactly one bucket), bucket-for-bucket
-//! agreement with the event-derived `MetricsReport` stall counters for
-//! every event-backed reason, and zero event counts for the
-//! accountant-only buckets (`no_task`, `squash_recovery` — idle units
-//! emit no `UnitStall` events). Exits non-zero with the exact
-//! disagreements if any counter fails to reconcile — the trace layer,
-//! the aggregate statistics, and the cycle-accounting layer are three
-//! independent observers of one simulation and must never silently
-//! diverge.
+//! The metrics, the CPI stack and the trace files are sinks on one event
+//! stream, so the stack's buckets equal the metrics' stall counters by
+//! construction. What is checked is that the events agree with the
+//! simulator's own `RunStats` counters and that the stack conserves
+//! (every unit-cycle in exactly one bucket). Exits non-zero with the
+//! exact disagreements if either check fails.
+//!
+//! A run that fails (timeout, watchdog, fault, wrong result) still
+//! leaves complete `trace.json` and `trace.jsonl` up to the failure;
+//! `report.json` then holds the error and its diagnostic snapshot, and
+//! the exit code is 1.
 
-use ms_trace::{
-    ChromeTraceSink, CpiStack, JsonLinesSink, MetricsReport, MetricsSink, StallReason, TeeSink,
-};
-use ms_workloads::Scale;
+use ms_trace::{json, ChromeTraceSink, JsonLinesSink, MetricsReport, MetricsSink, TeeSink};
+use ms_workloads::{Scale, WorkloadError};
 use multiscalar::{CpiAccountant, RunStats, SimConfig};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -147,50 +147,43 @@ fn reconcile(m: &MetricsReport, s: &RunStats) -> Vec<String> {
 
     match &s.cpi {
         None => mismatches.push("cpi: accountant produced no CpiStack".to_string()),
-        Some(cpi) => mismatches.extend(reconcile_cpi(m, cpi)),
+        Some(cpi) if !cpi.conservation_holds() => mismatches.push(format!(
+            "cpi conservation: accounted {} of {} unit-cycles",
+            cpi.accounted_unit_cycles(),
+            cpi.total_unit_cycles()
+        )),
+        Some(_) => {}
     }
     mismatches
 }
 
-/// Cross-checks the cycle-accounting stack against the event-derived
-/// stall counters. Every stall reason a unit can report while holding a
-/// task is event-backed — the accountant and the `UnitStall` stream
-/// observe the same per-cycle classification, so their per-reason totals
-/// must be identical. `no_task` and `squash_recovery` are charged only
-/// by the accountant (an unoccupied unit emits no events), so their
-/// event counts must be zero.
-fn reconcile_cpi(m: &MetricsReport, cpi: &CpiStack) -> Vec<String> {
-    let mut out = Vec::new();
-    if !cpi.conservation_holds() {
-        out.push(format!(
-            "cpi conservation: accounted {} of {} unit-cycles",
-            cpi.accounted_unit_cycles(),
-            cpi.total_unit_cycles()
-        ));
+/// The fields of a successful run's report, after its identity.
+fn success_fields(stats: &RunStats, metrics: &MetricsReport, mismatches: &[String]) -> String {
+    let mut out =
+        format!("\"reconciled\":{},\"stats\":{},", mismatches.is_empty(), stats_to_json(stats));
+    if let Some(cpi) = &stats.cpi {
+        out.push_str(&format!("\"cpi\":{},", cpi.to_json()));
     }
-    for r in StallReason::ALL {
-        let acct = cpi.stall_cycles[r.index()];
-        let ev = m.stall_cycles[r.index()];
-        let accountant_only = matches!(r, StallReason::NoTask | StallReason::SquashRecovery);
-        let expected_ev = if accountant_only { 0 } else { acct };
-        if ev != expected_ev {
-            out.push(format!(
-                "cpi.{}: events say {ev}, accountant says {acct}{}",
-                r.as_str(),
-                if accountant_only { " (accountant-only bucket; events must be 0)" } else { "" }
-            ));
-        }
-    }
+    out.push_str(&format!("\"metrics\":{}", metrics.to_json()));
     out
 }
 
-fn write_report(
-    path: &Path,
-    args: &Args,
-    stats: &RunStats,
-    metrics: &MetricsReport,
-    mismatches: &[String],
-) -> io::Result<()> {
+/// The fields of a failed run's report, after its identity: the error
+/// and the machine state it carries (`null` when it carries none).
+fn failure_fields(err: &WorkloadError) -> String {
+    let snapshot = match err {
+        WorkloadError::Sim(e) => e.snapshot().map(|s| s.to_json()),
+        _ => None,
+    };
+    format!(
+        "\"error\":{},\"snapshot\":{}",
+        json::string(&err.to_string()),
+        snapshot.as_deref().unwrap_or("null")
+    )
+}
+
+/// Writes `report.json`: the run's identity, then `fields`.
+fn write_report(path: &Path, args: &Args, fields: &str) -> io::Result<()> {
     let mut f = BufWriter::new(File::create(path)?);
     let scale = match args.scale {
         Scale::Test => "test",
@@ -198,16 +191,10 @@ fn write_report(
     };
     write!(
         f,
-        "{{\"workload\":\"{}\",\"units\":{},\"scale\":\"{scale}\",\"reconciled\":{},",
+        "{{\"workload\":\"{}\",\"units\":{},\"scale\":\"{scale}\",{fields}}}",
         args.workload.to_ascii_lowercase(),
         args.units,
-        mismatches.is_empty(),
     )?;
-    write!(f, "\"stats\":{},", stats_to_json(stats))?;
-    if let Some(cpi) = &stats.cpi {
-        write!(f, "\"cpi\":{},", cpi.to_json())?;
-    }
-    write!(f, "\"metrics\":{}}}", metrics.to_json())?;
     f.flush()
 }
 
@@ -246,19 +233,13 @@ fn main() -> ExitCode {
     };
 
     let sink = TeeSink(
-        MetricsSink::new(),
+        TeeSink(MetricsSink::new(), CpiAccountant::new()),
         TeeSink(ChromeTraceSink::new(chrome_writer), JsonLinesSink::new(jsonl_writer)),
     );
 
     let cfg = SimConfig::multiscalar(args.units);
-    let (stats, sink) = match w.run_multiscalar_instrumented(cfg, sink, CpiAccountant::new()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{}: {e}", w.name);
-            return ExitCode::FAILURE;
-        }
-    };
-    let TeeSink(metrics_sink, TeeSink(chrome, jsonl)) = sink;
+    let (result, sink) = w.run_multiscalar_with_sink(cfg, sink);
+    let TeeSink(TeeSink(metrics_sink, _), TeeSink(chrome, jsonl)) = sink;
     let metrics = metrics_sink.into_report();
 
     let (_, chrome_err) = chrome.into_inner();
@@ -272,8 +253,20 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    let stats = match result {
+        Ok(stats) => stats,
+        Err(e) => {
+            eprintln!("{}: {e}", w.name);
+            if let Err(io) = write_report(&report_path, &args, &failure_fields(&e)) {
+                eprintln!("writing {}: {io}", report_path.display());
+            }
+            return ExitCode::FAILURE;
+        }
+    };
     let mismatches = reconcile(&metrics, &stats);
-    if let Err(e) = write_report(&report_path, &args, &stats, &metrics, &mismatches) {
+    if let Err(e) =
+        write_report(&report_path, &args, &success_fields(&stats, &metrics, &mismatches))
+    {
         eprintln!("writing {}: {e}", report_path.display());
         return ExitCode::FAILURE;
     }
@@ -302,5 +295,25 @@ fn main() -> ExitCode {
             eprintln!("  {m}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ms_trace::jsonv;
+
+    #[test]
+    fn a_failed_run_reports_its_error_and_snapshot() {
+        let w = ms_workloads::by_name("Wc", Scale::Test).expect("Wc exists");
+        let (result, _) = w.run_multiscalar_with_sink(
+            SimConfig::multiscalar(4).max_cycles(500),
+            MetricsSink::new(),
+        );
+        let err = result.expect_err("500 cycles are too few for Wc");
+        let report = jsonv::parse(&format!("{{{}}}", failure_fields(&err))).expect("valid JSON");
+        assert_eq!(report.get("error").and_then(|e| e.as_str()), Some(err.to_string().as_str()));
+        let snapshot = report.get("snapshot").expect("snapshot field");
+        assert_eq!(snapshot.get("cycle").and_then(|c| c.as_u64()), Some(500));
     }
 }

@@ -37,7 +37,6 @@
 pub mod perf;
 pub mod prof;
 
-use ms_asm::AsmMode;
 use ms_sweep::{run_sweep, JobFailure, JobKind, SweepOptions, SweepReport, SweepSpec};
 use ms_workloads::{suite, Scale, Workload, WorkloadError};
 use multiscalar::{RunStats, SimConfig};
@@ -445,24 +444,6 @@ pub fn table1() -> String {
 
 fn ms_pipeline_latency_table() -> ms_pipeline::LatencyTable {
     SimConfig::scalar().latencies
-}
-
-/// Verifies a run's Table-2 invariant for a single workload (used by the
-/// criterion benches to avoid silently timing broken code).
-pub fn verify_counts(w: &Workload) -> CountRow {
-    let s = w.run_scalar(SimConfig::scalar()).expect("scalar run");
-    let m = w.run_multiscalar(SimConfig::multiscalar(4)).expect("multiscalar run");
-    assert!(m.instructions >= s.instructions);
-    CountRow { name: w.name, scalar: s.instructions, multiscalar: m.instructions }
-}
-
-/// Assembles a workload in both modes and asserts the static-size
-/// relation (multiscalar text >= scalar text).
-pub fn static_sizes(w: &Workload) -> (usize, usize) {
-    let s = w.assemble(AsmMode::Scalar).expect("scalar asm");
-    let m = w.assemble(AsmMode::Multiscalar).expect("ms asm");
-    assert!(m.text.len() >= s.text.len());
-    (s.text.len(), m.text.len())
 }
 
 #[cfg(test)]

@@ -145,10 +145,10 @@ pub fn measure(w: &Workload, m: &MachineSpec, reps: usize) -> Result<PerfPoint, 
 
 /// [`measure`] with live CPI-stack accounting on multiscalar runs.
 ///
-/// Times the *accounting-enabled* simulation path
-/// (`run_multiscalar_with_accountant`) instead of the default
-/// `NoAccounting` path; the scalar baseline is timed unchanged (it has
-/// no accountant). CI compares this against [`measure`] to bound the
+/// Times the *accounting-enabled* simulation path (a
+/// [`CpiAccountant`] as the run's trace sink) instead of the default
+/// untraced path; the scalar baseline is timed unchanged (it has no
+/// accountant). CI compares this against [`measure`] to bound the
 /// runtime cost of cycle accounting — the zero-cost claim for the
 /// *disabled* path is structural (monomorphization), but the *enabled*
 /// path must also stay cheap enough to leave on in sweeps.
@@ -176,7 +176,7 @@ fn measure_with(
         let t0 = Instant::now();
         let stats = match (m.multiscalar, accounted) {
             (true, false) => w.run_multiscalar(m.cfg),
-            (true, true) => w.run_multiscalar_with_accountant(m.cfg, CpiAccountant::new()),
+            (true, true) => w.run_multiscalar_with_sink(m.cfg, CpiAccountant::new()).0,
             (false, _) => w.run_scalar(m.cfg),
         }?;
         wall_secs.push(t0.elapsed().as_secs_f64());

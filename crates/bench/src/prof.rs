@@ -68,7 +68,7 @@ pub struct ProfPoint {
 /// profile) or if cycle accounting lost a unit-cycle.
 pub fn profile(w: &Workload, m: &MachineSpec) -> Result<ProfPoint, WorkloadError> {
     assert!(m.multiscalar, "msprof profiles multiscalar machines; `{}` is scalar", m.name);
-    let stats = w.run_multiscalar_with_accountant(m.cfg, CpiAccountant::new())?;
+    let stats = w.run_multiscalar_with_sink(m.cfg, CpiAccountant::new()).0?;
     let cpi = stats.cpi.expect("a live accountant always yields a stack");
     assert!(
         cpi.conservation_holds(),

@@ -17,6 +17,9 @@
 //!   Tables 3 and 4.
 //! * [`RunStats`]/[`CycleBreakdown`] — results, including the cycle
 //!   distribution taxonomy of Section 3.
+//! * [`trace`] — the one other observation channel: every event of a run
+//!   goes to a [`trace::TraceSink`], and [`CpiAccountant`] is the sink
+//!   that builds the CPI stack carried in [`RunStats::cpi`].
 //! * [`FaultInjector`]/[`DiagnosticSnapshot`] — chaos-testing hooks that
 //!   perturb the microarchitecture without changing architectural
 //!   results, and the structured machine-state dump attached to
@@ -66,7 +69,6 @@
 #![deny(missing_docs)]
 
 mod ablation;
-mod acct;
 mod config;
 mod diag;
 mod error;
@@ -78,7 +80,6 @@ mod scalar;
 mod stats;
 
 pub use ablation::{ArbFullPolicy, PredictorKind};
-pub use acct::{CpiAccountant, CycleAccountant, NoAccounting};
 pub use config::SimConfig;
 pub use diag::{DiagnosticSnapshot, HeadDiag, UnitDiag};
 pub use error::SimError;
@@ -88,6 +89,8 @@ pub use processor::{Processor, Retirement};
 pub use ring::{Ring, RingMsg};
 pub use scalar::ScalarProcessor;
 pub use stats::{CycleBreakdown, RunStats};
+
+pub use ms_trace::CpiAccountant;
 
 /// The structured trace layer (re-exported from `ms-trace`): attach a
 /// [`trace::TraceSink`] via [`Processor::with_sink`] to observe per-cycle

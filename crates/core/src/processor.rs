@@ -17,7 +17,6 @@
 //!    install the predecessor's forwarded register view).
 
 use crate::ablation::{ArbFullPolicy, PredictorKind};
-use crate::acct::{CycleAccountant, NoAccounting};
 use crate::config::SimConfig;
 use crate::diag::{DiagnosticSnapshot, HeadDiag, UnitDiag};
 use crate::error::SimError;
@@ -31,7 +30,7 @@ use ms_isa::{
 use ms_memsys::{Arb, DataBanks, MemBus, Memory};
 use ms_pipeline::{ExitKind, MemPorts, ProcessingUnit};
 use ms_predictor::{DescriptorCache, ReturnAddressStack, TaskPredictor};
-use ms_trace::{NullSink, SquashKind, StallReason, TraceEvent, TraceSink};
+use ms_trace::{NullSink, SquashKind, StallReason, TeeSink, TraceEvent, TraceSink};
 use std::collections::{HashMap, VecDeque};
 
 #[derive(Debug)]
@@ -116,11 +115,8 @@ const ARB_OCCUPANCY_SAMPLE_PERIOD: u64 = 16;
 /// # Ok(())
 /// # }
 /// ```
-pub struct Processor<
-    S: TraceSink = NullSink,
-    F: FaultInjector = NoFaults,
-    A: CycleAccountant = NoAccounting,
-> {
+pub struct Processor<S: TraceSink = NullSink, F: FaultInjector = NoFaults, A: TraceSink = NullSink>
+{
     cfg: SimConfig,
     prog: PredecodedProgram,
     units: Vec<ProcessingUnit>,
@@ -167,31 +163,19 @@ pub struct Processor<
     scratch_arb_stalled: Vec<usize>,
     scratch_sends: Vec<(Reg, u64)>,
 
-    sink: S,
+    /// The observers: every event goes to both, first sink first.
+    sink: TeeSink<S, A>,
     /// Fault injector. With [`NoFaults`] (the default) every hook site
     /// compiles away, exactly like [`NullSink`] tracing.
     inject: F,
-    /// Cycle accountant. With [`NoAccounting`] (the default) every charge
-    /// site compiles away, exactly like [`NullSink`] tracing; with a live
-    /// accountant every (unit, cycle) is charged to exactly one CPI-stack
-    /// bucket and [`RunStats::cpi`] is populated.
-    acct: A,
     /// Per unit: the last task on this unit was squashed and no new task
     /// has been assigned yet, so its idle cycles are squash *recovery*
-    /// (charged to [`StallReason::SquashRecovery`]) rather than ordinary
-    /// [`StallReason::NoTask`] idleness. Only maintained when accounting
-    /// is live.
+    /// ([`StallReason::SquashRecovery`]) rather than ordinary
+    /// [`StallReason::NoTask`] idleness. Only maintained when traced.
     recovering: Vec<bool>,
-    /// Per-cycle scratch: which units were charged by the execute loop
-    /// this cycle (the rest get an idle-bucket charge). Only used when
-    /// accounting is live.
-    scratch_occupied: Vec<bool>,
     /// Always-on bounded flight recorder: periodic diagnostic snapshots,
     /// attached to [`SimError::Timeout`]/[`SimError::NoProgress`].
     flight: FlightRecorder,
-    /// Legacy human-readable event logging to stderr (the old `MS_TRACE`
-    /// behaviour), resolved once at construction instead of per cycle.
-    log_events: bool,
 }
 
 /// One retired task, as recorded in [`Processor::retirement_log`].
@@ -216,18 +200,39 @@ impl Processor {
     pub fn new(prog: Program, cfg: SimConfig) -> Result<Processor, SimError> {
         Processor::with_sink(prog, cfg, NullSink)
     }
+
+    /// The check every constructor makes first: `prog` has text and a
+    /// task descriptor at its entry point. Callers that must keep their
+    /// sink when construction fails can make it before handing it over.
+    ///
+    /// # Errors
+    /// Returns [`SimError::BadProgram`] naming what is missing.
+    pub fn check_program(prog: &Program) -> Result<(), SimError> {
+        if prog.text.is_empty() {
+            return Err(SimError::BadProgram("empty text segment".into()));
+        }
+        if prog.task_at(prog.entry).is_none() {
+            return Err(SimError::BadProgram(format!(
+                "no task descriptor at entry {:#x}",
+                prog.entry
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl<S: TraceSink> Processor<S> {
     /// Builds a processor that reports [`TraceEvent`]s to `sink` as it
     /// runs. With [`NullSink`] (what [`Processor::new`] uses) the
-    /// instrumentation monomorphizes away entirely.
+    /// instrumentation monomorphizes away entirely. With a
+    /// [`crate::CpiAccountant`] (alone or in a [`TeeSink`]) the run's
+    /// [`RunStats::cpi`] carries its CPI stack.
     ///
     /// # Errors
     /// Returns [`SimError::BadProgram`] if the program has no text or no
     /// task descriptor at its entry point.
     pub fn with_sink(prog: Program, cfg: SimConfig, sink: S) -> Result<Processor<S>, SimError> {
-        Processor::with_sink_and_injector(prog, cfg, sink, NoFaults)
+        Processor::with_parts(prog, cfg, sink, NoFaults, NullSink)
     }
 }
 
@@ -244,48 +249,20 @@ impl<F: FaultInjector> Processor<NullSink, F> {
         cfg: SimConfig,
         injector: F,
     ) -> Result<Processor<NullSink, F>, SimError> {
-        Processor::with_sink_and_injector(prog, cfg, NullSink, injector)
+        Processor::with_parts(prog, cfg, NullSink, injector, NullSink)
     }
 }
 
-impl<A: CycleAccountant> Processor<NullSink, NoFaults, A> {
-    /// Builds an untraced, unperturbed processor whose cycles are charged
-    /// to `acct` — the entry point for CPI profiling (see
-    /// [`crate::CpiAccountant`]).
-    ///
-    /// # Errors
-    /// Returns [`SimError::BadProgram`] if the program has no text or no
-    /// task descriptor at its entry point.
-    pub fn with_accountant(
-        prog: Program,
-        cfg: SimConfig,
-        acct: A,
-    ) -> Result<Processor<NullSink, NoFaults, A>, SimError> {
-        Processor::with_parts(prog, cfg, NullSink, NoFaults, acct)
-    }
-}
+impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
+    /// Whether any observer is live: event sites compile away otherwise.
+    const TRACED: bool = S::ENABLED || A::ENABLED;
 
-impl<S: TraceSink, F: FaultInjector> Processor<S, F> {
-    /// Builds a processor with both a trace sink and a fault injector.
-    ///
-    /// # Errors
-    /// Returns [`SimError::BadProgram`] if the program has no text or no
-    /// task descriptor at its entry point.
-    pub fn with_sink_and_injector(
-        prog: Program,
-        cfg: SimConfig,
-        sink: S,
-        injector: F,
-    ) -> Result<Processor<S, F>, SimError> {
-        Processor::with_parts(prog, cfg, sink, injector, NoAccounting)
-    }
-}
-
-impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
-    /// Builds a processor from all three instrumentation hooks: a trace
-    /// sink, a fault injector and a cycle accountant. Each defaults to a
-    /// no-op ([`NullSink`]/[`NoFaults`]/[`NoAccounting`]) that
-    /// monomorphizes away.
+    /// Builds a processor from a trace sink, a fault injector and a
+    /// second sink that sees every event after `sink` (so a
+    /// [`crate::CpiAccountant`] can ride next to any other observer).
+    /// Each defaults to a no-op ([`NullSink`]/[`NoFaults`]/[`NullSink`])
+    /// that monomorphizes away. Observers never change how the machine
+    /// steps; only the injector does.
     ///
     /// # Errors
     /// Returns [`SimError::BadProgram`] if the program has no text or no
@@ -295,17 +272,9 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         cfg: SimConfig,
         sink: S,
         injector: F,
-        mut acct: A,
+        extra: A,
     ) -> Result<Processor<S, F, A>, SimError> {
-        if prog.text.is_empty() {
-            return Err(SimError::BadProgram("empty text segment".into()));
-        }
-        if prog.task_at(prog.entry).is_none() {
-            return Err(SimError::BadProgram(format!(
-                "no task descriptor at entry {:#x}",
-                prog.entry
-            )));
-        }
+        Processor::check_program(&prog)?;
         let mut mem = Memory::new();
         for seg in &prog.data {
             mem.write_slice(seg.base, &seg.bytes);
@@ -315,18 +284,15 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         let units: Vec<ProcessingUnit> = (0..cfg.units)
             .map(|i| {
                 let mut u = ProcessingUnit::new(i, cfg.unit_config());
-                // Parking is off under a live trace sink, which makes a
-                // traced run the unparked reference, and under fault
-                // injection, whose perturbations are cycle-indexed.
-                u.set_parking(!S::ENABLED && !F::ENABLED);
+                // Parking is off under fault injection, whose
+                // perturbations are cycle-indexed. Observers do not
+                // matter: a parked unit emits the same events.
+                u.set_parking(!F::ENABLED);
                 u
             })
             .collect();
         let entry = prog.entry;
         let prog = PredecodedProgram::new(prog);
-        if A::ENABLED {
-            acct.begin(cfg.units);
-        }
         Ok(Processor {
             units,
             mem,
@@ -360,13 +326,10 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             scratch_exits: Vec::new(),
             scratch_arb_stalled: Vec::new(),
             scratch_sends: Vec::new(),
-            sink,
+            sink: TeeSink(sink, extra),
             inject: injector,
-            acct,
             recovering: vec![false; cfg.units],
-            scratch_occupied: Vec::new(),
             flight: FlightRecorder::new(),
-            log_events: std::env::var_os("MS_TRACE").is_some(),
             prog,
             cfg,
         })
@@ -374,18 +337,19 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
 
     /// The attached trace sink.
     pub fn sink(&self) -> &S {
-        &self.sink
+        &self.sink.0
     }
 
     /// Mutable access to the attached trace sink.
     pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
+        &mut self.sink.0
     }
 
-    /// Finishes the trace sink and returns it, consuming the processor.
+    /// Finishes both sinks and returns the first, consuming the
+    /// processor.
     pub fn into_sink(mut self) -> S {
         self.sink.finish();
-        self.sink
+        self.sink.0
     }
 
     /// Writes raw bytes into simulated memory (workload inputs), before or
@@ -541,9 +505,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         self.stats.icache = ic;
         self.stats.predictions = self.predictor.stats().predictions;
         self.stats.correct_predictions = self.predictor.stats().correct;
-        if A::ENABLED {
-            self.stats.cpi = self.acct.finish(self.now, self.stats.instructions);
-        }
+        self.stats.cpi = self.sink.cpi_stack(self.now, self.stats.instructions);
     }
 
     /// [`Ring::send`] with the injector's hop jitter applied; a plain
@@ -560,38 +522,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
     /// Order of the active task on `unit`, if any.
     fn unit_order(&self, unit: usize) -> Option<u64> {
         self.active.iter().find(|r| r.unit == unit).map(|r| r.order)
-    }
-
-    /// A one-line summary of sequencer/task state for debugging.
-    pub fn debug_state(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(s, "pending={:?} active=[", self.pending);
-        for r in &self.active {
-            let u = &self.units[r.unit];
-            let _ = write!(
-                s,
-                "{{#{} u{} @{:#x} exit={:?} val={} complete={} awaiting={} fwd21={}}} ",
-                r.order,
-                r.unit,
-                r.entry,
-                r.exit,
-                r.validated,
-                u.is_complete(self.now),
-                u.awaiting_regs(),
-                u.fwd_view().1.contains(ms_isa::Reg::int(21)),
-            );
-        }
-        let _ = write!(
-            s,
-            "] halted={} ring={} seq_ready={} sq={}c+{}m",
-            self.halted,
-            self.ring.in_flight(),
-            self.seq_ready_at,
-            self.stats.control_squashes,
-            self.stats.memory_squashes
-        );
-        s
     }
 
     /// Advances the simulation one cycle.
@@ -619,7 +549,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         // further. Idle units pass messages through (their successors may
         // hold later tasks that still need the value).
         let newest_order = self.active.back().map(|r| r.order);
-        let trace = self.log_events;
         // Reused scratch buffer (taken so `self.ring.send` stays legal
         // inside the loop; restored — cleared — at the end of the pass).
         let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
@@ -629,10 +558,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             // Stale-value kill: a later producer of this register already
             // retired, so no live or future task may consume this copy.
             if self.retired_creates[msg.reg.index()] > msg.sender_order + 1 {
-                if trace {
-                    eprintln!("[{now}] ring: {} stale at u{dest} {msg:?}", msg.reg);
-                }
-                if S::ENABLED {
+                if Self::TRACED {
                     self.sink.event(&TraceEvent::RingDie {
                         cycle: now,
                         unit: dest,
@@ -657,13 +583,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                             && rec.create.contains(msg.reg)
                     });
                     if skipped_producer {
-                        if trace {
-                            eprintln!(
-                                "[{now}] ring: {} stale (skipped producer) at u{dest} {msg:?}",
-                                msg.reg
-                            );
-                        }
-                        if S::ENABLED {
+                        if Self::TRACED {
                             self.sink.event(&TraceEvent::RingDie {
                                 cycle: now,
                                 unit: dest,
@@ -674,13 +594,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                         continue;
                     }
                     let propagate = self.units[dest].receive(msg.reg, msg.val, now);
-                    if trace {
-                        eprintln!(
-                            "[{now}] ring: {} -> u{dest} (order {order}) deliver prop={propagate} {msg:?}",
-                            msg.reg
-                        );
-                    }
-                    if S::ENABLED {
+                    if Self::TRACED {
                         self.sink.event(&TraceEvent::RingDeliver {
                             cycle: now,
                             unit: dest,
@@ -693,14 +607,8 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                         self.ring_send(dest, msg, now);
                     }
                 }
-                Some(order) => {
-                    if trace {
-                        eprintln!(
-                            "[{now}] ring: {} dies at u{dest} (order {order}) {msg:?}",
-                            msg.reg
-                        );
-                    }
-                    if S::ENABLED {
+                Some(_) => {
+                    if Self::TRACED {
                         self.sink.event(&TraceEvent::RingDie {
                             cycle: now,
                             unit: dest,
@@ -712,18 +620,13 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                 None => {
                     if !self.active.is_empty() {
                         self.ring_send(dest, msg, now); // pass through an idle unit
-                    } else {
-                        if trace {
-                            eprintln!("[{now}] ring: {} dies at idle u{dest} {msg:?}", msg.reg);
-                        }
-                        if S::ENABLED {
-                            self.sink.event(&TraceEvent::RingDie {
-                                cycle: now,
-                                unit: dest,
-                                reg: msg.reg.index() as u8,
-                                hops: msg.hops as u32,
-                            });
-                        }
+                    } else if Self::TRACED {
+                        self.sink.event(&TraceEvent::RingDie {
+                            cycle: now,
+                            unit: dest,
+                            reg: msg.reg.index() as u8,
+                            hops: msg.hops as u32,
+                        });
                     }
                 }
             }
@@ -735,11 +638,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         let mut violations = std::mem::take(&mut self.scratch_violations);
         let mut exits = std::mem::take(&mut self.scratch_exits);
         let mut arb_stalled = std::mem::take(&mut self.scratch_arb_stalled);
-        let mut occupied = std::mem::take(&mut self.scratch_occupied);
-        if A::ENABLED {
-            occupied.clear();
-            occupied.resize(n, false);
-        }
         let active_len = self.active.len();
         for pos in 0..active_len {
             let unit_idx = self.active[pos].unit;
@@ -755,19 +653,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             if let Some(f) = self.units[unit_idx].fault() {
                 return Err(SimError::Fault(f.to_owned()));
             }
-            if A::ENABLED {
-                // Conservation: exactly one bucket per (unit, cycle). The
-                // unit just classified this cycle — issued, or the fine
-                // stall reason it recorded.
-                occupied[unit_idx] = true;
-                if out.issued > 0 {
-                    self.acct.charge_issued(unit_idx);
-                } else {
-                    let reason =
-                        self.units[unit_idx].stall_reason().unwrap_or(StallReason::FetchEmpty);
-                    self.acct.charge_stall(unit_idx, reason);
-                }
-            }
             violations.extend(out.violations);
             if out.stall == Some(ms_pipeline::StallClass::ArbFull) && pos > 0 {
                 arb_stalled.push(pos);
@@ -777,22 +662,24 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             }
         }
         self.stats.breakdown.idle += (n - active_len) as u64;
-        if A::ENABLED {
-            // Units with no assigned task this cycle: squash recovery if
-            // their last task was squashed and nothing new arrived yet,
-            // plain no-task idleness otherwise.
-            for (u, taken) in occupied.iter().enumerate() {
-                if !taken {
-                    let reason = if self.recovering[u] {
-                        StallReason::SquashRecovery
-                    } else {
-                        StallReason::NoTask
-                    };
-                    self.acct.charge_stall(u, reason);
-                }
+        if Self::TRACED {
+            // Each unit that ticked above emitted one UnitIssue or
+            // UnitStall; the units holding no task are the rest of the
+            // circular queue, from the tail onward. They stall for squash
+            // recovery if their last task was squashed and nothing new
+            // arrived yet, for plain no-task idleness otherwise.
+            let mut u = self.next_unit;
+            for _ in active_len..n {
+                debug_assert!(!self.units[u].is_active(), "idle unit {u} holds a task");
+                let reason = if self.recovering[u] {
+                    StallReason::SquashRecovery
+                } else {
+                    StallReason::NoTask
+                };
+                self.sink.event(&TraceEvent::UnitStall { cycle: now, unit: u, reason });
+                u = if u + 1 == n { 0 } else { u + 1 };
             }
         }
-        self.scratch_occupied = occupied;
 
         // 4. Collect new ring sends.
         let mut sends = std::mem::take(&mut self.scratch_sends);
@@ -801,7 +688,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             let rec_order = self.active[pos].order;
             self.units[rec_unit].drain_sends_into(now, &mut sends);
             for (reg, val) in sends.drain(..) {
-                if S::ENABLED {
+                if Self::TRACED {
                     self.sink.event(&TraceEvent::RingSend {
                         cycle: now,
                         unit: rec_unit,
@@ -920,9 +807,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             let c = self.units[u].counters();
             self.stats.instructions += c.instructions;
             self.stats.tasks_retired += 1;
-            if A::ENABLED {
-                self.acct.task_retire(u, c.instructions);
-            }
             self.stats.breakdown.useful += c.busy_cycles;
             self.stats.breakdown.no_comp_inter_task += c.inter_task_cycles;
             self.stats.breakdown.no_comp_intra_task += c.intra_task_cycles;
@@ -934,7 +818,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                 unit: u,
                 instructions: c.instructions,
             });
-            if S::ENABLED {
+            if Self::TRACED {
                 self.sink.event(&TraceEvent::TaskRetire {
                     cycle: now,
                     order: head.order,
@@ -969,7 +853,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             self.assign_phase(now)?;
         }
 
-        if S::ENABLED && now.is_multiple_of(ARB_OCCUPANCY_SAMPLE_PERIOD) {
+        if Self::TRACED && now.is_multiple_of(ARB_OCCUPANCY_SAMPLE_PERIOD) {
             self.sink.event(&TraceEvent::ArbOccupancy {
                 cycle: now,
                 entries: self.arb.total_occupancy(),
@@ -1043,7 +927,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             if succ.by_prediction {
                 self.predictor.note_outcome(correct);
             }
-            if S::ENABLED {
+            if Self::TRACED {
                 self.sink.event(&TraceEvent::TaskValidate {
                     cycle: self.now,
                     entry,
@@ -1088,7 +972,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                     }
                 }
             }
-            if S::ENABLED {
+            if Self::TRACED {
                 self.sink.event(&TraceEvent::TaskValidate {
                     cycle: self.now,
                     entry,
@@ -1117,7 +1001,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                 return Err(self.internal_error("squash: active queue shrank mid-wave"));
             };
             let c = self.units[rec.unit].counters();
-            if S::ENABLED {
+            if Self::TRACED {
                 self.sink.event(&TraceEvent::TaskSquash {
                     cycle: self.now,
                     order: rec.order,
@@ -1129,9 +1013,8 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             self.stats.tasks_squashed += 1;
             self.stats.squashed_instructions += c.instructions;
             self.stats.breakdown.non_useful += c.total_cycles();
-            if A::ENABLED {
+            if Self::TRACED {
                 self.recovering[rec.unit] = true;
-                self.acct.task_squash(rec.unit);
             }
             self.units[rec.unit].clear();
             self.arb.free_stage(rec.unit);
@@ -1149,7 +1032,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         self.ring.discard_if(|m| m.sender_order >= cutoff);
         #[cfg(feature = "chaos-broken-squash")]
         let _ = cutoff;
-        if S::ENABLED {
+        if Self::TRACED {
             let redirect_pc = match redirect {
                 Pending::Entry { pc, .. } => Some(pc),
                 _ => None,
@@ -1279,7 +1162,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         let create = desc.create;
         // Descriptor fetch: on a miss the descriptor travels the bus.
         let desc_hit = self.desc_cache.access(entry);
-        if S::ENABLED {
+        if Self::TRACED {
             self.sink.event(&TraceEvent::DescriptorFetch { cycle: now, entry, hit: desc_hit });
         }
         if !desc_hit {
@@ -1297,26 +1180,12 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             None => (self.boot_vals, RegMask::from_bits(!0)),
         };
         let awaiting = RegMask::from_bits(!known.bits());
-        if self.log_events {
-            eprintln!(
-                "[{now}] assign: #{} -> u{unit_idx} @{entry:#x} awaiting={} (pred {:?})",
-                self.next_order,
-                awaiting.difference(RegMask::from_bits(1)),
-                self.active
-                    .back()
-                    .map(|r| (r.order, r.unit))
-                    .or(self.last_retired_unit.map(|u| (u64::MAX, u))),
-            );
-        }
         self.units[unit_idx].assign_task(entry, create, &vals, awaiting, now);
 
         let order = self.next_order;
         self.next_order += 1;
-        if A::ENABLED {
+        if Self::TRACED {
             self.recovering[unit_idx] = false;
-            self.acct.task_assign(unit_idx, order, entry);
-        }
-        if S::ENABLED {
             self.sink.event(&TraceEvent::TaskAssign {
                 cycle: now,
                 order,

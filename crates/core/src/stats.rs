@@ -100,8 +100,8 @@ pub struct RunStats {
     /// Task-descriptor cache `(accesses, misses)`.
     pub descriptor_cache: (u64, u64),
     /// The conservation-checked CPI stack, present only when the run was
-    /// made with a live [`crate::CycleAccountant`] (e.g. via `msprof` or
-    /// a `--cpi` sweep). `None` on ordinary runs — deliberately excluded
+    /// observed by a [`crate::CpiAccountant`] (e.g. via `msprof` or a
+    /// `--cpi` sweep). `None` on ordinary runs — deliberately excluded
     /// from the golden stats serialization and the sweep cache format.
     pub cpi: Option<CpiStack>,
 }

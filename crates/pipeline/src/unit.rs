@@ -269,8 +269,7 @@ pub struct ProcessingUnit {
     /// buffer is empty) — the classifier's one input that is costly to
     /// recompute, and constant over the span.
     parked_head: Option<Blocked>,
-    /// Whether ticks may park (off under a live trace sink or fault
-    /// injector).
+    /// Whether ticks may park (off under a fault injector).
     park_enabled: bool,
     /// Host-side telemetry: (probe attempts, successful parks, parked
     /// cycles replayed). Never part of simulated results.
@@ -541,10 +540,11 @@ impl ProcessingUnit {
         self.tick_traced(now, prog, ports, &mut NullSink)
     }
 
-    /// [`ProcessingUnit::tick`] with trace instrumentation: emits
-    /// fine-grained `UnitStall` reasons, fetch redirects, and the memory
-    /// events of every access made this cycle. With [`NullSink`] this is
-    /// exactly `tick` — the instrumentation compiles away.
+    /// [`ProcessingUnit::tick`] with trace instrumentation: emits one
+    /// `UnitIssue` or fine-grained `UnitStall` per cycle of an active
+    /// unit, fetch redirects, and the memory events of every access made
+    /// this cycle. With [`NullSink`] this is exactly `tick` — the
+    /// instrumentation compiles away.
     #[inline]
     pub fn tick_traced<S: TraceSink>(
         &mut self,
@@ -618,6 +618,9 @@ impl ProcessingUnit {
         let stall = if issued > 0 {
             self.last_stall = None;
             self.counters.count(StallClass::Busy);
+            if S::ENABLED {
+                sink.event(&TraceEvent::UnitIssue { cycle: now, unit: self.id });
+            }
             StallClass::Busy
         } else {
             let reason = self.zero_issue_reason(now, first_block);

@@ -24,7 +24,7 @@
 use crate::cache::SweepCache;
 use crate::job::{Job, JobKind};
 use crate::spec::SweepSpec;
-use ms_trace::MetricsSink;
+use ms_trace::{MetricsSink, TeeSink};
 use ms_workloads::{by_name, Scale, Workload};
 use multiscalar::{CpiAccountant, RunStats};
 use std::collections::HashMap;
@@ -129,23 +129,22 @@ impl Executor for InProcessExecutor {
             JobKind::Multiscalar => match (&self.metrics_dir, self.cpi) {
                 (None, false) => w.run_multiscalar(job.cfg).map_err(|e| e.to_string()),
                 (None, true) => w
-                    .run_multiscalar_with_accountant(job.cfg, CpiAccountant::new())
+                    .run_multiscalar_with_sink(job.cfg, CpiAccountant::new())
+                    .0
                     .map_err(|e| e.to_string()),
                 (Some(dir), cpi) => {
-                    let (stats, sink) = if cpi {
-                        w.run_multiscalar_instrumented(
-                            job.cfg,
-                            MetricsSink::new(),
-                            CpiAccountant::new(),
-                        )
-                        .map_err(|e| e.to_string())?
+                    let (stats, metrics) = if cpi {
+                        let sink = TeeSink(MetricsSink::new(), CpiAccountant::new());
+                        let (stats, TeeSink(metrics, _)) =
+                            w.run_multiscalar_with_sink(job.cfg, sink);
+                        (stats, metrics)
                     } else {
                         w.run_multiscalar_with_sink(job.cfg, MetricsSink::new())
-                            .map_err(|e| e.to_string())?
                     };
+                    let stats = stats.map_err(|e| e.to_string())?;
                     let name = format!("{slot:04}-{}.json", job.id().replace('/', "_"));
                     let path = dir.join(name);
-                    std::fs::write(&path, sink.into_report().to_json())
+                    std::fs::write(&path, metrics.into_report().to_json())
                         .map_err(|e| format!("writing metrics {}: {e}", path.display()))?;
                     Ok(stats)
                 }

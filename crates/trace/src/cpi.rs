@@ -21,16 +21,21 @@
 //! The stack is accumulated per-unit and per-task-boundary: each
 //! retired task carries the unit-cycles charged between its assignment
 //! and retirement (squashed work stays in the per-unit totals but has
-//! no retired-task row). Collection is driven by `ms-core`'s
-//! `CycleAccountant` hooks and is zero-cost when disabled, mirroring
-//! the `NullSink`/`NoFaults` pattern.
+//! no retired-task row). [`CpiAccountant`] collects it as one more
+//! [`TraceSink`]: the processor emits exactly one
+//! [`TraceEvent::UnitIssue`] or [`TraceEvent::UnitStall`] per (unit,
+//! cycle), and the task rows come from the `TaskAssign`, `TaskRetire`
+//! and `TaskSquash` events. Any other sink that counts `UnitStall`
+//! events (such as [`crate::MetricsSink`]) therefore sees the same
+//! buckets by construction.
 //!
 //! Charges arrive one cycle at a time. A parked unit (DESIGN.md §13)
 //! is charged exactly what an unparked one would be;
 //! `tests/cpi_conservation.rs` asserts it for every suite workload.
 
-use crate::event::StallReason;
+use crate::event::{StallReason, TraceEvent};
 use crate::json;
+use crate::sink::TraceSink;
 use std::fmt;
 
 /// Schema identifier stamped into [`CpiStack::to_json`] output.
@@ -196,6 +201,111 @@ impl CpiStack {
     }
 }
 
+/// One unit's rows in a [`CpiAccountant`].
+#[derive(Clone, Debug, Default)]
+struct UnitRows {
+    /// Every charge to the unit.
+    total: UnitCpi,
+    /// `(order, entry)` of the task the unit holds, if any.
+    task: Option<(u64, u32)>,
+    /// Charges since the unit's last assignment: the task's row while
+    /// `task` is set, ignored otherwise.
+    since_assign: UnitCpi,
+}
+
+/// The CPI-stack collector: a [`TraceSink`] that charges each
+/// `UnitIssue`/`UnitStall` event to its unit and to the task the unit
+/// holds. Rows are sized from the unit ids it sees.
+#[derive(Clone, Debug, Default)]
+pub struct CpiAccountant {
+    units: Vec<UnitRows>,
+    per_task: Vec<TaskCpi>,
+}
+
+impl CpiAccountant {
+    /// A fresh accountant.
+    pub fn new() -> CpiAccountant {
+        CpiAccountant::default()
+    }
+
+    /// The rows of `unit`, growing the table to cover it.
+    #[inline(always)]
+    fn unit(&mut self, unit: usize) -> &mut UnitRows {
+        if unit >= self.units.len() {
+            self.grow(unit);
+        }
+        &mut self.units[unit]
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, unit: usize) {
+        self.units.resize(unit + 1, UnitRows::default());
+    }
+}
+
+impl TraceSink for CpiAccountant {
+    // Always inlined: at each emitting site the event's kind is known,
+    // so the match folds to one arm (or to nothing for the events the
+    // accountant ignores).
+    #[inline(always)]
+    fn event(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::UnitIssue { unit, .. } => {
+                let rows = self.unit(unit);
+                rows.total.issued_cycles += 1;
+                rows.since_assign.issued_cycles += 1;
+            }
+            TraceEvent::UnitStall { unit, reason, .. } => {
+                let rows = self.unit(unit);
+                rows.total.stall_cycles[reason.index()] += 1;
+                rows.since_assign.stall_cycles[reason.index()] += 1;
+            }
+            TraceEvent::TaskAssign { order, unit, entry, .. } => {
+                let rows = self.unit(unit);
+                rows.task = Some((order, entry));
+                rows.since_assign = UnitCpi::default();
+            }
+            TraceEvent::TaskRetire { unit, instructions, .. } => {
+                let rows = self.unit(unit);
+                if let Some((order, entry)) = rows.task.take() {
+                    let UnitCpi { issued_cycles, stall_cycles } = rows.since_assign;
+                    self.per_task.push(TaskCpi {
+                        order,
+                        unit,
+                        entry,
+                        instructions,
+                        issued_cycles,
+                        stall_cycles,
+                    });
+                }
+            }
+            TraceEvent::TaskSquash { unit, .. } => self.unit(unit).task = None,
+            _ => {}
+        }
+    }
+
+    fn cpi_stack(&mut self, cycles: u64, instructions: u64) -> Option<CpiStack> {
+        let per_unit: Vec<UnitCpi> = self.units.drain(..).map(|u| u.total).collect();
+        let mut stack = CpiStack {
+            units: per_unit.len(),
+            cycles,
+            instructions,
+            issued_cycles: 0,
+            stall_cycles: StallBuckets::default(),
+            per_unit,
+            per_task: std::mem::take(&mut self.per_task),
+        };
+        for u in &stack.per_unit {
+            stack.issued_cycles += u.issued_cycles;
+            for i in 0..StallReason::COUNT {
+                stack.stall_cycles[i] += u.stall_cycles[i];
+            }
+        }
+        Some(stack)
+    }
+}
+
 /// Text table: one row per bucket with unit-cycles, share of all
 /// unit-cycles, and the bucket's CPI contribution.
 impl fmt::Display for CpiStack {
@@ -315,6 +425,84 @@ mod tests {
         assert!(text.contains("issued"));
         assert!(text.contains("remote_dep"));
         assert!(!text.contains("fu_busy"), "zero rows are suppressed:\n{text}");
+    }
+
+    fn issue(cycle: u64, unit: usize) -> TraceEvent {
+        TraceEvent::UnitIssue { cycle, unit }
+    }
+
+    fn stall(cycle: u64, unit: usize, reason: StallReason) -> TraceEvent {
+        TraceEvent::UnitStall { cycle, unit, reason }
+    }
+
+    fn assign(cycle: u64, order: u64, unit: usize, entry: u32) -> TraceEvent {
+        TraceEvent::TaskAssign { cycle, order, unit, entry, by_prediction: false }
+    }
+
+    #[test]
+    fn cpi_accountant_accumulates_and_conserves() {
+        let mut a = CpiAccountant::new();
+        for ev in [
+            assign(0, 0, 0, 0x100),
+            // Cycle 1: unit 0 issues, unit 1 has no task.
+            issue(1, 0),
+            stall(1, 1, StallReason::NoTask),
+            // Cycle 2: unit 0 stalls, unit 1 gets a task.
+            stall(2, 0, StallReason::Drain),
+            stall(2, 1, StallReason::NoTask),
+            assign(2, 1, 1, 0x200),
+            // Cycle 3: both busy; unit 0 retires.
+            issue(3, 0),
+            issue(3, 1),
+            TraceEvent::TaskRetire { cycle: 3, order: 0, unit: 0, entry: 0x100, instructions: 7 },
+        ] {
+            a.event(&ev);
+        }
+        let stack = a.cpi_stack(3, 7).unwrap();
+        assert!(stack.conservation_holds(), "{stack:?}");
+        assert_eq!(stack.units, 2, "rows are sized from the unit ids seen");
+        assert_eq!(stack.issued_cycles, 3);
+        assert_eq!(stack.stall_cycles[StallReason::NoTask.index()], 2);
+        assert_eq!(stack.per_task.len(), 1);
+        let t = &stack.per_task[0];
+        assert_eq!((t.order, t.unit, t.instructions), (0, 0, 7));
+        // The retired task was charged 2 issue cycles + 1 drain.
+        assert_eq!(t.issued_cycles, 2);
+        assert_eq!(t.stall_cycles[StallReason::Drain.index()], 1);
+    }
+
+    #[test]
+    fn squashed_tasks_leave_no_per_task_row() {
+        let mut a = CpiAccountant::new();
+        for ev in [
+            assign(0, 0, 0, 0x100),
+            issue(1, 0),
+            TraceEvent::TaskSquash {
+                cycle: 1,
+                order: 0,
+                unit: 0,
+                entry: 0x100,
+                cause: crate::SquashKind::Control,
+            },
+            stall(2, 0, StallReason::SquashRecovery),
+        ] {
+            a.event(&ev);
+        }
+        let stack = a.cpi_stack(2, 0).unwrap();
+        assert!(stack.conservation_holds());
+        assert!(stack.per_task.is_empty());
+        assert_eq!(stack.issued_cycles, 1);
+        assert_eq!(stack.stall_cycles[StallReason::SquashRecovery.index()], 1);
+    }
+
+    #[test]
+    fn only_the_accountant_builds_a_stack() {
+        use crate::{NullSink, TeeSink, VecSink};
+        assert!(VecSink::default().cpi_stack(1, 1).is_none());
+        let mut tee = TeeSink(NullSink, CpiAccountant::new());
+        tee.event(&issue(0, 0));
+        let stack = tee.cpi_stack(1, 1).expect("the tee forwards the accountant's stack");
+        assert_eq!(stack.issued_cycles, 1);
     }
 
     #[test]

@@ -265,7 +265,17 @@ pub enum TraceEvent {
     },
 
     // ---- Processing units ----
-    /// A unit with an assigned task issued nothing this cycle.
+    /// A unit with an assigned task issued at least one instruction this
+    /// cycle.
+    UnitIssue {
+        /// The issuing cycle.
+        cycle: u64,
+        /// Processing unit.
+        unit: usize,
+    },
+    /// A unit issued nothing this cycle: a unit holding a task says why,
+    /// and a unit holding none is charged [`StallReason::NoTask`] or
+    /// [`StallReason::SquashRecovery`].
     UnitStall {
         /// The stalled cycle.
         cycle: u64,
@@ -392,6 +402,7 @@ impl TraceEvent {
             | RingHop { cycle, .. }
             | RingDeliver { cycle, .. }
             | RingDie { cycle, .. }
+            | UnitIssue { cycle, .. }
             | UnitStall { cycle, .. }
             | UnitRedirect { cycle, .. }
             | ArbLoad { cycle, .. }
@@ -420,6 +431,7 @@ impl TraceEvent {
             RingHop { .. } => "ring_hop",
             RingDeliver { .. } => "ring_deliver",
             RingDie { .. } => "ring_die",
+            UnitIssue { .. } => "unit_issue",
             UnitStall { .. } => "unit_stall",
             UnitRedirect { .. } => "unit_redirect",
             ArbLoad { .. } => "arb_load",
@@ -434,7 +446,7 @@ impl TraceEvent {
     }
 }
 
-/// Human-readable one-line form, used by the legacy `MS_TRACE` stderr log.
+/// Human-readable one-line form (`[cycle] what: details`).
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use TraceEvent::*;
@@ -483,6 +495,7 @@ impl fmt::Display for TraceEvent {
             RingDie { cycle, unit, reg, hops } => {
                 write!(f, "[{cycle}] ring: r{reg} dies at u{unit} after {hops} hops")
             }
+            UnitIssue { cycle, unit } => write!(f, "[{cycle}] issue: u{unit}"),
             UnitStall { cycle, unit, reason } => {
                 write!(f, "[{cycle}] stall: u{unit} {}", reason.as_str())
             }

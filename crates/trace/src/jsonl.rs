@@ -72,6 +72,9 @@ pub fn event_to_json(ev: &TraceEvent) -> String {
         RingDie { unit, reg, hops, .. } => {
             s.push_str(&format!(",\"unit\":{unit},\"reg\":{reg},\"hops\":{hops}"));
         }
+        UnitIssue { unit, .. } => {
+            s.push_str(&format!(",\"unit\":{unit}"));
+        }
         UnitStall { unit, reason, .. } => {
             s.push_str(&format!(",\"unit\":{unit},\"reason\":\"{}\"", reason.as_str()));
         }

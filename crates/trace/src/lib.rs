@@ -5,8 +5,7 @@
 //! [`TraceSink`] chosen at construction time:
 //!
 //! - [`NullSink`] — the default; `ENABLED = false` lets every
-//!   instrumentation site compile away (verified by the criterion
-//!   benches to be zero-cost).
+//!   instrumentation site compile away.
 //! - [`MetricsSink`] — folds the stream into a [`MetricsReport`] of
 //!   counters and [`Histogram`]s (task sizes, inter-squash distance,
 //!   ring latency, ARB occupancy) matching the paper's Section-5
@@ -16,6 +15,8 @@
 //! - [`ChromeTraceSink`] — Chrome trace_event JSON: per-unit task
 //!   timelines, squash instants and ARB occupancy counters, loadable
 //!   in Perfetto.
+//! - [`CpiAccountant`] — folds the per-(unit, cycle) issue/stall events
+//!   and the task lifecycle into a conservation-checked [`CpiStack`].
 //! - [`TeeSink`] — fan one run into several sinks at once.
 //!
 //! The `mstrace` binary (in `ms-bench`) drives any named workload and
@@ -32,7 +33,7 @@ pub mod metrics;
 pub mod sink;
 
 pub use chrome::ChromeTraceSink;
-pub use cpi::{CpiStack, StallBuckets, TaskCpi, UnitCpi, CPI_SCHEMA};
+pub use cpi::{CpiAccountant, CpiStack, StallBuckets, TaskCpi, UnitCpi, CPI_SCHEMA};
 pub use event::{SquashKind, StallReason, TraceEvent};
 pub use histogram::Histogram;
 pub use jsonl::{event_to_json, JsonLinesSink};

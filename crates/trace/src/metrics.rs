@@ -50,7 +50,9 @@ pub struct MetricsReport {
     pub ring_dies: u64,
 
     // Processing units.
-    /// Stalled unit-cycles by [`StallReason::index`].
+    /// Stalled unit-cycles by [`StallReason::index`], idle units
+    /// included: equal, bucket for bucket, to the run's
+    /// [`crate::CpiStack::stall_cycles`].
     pub stall_cycles: [u64; StallReason::COUNT],
     /// Intra-task fetch redirects.
     pub unit_redirects: u64,
@@ -230,6 +232,7 @@ impl TraceSink for MetricsSink {
                 r.ring_latency_hops.record(hops as u64);
             }
             TraceEvent::RingDie { .. } => r.ring_dies += 1,
+            TraceEvent::UnitIssue { .. } => {}
             TraceEvent::UnitStall { reason, .. } => r.stall_cycles[reason.index()] += 1,
             TraceEvent::UnitRedirect { .. } => r.unit_redirects += 1,
             TraceEvent::ArbLoad { forwarded, .. } => {

@@ -4,8 +4,9 @@
 //! [`NullSink`] advertises `ENABLED = false`, so every instrumentation
 //! site compiles to nothing — the event struct is never even built
 //! (call-sites guard construction on `S::ENABLED`, a monomorphization-
-//! time constant). The criterion benches confirm the zero-cost claim.
+//! time constant).
 
+use crate::cpi::CpiStack;
 use crate::event::TraceEvent;
 
 /// Receives simulator events.
@@ -23,6 +24,14 @@ pub trait TraceSink {
 
     /// Signal end-of-run; flush any buffered output. Idempotent.
     fn finish(&mut self) {}
+
+    /// The CPI stack this sink built from the stream, if it builds one
+    /// ([`crate::CpiAccountant`] does). The processor calls it once at
+    /// the end of a successful run with the run's cycle and committed
+    /// instruction totals.
+    fn cpi_stack(&mut self, _cycles: u64, _instructions: u64) -> Option<CpiStack> {
+        None
+    }
 }
 
 /// The zero-cost "not tracing" sink.
@@ -43,6 +52,9 @@ pub struct TeeSink<A, B>(pub A, pub B);
 impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 
+    // Always inlined, so that an always-inlined sink behind it (such as
+    // `CpiAccountant`) still folds at each emitting site.
+    #[inline(always)]
     fn event(&mut self, ev: &TraceEvent) {
         if A::ENABLED {
             self.0.event(ev);
@@ -55,6 +67,10 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     fn finish(&mut self) {
         self.0.finish();
         self.1.finish();
+    }
+
+    fn cpi_stack(&mut self, cycles: u64, instructions: u64) -> Option<CpiStack> {
+        self.0.cpi_stack(cycles, instructions).or_else(|| self.1.cpi_stack(cycles, instructions))
     }
 }
 

@@ -263,64 +263,41 @@ impl Workload {
     }
 
     /// Like [`Workload::run_multiscalar`], but reports every
-    /// [`multiscalar::trace::TraceEvent`] to `sink` and returns the
-    /// finished sink alongside the stats.
+    /// [`multiscalar::trace::TraceEvent`] to `sink` and hands the
+    /// finished sink back on every path, so a failed run still leaves a
+    /// complete trace up to the failure. With a
+    /// [`multiscalar::CpiAccountant`] (alone or in a
+    /// [`multiscalar::trace::TeeSink`]) the stats carry the run's
+    /// conservation-checked [`multiscalar::trace::CpiStack`] in
+    /// [`RunStats::cpi`].
     ///
     /// # Errors
-    /// Propagates assembly/simulation errors and validation mismatches.
+    /// The result propagates assembly/simulation errors and validation
+    /// mismatches.
     pub fn run_multiscalar_with_sink<S: multiscalar::trace::TraceSink>(
         &self,
         cfg: SimConfig,
-        sink: S,
-    ) -> Result<(RunStats, S), WorkloadError> {
-        let prog = self.assemble(AsmMode::Multiscalar)?;
-        let mut p = Processor::with_sink(prog, cfg, sink)?;
-        let stats = p.run()?;
-        self.verify_memory(p.memory(), p.program())?;
-        Ok((stats, p.into_sink()))
-    }
-
-    /// Like [`Workload::run_multiscalar`], but charges every (unit,
-    /// cycle) to `acct` — with [`multiscalar::CpiAccountant`] the
-    /// returned stats carry a conservation-checked
-    /// [`multiscalar::trace::CpiStack`] in [`RunStats::cpi`]. This is the
-    /// run path behind `msprof` and `--cpi` sweeps.
-    ///
-    /// # Errors
-    /// Propagates assembly/simulation errors and validation mismatches.
-    pub fn run_multiscalar_with_accountant<A: multiscalar::CycleAccountant>(
-        &self,
-        cfg: SimConfig,
-        acct: A,
-    ) -> Result<RunStats, WorkloadError> {
-        let prog = self.assemble(AsmMode::Multiscalar)?;
-        let mut p = Processor::with_accountant(prog, cfg, acct)?;
-        let stats = p.run()?;
-        self.verify_memory(p.memory(), p.program())?;
-        Ok(stats)
-    }
-
-    /// Like [`Workload::run_multiscalar_with_sink`], but additionally
-    /// charges cycles to `acct` — for callers that want an event stream
-    /// *and* a CPI stack from the same run (e.g. `mstrace`
-    /// reconciliation, metrics-plus-`--cpi` sweeps).
-    ///
-    /// # Errors
-    /// Propagates assembly/simulation errors and validation mismatches.
-    pub fn run_multiscalar_instrumented<
-        S: multiscalar::trace::TraceSink,
-        A: multiscalar::CycleAccountant,
-    >(
-        &self,
-        cfg: SimConfig,
-        sink: S,
-        acct: A,
-    ) -> Result<(RunStats, S), WorkloadError> {
-        let prog = self.assemble(AsmMode::Multiscalar)?;
-        let mut p = Processor::with_parts(prog, cfg, sink, multiscalar::NoFaults, acct)?;
-        let stats = p.run()?;
-        self.verify_memory(p.memory(), p.program())?;
-        Ok((stats, p.into_sink()))
+        mut sink: S,
+    ) -> (Result<RunStats, WorkloadError>, S) {
+        // Check the program while the sink is still ours to return.
+        let checked = self.assemble(AsmMode::Multiscalar).and_then(|prog| {
+            Processor::check_program(&prog)?;
+            Ok(prog)
+        });
+        let prog = match checked {
+            Ok(prog) => prog,
+            Err(e) => {
+                sink.finish();
+                return (Err(e), sink);
+            }
+        };
+        let mut p = Processor::with_sink(prog, cfg, sink)
+            .expect("the only construction failure is the program check made above");
+        let result = p.run().map_err(WorkloadError::from).and_then(|stats| {
+            self.verify_memory(p.memory(), p.program())?;
+            Ok(stats)
+        });
+        (result, p.into_sink())
     }
 
     /// Like [`Workload::run_multiscalar`], but perturbs the

@@ -31,11 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let trace_path =
             out_dir.join(format!("cycle_breakdown_{}.trace.json", name.to_ascii_lowercase()));
         let sink = ChromeTraceSink::new(BufWriter::new(File::create(&trace_path)?));
-        let (stats, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(8), sink)?;
+        let (stats, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(8), sink);
         let (_, err) = sink.into_inner();
         if let Some(e) = err {
             return Err(e.into());
         }
+        let stats = stats?;
         println!("=== {name} (8 units, 1-way, in-order) ===");
         println!("{}", stats);
         println!("timeline: {} (load in Perfetto)\n", trace_path.display());

@@ -23,8 +23,9 @@
 //!
 //! * **DESIGN.md** — what is built and why: system inventory,
 //!   microarchitecture parameters, testing strategy, fault injection,
-//!   differential fuzzing, cycle accounting (§11), and event-driven
-//!   unit parking with its safety argument (§13).
+//!   differential fuzzing, cycle accounting as one more sink on the
+//!   trace-event stream (§11), and event-driven unit parking with its
+//!   safety argument (§13).
 //! * **PERFORMANCE.md** — host throughput: the `msperf`/`msprof`
 //!   harnesses, the interleaved A/B methodology, the optimization
 //!   passes, and the `BENCH_perf.json` artifact schema.

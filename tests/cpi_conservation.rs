@@ -19,10 +19,12 @@
 //!
 //! The accountant must also be purely observational: a run with
 //! accounting enabled must report the same cycles and instructions as
-//! the default `NoAccounting` run of the same program. Unit parking
-//! (DESIGN.md §13) must be too: every accounted run is compared, stats
-//! and complete CPI stack, against the same run under a live trace
-//! sink, which turns parking off.
+//! the untraced run of the same program. Unit parking (DESIGN.md §13)
+//! must be too: every accounted run is compared, stats and complete CPI
+//! stack, against the same run under [`Unparked`], a live fault
+//! injector that perturbs nothing and so turns parking off. And since
+//! the accountant and `MetricsSink` read one event stream, the metrics'
+//! stall counters equal the stack's buckets for every suite workload.
 //!
 //! The golden fixture (`tests/golden/cpi_stack.txt`) pins the complete
 //! `CpiStack::to_json()` rendering for one workload so the bucket
@@ -36,16 +38,44 @@
 use ms_asm::{assemble, AsmMode};
 use ms_fuzz::diff::{config_points, ValidateOpts};
 use ms_fuzz::gen;
+use ms_isa::Program;
 use ms_sweep::statsio::stats_to_json;
-use ms_trace::{CpiStack, MetricsSink, StallReason};
-use multiscalar::{CpiAccountant, NoFaults, Processor, RunStats, SimConfig};
+use ms_trace::{CpiStack, MetricsSink, NullSink, StallReason, TeeSink};
+use ms_workloads::Workload;
+use multiscalar::{CpiAccountant, FaultInjector, Processor, RunStats, SimConfig};
 
 fn opts() -> ValidateOpts {
     ValidateOpts { max_cycles: 1_000_000, watchdog: 200_000 }
 }
 
-/// Asserts that a parked run and an unparked (traced) run of the same
-/// program agree on every stat and every CPI bucket.
+/// A live injector that perturbs nothing. Any live injector turns unit
+/// parking off, so a run under it is the unparked reference.
+struct Unparked;
+impl FaultInjector for Unparked {}
+
+/// Runs `prog` unparked with a live accountant.
+fn run_unparked(
+    label: &str,
+    prog: Program,
+    cfg: SimConfig,
+) -> (RunStats, Processor<CpiAccountant, Unparked>) {
+    let mut p = Processor::with_parts(prog, cfg, CpiAccountant::new(), Unparked, NullSink)
+        .unwrap_or_else(|e| panic!("{label}: build (unparked): {e}"));
+    let stats = p.run().unwrap_or_else(|e| panic!("{label}: run (unparked): {e}"));
+    (stats, p)
+}
+
+/// Runs a suite workload unparked with a live accountant, validating
+/// its result.
+fn run_workload_unparked(label: &str, w: &Workload, cfg: SimConfig) -> RunStats {
+    let prog = w.assemble(AsmMode::Multiscalar).expect("suite workloads assemble");
+    let (stats, p) = run_unparked(label, prog, cfg);
+    w.verify_memory(p.memory(), p.program()).unwrap_or_else(|e| panic!("{label} (unparked): {e}"));
+    stats
+}
+
+/// Asserts that a parked run and an unparked run of the same program
+/// agree on every stat and every CPI bucket.
 fn assert_parking_neutral(label: &str, parked: &RunStats, unparked: &RunStats) {
     assert_eq!(
         stats_to_json(parked),
@@ -114,19 +144,11 @@ fn fuzz_corpus_conserves_unit_cycles() {
                 .unwrap_or_else(|e| panic!("{label}: build: {e}"));
             let base = plain.run().unwrap_or_else(|e| panic!("{label}: run: {e}"));
 
-            let mut acct = Processor::with_accountant(prog.clone(), *cfg, CpiAccountant::new())
+            let mut acct = Processor::with_sink(prog.clone(), *cfg, CpiAccountant::new())
                 .unwrap_or_else(|e| panic!("{label}: build (accounted): {e}"));
             let stats = acct.run().unwrap_or_else(|e| panic!("{label}: run (accounted): {e}"));
 
-            let mut traced = Processor::with_parts(
-                prog.clone(),
-                *cfg,
-                MetricsSink::new(),
-                NoFaults,
-                CpiAccountant::new(),
-            )
-            .unwrap_or_else(|e| panic!("{label}: build (traced): {e}"));
-            let unparked = traced.run().unwrap_or_else(|e| panic!("{label}: run (traced): {e}"));
+            let (unparked, _) = run_unparked(&label, prog.clone(), *cfg);
             assert_parking_neutral(&label, &stats, &unparked);
 
             // Accounting is observational — same machine, same run.
@@ -135,7 +157,7 @@ fn fuzz_corpus_conserves_unit_cycles() {
                 stats.instructions, base.instructions,
                 "{label}: accounting changed instruction count"
             );
-            assert!(base.cpi.is_none(), "{label}: NoAccounting run grew a CPI stack");
+            assert!(base.cpi.is_none(), "{label}: an untraced run grew a CPI stack");
 
             let cpi = stats.cpi.as_ref().unwrap_or_else(|| panic!("{label}: no CPI stack"));
             assert_eq!(cpi.units, cfg.units, "{label}: stack has wrong unit count");
@@ -155,14 +177,17 @@ fn workload_suite_conserves_unit_cycles() {
         for units in [1usize, 4, 8] {
             let cfg = SimConfig::multiscalar(units);
             let label = format!("{} on ms{units}", w.name);
-            let stats = w
-                .run_multiscalar_with_accountant(cfg, CpiAccountant::new())
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-            let (unparked, _) = w
-                .run_multiscalar_instrumented(cfg, MetricsSink::new(), CpiAccountant::new())
-                .unwrap_or_else(|e| panic!("{label} (traced): {e}"));
+            let sink = TeeSink(MetricsSink::new(), CpiAccountant::new());
+            let (stats, TeeSink(metrics, _)) = w.run_multiscalar_with_sink(cfg, sink);
+            let stats = stats.unwrap_or_else(|e| panic!("{label}: {e}"));
             let cpi = stats.cpi.as_ref().unwrap_or_else(|| panic!("{label}: no CPI stack"));
             assert_conserved(&label, cpi);
+            assert_eq!(
+                metrics.report().stall_cycles,
+                cpi.stall_cycles,
+                "{label}: the metrics' stall counters disagree with the CPI stack"
+            );
+            let unparked = run_workload_unparked(&label, &w, cfg);
             assert_parking_neutral(&label, &stats, &unparked);
         }
     }
@@ -174,15 +199,13 @@ fn golden_path() -> std::path::PathBuf {
 
 /// Pins the complete bucket attribution for Wc on the 4-unit machine.
 /// The snapshot is taken with parking on (the default) after checking
-/// it renders identically to an unparked (traced) run.
+/// it renders identically to an unparked run.
 #[test]
 fn cpi_stack_matches_golden_fixture() {
     let w = ms_workloads::by_name("Wc", ms_workloads::Scale::Test).expect("Wc exists");
     let cfg = SimConfig::multiscalar(4);
-    let stats = w.run_multiscalar_with_accountant(cfg, CpiAccountant::new()).expect("Wc runs");
-    let (unparked, _) = w
-        .run_multiscalar_instrumented(cfg, MetricsSink::new(), CpiAccountant::new())
-        .expect("Wc runs traced");
+    let stats = w.run_multiscalar_with_sink(cfg, CpiAccountant::new()).0.expect("Wc runs");
+    let unparked = run_workload_unparked("Wc on ms4", &w, cfg);
     assert_parking_neutral("Wc on ms4", &stats, &unparked);
     let mut snapshot = stats.cpi.expect("accounted run has a stack").to_json();
     snapshot.push('\n');

@@ -17,10 +17,11 @@
 //! where the JSON is `ms_sweep::statsio::stats_to_json`'s fixed-order
 //! rendering. Any divergence is a behaviour change, not a speedup.
 //!
-//! Every multiscalar point additionally runs under a live trace sink,
-//! which turns unit parking off (DESIGN.md §13), and the parked and
-//! unparked serialized `RunStats` must match byte-for-byte before
-//! either is compared against the golden file. The scalar points are
+//! Every multiscalar point additionally runs under [`Unparked`], a live
+//! fault injector that perturbs nothing and so turns unit parking off
+//! (DESIGN.md §13), and the parked and unparked serialized `RunStats`
+//! must match byte-for-byte before either is compared against the
+//! golden file. The scalar points are
 //! pinned by the golden file alone; the parked/unparked check for the
 //! scalar unit lives in `ms-pipeline`'s unit tests.
 //!
@@ -32,8 +33,12 @@
 
 use ms_sweep::statsio::stats_to_json;
 use ms_workloads::{suite, Scale};
-use multiscalar::trace::MetricsSink;
-use multiscalar::SimConfig;
+use multiscalar::{FaultInjector, SimConfig};
+
+/// A live injector that perturbs nothing. Any live injector turns unit
+/// parking off, so a run under it is the unparked reference.
+struct Unparked;
+impl FaultInjector for Unparked {}
 
 /// The machine classes pinned by the golden file.
 fn machines() -> Vec<(&'static str, SimConfig, bool)> {
@@ -55,18 +60,18 @@ fn current_snapshot() -> String {
         for (name, cfg, multi) in machines() {
             let label = format!("{} on {name}", w.name);
             let stats = if multi {
-                // Parked (the default) against unparked (a traced run):
-                // parking is a host-time optimization and must be
-                // observationally invisible.
+                // Parked (the default) against unparked: parking is a
+                // host-time optimization and must be observationally
+                // invisible.
                 let parked = stats_to_json(
                     &w.run_multiscalar(cfg).unwrap_or_else(|e| panic!("{label}: {e}")),
                 );
-                let (traced, _) = w
-                    .run_multiscalar_with_sink(cfg, MetricsSink::new())
-                    .unwrap_or_else(|e| panic!("{label} (traced): {e}"));
+                let (unparked, _) = w
+                    .run_multiscalar_with_injector(cfg, Unparked)
+                    .unwrap_or_else(|e| panic!("{label} (unparked): {e}"));
                 assert_eq!(
                     parked,
-                    stats_to_json(&traced),
+                    stats_to_json(&unparked),
                     "{label}: parking changed simulated behaviour"
                 );
                 parked

@@ -1,11 +1,11 @@
 //! End-to-end tests of the structured trace layer: the event stream a
 //! full workload run produces is deterministic, internally consistent
 //! with the simulator's aggregate statistics, and serializes to valid
-//! Chrome `trace_event` JSON.
+//! Chrome `trace_event` JSON — also when the run fails.
 
-use ms_trace::{ChromeTraceSink, JsonLinesSink, MetricsSink, TeeSink, TraceEvent, VecSink};
-use ms_workloads::{by_name, Scale};
-use multiscalar::{Processor, SimConfig};
+use ms_trace::{jsonv, ChromeTraceSink, JsonLinesSink, MetricsSink, TeeSink, TraceEvent, VecSink};
+use ms_workloads::{by_name, Scale, WorkloadError};
+use multiscalar::{Processor, SimConfig, SimError};
 
 /// A tiny two-task program: one counting task plus a halt task.
 const TWO_TASKS: &str = "
@@ -27,8 +27,8 @@ fn two_task_prog() -> ms_isa::Program {
 #[test]
 fn event_stream_reconciles_with_run_stats() {
     let w = by_name("Gcc", Scale::Test).unwrap();
-    let (stats, sink) =
-        w.run_multiscalar_with_sink(SimConfig::multiscalar(8), MetricsSink::new()).unwrap();
+    let (stats, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(8), MetricsSink::new());
+    let stats = stats.unwrap();
     let m = sink.into_report();
     assert_eq!(m.tasks_retired, stats.tasks_retired);
     assert_eq!(m.tasks_squashed, stats.tasks_squashed, "squash events must sum to tasks_squashed");
@@ -52,7 +52,8 @@ fn identical_runs_produce_byte_identical_jsonl() {
     let run = || {
         let w = by_name("Compress", Scale::Test).unwrap();
         let sink = JsonLinesSink::new(Vec::<u8>::new());
-        let (_, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(4), sink).unwrap();
+        let (stats, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(4), sink);
+        stats.unwrap();
         let (bytes, err) = sink.into_inner();
         assert!(err.is_none());
         bytes
@@ -68,8 +69,8 @@ fn traced_run_matches_untraced_run() {
     // Attaching a sink must never perturb the simulation.
     let w = by_name("Wc", Scale::Test).unwrap();
     let plain = w.run_multiscalar(SimConfig::multiscalar(8)).unwrap();
-    let (traced, _) =
-        w.run_multiscalar_with_sink(SimConfig::multiscalar(8), MetricsSink::new()).unwrap();
+    let traced =
+        w.run_multiscalar_with_sink(SimConfig::multiscalar(8), MetricsSink::new()).0.unwrap();
     assert_eq!(plain.cycles, traced.cycles);
     assert_eq!(plain.instructions, traced.instructions);
     assert_eq!(plain.tasks_squashed, traced.tasks_squashed);
@@ -117,7 +118,8 @@ fn two_task_program_emits_the_expected_lifecycle() {
 fn chrome_trace_of_a_real_run_is_well_formed() {
     let w = by_name("Cmp", Scale::Test).unwrap();
     let sink = TeeSink(MetricsSink::new(), ChromeTraceSink::new(Vec::<u8>::new()));
-    let (stats, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(8), sink).unwrap();
+    let (stats, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(8), sink);
+    let stats = stats.unwrap();
     let TeeSink(metrics, chrome) = sink;
     let (bytes, err) = chrome.into_inner();
     assert!(err.is_none());
@@ -145,4 +147,33 @@ fn chrome_trace_of_a_real_run_is_well_formed() {
     let spans = text.matches("\"ph\":\"X\"").count() as u64;
     assert_eq!(spans, stats.tasks_retired + stats.tasks_squashed);
     assert_eq!(metrics.report().tasks_retired, stats.tasks_retired);
+}
+
+#[test]
+fn a_failing_traced_run_keeps_its_trace() {
+    // Wc needs far more than 500 cycles, so the run times out. The sinks
+    // it hands back must be finished and complete up to the failure.
+    let w = by_name("Wc", Scale::Test).unwrap();
+    let sink =
+        TeeSink(ChromeTraceSink::new(Vec::<u8>::new()), JsonLinesSink::new(Vec::<u8>::new()));
+    let (result, TeeSink(chrome, jsonl)) =
+        w.run_multiscalar_with_sink(SimConfig::multiscalar(4).max_cycles(500), sink);
+    assert!(
+        matches!(result, Err(WorkloadError::Sim(SimError::Timeout { cycles: 500, .. }))),
+        "{result:?}"
+    );
+
+    let (bytes, err) = chrome.into_inner();
+    assert!(err.is_none());
+    let text = String::from_utf8(bytes).unwrap();
+    jsonv::parse(&text).unwrap_or_else(|e| panic!("Chrome trace of a failed run: {e}\n{text}"));
+
+    let (bytes, err) = jsonl.into_inner();
+    assert!(err.is_none());
+    let last_cycle = String::from_utf8(bytes)
+        .unwrap()
+        .lines()
+        .map(|line| jsonv::parse(line).unwrap().get("cycle").and_then(|c| c.as_u64()).unwrap())
+        .max();
+    assert_eq!(last_cycle, Some(499), "the trace must reach the last simulated cycle");
 }
