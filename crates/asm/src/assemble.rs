@@ -14,8 +14,8 @@
 use crate::error::{AsmError, AsmErrorKind};
 use crate::parser::{parse_line, DataItem, DataKind, Operand, Section, Stmt, TargetSpec};
 use ms_isa::{
-    DataSegment, FpArithKind, FpCmpCond, Instr, MemWidth, Op, Prec, Program, Reg, RegList, RegMask,
-    TagBits, TaskDescriptor, TaskTarget, DATA_BASE, TEXT_BASE,
+    AluImmOp, AluOp, BranchCond, DataSegment, ImmField, Instr, MemWidth, Op, Program, Reg, RegList,
+    RegMask, TagBits, TaskDescriptor, TaskTarget, DATA_BASE, TEXT_BASE,
 };
 use std::collections::BTreeMap;
 
@@ -121,8 +121,16 @@ struct Layout {
     symbols: BTreeMap<String, u32>,
 }
 
-fn align_up(v: u32, to: u32) -> u32 {
-    v.div_ceil(to) * to
+/// `pc` advanced by `bytes`, unless the section would run past the end
+/// of the 32-bit address space.
+fn advance(pc: u32, bytes: usize, line: usize) -> Result<u32, AsmError> {
+    u32::try_from(bytes).ok().and_then(|b| pc.checked_add(b)).ok_or_else(|| {
+        err(line, AsmErrorKind::OutOfRange("section overflows the 32-bit address space".into()))
+    })
+}
+
+fn align_up(pc: u32, to: u32, line: usize) -> Result<u32, AsmError> {
+    advance(pc, ((to - pc % to) % to) as usize, line)
 }
 
 fn layout(stmts: &[(usize, Stmt)], mode: AsmMode) -> Result<Layout, AsmError> {
@@ -145,9 +153,9 @@ fn layout(stmts: &[(usize, Stmt)], mode: AsmMode) -> Result<Layout, AsmError> {
                 }
                 let a = 1u32 << n;
                 if section == Section::Text {
-                    text_pc = align_up(text_pc, a.max(4));
+                    text_pc = align_up(text_pc, a.max(4), *line)?;
                 } else {
-                    data_pc = align_up(data_pc, a);
+                    data_pc = align_up(data_pc, a, *line)?;
                 }
             }
             Stmt::Data(kind, items) => {
@@ -157,18 +165,19 @@ fn layout(stmts: &[(usize, Stmt)], mode: AsmMode) -> Result<Layout, AsmError> {
                         AsmErrorKind::Directive("data directive outside .data".into()),
                     ));
                 }
-                data_pc = align_up(data_pc, kind.size());
-                data_pc += kind.size() * items.len() as u32;
+                data_pc = align_up(data_pc, kind.size(), *line)?;
+                let bytes = (kind.size() as usize).saturating_mul(items.len());
+                data_pc = advance(data_pc, bytes, *line)?;
             }
             Stmt::Space(n) => {
                 if section == Section::Text {
                     return Err(err(*line, AsmErrorKind::Directive(".space in .text".into())));
                 }
-                data_pc += n;
+                data_pc = advance(data_pc, *n as usize, *line)?;
             }
             Stmt::Asciiz(bytes) => {
                 if section == Section::Data {
-                    data_pc += bytes.len() as u32 + 1;
+                    data_pc = advance(data_pc, bytes.len().saturating_add(1), *line)?;
                 } else {
                     return Err(err(*line, AsmErrorKind::Directive(".asciiz in .text".into())));
                 }
@@ -181,7 +190,8 @@ fn layout(stmts: &[(usize, Stmt)], mode: AsmMode) -> Result<Layout, AsmError> {
                         AsmErrorKind::Directive("instruction outside .text".into()),
                     ));
                 }
-                text_pc += 4 * size_in_words(mnem, ops, mode, *line)? as u32;
+                let words = size_in_words(mnem, ops, mode, *line)?;
+                text_pc = advance(text_pc, 4 * words, *line)?;
             }
             Stmt::MsBegin | Stmt::MsEnd | Stmt::ScalarBegin | Stmt::ScalarEnd => unreachable!(),
         }
@@ -189,8 +199,12 @@ fn layout(stmts: &[(usize, Stmt)], mode: AsmMode) -> Result<Layout, AsmError> {
     Ok(Layout { symbols })
 }
 
+/// The mnemonic of `release`, which with more than three registers
+/// expands into several machine `release`s.
+const RELEASE: &str = Op::Release { regs: RegList::EMPTY }.mnemonic();
+
 /// Number of machine instructions a (possibly pseudo) mnemonic expands to.
-/// Must agree exactly with [`expand`]; `emit` asserts this.
+/// Must agree exactly with [`Emitter::expand`]; `emit` asserts this.
 fn size_in_words(
     mnem: &str,
     ops: &[Operand],
@@ -198,32 +212,47 @@ fn size_in_words(
     line: usize,
 ) -> Result<usize, AsmError> {
     Ok(match mnem {
-        "li" => {
-            let v = match ops.get(1) {
-                Some(Operand::Imm(v)) => *v,
-                _ => {
-                    return Err(err(
-                        line,
-                        AsmErrorKind::BadOperands("li expects `li $r, imm`".into()),
-                    ))
-                }
-            };
-            if (-2048..=2047).contains(&v) {
-                1
-            } else {
-                2
-            }
-        }
+        "li" if ImmField::I12.fits(li_value(ops, line)?) => 1,
+        "li" => 2,
         "la" => 2,
         "blt" | "bge" | "bgt" | "ble" | "bltu" | "bgeu" | "bgtu" | "bleu" => 2,
-        "release" => {
-            if mode == AsmMode::Scalar {
-                0
-            } else {
-                ops.len().div_ceil(RegList::CAPACITY).max(1)
-            }
-        }
+        RELEASE if mode == AsmMode::Scalar => 0,
+        RELEASE => ops.len().div_ceil(RegList::CAPACITY).max(1),
         _ => 1,
+    })
+}
+
+/// The constant of `li $r, imm`.
+fn li_value(ops: &[Operand], line: usize) -> Result<i64, AsmError> {
+    match ops.get(1) {
+        Some(Operand::Imm(v)) => Ok(*v),
+        _ => Err(err(line, AsmErrorKind::BadOperands("li expects `li $r, imm`".into()))),
+    }
+}
+
+/// Checks that `mnem` has `n` operands.
+fn check_arity(mnem: &str, ops: &[Operand], n: usize, line: usize) -> Result<(), AsmError> {
+    if ops.len() == n {
+        return Ok(());
+    }
+    let msg = format!("{mnem} expects {n} operands, found {}", ops.len());
+    Err(err(line, AsmErrorKind::BadOperands(msg)))
+}
+
+/// The machine operation an alternative spelling stands for, with every
+/// operand zero.
+fn alias(mnem: &str) -> Option<Op> {
+    let z = Reg::ZERO;
+    let alu = |op| Op::Alu { op, rd: z, rs: z, rt: z };
+    Some(match mnem {
+        "add" => alu(AluOp::Addu),
+        "sub" => alu(AluOp::Subu),
+        "mult" => alu(AluOp::Mul),
+        "addi" => Op::AluImm { op: AluImmOp::Addiu, rt: z, rs: z, imm: 0 },
+        "l.d" | "ldc1" => Op::Load { width: MemWidth::D, signed: true, rt: z, base: z, off: 0 },
+        "s.d" | "sdc1" => Op::Store { width: MemWidth::D, rt: z, base: z, off: 0 },
+        "mov.s" => Op::FpMov { fd: z, fs: z },
+        _ => return None,
     })
 }
 
@@ -268,6 +297,16 @@ impl Emitter<'_> {
         }
     }
 
+    /// `v` narrowed to `field`, which must hold it.
+    fn field(&self, v: i64, field: ImmField, line: usize) -> Result<i32, AsmError> {
+        if !field.fits(v) {
+            let msg = format!("immediate {v} does not fit {} bits", field.bits);
+            return Err(err(line, AsmErrorKind::OutOfRange(msg)));
+        }
+        Ok(v as i32)
+    }
+
+    /// A memory operand `off(base)`, its offset narrowed to the field.
     fn mem(&self, op: Option<&Operand>, line: usize) -> Result<(Reg, i32), AsmError> {
         match op {
             Some(Operand::Mem { disp, base }) => {
@@ -276,10 +315,7 @@ impl Emitter<'_> {
                     Operand::Sym(name, off) => self.sym(name, *off, line)? as i64,
                     _ => unreachable!("parser only builds Imm/Sym displacements"),
                 };
-                let d32 = i32::try_from(d).map_err(|_| {
-                    err(line, AsmErrorKind::OutOfRange(format!("displacement {d}")))
-                })?;
-                Ok((*base, d32))
+                Ok((*base, self.field(d, ImmField::I12, line)?))
             }
             other => Err(err(
                 line,
@@ -290,39 +326,54 @@ impl Emitter<'_> {
         }
     }
 
-    /// Branch offset in instructions from the instruction after the one
-    /// about to be emitted to the operand target.
+    /// Branch offset, in instructions from the instruction after the one
+    /// about to be emitted: to a label, or as written when numeric.
     fn branch_off(&self, op: Option<&Operand>, line: usize) -> Result<i32, AsmError> {
-        let target = match op {
-            Some(Operand::Sym(name, off)) => self.sym(name, *off, line)?,
-            Some(Operand::Imm(v)) => return Ok(*v as i32),
-            other => {
-                return Err(err(
-                    line,
-                    AsmErrorKind::BadOperands(format!("expected branch target, found {other:?}")),
-                ))
+        match op {
+            Some(Operand::Sym(name, off)) => {
+                let target = self.sym(name, *off, line)?;
+                Op::branch_offset(self.pc(), target).ok_or_else(|| {
+                    let msg = format!("branch target {target:#x} out of reach");
+                    err(line, AsmErrorKind::OutOfRange(msg))
+                })
             }
-        };
-        let from = self.pc() + 4;
-        let delta = (target as i64 - from as i64) / 4;
-        if (target as i64 - from as i64) % 4 != 0 || !(-2048..=2047).contains(&delta) {
-            return Err(err(
+            Some(Operand::Imm(v)) => self.field(*v, ImmField::I12, line),
+            other => Err(err(
                 line,
-                AsmErrorKind::OutOfRange(format!("branch target {target:#x} out of reach")),
-            ));
+                AsmErrorKind::BadOperands(format!("expected branch target, found {other:?}")),
+            )),
         }
-        Ok(delta as i32)
     }
 
     fn jump_target(&self, op: Option<&Operand>, line: usize) -> Result<u32, AsmError> {
-        match op {
-            Some(Operand::Sym(name, off)) => self.sym(name, *off, line),
-            Some(Operand::Imm(v)) => Ok(*v as u32),
-            other => Err(err(
-                line,
-                AsmErrorKind::BadOperands(format!("expected jump target, found {other:?}")),
-            )),
+        let target = match op {
+            Some(Operand::Sym(name, off)) => self.sym(name, *off, line)? as i64,
+            Some(Operand::Imm(v)) => *v,
+            other => {
+                return Err(err(
+                    line,
+                    AsmErrorKind::BadOperands(format!("expected jump target, found {other:?}")),
+                ))
+            }
+        };
+        if !ImmField::J24.fits_words(target) {
+            let msg = format!("jump target {target:#x} is unaligned or out of range");
+            return Err(err(line, AsmErrorKind::OutOfRange(msg)));
         }
+        Ok(target as u32)
+    }
+
+    fn shift_amount(&self, op: Option<&Operand>, line: usize) -> Result<u8, AsmError> {
+        let sh = self.imm(op, line)?;
+        if !ImmField::SHAMT.fits(sh) {
+            return Err(err(
+                line,
+                AsmErrorKind::BadOperands(format!(
+                    "shift amount {sh} is out of range (0..=63 for 64-bit registers)"
+                )),
+            ));
+        }
+        Ok(sh as u8)
     }
 
     fn push(&mut self, op: Op) {
@@ -335,40 +386,110 @@ impl Emitter<'_> {
         self.text.push(Instr { op, tags });
     }
 
-    fn narrow_imm(&self, v: i64, bits: u32, signed: bool, line: usize) -> Result<i32, AsmError> {
-        let ok = if signed {
-            let half = 1i64 << (bits - 1);
-            (-half..half).contains(&v)
-        } else {
-            (0..(1i64 << bits)).contains(&v)
-        };
-        if !ok {
-            return Err(err(
-                line,
-                AsmErrorKind::OutOfRange(format!("immediate {v} does not fit {bits} bits")),
-            ));
-        }
-        Ok(v as i32)
-    }
-
     /// Emits `li rd, v` (1 or 2 instructions), returning with `tags` on the
     /// last instruction.
     fn emit_li(&mut self, rd: Reg, v: i64, tags: TagBits, line: usize) -> Result<(), AsmError> {
-        if (-2048..=2047).contains(&v) {
-            self.push_tagged(Op::Addiu { rt: rd, rs: Reg::ZERO, imm: v as i32 }, tags);
+        if ImmField::I12.fits(v) {
+            self.push_tagged(
+                Op::AluImm { op: AluImmOp::Addiu, rt: rd, rs: Reg::ZERO, imm: v as i32 },
+                tags,
+            );
             return Ok(());
         }
-        let hi = v >> 12;
-        let lo = (v & 0xfff) as i32;
-        if !(-(1i64 << 17)..(1i64 << 17)).contains(&hi) {
+        if !ImmField::L18.fits(v >> 12) {
             return Err(err(
                 line,
                 AsmErrorKind::OutOfRange(format!("li constant {v} exceeds 30-bit range")),
             ));
         }
-        self.push(Op::Lui { rt: rd, imm: hi as i32 });
-        self.push_tagged(Op::Ori { rt: rd, rs: rd, imm: lo }, tags);
+        self.emit_hi_lo(rd, v, tags);
         Ok(())
+    }
+
+    /// Emits `lui rd, v >> 12` then `ori rd, rd, v & 0xfff`, which
+    /// rebuild `v` under the ISA semantics `rd = (hi << 12) | lo`.
+    fn emit_hi_lo(&mut self, rd: Reg, v: i64, tags: TagBits) {
+        self.push(Op::Lui { rt: rd, imm: (v >> 12) as i32 });
+        let lo = (v & 0xfff) as i32;
+        self.push_tagged(Op::AluImm { op: AluImmOp::Ori, rt: rd, rs: rd, imm: lo }, tags);
+    }
+
+    /// Fills the operands of `template`, a machine operation named by
+    /// its mnemonic, from the source operands: one arm per format, in the
+    /// order [`Op::operands`] prints them.
+    fn machine_op(
+        &self,
+        template: Op,
+        mnem: &str,
+        ops: &[Operand],
+        line: usize,
+    ) -> Result<Op, AsmError> {
+        let r = |i: usize| self.reg(ops.get(i), line);
+        let imm = |i: usize, field| self.field(self.imm(ops.get(i), line)?, field, line);
+        let arity = match template {
+            Op::Alu { .. }
+            | Op::ShiftV { .. }
+            | Op::Shift { .. }
+            | Op::AluImm { .. }
+            | Op::Branch { .. }
+            | Op::FpArith { .. }
+            | Op::FpCmp { .. } => 3,
+            Op::Jump { .. } | Op::Jr { .. } => 1,
+            Op::Halt | Op::Nop => 0,
+            Op::Jalr { .. } => ops.len().clamp(1, 2), // `jalr rs` links to `$31`
+            _ => 2,
+        };
+        check_arity(mnem, ops, arity, line)?;
+        Ok(match template {
+            Op::Alu { op, .. } => Op::Alu { op, rd: r(0)?, rs: r(1)?, rt: r(2)? },
+            Op::ShiftV { op, .. } => Op::ShiftV { op, rd: r(0)?, rt: r(1)?, rs: r(2)? },
+            Op::Shift { op, .. } => {
+                Op::Shift { op, rd: r(0)?, rt: r(1)?, sh: self.shift_amount(ops.get(2), line)? }
+            }
+            Op::AluImm { op, .. } => {
+                Op::AluImm { op, rt: r(0)?, rs: r(1)?, imm: imm(2, op.field())? }
+            }
+            Op::Lui { .. } => Op::Lui { rt: r(0)?, imm: imm(1, ImmField::L18)? },
+            Op::Load { width, signed, .. } => {
+                let rt = r(0)?;
+                let (base, off) = self.mem(ops.get(1), line)?;
+                Op::Load { width, signed, rt, base, off }
+            }
+            Op::Store { width, .. } => {
+                let rt = r(0)?;
+                let (base, off) = self.mem(ops.get(1), line)?;
+                Op::Store { width, rt, base, off }
+            }
+            Op::Branch { cond, .. } => {
+                Op::Branch { cond, rs: r(0)?, rt: r(1)?, off: self.branch_off(ops.get(2), line)? }
+            }
+            Op::BranchZ { cond, .. } => {
+                Op::BranchZ { cond, rs: r(0)?, off: self.branch_off(ops.get(1), line)? }
+            }
+            Op::Jump { link, .. } => {
+                Op::Jump { link, target: self.jump_target(ops.first(), line)? }
+            }
+            Op::Jr { .. } => Op::Jr { rs: r(0)? },
+            Op::Jalr { .. } => {
+                let rd = if ops.len() == 1 { Reg::RA } else { r(0)? };
+                Op::Jalr { rd, rs: r(ops.len() - 1)? }
+            }
+            Op::FpArith { kind, prec, .. } => {
+                Op::FpArith { kind, prec, fd: r(0)?, fs: r(1)?, ft: r(2)? }
+            }
+            Op::FpCmp { cond, prec, .. } => {
+                Op::FpCmp { cond, prec, rd: r(0)?, fs: r(1)?, ft: r(2)? }
+            }
+            Op::FpNeg { prec, .. } => Op::FpNeg { prec, fd: r(0)?, fs: r(1)? },
+            Op::FpAbs { prec, .. } => Op::FpAbs { prec, fd: r(0)?, fs: r(1)? },
+            Op::FpMov { .. } => Op::FpMov { fd: r(0)?, fs: r(1)? },
+            Op::CvtDW { .. } => Op::CvtDW { fd: r(0)?, rs: r(1)? },
+            Op::CvtWD { .. } => Op::CvtWD { rd: r(0)?, fs: r(1)? },
+            Op::Dmtc1 { .. } => Op::Dmtc1 { fs: r(0)?, rt: r(1)? },
+            Op::Dmfc1 { .. } => Op::Dmfc1 { rt: r(0)?, fs: r(1)? },
+            Op::Release { .. } => unreachable!("`expand` chunks releases"),
+            Op::Halt | Op::Nop => template,
+        })
     }
 
     fn expand(
@@ -379,305 +500,22 @@ impl Emitter<'_> {
         line: usize,
     ) -> Result<(), AsmError> {
         let o = |i: usize| ops.get(i);
-        let nops = ops.len();
-        let want = |n: usize| -> Result<(), AsmError> {
-            if nops == n {
-                Ok(())
-            } else {
-                Err(err(
-                    line,
-                    AsmErrorKind::BadOperands(format!("{mnem} expects {n} operands, found {nops}")),
-                ))
-            }
-        };
-
-        macro_rules! r3 {
-            ($variant:ident) => {{
-                want(3)?;
-                let rd = self.reg(o(0), line)?;
-                let rs = self.reg(o(1), line)?;
-                let rt = self.reg(o(2), line)?;
-                self.push_tagged(Op::$variant { rd, rs, rt }, tags);
-            }};
-        }
-        macro_rules! shv {
-            ($variant:ident) => {{
-                want(3)?;
-                let rd = self.reg(o(0), line)?;
-                let rt = self.reg(o(1), line)?;
-                let rs = self.reg(o(2), line)?;
-                self.push_tagged(Op::$variant { rd, rt, rs }, tags);
-            }};
-        }
-        macro_rules! i12 {
-            ($variant:ident, $signed:expr) => {{
-                want(3)?;
-                let rt = self.reg(o(0), line)?;
-                let rs = self.reg(o(1), line)?;
-                let imm = self.narrow_imm(self.imm(o(2), line)?, 12, $signed, line)?;
-                self.push_tagged(Op::$variant { rt, rs, imm }, tags);
-            }};
-        }
-        macro_rules! shimm {
-            ($variant:ident) => {{
-                want(3)?;
-                let rd = self.reg(o(0), line)?;
-                let rt = self.reg(o(1), line)?;
-                let sh = self.imm(o(2), line)?;
-                if !(0..64).contains(&sh) {
-                    return Err(err(
-                        line,
-                        AsmErrorKind::BadOperands(format!(
-                            "shift amount {sh} is out of range (0..=63 for 64-bit registers)"
-                        )),
-                    ));
-                }
-                self.push_tagged(Op::$variant { rd, rt, sh: sh as u8 }, tags);
-            }};
-        }
-        macro_rules! load {
-            ($w:expr, $signed:expr) => {{
-                want(2)?;
-                let rt = self.reg(o(0), line)?;
-                let (base, off) = self.mem(o(1), line)?;
-                let off = self.narrow_imm(off as i64, 12, true, line)?;
-                self.push_tagged(Op::Load { width: $w, signed: $signed, rt, base, off }, tags);
-            }};
-        }
-        macro_rules! store {
-            ($w:expr) => {{
-                want(2)?;
-                let rt = self.reg(o(0), line)?;
-                let (base, off) = self.mem(o(1), line)?;
-                let off = self.narrow_imm(off as i64, 12, true, line)?;
-                self.push_tagged(Op::Store { width: $w, rt, base, off }, tags);
-            }};
-        }
-        macro_rules! fparith {
-            ($kind:ident, $prec:ident) => {{
-                want(3)?;
-                let fd = self.reg(o(0), line)?;
-                let fs = self.reg(o(1), line)?;
-                let ft = self.reg(o(2), line)?;
-                self.push_tagged(
-                    Op::FpArith { kind: FpArithKind::$kind, prec: Prec::$prec, fd, fs, ft },
-                    tags,
-                );
-            }};
-        }
-        macro_rules! fpcmp {
-            ($cond:ident, $prec:ident) => {{
-                want(3)?;
-                let rd = self.reg(o(0), line)?;
-                let fs = self.reg(o(1), line)?;
-                let ft = self.reg(o(2), line)?;
-                self.push_tagged(
-                    Op::FpCmp { cond: FpCmpCond::$cond, prec: Prec::$prec, rd, fs, ft },
-                    tags,
-                );
-            }};
-        }
-        // Two-instruction compare-and-branch pseudo.
-        macro_rules! cmpbr {
-            ($swap:expr, $unsigned:expr, $on_set:expr) => {{
-                want(3)?;
-                let rs = self.reg(o(0), line)?;
-                let rt = self.reg(o(1), line)?;
-                let (a, b) = if $swap { (rt, rs) } else { (rs, rt) };
-                if $unsigned {
-                    self.push(Op::Sltu { rd: AT, rs: a, rt: b });
-                } else {
-                    self.push(Op::Slt { rd: AT, rs: a, rt: b });
-                }
-                let off = self.branch_off(o(2), line)?;
-                let op = if $on_set {
-                    Op::Bne { rs: AT, rt: Reg::ZERO, off }
-                } else {
-                    Op::Beq { rs: AT, rt: Reg::ZERO, off }
-                };
-                self.push_tagged(op, tags);
-            }};
-        }
-
+        let want = |n: usize| check_arity(mnem, ops, n, line);
+        let z = Reg::ZERO;
         match mnem {
-            "addu" | "add" => r3!(Addu),
-            "subu" | "sub" => r3!(Subu),
-            "and" => r3!(And),
-            "or" => r3!(Or),
-            "xor" => r3!(Xor),
-            "nor" => r3!(Nor),
-            "slt" => r3!(Slt),
-            "sltu" => r3!(Sltu),
-            "mul" | "mult" => r3!(Mul),
-            "div" => r3!(Div),
-            "rem" => r3!(Rem),
-            "sllv" => shv!(Sllv),
-            "srlv" => shv!(Srlv),
-            "srav" => shv!(Srav),
-            "addiu" | "addi" => i12!(Addiu, true),
-            "andi" => i12!(Andi, false),
-            "ori" => i12!(Ori, false),
-            "xori" => i12!(Xori, false),
-            "slti" => i12!(Slti, true),
-            "sltiu" => i12!(Sltiu, true),
-            "sll" => shimm!(Sll),
-            "srl" => shimm!(Srl),
-            "sra" => shimm!(Sra),
-            "lui" => {
-                want(2)?;
-                let rt = self.reg(o(0), line)?;
-                let imm = self.narrow_imm(self.imm(o(1), line)?, 18, true, line)?;
-                self.push_tagged(Op::Lui { rt, imm }, tags);
-            }
-            "lb" => load!(MemWidth::B, true),
-            "lbu" => load!(MemWidth::B, false),
-            "lh" => load!(MemWidth::H, true),
-            "lhu" => load!(MemWidth::H, false),
-            "lw" => load!(MemWidth::W, true),
-            "lwu" => load!(MemWidth::W, false),
-            "ld" | "l.d" | "ldc1" => load!(MemWidth::D, true),
-            "sb" => store!(MemWidth::B),
-            "sh" => store!(MemWidth::H),
-            "sw" => store!(MemWidth::W),
-            "sd" | "s.d" | "sdc1" => store!(MemWidth::D),
-            "beq" | "bne" => {
-                want(3)?;
-                let rs = self.reg(o(0), line)?;
-                let rt = self.reg(o(1), line)?;
-                let off = self.branch_off(o(2), line)?;
-                let op =
-                    if mnem == "beq" { Op::Beq { rs, rt, off } } else { Op::Bne { rs, rt, off } };
-                self.push_tagged(op, tags);
-            }
-            "blez" | "bgtz" | "bltz" | "bgez" => {
-                want(2)?;
-                let rs = self.reg(o(0), line)?;
-                let off = self.branch_off(o(1), line)?;
-                let op = match mnem {
-                    "blez" => Op::Blez { rs, off },
-                    "bgtz" => Op::Bgtz { rs, off },
-                    "bltz" => Op::Bltz { rs, off },
-                    _ => Op::Bgez { rs, off },
-                };
-                self.push_tagged(op, tags);
-            }
-            "beqz" | "bnez" => {
-                want(2)?;
-                let rs = self.reg(o(0), line)?;
-                let off = self.branch_off(o(1), line)?;
-                let op = if mnem == "beqz" {
-                    Op::Beq { rs, rt: Reg::ZERO, off }
-                } else {
-                    Op::Bne { rs, rt: Reg::ZERO, off }
-                };
-                self.push_tagged(op, tags);
-            }
-            "b" => {
-                want(1)?;
-                let off = self.branch_off(o(0), line)?;
-                self.push_tagged(Op::Beq { rs: Reg::ZERO, rt: Reg::ZERO, off }, tags);
-            }
-            "blt" => cmpbr!(false, false, true),
-            "bge" => cmpbr!(false, false, false),
-            "bgt" => cmpbr!(true, false, true),
-            "ble" => cmpbr!(true, false, false),
-            "bltu" => cmpbr!(false, true, true),
-            "bgeu" => cmpbr!(false, true, false),
-            "bgtu" => cmpbr!(true, true, true),
-            "bleu" => cmpbr!(true, true, false),
-            "j" => {
-                want(1)?;
-                let target = self.jump_target(o(0), line)?;
-                self.push_tagged(Op::J { target }, tags);
-            }
-            "jal" => {
-                want(1)?;
-                let target = self.jump_target(o(0), line)?;
-                self.push_tagged(Op::Jal { target }, tags);
-            }
-            "jr" => {
-                want(1)?;
-                let rs = self.reg(o(0), line)?;
-                self.push_tagged(Op::Jr { rs }, tags);
-            }
-            "jalr" => {
-                let (rd, rs) = match nops {
-                    1 => (Reg::RA, self.reg(o(0), line)?),
-                    2 => (self.reg(o(0), line)?, self.reg(o(1), line)?),
-                    _ => {
-                        return Err(err(
-                            line,
-                            AsmErrorKind::BadOperands("jalr expects 1 or 2 operands".into()),
-                        ))
-                    }
-                };
-                self.push_tagged(Op::Jalr { rd, rs }, tags);
-            }
-            "add.s" => fparith!(Add, S),
-            "sub.s" => fparith!(Sub, S),
-            "mul.s" => fparith!(Mul, S),
-            "div.s" => fparith!(Div, S),
-            "add.d" => fparith!(Add, D),
-            "sub.d" => fparith!(Sub, D),
-            "mul.d" => fparith!(Mul, D),
-            "div.d" => fparith!(Div, D),
-            "c.eq.s" => fpcmp!(Eq, S),
-            "c.lt.s" => fpcmp!(Lt, S),
-            "c.le.s" => fpcmp!(Le, S),
-            "c.eq.d" => fpcmp!(Eq, D),
-            "c.lt.d" => fpcmp!(Lt, D),
-            "c.le.d" => fpcmp!(Le, D),
-            "neg.s" | "neg.d" | "abs.s" | "abs.d" | "mov.d" | "mov.s" => {
-                want(2)?;
-                let fd = self.reg(o(0), line)?;
-                let fs = self.reg(o(1), line)?;
-                let prec = if mnem.ends_with(".s") { Prec::S } else { Prec::D };
-                let op = if mnem.starts_with("neg") {
-                    Op::FpNeg { prec, fd, fs }
-                } else if mnem.starts_with("abs") {
-                    Op::FpAbs { prec, fd, fs }
-                } else {
-                    Op::FpMov { fd, fs }
-                };
-                self.push_tagged(op, tags);
-            }
-            "cvt.d.w" => {
-                want(2)?;
-                let fd = self.reg(o(0), line)?;
-                let rs = self.reg(o(1), line)?;
-                self.push_tagged(Op::CvtDW { fd, rs }, tags);
-            }
-            "cvt.w.d" => {
-                want(2)?;
-                let rd = self.reg(o(0), line)?;
-                let fs = self.reg(o(1), line)?;
-                self.push_tagged(Op::CvtWD { rd, fs }, tags);
-            }
-            "dmtc1" => {
-                want(2)?;
-                let fs = self.reg(o(0), line)?;
-                let rt = self.reg(o(1), line)?;
-                self.push_tagged(Op::Dmtc1 { fs, rt }, tags);
-            }
-            "dmfc1" => {
-                want(2)?;
-                let rt = self.reg(o(0), line)?;
-                let fs = self.reg(o(1), line)?;
-                self.push_tagged(Op::Dmfc1 { rt, fs }, tags);
-            }
-            "release" => {
+            RELEASE => {
                 if self.mode == AsmMode::Scalar {
                     return Ok(()); // dropped entirely from the scalar binary
                 }
-                if nops == 0 {
+                if ops.is_empty() {
                     return Err(err(
                         line,
-                        AsmErrorKind::BadOperands("release expects at least one register".into()),
+                        AsmErrorKind::BadOperands(format!("{mnem} expects at least one register")),
                     ));
                 }
-                let mut regs: Vec<Reg> = Vec::with_capacity(nops);
-                for i in 0..nops {
-                    let r = self.reg(o(i), line)?;
+                let mut regs: Vec<Reg> = Vec::with_capacity(ops.len());
+                for op in ops {
+                    let r = self.reg(Some(op), line)?;
                     if r.index() == 0 {
                         // $0 is architecturally constant, and its zero
                         // register-field encoding means "empty slot" — the
@@ -695,28 +533,11 @@ impl Emitter<'_> {
                     self.push_tagged(Op::Release { regs: RegList::from_slice(chunk) }, t);
                 }
             }
-            "halt" => {
-                want(0)?;
-                self.push_tagged(Op::Halt, tags);
-            }
-            "nop" => {
-                want(0)?;
-                self.push_tagged(Op::Nop, tags);
-            }
-            // ---- remaining pseudos ----
+            // ---- pseudo-instructions ----
             "li" => {
                 want(2)?;
                 let rd = self.reg(o(0), line)?;
-                let v = match o(1) {
-                    Some(Operand::Imm(v)) => *v,
-                    _ => {
-                        return Err(err(
-                            line,
-                            AsmErrorKind::BadOperands("li expects `li $r, imm`".into()),
-                        ))
-                    }
-                };
-                self.emit_li(rd, v, tags, line)?;
+                self.emit_li(rd, li_value(ops, line)?, tags, line)?;
             }
             "la" => {
                 want(2)?;
@@ -734,31 +555,56 @@ impl Emitter<'_> {
                     }
                 };
                 // Fixed two-instruction expansion so pass-1 sizing is exact.
-                let hi = addr >> 12;
-                let lo = (addr & 0xfff) as i32;
-                self.push(Op::Lui { rt: rd, imm: hi as i32 });
-                self.push_tagged(Op::Ori { rt: rd, rs: rd, imm: lo }, tags);
+                self.emit_hi_lo(rd, addr, tags);
             }
-            "move" | "mov" => {
+            "move" | "mov" | "not" | "neg" => {
                 want(2)?;
                 let rd = self.reg(o(0), line)?;
                 let rs = self.reg(o(1), line)?;
-                self.push_tagged(Op::Addu { rd, rs, rt: Reg::ZERO }, tags);
+                let op = match mnem {
+                    "not" => Op::Alu { op: AluOp::Nor, rd, rs, rt: z },
+                    "neg" => Op::Alu { op: AluOp::Subu, rd, rs: z, rt: rs },
+                    _ => Op::Alu { op: AluOp::Addu, rd, rs, rt: z },
+                };
+                self.push_tagged(op, tags);
             }
-            "not" => {
+            "b" => {
+                want(1)?;
+                let off = self.branch_off(o(0), line)?;
+                self.push_tagged(Op::Branch { cond: BranchCond::Eq, rs: z, rt: z, off }, tags);
+            }
+            "beqz" | "bnez" => {
                 want(2)?;
-                let rd = self.reg(o(0), line)?;
-                let rs = self.reg(o(1), line)?;
-                self.push_tagged(Op::Nor { rd, rs, rt: Reg::ZERO }, tags);
+                let rs = self.reg(o(0), line)?;
+                let off = self.branch_off(o(1), line)?;
+                let cond = if mnem == "beqz" { BranchCond::Eq } else { BranchCond::Ne };
+                self.push_tagged(Op::Branch { cond, rs, rt: z, off }, tags);
             }
-            "neg" => {
-                want(2)?;
-                let rd = self.reg(o(0), line)?;
-                let rs = self.reg(o(1), line)?;
-                self.push_tagged(Op::Subu { rd, rs: Reg::ZERO, rt: rs }, tags);
+            // Compare into `$at`, then branch on it: `bgt`/`ble` swap the
+            // operands, the `u` forms compare unsigned.
+            "blt" | "bge" | "bgt" | "ble" | "bltu" | "bgeu" | "bgtu" | "bleu" => {
+                want(3)?;
+                let rs = self.reg(o(0), line)?;
+                let rt = self.reg(o(1), line)?;
+                let (swap, on_set) = match mnem.strip_suffix('u').unwrap_or(mnem) {
+                    "blt" => (false, true),
+                    "bge" => (false, false),
+                    "bgt" => (true, true),
+                    _ => (true, false),
+                };
+                let (rs, rt) = if swap { (rt, rs) } else { (rs, rt) };
+                let op = if mnem.ends_with('u') { AluOp::Sltu } else { AluOp::Slt };
+                self.push(Op::Alu { op, rd: AT, rs, rt });
+                let off = self.branch_off(o(2), line)?;
+                let cond = if on_set { BranchCond::Ne } else { BranchCond::Eq };
+                self.push_tagged(Op::Branch { cond, rs: AT, rt: z, off }, tags);
             }
-            other => {
-                return Err(err(line, AsmErrorKind::UnknownMnemonic(other.to_owned())));
+            _ => {
+                let template = alias(mnem)
+                    .or_else(|| Op::from_mnemonic(mnem))
+                    .ok_or_else(|| err(line, AsmErrorKind::UnknownMnemonic(mnem.to_owned())))?;
+                let op = self.machine_op(template, mnem, ops, line)?;
+                self.push_tagged(op, tags);
             }
         }
         Ok(())

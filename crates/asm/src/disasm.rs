@@ -10,7 +10,7 @@
 //! such that reassembling yields a bit-identical binary. Retargeting is
 //! then a matter of editing the emitted `.task` directives.
 
-use ms_isa::{Op, Program, Reg, RegMask, TagBits, TargetKind, DATA_BASE};
+use ms_isa::{Op, Program, Reg, RegList, RegMask, StopCond, TagBits, TargetKind, DATA_BASE};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -104,14 +104,8 @@ fn label_map(prog: &Program, ann: &Annotations) -> BTreeMap<u32, String> {
     }
     for (i, instr) in prog.text.iter().enumerate() {
         let pc = prog.text_base + 4 * i as u32;
-        match instr.op {
-            Op::J { target } | Op::Jal { target } => need(target),
-            ref op if op.is_branch() => {
-                if let Some(t) = branch_target(op, pc) {
-                    need(t);
-                }
-            }
-            _ => {}
+        if let Some(t) = control_target(&instr.op, pc) {
+            need(t);
         }
     }
     // Prefer original symbol names where available (text addresses only).
@@ -123,48 +117,28 @@ fn label_map(prog: &Program, ann: &Annotations) -> BTreeMap<u32, String> {
     labels
 }
 
-fn branch_target(op: &Op, pc: u32) -> Option<u32> {
-    let off = match *op {
-        Op::Beq { off, .. }
-        | Op::Bne { off, .. }
-        | Op::Blez { off, .. }
-        | Op::Bgtz { off, .. }
-        | Op::Bltz { off, .. }
-        | Op::Bgez { off, .. } => off,
-        _ => return None,
-    };
-    Some((pc as i64 + 4 + (off as i64) * 4) as u32)
+/// The address a branch or direct jump at `pc` names, which the source
+/// writes as a label.
+fn control_target(op: &Op, pc: u32) -> Option<u32> {
+    match *op {
+        Op::Jump { target, .. } => Some(target),
+        _ => op.branch_target(pc),
+    }
 }
 
 /// Renders one instruction with labelled control-flow operands.
 fn render_instr(op: &Op, pc: u32, labels: &BTreeMap<u32, String>) -> String {
     let lab = |a: u32| labels.get(&a).cloned().unwrap_or_else(|| format!("{a:#x}"));
-    match *op {
-        Op::Beq { rs, rt, .. } | Op::Bne { rs, rt, .. } => {
-            let t = lab(branch_target(op, pc).expect("branch"));
-            let m = if matches!(op, Op::Beq { .. }) { "beq" } else { "bne" };
-            format!("{m} {rs}, {rt}, {t}")
-        }
-        Op::Blez { rs, .. } | Op::Bgtz { rs, .. } | Op::Bltz { rs, .. } | Op::Bgez { rs, .. } => {
-            let t = lab(branch_target(op, pc).expect("branch"));
-            let m = match op {
-                Op::Blez { .. } => "blez",
-                Op::Bgtz { .. } => "bgtz",
-                Op::Bltz { .. } => "bltz",
-                _ => "bgez",
-            };
-            format!("{m} {rs}, {t}")
-        }
-        Op::J { target } => format!("j {}", lab(target)),
-        Op::Jal { target } => format!("jal {}", lab(target)),
-        _ => {
-            let ops = op.operands();
-            if ops.is_empty() {
-                op.mnemonic()
-            } else {
-                format!("{} {}", op.mnemonic(), ops)
-            }
-        }
+    let ops = match (*op, control_target(op, pc)) {
+        (Op::Branch { rs, rt, .. }, Some(t)) => format!("{rs}, {rt}, {}", lab(t)),
+        (Op::BranchZ { rs, .. }, Some(t)) => format!("{rs}, {}", lab(t)),
+        (Op::Jump { .. }, Some(t)) => lab(t),
+        _ => op.operands(),
+    };
+    if ops.is_empty() {
+        op.mnemonic().to_owned()
+    } else {
+        format!("{} {ops}", op.mnemonic())
     }
 }
 
@@ -183,15 +157,24 @@ pub fn program_to_source(prog: &Program) -> String {
 }
 
 fn render_insert(op: &InsertOp, labels: &BTreeMap<u32, String>) -> String {
-    match op {
-        InsertOp::Release(regs) => {
+    match *op {
+        InsertOp::Release(ref regs) => {
             let names: Vec<String> = regs.iter().map(|r| r.to_string()).collect();
-            format!("release {}", names.join(", "))
+            format!("{} {}", Op::Release { regs: RegList::EMPTY }.mnemonic(), names.join(", "))
         }
         InsertOp::Jump { target, stop } => {
-            let lab = labels.get(target).cloned().unwrap_or_else(|| format!("{target:#x}"));
-            format!("j{} {lab}", if *stop { "!s" } else { "" })
+            let body = render_instr(&Op::Jump { link: false, target }, 0, labels);
+            let stop = if stop { StopCond::Always } else { StopCond::None };
+            with_tags(&body, TagBits { forward: false, stop })
         }
+    }
+}
+
+/// `body` with the tag suffixes attached to its mnemonic.
+fn with_tags(body: &str, tags: TagBits) -> String {
+    match body.split_once(' ') {
+        Some((m, rest)) => format!("{m}{} {rest}", tags.suffix()),
+        None => format!("{body}{}", tags.suffix()),
     }
 }
 
@@ -320,13 +303,8 @@ pub fn annotate_source(prog: &Program, ann: &Annotations) -> String {
             let _ = writeln!(out, "{l}:");
         }
         let body = render_instr(&instr.op, pc, &labels);
-        // Tag suffixes attach to the mnemonic.
         let tags = ann.tags.get(&pc).copied().unwrap_or(instr.tags);
-        let rendered = match body.split_once(' ') {
-            Some((m, rest)) => format!("{m}{} {rest}", tags.suffix()),
-            None => format!("{body}{}", tags.suffix()),
-        };
-        let _ = writeln!(out, "    {rendered}");
+        let _ = writeln!(out, "    {}", with_tags(&body, tags));
     }
     if let Some(ops) = ann.insert_before.get(&prog.text_end()) {
         for op in ops {

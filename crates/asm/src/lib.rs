@@ -36,7 +36,15 @@
 //! taken), `!sn` (stop if not taken). Comments: `;`, `#`, or `//`.
 //! Pseudo-instructions: `li`, `la`, `move`, `not`, `neg`, `b`, `beqz`,
 //! `bnez`, `blt`/`bge`/`bgt`/`ble` (+`u` variants, via `$at`), and
-//! `release` with any number of registers.
+//! `release` with any number of registers. Aliases: `add`, `sub`, `mult`,
+//! `addi`, `l.d`/`ldc1`, `s.d`/`sdc1`, `mov.s`. Every other mnemonic is
+//! looked up in `ms-isa`'s opcode tables ([`ms_isa::Op::from_mnemonic`]).
+//!
+//! A branch target is a label or a numeric offset in instructions from
+//! the next instruction; either must fit the signed 12-bit offset field.
+//! A jump target must be word-aligned and below 2^26. An operand or a
+//! section that does not fit its field or the 32-bit address space is an
+//! `OutOfRange` error.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -54,7 +62,7 @@ pub use parser::{DataItem, DataKind, Operand, Section, Stmt, TargetSpec};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ms_isa::{Op, Reg, StopCond, TargetKind, TEXT_BASE};
+    use ms_isa::{AluImmOp, AluOp, BranchCond, Op, Reg, StopCond, TargetKind, TEXT_BASE};
 
     const FIG4: &str = r#"
 .data
@@ -147,6 +155,44 @@ addlist:
     }
 
     #[test]
+    fn layout_overflow_is_an_error_not_a_panic() {
+        // `.space`, data items and strings each past the end of the
+        // 32-bit address space (the data section starts at 0x100000).
+        let top = u32::MAX - ms_isa::DATA_BASE - 3; // 4 bytes short of the end
+        for (src, line) in [
+            (".data\nx: .space 4294967295\ny: .word 1\n".to_owned(), 2),
+            (format!(".data\nx: .space {top}\ny: .word 1, 2\n"), 3),
+            (format!(".data\nx: .space {top}\ny: .asciiz \"four\"\n"), 3),
+            (".data\nx: .space -1\n".to_owned(), 2),
+        ] {
+            let e = assemble(&src, AsmMode::Scalar).expect_err(&src);
+            assert!(matches!(e.kind, AsmErrorKind::OutOfRange(_)), "{src}: {e}");
+            assert_eq!(e.line, line, "{src}: {e}");
+        }
+    }
+
+    #[test]
+    fn numeric_branch_offsets_and_jump_targets_are_range_checked() {
+        for bad in [
+            "beq $1, $2, 5000",
+            "bne $1, $2, -2049",
+            "bgez $1, 2048",
+            "j -3",
+            "jal 2",
+            "j 0x4000000",
+            "j main+2",
+        ] {
+            let e = assemble(&format!("main:\n {bad}\n halt\n"), AsmMode::Scalar).expect_err(bad);
+            assert!(matches!(e.kind, AsmErrorKind::OutOfRange(_)), "{bad}: {e}");
+        }
+        // The field boundaries themselves assemble and encode.
+        for ok in ["beq $1, $2, 2047", "bltz $1, -2048", "j 0x3fffffc", "jal 0"] {
+            let p = assemble(&format!("main:\n {ok}\n halt\n"), AsmMode::Scalar).expect(ok);
+            ms_isa::encode(&p.text[0]).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
+    }
+
+    #[test]
     fn entry_defaults_to_main() {
         let p = assemble("start: nop\nmain: halt\n", AsmMode::Scalar).unwrap();
         assert_eq!(p.entry, p.symbol("main").unwrap());
@@ -160,9 +206,9 @@ addlist:
     fn li_expansion_sizes() {
         let p = assemble("main: li $2, 5\nli $3, 100000\nhalt\n", AsmMode::Scalar).unwrap();
         assert_eq!(p.text.len(), 4); // 1 + 2 + 1
-        assert!(matches!(p.text[0].op, Op::Addiu { imm: 5, .. }));
+        assert!(matches!(p.text[0].op, Op::AluImm { op: AluImmOp::Addiu, imm: 5, .. }));
         assert!(matches!(p.text[1].op, Op::Lui { .. }));
-        assert!(matches!(p.text[2].op, Op::Ori { .. }));
+        assert!(matches!(p.text[2].op, Op::AluImm { op: AluImmOp::Ori, .. }));
     }
 
     #[test]
@@ -172,7 +218,9 @@ addlist:
         for v in [100000i64, -100000, 4096, -4097, 0x3fffff, -2049, 2048] {
             let p = assemble(&format!("main: li $2, {v}\n halt\n"), AsmMode::Scalar).unwrap();
             let (hi, lo) = match (p.text[0].op, p.text[1].op) {
-                (Op::Lui { imm: hi, .. }, Op::Ori { imm: lo, .. }) => (hi, lo),
+                (Op::Lui { imm: hi, .. }, Op::AluImm { op: AluImmOp::Ori, imm: lo, .. }) => {
+                    (hi, lo)
+                }
                 other => panic!("unexpected {other:?}"),
             };
             let got = ((hi as i64) << 12) | (lo as i64);
@@ -185,11 +233,11 @@ addlist:
         let src = "main:\nL1: addiu $2, $2, 1\n beq $2, $3, L2\n b L1\nL2: halt\n";
         let p = assemble(src, AsmMode::Scalar).unwrap();
         match p.text[1].op {
-            Op::Beq { off, .. } => assert_eq!(off, 1),
+            Op::Branch { cond: BranchCond::Eq, off, .. } => assert_eq!(off, 1),
             ref other => panic!("unexpected {other:?}"),
         }
         match p.text[2].op {
-            Op::Beq { off, .. } => assert_eq!(off, -3),
+            Op::Branch { cond: BranchCond::Eq, off, .. } => assert_eq!(off, -3),
             ref other => panic!("unexpected {other:?}"),
         }
     }
@@ -201,8 +249,8 @@ addlist:
         let sc = assemble(src, AsmMode::Scalar).unwrap();
         assert_eq!(ms.text.len(), 2);
         assert_eq!(sc.text.len(), 2);
-        assert!(matches!(ms.text[0].op, Op::Addiu { rt, .. } if rt == Reg::int(2)));
-        assert!(matches!(sc.text[0].op, Op::Addiu { rt, .. } if rt == Reg::int(3)));
+        assert!(matches!(ms.text[0].op, Op::AluImm { rt, .. } if rt == Reg::int(2)));
+        assert!(matches!(sc.text[0].op, Op::AluImm { rt, .. } if rt == Reg::int(3)));
     }
 
     #[test]
@@ -250,8 +298,8 @@ addlist:
     fn cmp_branch_pseudos_use_at() {
         let p = assemble("main:\nL: blt $4, $5, L\n halt\n", AsmMode::Scalar).unwrap();
         assert_eq!(p.text.len(), 3);
-        assert!(matches!(p.text[0].op, Op::Slt { rd, .. } if rd == Reg::int(1)));
-        assert!(matches!(p.text[1].op, Op::Bne { off: -2, .. }));
+        assert!(matches!(p.text[0].op, Op::Alu { op: AluOp::Slt, rd, .. } if rd == Reg::int(1)));
+        assert!(matches!(p.text[1].op, Op::Branch { cond: BranchCond::Ne, off: -2, .. }));
     }
 
     #[test]

@@ -436,7 +436,13 @@ fn parse_directive(text: &str, line: usize) -> Result<Stmt, AsmError> {
         ".word" => parse_data_items(DataKind::Word, rest, line),
         ".dword" => parse_data_items(DataKind::Dword, rest, line),
         ".double" => parse_data_items(DataKind::Double, rest, line),
-        ".space" => Ok(Stmt::Space(parse_int(rest, line)? as u32)),
+        ".space" => {
+            let n = parse_int(rest, line)?;
+            let n = u32::try_from(n).map_err(|_| {
+                err(line, AsmErrorKind::OutOfRange(format!(".space size {n} is not a byte count")))
+            })?;
+            Ok(Stmt::Space(n))
+        }
         ".asciiz" => Ok(Stmt::Asciiz(parse_string_lit(rest, line)?)),
         ".entry" => Ok(Stmt::Entry(parse_sym(rest, line)?.0)),
         ".task" => parse_task(rest, line),

@@ -26,7 +26,7 @@
 //! whichever task invokes them, and their effects are folded into create
 //! masks via [`crate::summarize_functions`].
 
-use crate::summary::{branch_target, summarize_functions, FnSummary};
+use crate::summary::{summarize_functions, FnSummary};
 use ms_asm::{annotate_source, assemble, Annotations, AsmMode, InsertOp, TaskAnn};
 use ms_isa::{Op, Program, Reg, RegMask, StopCond, TargetKind, MAX_TARGETS};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -264,13 +264,6 @@ struct Analysis<'a> {
     edges: Vec<(u32, u32)>,
 }
 
-/// `b target` assembles to `beq $0, $0` (or any `beq` with `rs == rt`):
-/// the checker resolves exactly this shape statically, so the partitioner
-/// must agree with it instruction for instruction.
-fn always_taken(op: &Op) -> bool {
-    matches!(*op, Op::Beq { rs, rt, .. } if rs == rt)
-}
-
 /// Task-level successors of `pc` in the scalar program, with always-taken
 /// branches resolved to their target. `jal` continues past the call only
 /// when the callee can return; the callee body itself is not a successor
@@ -283,8 +276,8 @@ fn scalar_successors(
     let instr = prog.instr_at(pc).expect("caller ensured pc is in text");
     let succ = match instr.op {
         Op::Halt => Vec::new(),
-        Op::J { target } => vec![target],
-        Op::Jal { target } => {
+        Op::Jump { link: false, target } => vec![target],
+        Op::Jump { link: true, target } => {
             if summaries.get(&target).is_none_or(|s| s.returns) {
                 vec![pc + 4]
             } else {
@@ -293,8 +286,8 @@ fn scalar_successors(
         }
         Op::Jr { .. } | Op::Jalr { .. } => return Err(PartitionError::IndirectControl { pc }),
         ref op if op.is_branch() => {
-            let t = branch_target(op, pc).expect("is_branch implies a target");
-            if always_taken(op) {
+            let t = op.branch_target(pc).expect("is_branch implies a target");
+            if op.is_always_taken() {
                 vec![t]
             } else {
                 vec![pc + 4, t]
@@ -324,12 +317,12 @@ fn function_pcs(prog: &Program, entry: u32) -> BTreeSet<u32> {
             continue;
         };
         match instr.op {
-            Op::J { target } => work.push_back(target),
-            Op::Jal { .. } => work.push_back(pc + 4),
+            Op::Jump { link: false, target } => work.push_back(target),
+            Op::Jump { link: true, .. } => work.push_back(pc + 4),
             Op::Jr { .. } | Op::Jalr { .. } | Op::Halt => {}
             ref op if op.is_branch() => {
                 work.push_back(pc + 4);
-                if let Some(t) = branch_target(op, pc) {
+                if let Some(t) = op.branch_target(pc) {
                     work.push_back(t);
                 }
             }
@@ -441,14 +434,14 @@ fn classify(
     let none = Boundary::default();
     Ok(match instr.op {
         Op::Halt => b(StopCond::None, vec![TargetKind::Halt], None),
-        Op::J { target } => {
+        Op::Jump { link: false, target } => {
             if is_entry(target) {
                 b(StopCond::Always, vec![TargetKind::Addr(target)], None)
             } else {
                 none
             }
         }
-        Op::Jal { target } => {
+        Op::Jump { link: true, target } => {
             let returns = a.summaries.get(&target).is_none_or(|s| s.returns);
             if returns && is_entry(pc + 4) {
                 b(StopCond::None, vec![TargetKind::Addr(pc + 4)], Some(pc + 4))
@@ -460,8 +453,8 @@ fn classify(
             return Err(PartitionError::IndirectControl { pc });
         }
         ref op if op.is_branch() => {
-            let t = branch_target(op, pc).expect("is_branch implies a target");
-            if always_taken(op) {
+            let t = op.branch_target(pc).expect("is_branch implies a target");
+            if op.is_always_taken() {
                 if is_entry(t) {
                     if pc + 4 < span.1 {
                         // Fall-through stays inside the task: the stop
@@ -558,7 +551,7 @@ fn place_entries(
     }
     if policy.call_split {
         for &pc in &a.task_pcs {
-            if matches!(a.prog.instr_at(pc).map(|i| i.op), Some(Op::Jal { .. }))
+            if matches!(a.prog.instr_at(pc).map(|i| i.op), Some(Op::Jump { link: true, .. }))
                 && a.task_pcs.contains(&(pc + 4))
             {
                 entries.insert(pc + 4);
@@ -626,24 +619,24 @@ fn stale_successors(a: &Analysis<'_>, boundaries: &BTreeMap<u32, Boundary>, pc: 
     let Some(instr) = a.prog.instr_at(pc) else {
         return Vec::new();
     };
-    let always = always_taken(&instr.op);
+    let always = instr.op.is_always_taken();
     let is_real_branch = instr.op.is_branch() && !always;
     let boundary = boundaries.get(&pc);
     match boundary.map_or(StopCond::None, |b| b.stop) {
         StopCond::Always => return Vec::new(),
         StopCond::IfTaken if is_real_branch => return vec![pc + 4],
         StopCond::IfNotTaken if is_real_branch => {
-            return branch_target(&instr.op, pc).into_iter().collect();
+            return instr.op.branch_target(pc).into_iter().collect();
         }
         StopCond::IfTaken if always => return Vec::new(),
         StopCond::IfNotTaken if always => {
-            return branch_target(&instr.op, pc).into_iter().collect();
+            return instr.op.branch_target(pc).into_iter().collect();
         }
         _ => {}
     }
     match instr.op {
-        Op::J { target } => vec![target],
-        Op::Jal { .. } => {
+        Op::Jump { link: false, target } => vec![target],
+        Op::Jump { link: true, .. } => {
             if boundary.is_some_and(|b| b.insert_jump.is_some()) {
                 Vec::new() // the inserted `j!s` ends the walk
             } else {
@@ -651,10 +644,10 @@ fn stale_successors(a: &Analysis<'_>, boundaries: &BTreeMap<u32, Boundary>, pc: 
             }
         }
         Op::Jr { .. } | Op::Jalr { .. } | Op::Halt => Vec::new(),
-        ref op if always => branch_target(op, pc).into_iter().collect(),
+        ref op if always => op.branch_target(pc).into_iter().collect(),
         ref op if op.is_branch() => {
             let mut v = vec![pc + 4];
-            v.extend(branch_target(op, pc));
+            v.extend(op.branch_target(pc));
             v
         }
         _ => vec![pc + 4],
@@ -689,7 +682,7 @@ fn write_reachable(
         if let Some(d) = instr.op.def() {
             written.insert(d);
         }
-        if let Op::Jal { target } = instr.op {
+        if let Op::Jump { link: true, target } = instr.op {
             if let Some(sum) = a.summaries.get(&target) {
                 written = written.union(sum.writes);
             }
@@ -756,7 +749,7 @@ pub fn partition_program(
             if let Some(d) = instr.op.def() {
                 create.insert(d);
             }
-            if let Op::Jal { target } = instr.op {
+            if let Op::Jump { link: true, target } = instr.op {
                 if let Some(sum) = a.summaries.get(&target) {
                     create = create.union(sum.writes);
                 }
@@ -779,7 +772,7 @@ pub fn partition_program(
             while pc < span.1 {
                 let instr = a.prog.instr_at(pc).expect("span addresses are in text");
                 let candidate = match instr.op {
-                    Op::Jal { .. } => None, // $31 shifts with inserted code
+                    Op::Jump { link: true, .. } => None, // $31 shifts with inserted code
                     ref op => op.def().filter(|d| *d != Reg::ZERO),
                 };
                 if let Some(d) = candidate {

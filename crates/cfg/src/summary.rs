@@ -62,8 +62,8 @@ fn walk_function(prog: &Program, entry: u32) -> FnSummary {
             // on the stopping path, but conditional stops continue.
         }
         match instr.op {
-            Op::J { target } => work.push_back(target),
-            Op::Jal { target } => {
+            Op::Jump { link: false, target } => work.push_back(target),
+            Op::Jump { link: true, target } => {
                 s.calls.insert(target);
                 work.push_back(pc + 4); // assume the callee returns
             }
@@ -78,7 +78,7 @@ fn walk_function(prog: &Program, entry: u32) -> FnSummary {
             Op::Halt => {}
             ref op if op.is_branch() => {
                 work.push_back(pc + 4);
-                if let Some(c) = branch_target(op, pc) {
+                if let Some(c) = op.branch_target(pc) {
                     work.push_back(c);
                 }
             }
@@ -88,19 +88,6 @@ fn walk_function(prog: &Program, entry: u32) -> FnSummary {
     s
 }
 
-pub(crate) fn branch_target(op: &Op, pc: u32) -> Option<u32> {
-    let off = match *op {
-        Op::Beq { off, .. }
-        | Op::Bne { off, .. }
-        | Op::Blez { off, .. }
-        | Op::Bgtz { off, .. }
-        | Op::Bltz { off, .. }
-        | Op::Bgez { off, .. } => off,
-        _ => return None,
-    };
-    Some((pc as i64 + 4 + (off as i64) * 4) as u32)
-}
-
 /// Computes summaries for every `jal` target in the program, propagating
 /// callee effects to callers until a fixpoint.
 pub fn summarize_functions(prog: &Program) -> BTreeMap<u32, FnSummary> {
@@ -108,7 +95,7 @@ pub fn summarize_functions(prog: &Program) -> BTreeMap<u32, FnSummary> {
     let mut entries = BTreeSet::new();
     for (i, instr) in prog.text.iter().enumerate() {
         let _pc = prog.text_base + 4 * i as u32;
-        if let Op::Jal { target } = instr.op {
+        if let Op::Jump { link: true, target } = instr.op {
             entries.insert(target);
         }
     }

@@ -1,6 +1,6 @@
 //! Task-region discovery and annotation checking.
 
-use crate::summary::{branch_target, summarize_functions, FnSummary};
+use crate::summary::{summarize_functions, FnSummary};
 use ms_isa::{Op, Program, Reg, RegMask, StopCond, TargetKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -133,8 +133,7 @@ impl Checker<'_> {
         if matches!(instr.op, Op::Halt) {
             return Vec::new();
         }
-        // `b target` assembles to `beq $0, $0`: an always-taken branch.
-        let always_taken = matches!(instr.op, Op::Beq { rs, rt, .. } if rs == rt);
+        let always_taken = instr.op.is_always_taken();
         let is_branch = instr.op.is_branch() && !always_taken;
         match instr.tags.stop {
             StopCond::Always => return Vec::new(),
@@ -145,7 +144,7 @@ impl Checker<'_> {
                 return if only_unconditional {
                     Vec::new()
                 } else {
-                    branch_target(&instr.op, pc).into_iter().collect()
+                    instr.op.branch_target(pc).into_iter().collect()
                 };
             }
             StopCond::IfTaken | StopCond::IfNotTaken if always_taken => {
@@ -153,23 +152,23 @@ impl Checker<'_> {
                 // statically: `!st` fires (exit), `!sn` never does.
                 return match instr.tags.stop {
                     StopCond::IfTaken => Vec::new(),
-                    _ => branch_target(&instr.op, pc).into_iter().collect(),
+                    _ => instr.op.branch_target(pc).into_iter().collect(),
                 };
             }
             _ => {}
         }
         match instr.op {
-            Op::J { target } => vec![target],
+            Op::Jump { link: false, target } => vec![target],
             // Callee effects are folded in via summaries at the visit site.
-            Op::Jal { .. } => vec![pc + 4],
+            Op::Jump { link: true, .. } => vec![pc + 4],
             Op::Jr { .. } | Op::Jalr { .. } => Vec::new(),
-            _ if always_taken => branch_target(&instr.op, pc).into_iter().collect(),
+            _ if always_taken => instr.op.branch_target(pc).into_iter().collect(),
             ref op if op.is_branch() => {
                 if only_unconditional {
                     Vec::new()
                 } else {
                     let mut v = vec![pc + 4];
-                    if let Some(t) = branch_target(op, pc) {
+                    if let Some(t) = op.branch_target(pc) {
                         v.push(t);
                     }
                     v
@@ -220,7 +219,7 @@ impl Checker<'_> {
                 if let Some(d) = instr.op.def() {
                     written.insert(d);
                 }
-                if let Op::Jal { target } = instr.op {
+                if let Op::Jump { link: true, target } = instr.op {
                     if let Some(sum) = self.summaries.get(&target) {
                         written = written.union(sum.writes);
                     }
@@ -367,7 +366,7 @@ impl Checker<'_> {
             match instr.tags.stop {
                 StopCond::Always => {
                     match instr.op {
-                        Op::J { target } | Op::Jal { target } => {
+                        Op::Jump { target, .. } => {
                             exits.insert(StaticExit::Addr(target));
                         }
                         Op::Jr { rs } => {
@@ -381,7 +380,7 @@ impl Checker<'_> {
                             exits.insert(StaticExit::Unverifiable(pc));
                         }
                         ref op if op.is_branch() => {
-                            if let Some(t) = branch_target(op, pc) {
+                            if let Some(t) = op.branch_target(pc) {
                                 exits.insert(StaticExit::Addr(t));
                             }
                             exits.insert(StaticExit::Addr(pc + 4));
@@ -393,7 +392,7 @@ impl Checker<'_> {
                     continue; // the path ends at a stop-always
                 }
                 StopCond::IfTaken if is_branch => {
-                    if let Some(t) = branch_target(&instr.op, pc) {
+                    if let Some(t) = instr.op.branch_target(pc) {
                         exits.insert(StaticExit::Addr(t));
                     }
                     work.push_back(pc + 4); // not-taken continues the task
@@ -401,7 +400,7 @@ impl Checker<'_> {
                 }
                 StopCond::IfNotTaken if is_branch => {
                     exits.insert(StaticExit::Addr(pc + 4));
-                    if let Some(t) = branch_target(&instr.op, pc) {
+                    if let Some(t) = instr.op.branch_target(pc) {
                         work.push_back(t); // taken continues the task
                     }
                     continue;
@@ -418,8 +417,8 @@ impl Checker<'_> {
             }
 
             match instr.op {
-                Op::J { target } => work.push_back(target),
-                Op::Jal { target } => {
+                Op::Jump { link: false, target } => work.push_back(target),
+                Op::Jump { link: true, target } => {
                     if let Some(sum) = self.summaries.get(&target).cloned() {
                         forwards = forwards.union(sum.forwards);
                         releases = releases.union(sum.releases);
@@ -467,7 +466,7 @@ impl Checker<'_> {
                 }
                 ref op if op.is_branch() => {
                     work.push_back(pc + 4);
-                    if let Some(t) = branch_target(op, pc) {
+                    if let Some(t) = op.branch_target(pc) {
                         work.push_back(t);
                     }
                 }
@@ -562,13 +561,13 @@ pub fn check_program(prog: &Program) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ms_isa::{Instr, Op, TaskDescriptor, TaskTarget};
+    use ms_isa::{AluImmOp, Instr, Op, TaskDescriptor, TaskTarget};
 
     /// A minimal two-instruction program with one well-formed task.
     fn tiny_program() -> Program {
         let mut prog = Program::new();
         prog.text = vec![
-            Instr::new(Op::Addiu { rt: Reg::int(2), rs: Reg::ZERO, imm: 1 }),
+            Instr::new(Op::AluImm { op: AluImmOp::Addiu, rt: Reg::int(2), rs: Reg::ZERO, imm: 1 }),
             Instr::new(Op::Halt),
         ];
         let entry = prog.text_base;

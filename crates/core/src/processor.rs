@@ -340,22 +340,11 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         &self.sink.0
     }
 
-    /// Mutable access to the attached trace sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink.0
-    }
-
     /// Finishes both sinks and returns the first, consuming the
     /// processor.
     pub fn into_sink(mut self) -> S {
         self.sink.finish();
         self.sink.0
-    }
-
-    /// Writes raw bytes into simulated memory (workload inputs), before or
-    /// between runs.
-    pub fn write_mem(&mut self, addr: u32, bytes: &[u8]) {
-        self.mem.write_slice(addr, bytes);
     }
 
     /// The architectural memory.

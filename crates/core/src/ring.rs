@@ -89,21 +89,10 @@ impl Ring {
         arrivals
     }
 
-    /// [`Ring::step`] with trace instrumentation: emits a `RingHop` per
-    /// arriving message.
-    pub fn step_traced<S: ms_trace::TraceSink>(
-        &mut self,
-        now: u64,
-        sink: &mut S,
-    ) -> Vec<(usize, RingMsg)> {
-        let mut arrivals = Vec::new();
-        self.step_into(now, &mut arrivals, sink);
-        arrivals
-    }
-
-    /// The allocation-free form of [`Ring::step_traced`]: appends this
+    /// The allocation-free, traced form of [`Ring::step`]: appends this
     /// cycle's arrivals into a caller-owned buffer (the per-cycle
-    /// processor step reuses one across cycles).
+    /// processor step reuses one across cycles) and emits a `RingHop` per
+    /// arriving message.
     pub fn step_into<S: ms_trace::TraceSink>(
         &mut self,
         now: u64,

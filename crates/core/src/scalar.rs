@@ -59,11 +59,6 @@ impl ScalarProcessor {
         })
     }
 
-    /// Writes raw bytes into simulated memory (workload inputs).
-    pub fn write_mem(&mut self, addr: u32, bytes: &[u8]) {
-        self.mem.write_slice(addr, bytes);
-    }
-
     /// The architectural memory.
     pub fn memory(&self) -> &Memory {
         &self.mem

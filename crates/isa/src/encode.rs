@@ -13,9 +13,13 @@
 //! * `SH`:  `[op:8][rd:6][rt:6][sh:6][0:6]`
 //! * `L18`: `[op:8][rt:6][imm:18]` (signed; `lui` shifts left 12)
 //! * `J24`: `[op:8][word_target:24]`
+//!
+//! The opcode byte and the immediate fields come from the operation's
+//! format table in [`crate::op`]; decoding looks the opcode byte up in the
+//! same tables. This module only lays the fields out.
 
 use crate::instr::Instr;
-use crate::op::{FpArithKind, FpCmpCond, MemWidth, Op, Prec, RegList};
+use crate::op::{ImmField, Op, RegList};
 use crate::reg::Reg;
 use crate::tags::{StopCond, TagBits};
 use std::fmt;
@@ -86,125 +90,11 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-mod opc {
-    pub const NOP: u8 = 0;
-    pub const ADDU: u8 = 1;
-    pub const SUBU: u8 = 2;
-    pub const AND: u8 = 3;
-    pub const OR: u8 = 4;
-    pub const XOR: u8 = 5;
-    pub const NOR: u8 = 6;
-    pub const SLLV: u8 = 7;
-    pub const SRLV: u8 = 8;
-    pub const SRAV: u8 = 9;
-    pub const SLT: u8 = 10;
-    pub const SLTU: u8 = 11;
-    pub const MUL: u8 = 12;
-    pub const DIV: u8 = 13;
-    pub const REM: u8 = 14;
-    pub const ADDIU: u8 = 15;
-    pub const ANDI: u8 = 16;
-    pub const ORI: u8 = 17;
-    pub const XORI: u8 = 18;
-    pub const SLTI: u8 = 19;
-    pub const SLTIU: u8 = 20;
-    pub const SLL: u8 = 21;
-    pub const SRL: u8 = 22;
-    pub const SRA: u8 = 23;
-    pub const LUI: u8 = 24;
-    pub const LB: u8 = 25;
-    pub const LBU: u8 = 26;
-    pub const LH: u8 = 27;
-    pub const LHU: u8 = 28;
-    pub const LW: u8 = 29;
-    pub const LWU: u8 = 30;
-    pub const LD: u8 = 31;
-    pub const SB: u8 = 32;
-    pub const SH: u8 = 33;
-    pub const SW: u8 = 34;
-    pub const SD: u8 = 35;
-    pub const BEQ: u8 = 36;
-    pub const BNE: u8 = 37;
-    pub const BLEZ: u8 = 38;
-    pub const BGTZ: u8 = 39;
-    pub const BLTZ: u8 = 40;
-    pub const BGEZ: u8 = 41;
-    pub const J: u8 = 42;
-    pub const JAL: u8 = 43;
-    pub const JR: u8 = 44;
-    pub const JALR: u8 = 45;
-    pub const ADDS: u8 = 46;
-    pub const SUBS: u8 = 47;
-    pub const MULS: u8 = 48;
-    pub const DIVS: u8 = 49;
-    pub const ADDD: u8 = 50;
-    pub const SUBD: u8 = 51;
-    pub const MULD: u8 = 52;
-    pub const DIVD: u8 = 53;
-    pub const CEQS: u8 = 54;
-    pub const CLTS: u8 = 55;
-    pub const CLES: u8 = 56;
-    pub const CEQD: u8 = 57;
-    pub const CLTD: u8 = 58;
-    pub const CLED: u8 = 59;
-    pub const NEGS: u8 = 60;
-    pub const NEGD: u8 = 61;
-    pub const ABSS: u8 = 62;
-    pub const ABSD: u8 = 63;
-    pub const MOVD: u8 = 64;
-    pub const CVTDW: u8 = 65;
-    pub const CVTWD: u8 = 66;
-    pub const DMTC1: u8 = 67;
-    pub const DMFC1: u8 = 68;
-    pub const RELEASE: u8 = 69;
-    pub const HALT: u8 = 70;
-}
-
 fn r3(op: u8, a: Reg, b: Reg, c: Reg) -> u32 {
     ((op as u32) << 24)
         | ((a.index() as u32) << 18)
         | ((b.index() as u32) << 12)
         | ((c.index() as u32) << 6)
-}
-
-fn fits_signed(v: i64, bits: u32) -> bool {
-    let lo = -(1i64 << (bits - 1));
-    let hi = (1i64 << (bits - 1)) - 1;
-    (lo..=hi).contains(&v)
-}
-
-fn fits_unsigned(v: i64, bits: u32) -> bool {
-    (0..(1i64 << bits)).contains(&v)
-}
-
-/// Validates a shift amount (0..=63) and maps it into a 6-bit register
-/// field. Out-of-range amounts are a caller bug: silently wrapping them
-/// would encode a different program than the one requested.
-fn shamt(sh: u8, text: &Instr) -> Result<Reg, EncodeError> {
-    debug_assert!(sh < 64, "shift amount {sh} out of range in `{text}`");
-    if sh >= 64 {
-        return Err(EncodeError::ImmOutOfRange {
-            instr: text.to_string(),
-            value: sh as i64,
-            bits: 6,
-        });
-    }
-    Ok(Reg::from_index(sh as usize).unwrap())
-}
-
-fn i12(op: u8, a: Reg, b: Reg, imm: i32, signed: bool, text: &Instr) -> Result<u32, EncodeError> {
-    let ok = if signed { fits_signed(imm as i64, 12) } else { fits_unsigned(imm as i64, 12) };
-    if !ok {
-        return Err(EncodeError::ImmOutOfRange {
-            instr: text.to_string(),
-            value: imm as i64,
-            bits: 12,
-        });
-    }
-    Ok(((op as u32) << 24)
-        | ((a.index() as u32) << 18)
-        | ((b.index() as u32) << 12)
-        | ((imm as u32) & 0xfff))
 }
 
 /// Encodes an instruction to `(word, tag_bits)`.
@@ -213,113 +103,54 @@ fn i12(op: u8, a: Reg, b: Reg, imm: i32, signed: bool, text: &Instr) -> Result<u
 /// Returns [`EncodeError`] if an immediate or target does not fit its
 /// field; the assembler guarantees in-range operands for assembled code.
 pub fn encode(instr: &Instr) -> Result<(u32, u8), EncodeError> {
-    use opc::*;
-    use Op::*;
+    let opc = instr.op.opcode();
+    let z = Reg::ZERO;
+    // `v` in the low bits, if `field` holds it.
+    let imm = |v: i32, field: ImmField| {
+        if field.fits(v as i64) {
+            Ok(v as u32 & ((1 << field.bits) - 1))
+        } else {
+            Err(EncodeError::ImmOutOfRange {
+                instr: instr.to_string(),
+                value: v as i64,
+                bits: field.bits,
+            })
+        }
+    };
     let word = match instr.op {
-        Nop => 0,
-        Halt => (HALT as u32) << 24,
-        Addu { rd, rs, rt } => r3(ADDU, rd, rs, rt),
-        Subu { rd, rs, rt } => r3(SUBU, rd, rs, rt),
-        And { rd, rs, rt } => r3(AND, rd, rs, rt),
-        Or { rd, rs, rt } => r3(OR, rd, rs, rt),
-        Xor { rd, rs, rt } => r3(XOR, rd, rs, rt),
-        Nor { rd, rs, rt } => r3(NOR, rd, rs, rt),
-        Sllv { rd, rt, rs } => r3(SLLV, rd, rt, rs),
-        Srlv { rd, rt, rs } => r3(SRLV, rd, rt, rs),
-        Srav { rd, rt, rs } => r3(SRAV, rd, rt, rs),
-        Slt { rd, rs, rt } => r3(SLT, rd, rs, rt),
-        Sltu { rd, rs, rt } => r3(SLTU, rd, rs, rt),
-        Mul { rd, rs, rt } => r3(MUL, rd, rs, rt),
-        Div { rd, rs, rt } => r3(DIV, rd, rs, rt),
-        Rem { rd, rs, rt } => r3(REM, rd, rs, rt),
-        Addiu { rt, rs, imm } => i12(ADDIU, rt, rs, imm, true, instr)?,
-        Andi { rt, rs, imm } => i12(ANDI, rt, rs, imm, false, instr)?,
-        Ori { rt, rs, imm } => i12(ORI, rt, rs, imm, false, instr)?,
-        Xori { rt, rs, imm } => i12(XORI, rt, rs, imm, false, instr)?,
-        Slti { rt, rs, imm } => i12(SLTI, rt, rs, imm, true, instr)?,
-        Sltiu { rt, rs, imm } => i12(SLTIU, rt, rs, imm, true, instr)?,
-        Sll { rd, rt, sh } => r3(SLL, rd, rt, shamt(sh, instr)?),
-        Srl { rd, rt, sh } => r3(SRL, rd, rt, shamt(sh, instr)?),
-        Sra { rd, rt, sh } => r3(SRA, rd, rt, shamt(sh, instr)?),
-        Lui { rt, imm } => {
-            if !fits_signed(imm as i64, 18) {
-                return Err(EncodeError::ImmOutOfRange {
-                    instr: instr.to_string(),
-                    value: imm as i64,
-                    bits: 18,
-                });
-            }
-            ((LUI as u32) << 24) | ((rt.index() as u32) << 18) | ((imm as u32) & 0x3ffff)
+        Op::Alu { rd: a, rs: b, rt: c, .. }
+        | Op::ShiftV { rd: a, rt: b, rs: c, .. }
+        | Op::FpArith { fd: a, fs: b, ft: c, .. }
+        | Op::FpCmp { rd: a, fs: b, ft: c, .. } => r3(opc, a, b, c),
+        Op::Shift { rd, rt, sh, .. } => {
+            // Out-of-range amounts are a caller bug: silently wrapping
+            // them would encode a different program than the one requested.
+            debug_assert!(sh < 64, "shift amount {sh} out of range in `{instr}`");
+            r3(opc, rd, rt, z) | imm(sh as i32, ImmField::SHAMT)? << 6
         }
-        Load { width, signed, rt, base, off } => {
-            let op = match (width, signed) {
-                (MemWidth::B, true) => LB,
-                (MemWidth::B, false) => LBU,
-                (MemWidth::H, true) => LH,
-                (MemWidth::H, false) => LHU,
-                (MemWidth::W, true) => LW,
-                (MemWidth::W, false) => LWU,
-                (MemWidth::D, _) => LD,
-            };
-            i12(op, rt, base, off, true, instr)?
-        }
-        Store { width, rt, base, off } => {
-            let op = match width {
-                MemWidth::B => SB,
-                MemWidth::H => SH,
-                MemWidth::W => SW,
-                MemWidth::D => SD,
-            };
-            i12(op, rt, base, off, true, instr)?
-        }
-        Beq { rs, rt, off } => i12(BEQ, rs, rt, off, true, instr)?,
-        Bne { rs, rt, off } => i12(BNE, rs, rt, off, true, instr)?,
-        Blez { rs, off } => i12(BLEZ, rs, Reg::ZERO, off, true, instr)?,
-        Bgtz { rs, off } => i12(BGTZ, rs, Reg::ZERO, off, true, instr)?,
-        Bltz { rs, off } => i12(BLTZ, rs, Reg::ZERO, off, true, instr)?,
-        Bgez { rs, off } => i12(BGEZ, rs, Reg::ZERO, off, true, instr)?,
-        J { target } | Jal { target } => {
-            let op = if matches!(instr.op, J { .. }) { J } else { JAL };
-            if target % 4 != 0 || (target / 4) >= (1 << 24) {
+        Op::AluImm { op, rt, rs, imm: v } => r3(opc, rt, rs, z) | imm(v, op.field())?,
+        Op::Lui { rt, imm: v } => r3(opc, rt, z, z) | imm(v, ImmField::L18)?,
+        Op::Load { rt: a, base: b, off, .. }
+        | Op::Store { rt: a, base: b, off, .. }
+        | Op::Branch { rs: a, rt: b, off, .. } => r3(opc, a, b, z) | imm(off, ImmField::I12)?,
+        Op::BranchZ { rs, off, .. } => r3(opc, rs, z, z) | imm(off, ImmField::I12)?,
+        Op::Jump { target, .. } => {
+            if !ImmField::J24.fits_words(target as i64) {
                 return Err(EncodeError::BadTarget { target });
             }
-            ((op as u32) << 24) | (target / 4)
+            ((opc as u32) << 24) | (target / 4)
         }
-        Jr { rs } => r3(JR, Reg::ZERO, rs, Reg::ZERO),
-        Jalr { rd, rs } => r3(JALR, rd, rs, Reg::ZERO),
-        FpArith { kind, prec, fd, fs, ft } => {
-            let op = match (kind, prec) {
-                (FpArithKind::Add, Prec::S) => ADDS,
-                (FpArithKind::Sub, Prec::S) => SUBS,
-                (FpArithKind::Mul, Prec::S) => MULS,
-                (FpArithKind::Div, Prec::S) => DIVS,
-                (FpArithKind::Add, Prec::D) => ADDD,
-                (FpArithKind::Sub, Prec::D) => SUBD,
-                (FpArithKind::Mul, Prec::D) => MULD,
-                (FpArithKind::Div, Prec::D) => DIVD,
-            };
-            r3(op, fd, fs, ft)
-        }
-        FpCmp { cond, prec, rd, fs, ft } => {
-            let op = match (cond, prec) {
-                (FpCmpCond::Eq, Prec::S) => CEQS,
-                (FpCmpCond::Lt, Prec::S) => CLTS,
-                (FpCmpCond::Le, Prec::S) => CLES,
-                (FpCmpCond::Eq, Prec::D) => CEQD,
-                (FpCmpCond::Lt, Prec::D) => CLTD,
-                (FpCmpCond::Le, Prec::D) => CLED,
-            };
-            r3(op, rd, fs, ft)
-        }
-        FpNeg { prec, fd, fs } => r3(if prec == Prec::S { NEGS } else { NEGD }, fd, fs, Reg::ZERO),
-        FpAbs { prec, fd, fs } => r3(if prec == Prec::S { ABSS } else { ABSD }, fd, fs, Reg::ZERO),
-        FpMov { fd, fs } => r3(MOVD, fd, fs, Reg::ZERO),
-        CvtDW { fd, rs } => r3(CVTDW, fd, rs, Reg::ZERO),
-        CvtWD { rd, fs } => r3(CVTWD, rd, fs, Reg::ZERO),
-        Dmtc1 { fs, rt } => r3(DMTC1, fs, rt, Reg::ZERO),
-        Dmfc1 { rt, fs } => r3(DMFC1, rt, fs, Reg::ZERO),
-        Release { regs } => {
-            let mut fields = [0u32; 3];
+        Op::Jr { rs } => r3(opc, z, rs, z),
+        Op::Jalr { rd: a, rs: b }
+        | Op::FpNeg { fd: a, fs: b, .. }
+        | Op::FpAbs { fd: a, fs: b, .. }
+        | Op::FpMov { fd: a, fs: b }
+        | Op::CvtDW { fd: a, rs: b }
+        | Op::CvtWD { rd: a, fs: b }
+        | Op::Dmtc1 { fs: a, rt: b }
+        | Op::Dmfc1 { rt: a, fs: b } => r3(opc, a, b, z),
+        Op::Release { regs } => {
+            let mut fields = [z; 3];
             if regs.is_empty() {
                 return Err(EncodeError::BadRelease { instr: instr.to_string() });
             }
@@ -330,10 +161,11 @@ pub fn encode(instr: &Instr) -> Result<(u32, u8), EncodeError> {
                     // silently dropped on decode.
                     return Err(EncodeError::BadRelease { instr: instr.to_string() });
                 }
-                fields[i] = r.index() as u32;
+                fields[i] = r;
             }
-            ((RELEASE as u32) << 24) | (fields[0] << 18) | (fields[1] << 12) | (fields[2] << 6)
+            r3(opc, fields[0], fields[1], fields[2])
         }
+        Op::Halt | Op::Nop => r3(opc, z, z, z),
     };
     let tag = encode_tags(instr.tags);
     Ok((word, tag))
@@ -367,128 +199,46 @@ fn reg_field(word: u32, shift: u32) -> Result<Reg, DecodeError> {
     Reg::from_index(v as usize).ok_or(DecodeError::BadReg(v))
 }
 
-fn imm12(word: u32, signed: bool) -> i32 {
-    let raw = (word & 0xfff) as i32;
-    if signed && raw & 0x800 != 0 {
-        raw - 0x1000
-    } else {
-        raw
-    }
-}
-
 /// Decodes `(word, tag_bits)` back into an [`Instr`].
 ///
 /// # Errors
 /// Returns [`DecodeError`] on an unknown opcode, invalid register field,
 /// or invalid tag bits.
 pub fn decode(word: u32, tag: u8) -> Result<Instr, DecodeError> {
-    use opc::*;
-    use Op::*;
     let opb = (word >> 24) as u8;
     let a = || reg_field(word, 18);
     let b = || reg_field(word, 12);
     let c = || reg_field(word, 6);
-    let op = match opb {
-        NOP => Nop,
-        HALT => Halt,
-        ADDU => Addu { rd: a()?, rs: b()?, rt: c()? },
-        SUBU => Subu { rd: a()?, rs: b()?, rt: c()? },
-        AND => And { rd: a()?, rs: b()?, rt: c()? },
-        OR => Or { rd: a()?, rs: b()?, rt: c()? },
-        XOR => Xor { rd: a()?, rs: b()?, rt: c()? },
-        NOR => Nor { rd: a()?, rs: b()?, rt: c()? },
-        SLLV => Sllv { rd: a()?, rt: b()?, rs: c()? },
-        SRLV => Srlv { rd: a()?, rt: b()?, rs: c()? },
-        SRAV => Srav { rd: a()?, rt: b()?, rs: c()? },
-        SLT => Slt { rd: a()?, rs: b()?, rt: c()? },
-        SLTU => Sltu { rd: a()?, rs: b()?, rt: c()? },
-        MUL => Mul { rd: a()?, rs: b()?, rt: c()? },
-        DIV => Div { rd: a()?, rs: b()?, rt: c()? },
-        REM => Rem { rd: a()?, rs: b()?, rt: c()? },
-        ADDIU => Addiu { rt: a()?, rs: b()?, imm: imm12(word, true) },
-        ANDI => Andi { rt: a()?, rs: b()?, imm: imm12(word, false) },
-        ORI => Ori { rt: a()?, rs: b()?, imm: imm12(word, false) },
-        XORI => Xori { rt: a()?, rs: b()?, imm: imm12(word, false) },
-        SLTI => Slti { rt: a()?, rs: b()?, imm: imm12(word, true) },
-        SLTIU => Sltiu { rt: a()?, rs: b()?, imm: imm12(word, true) },
-        SLL => Sll { rd: a()?, rt: b()?, sh: ((word >> 6) & 0x3f) as u8 },
-        SRL => Srl { rd: a()?, rt: b()?, sh: ((word >> 6) & 0x3f) as u8 },
-        SRA => Sra { rd: a()?, rt: b()?, sh: ((word >> 6) & 0x3f) as u8 },
-        LUI => {
-            let raw = (word & 0x3ffff) as i32;
-            let imm = if raw & 0x20000 != 0 { raw - 0x40000 } else { raw };
-            Lui { rt: a()?, imm }
+    let off = ImmField::I12.read(word);
+    let op = match Op::from_opcode(opb).ok_or(DecodeError::BadOpcode(opb))? {
+        Op::Alu { op, .. } => Op::Alu { op, rd: a()?, rs: b()?, rt: c()? },
+        Op::ShiftV { op, .. } => Op::ShiftV { op, rd: a()?, rt: b()?, rs: c()? },
+        Op::Shift { op, .. } => {
+            Op::Shift { op, rd: a()?, rt: b()?, sh: ImmField::SHAMT.read(word >> 6) as u8 }
         }
-        LB | LBU | LH | LHU | LW | LWU | LD => {
-            let (width, signed) = match opb {
-                LB => (MemWidth::B, true),
-                LBU => (MemWidth::B, false),
-                LH => (MemWidth::H, true),
-                LHU => (MemWidth::H, false),
-                LW => (MemWidth::W, true),
-                LWU => (MemWidth::W, false),
-                _ => (MemWidth::D, true),
-            };
-            Load { width, signed, rt: a()?, base: b()?, off: imm12(word, true) }
-        }
-        SB | SH | SW | SD => {
-            let width = match opb {
-                SB => MemWidth::B,
-                SH => MemWidth::H,
-                SW => MemWidth::W,
-                _ => MemWidth::D,
-            };
-            Store { width, rt: a()?, base: b()?, off: imm12(word, true) }
-        }
-        BEQ => Beq { rs: a()?, rt: b()?, off: imm12(word, true) },
-        BNE => Bne { rs: a()?, rt: b()?, off: imm12(word, true) },
-        BLEZ => Blez { rs: a()?, off: imm12(word, true) },
-        BGTZ => Bgtz { rs: a()?, off: imm12(word, true) },
-        BLTZ => Bltz { rs: a()?, off: imm12(word, true) },
-        BGEZ => Bgez { rs: a()?, off: imm12(word, true) },
-        J => Op::J { target: (word & 0xff_ffff) * 4 },
-        JAL => Jal { target: (word & 0xff_ffff) * 4 },
-        JR => Jr { rs: b()? },
-        JALR => Jalr { rd: a()?, rs: b()? },
-        ADDS | SUBS | MULS | DIVS | ADDD | SUBD | MULD | DIVD => {
-            let (kind, prec) = match opb {
-                ADDS => (FpArithKind::Add, Prec::S),
-                SUBS => (FpArithKind::Sub, Prec::S),
-                MULS => (FpArithKind::Mul, Prec::S),
-                DIVS => (FpArithKind::Div, Prec::S),
-                ADDD => (FpArithKind::Add, Prec::D),
-                SUBD => (FpArithKind::Sub, Prec::D),
-                MULD => (FpArithKind::Mul, Prec::D),
-                _ => (FpArithKind::Div, Prec::D),
-            };
-            FpArith { kind, prec, fd: a()?, fs: b()?, ft: c()? }
-        }
-        CEQS | CLTS | CLES | CEQD | CLTD | CLED => {
-            let (cond, prec) = match opb {
-                CEQS => (FpCmpCond::Eq, Prec::S),
-                CLTS => (FpCmpCond::Lt, Prec::S),
-                CLES => (FpCmpCond::Le, Prec::S),
-                CEQD => (FpCmpCond::Eq, Prec::D),
-                CLTD => (FpCmpCond::Lt, Prec::D),
-                _ => (FpCmpCond::Le, Prec::D),
-            };
-            FpCmp { cond, prec, rd: a()?, fs: b()?, ft: c()? }
-        }
-        NEGS => FpNeg { prec: Prec::S, fd: a()?, fs: b()? },
-        NEGD => FpNeg { prec: Prec::D, fd: a()?, fs: b()? },
-        ABSS => FpAbs { prec: Prec::S, fd: a()?, fs: b()? },
-        ABSD => FpAbs { prec: Prec::D, fd: a()?, fs: b()? },
-        MOVD => FpMov { fd: a()?, fs: b()? },
-        CVTDW => CvtDW { fd: a()?, rs: b()? },
-        CVTWD => CvtWD { rd: a()?, fs: b()? },
-        DMTC1 => Dmtc1 { fs: a()?, rt: b()? },
-        DMFC1 => Dmfc1 { rt: a()?, fs: b()? },
-        RELEASE => {
+        Op::AluImm { op, .. } => Op::AluImm { op, rt: a()?, rs: b()?, imm: op.field().read(word) },
+        Op::Lui { .. } => Op::Lui { rt: a()?, imm: ImmField::L18.read(word) },
+        Op::Load { width, signed, .. } => Op::Load { width, signed, rt: a()?, base: b()?, off },
+        Op::Store { width, .. } => Op::Store { width, rt: a()?, base: b()?, off },
+        Op::Branch { cond, .. } => Op::Branch { cond, rs: a()?, rt: b()?, off },
+        Op::BranchZ { cond, .. } => Op::BranchZ { cond, rs: a()?, off },
+        Op::Jump { link, .. } => Op::Jump { link, target: ImmField::J24.read(word) as u32 * 4 },
+        Op::Jr { .. } => Op::Jr { rs: b()? },
+        Op::Jalr { .. } => Op::Jalr { rd: a()?, rs: b()? },
+        Op::FpArith { kind, prec, .. } => Op::FpArith { kind, prec, fd: a()?, fs: b()?, ft: c()? },
+        Op::FpCmp { cond, prec, .. } => Op::FpCmp { cond, prec, rd: a()?, fs: b()?, ft: c()? },
+        Op::FpNeg { prec, .. } => Op::FpNeg { prec, fd: a()?, fs: b()? },
+        Op::FpAbs { prec, .. } => Op::FpAbs { prec, fd: a()?, fs: b()? },
+        Op::FpMov { .. } => Op::FpMov { fd: a()?, fs: b()? },
+        Op::CvtDW { .. } => Op::CvtDW { fd: a()?, rs: b()? },
+        Op::CvtWD { .. } => Op::CvtWD { rd: a()?, fs: b()? },
+        Op::Dmtc1 { .. } => Op::Dmtc1 { fs: a()?, rt: b()? },
+        Op::Dmfc1 { .. } => Op::Dmfc1 { rt: a()?, fs: b()? },
+        Op::Release { .. } => {
             let mut regs = RegList::EMPTY;
-            for shift in [18u32, 12, 6] {
-                let v = ((word >> shift) & 0x3f) as usize;
-                if v != 0 {
-                    regs.push(Reg::from_index(v).ok_or(DecodeError::BadReg(v as u8))?);
+            for r in [a()?, b()?, c()?] {
+                if r != Reg::ZERO {
+                    regs.push(r);
                 }
             }
             if regs.is_empty() {
@@ -496,9 +246,9 @@ pub fn decode(word: u32, tag: u8) -> Result<Instr, DecodeError> {
                 // empty releases), so the word is corrupt.
                 return Err(DecodeError::BadReg(0));
             }
-            Release { regs }
+            Op::Release { regs }
         }
-        other => return Err(DecodeError::BadOpcode(other)),
+        nullary @ (Op::Halt | Op::Nop) => nullary,
     };
     Ok(Instr { op, tags: decode_tags(tag)? })
 }
@@ -506,6 +256,7 @@ pub fn decode(word: u32, tag: u8) -> Result<Instr, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::{AluImmOp, AluOp, BranchCond, FpArithKind, FpCmpCond, MemWidth, Prec, ShiftOp};
 
     fn roundtrip(i: Instr) {
         let (w, t) = encode(&i).expect("encode");
@@ -522,16 +273,17 @@ mod tests {
         let cases = vec![
             Instr::new(Op::Nop),
             Instr::new(Op::Halt),
-            Instr::new(Op::Addu { rd: r4, rs: r8, rt: Reg::int(9) }),
-            Instr::new(Op::Addiu { rt: r4, rs: r8, imm: -2048 }),
-            Instr::new(Op::Ori { rt: r4, rs: r8, imm: 4095 }),
-            Instr::new(Op::Sll { rd: r4, rt: r8, sh: 63 }),
+            Instr::new(Op::Alu { op: AluOp::Addu, rd: r4, rs: r8, rt: Reg::int(9) }),
+            Instr::new(Op::AluImm { op: AluImmOp::Addiu, rt: r4, rs: r8, imm: -2048 }),
+            Instr::new(Op::AluImm { op: AluImmOp::Ori, rt: r4, rs: r8, imm: 4095 }),
+            Instr::new(Op::Shift { op: ShiftOp::Sll, rd: r4, rt: r8, sh: 63 }),
             Instr::new(Op::Lui { rt: r4, imm: -131072 }),
             Instr::new(Op::Load { width: MemWidth::H, signed: false, rt: r4, base: r8, off: 2047 }),
             Instr::new(Op::Store { width: MemWidth::D, rt: r4, base: r8, off: -2048 }),
-            Instr::new(Op::Beq { rs: r4, rt: r8, off: -1 }).with_stop(StopCond::IfTaken),
-            Instr::new(Op::J { target: 0x3ff_fffc }),
-            Instr::new(Op::Jal { target: 0x1000 }),
+            Instr::new(Op::Branch { cond: BranchCond::Eq, rs: r4, rt: r8, off: -1 })
+                .with_stop(StopCond::IfTaken),
+            Instr::new(Op::Jump { link: false, target: 0x3ff_fffc }),
+            Instr::new(Op::Jump { link: true, target: 0x1000 }),
             Instr::new(Op::Jr { rs: Reg::RA }).with_stop(StopCond::Always),
             Instr::new(Op::FpArith {
                 kind: FpArithKind::Mul,
@@ -553,9 +305,14 @@ mod tests {
 
     #[test]
     fn out_of_range_immediates_fail() {
-        let i = Instr::new(Op::Addiu { rt: Reg::int(1), rs: Reg::int(2), imm: 2048 });
+        let i = Instr::new(Op::AluImm {
+            op: AluImmOp::Addiu,
+            rt: Reg::int(1),
+            rs: Reg::int(2),
+            imm: 2048,
+        });
         assert!(matches!(encode(&i), Err(EncodeError::ImmOutOfRange { .. })));
-        let j = Instr::new(Op::J { target: 3 });
+        let j = Instr::new(Op::Jump { link: false, target: 3 });
         assert!(matches!(encode(&j), Err(EncodeError::BadTarget { .. })));
     }
 
@@ -565,7 +322,8 @@ mod tests {
     fn out_of_range_shift_panics_in_debug() {
         // Shift amounts must never be silently masked: a wrapped amount
         // encodes a different program than the one requested.
-        let _ = encode(&Instr::new(Op::Sll { rd: Reg::int(2), rt: Reg::int(3), sh: 64 }));
+        let sll = Op::Shift { op: ShiftOp::Sll, rd: Reg::int(2), rt: Reg::int(3), sh: 64 };
+        let _ = encode(&Instr::new(sll));
     }
 
     #[test]
@@ -573,7 +331,8 @@ mod tests {
         let e = encode(&Instr::new(Op::Release { regs: RegList::EMPTY })).unwrap_err();
         assert!(matches!(e, EncodeError::BadRelease { .. }), "{e}");
         // And the all-zero-fields release word does not decode.
-        assert!(decode((opc::RELEASE as u32) << 24, 0).is_err());
+        let release = Op::Release { regs: RegList::EMPTY }.opcode();
+        assert!(decode((release as u32) << 24, 0).is_err());
     }
 
     #[test]

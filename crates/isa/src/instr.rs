@@ -58,12 +58,13 @@ impl fmt::Display for Instr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::BranchCond;
     use crate::reg::Reg;
 
     #[test]
     fn display_includes_tag_suffixes() {
-        let i = Instr::new(Op::Bne { rs: Reg::int(20), rt: Reg::int(16), off: -14 })
-            .with_stop(StopCond::Always);
+        let bne = Op::Branch { cond: BranchCond::Ne, rs: Reg::int(20), rt: Reg::int(16), off: -14 };
+        let i = Instr::new(bne).with_stop(StopCond::Always);
         assert_eq!(i.to_string(), "bne!s $20, $16, -14");
 
         let j = Instr::new(Op::Halt);

@@ -21,9 +21,9 @@
 //! executable [`Program`] image consumed by the simulators.
 //!
 //! ```
-//! use ms_isa::{Instr, Op, Reg};
+//! use ms_isa::{AluImmOp, Instr, Op, Reg};
 //!
-//! let i = Instr::new(Op::Addiu { rt: Reg::int(4), rs: Reg::int(4), imm: 16 })
+//! let i = Instr::new(Op::AluImm { op: AluImmOp::Addiu, rt: Reg::int(4), rs: Reg::int(4), imm: 16 })
 //!     .with_forward();
 //! assert!(i.tags.forward);
 //! assert_eq!(i.to_string(), "addiu!f $4, $4, 16");
@@ -43,7 +43,10 @@ mod task;
 
 pub use encode::{decode, encode, DecodeError, EncodeError};
 pub use instr::Instr;
-pub use op::{ExecClass, FpArithKind, FpCmpCond, FuClass, MemWidth, Op, Prec, RegList};
+pub use op::{
+    AluImmOp, AluOp, BranchCond, BranchZCond, ExecClass, FpArithKind, FpCmpCond, FuClass, ImmField,
+    MemWidth, Op, Prec, RegList, ShiftOp,
+};
 pub use predecode::{InstrMeta, PredecodedProgram};
 pub use program::{DataSegment, Program, DATA_BASE, STACK_TOP, TEXT_BASE};
 pub use reg::{Reg, NUM_REGS};

@@ -137,13 +137,18 @@ impl From<Program> for PredecodedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{MemWidth, Op};
+    use crate::op::{AluImmOp, BranchCond, MemWidth, Op};
     use crate::program::TEXT_BASE;
 
     fn prog() -> Program {
         let mut p = Program::new();
         p.text = vec![
-            Instr::new(Op::Addiu { rt: Reg::int(2), rs: Reg::int(3), imm: 1 }),
+            Instr::new(Op::AluImm {
+                op: AluImmOp::Addiu,
+                rt: Reg::int(2),
+                rs: Reg::int(3),
+                imm: 1,
+            }),
             Instr::new(Op::Load {
                 width: MemWidth::W,
                 signed: true,
@@ -151,7 +156,12 @@ mod tests {
                 base: Reg::int(29),
                 off: 8,
             }),
-            Instr::new(Op::Bne { rs: Reg::int(2), rt: Reg::int(0), off: -2 }),
+            Instr::new(Op::Branch {
+                cond: BranchCond::Ne,
+                rs: Reg::int(2),
+                rt: Reg::int(0),
+                off: -2,
+            }),
             Instr::new(Op::Halt),
         ];
         p

@@ -73,11 +73,6 @@ impl Program {
         self.symbols.get(name).copied()
     }
 
-    /// Total dynamic size of initialized data in bytes.
-    pub fn data_len(&self) -> usize {
-        self.data.iter().map(|d| d.bytes.len()).sum()
-    }
-
     /// Renders a human-readable listing: addresses, labels, task headers,
     /// and disassembly (the shape of the paper's Figure 4).
     pub fn listing(&self) -> String {
@@ -106,7 +101,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Op;
+    use crate::op::{AluImmOp, Op};
     use crate::reg::Reg;
     use crate::tags::RegMask;
     use crate::task::TaskTarget;
@@ -114,7 +109,7 @@ mod tests {
     fn tiny() -> Program {
         let mut p = Program::new();
         p.text = vec![
-            Instr::new(Op::Addiu { rt: Reg::int(2), rs: Reg::ZERO, imm: 1 }),
+            Instr::new(Op::AluImm { op: AluImmOp::Addiu, rt: Reg::int(2), rs: Reg::ZERO, imm: 1 }),
             Instr::new(Op::Halt),
         ];
         p.symbols.insert("main".into(), TEXT_BASE);

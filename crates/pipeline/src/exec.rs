@@ -75,62 +75,28 @@ pub fn extend_load(width: MemWidth, signed: bool, raw: u64) -> u64 {
 /// Executes `instr` at `pc`, reading sources through `read`.
 ///
 /// Loads are returned as a [`MemRequest`]; the caller performs the access
-/// and applies [`extend_load`]. Integer division by zero yields zero (the
-/// simulator defines this rather than trapping).
+/// and applies [`extend_load`]. The integer formats' semantics live with
+/// their opcode tables in `ms-isa` ([`ms_isa::AluOp::eval`] and its
+/// siblings).
 pub fn execute(instr: &Instr, pc: u32, read: impl Fn(Reg) -> u64) -> Outcome {
-    use Op::*;
     let mut out = Outcome::default();
-    let branch = |taken: bool, off: i32| ControlOutcome {
-        taken,
-        next_pc: if taken { (pc as i64 + 4 + (off as i64) * 4) as u32 } else { pc + 4 },
-        conditional: true,
+    let branch = |taken: bool| {
+        let next_pc = match instr.op.branch_target(pc) {
+            Some(target) if taken => target,
+            _ => pc + 4,
+        };
+        Some(ControlOutcome { taken, next_pc, conditional: true })
     };
+    let jump = |next_pc: u32| Some(ControlOutcome { taken: true, next_pc, conditional: false });
     match instr.op {
-        Nop => {}
-        Halt => out.halt = true,
-        Addu { rd, rs, rt } => out.writeback = Some((rd, read(rs).wrapping_add(read(rt)))),
-        Subu { rd, rs, rt } => out.writeback = Some((rd, read(rs).wrapping_sub(read(rt)))),
-        And { rd, rs, rt } => out.writeback = Some((rd, read(rs) & read(rt))),
-        Or { rd, rs, rt } => out.writeback = Some((rd, read(rs) | read(rt))),
-        Xor { rd, rs, rt } => out.writeback = Some((rd, read(rs) ^ read(rt))),
-        Nor { rd, rs, rt } => out.writeback = Some((rd, !(read(rs) | read(rt)))),
-        Sllv { rd, rt, rs } => out.writeback = Some((rd, read(rt) << (read(rs) & 63))),
-        Srlv { rd, rt, rs } => out.writeback = Some((rd, read(rt) >> (read(rs) & 63))),
-        Srav { rd, rt, rs } => {
-            out.writeback = Some((rd, ((read(rt) as i64) >> (read(rs) & 63)) as u64))
-        }
-        Slt { rd, rs, rt } => {
-            out.writeback = Some((rd, ((read(rs) as i64) < (read(rt) as i64)) as u64))
-        }
-        Sltu { rd, rs, rt } => out.writeback = Some((rd, (read(rs) < read(rt)) as u64)),
-        Mul { rd, rs, rt } => out.writeback = Some((rd, read(rs).wrapping_mul(read(rt)))),
-        Div { rd, rs, rt } => {
-            let d = read(rt) as i64;
-            let v = if d == 0 { 0 } else { (read(rs) as i64).wrapping_div(d) };
-            out.writeback = Some((rd, v as u64));
-        }
-        Rem { rd, rs, rt } => {
-            let d = read(rt) as i64;
-            let v = if d == 0 { 0 } else { (read(rs) as i64).wrapping_rem(d) };
-            out.writeback = Some((rd, v as u64));
-        }
-        Addiu { rt, rs, imm } => {
-            out.writeback = Some((rt, read(rs).wrapping_add(imm as i64 as u64)))
-        }
-        Andi { rt, rs, imm } => out.writeback = Some((rt, read(rs) & (imm as u32 as u64))),
-        Ori { rt, rs, imm } => out.writeback = Some((rt, read(rs) | (imm as u32 as u64))),
-        Xori { rt, rs, imm } => out.writeback = Some((rt, read(rs) ^ (imm as u32 as u64))),
-        Slti { rt, rs, imm } => {
-            out.writeback = Some((rt, ((read(rs) as i64) < (imm as i64)) as u64))
-        }
-        Sltiu { rt, rs, imm } => {
-            out.writeback = Some((rt, (read(rs) < (imm as i64 as u64)) as u64))
-        }
-        Sll { rd, rt, sh } => out.writeback = Some((rd, read(rt) << (sh & 63))),
-        Srl { rd, rt, sh } => out.writeback = Some((rd, read(rt) >> (sh & 63))),
-        Sra { rd, rt, sh } => out.writeback = Some((rd, ((read(rt) as i64) >> (sh & 63)) as u64)),
-        Lui { rt, imm } => out.writeback = Some((rt, ((imm as i64) << 12) as u64)),
-        Load { width, signed, rt, base, off } => {
+        Op::Nop => {}
+        Op::Halt => out.halt = true,
+        Op::Alu { op, rd, rs, rt } => out.writeback = Some((rd, op.eval(read(rs), read(rt)))),
+        Op::ShiftV { op, rd, rt, rs } => out.writeback = Some((rd, op.eval(read(rt), read(rs)))),
+        Op::Shift { op, rd, rt, sh } => out.writeback = Some((rd, op.eval(read(rt), sh as u64))),
+        Op::AluImm { op, rt, rs, imm } => out.writeback = Some((rt, op.eval(read(rs), imm))),
+        Op::Lui { rt, imm } => out.writeback = Some((rt, ((imm as i64) << 12) as u64)),
+        Op::Load { width, signed, rt, base, off } => {
             out.mem = Some(MemRequest {
                 is_store: false,
                 addr: (read(base) as i64).wrapping_add(off as i64) as u32,
@@ -140,7 +106,7 @@ pub fn execute(instr: &Instr, pc: u32, read: impl Fn(Reg) -> u64) -> Outcome {
                 dest: Some(rt),
             })
         }
-        Store { width, rt, base, off } => {
+        Op::Store { width, rt, base, off } => {
             out.mem = Some(MemRequest {
                 is_store: true,
                 addr: (read(base) as i64).wrapping_add(off as i64) as u32,
@@ -150,29 +116,21 @@ pub fn execute(instr: &Instr, pc: u32, read: impl Fn(Reg) -> u64) -> Outcome {
                 dest: None,
             })
         }
-        Beq { rs, rt, off } => out.control = Some(branch(read(rs) == read(rt), off)),
-        Bne { rs, rt, off } => out.control = Some(branch(read(rs) != read(rt), off)),
-        Blez { rs, off } => out.control = Some(branch(read(rs) as i64 <= 0, off)),
-        Bgtz { rs, off } => out.control = Some(branch(read(rs) as i64 > 0, off)),
-        Bltz { rs, off } => out.control = Some(branch((read(rs) as i64) < 0, off)),
-        Bgez { rs, off } => out.control = Some(branch(read(rs) as i64 >= 0, off)),
-        J { target } => {
-            out.control = Some(ControlOutcome { taken: true, next_pc: target, conditional: false })
+        Op::Branch { cond, rs, rt, .. } => out.control = branch(cond.taken(read(rs), read(rt))),
+        Op::BranchZ { cond, rs, .. } => out.control = branch(cond.taken(read(rs))),
+        Op::Jump { link, target } => {
+            if link {
+                out.writeback = Some((Reg::RA, (pc + 4) as u64));
+            }
+            out.control = jump(target);
         }
-        Jal { target } => {
-            out.writeback = Some((Reg::RA, (pc + 4) as u64));
-            out.control = Some(ControlOutcome { taken: true, next_pc: target, conditional: false });
-        }
-        Jr { rs } => {
-            out.control =
-                Some(ControlOutcome { taken: true, next_pc: read(rs) as u32, conditional: false })
-        }
-        Jalr { rd, rs } => {
+        Op::Jr { rs } => out.control = jump(read(rs) as u32),
+        Op::Jalr { rd, rs } => {
             let target = read(rs) as u32;
             out.writeback = Some((rd, (pc + 4) as u64));
-            out.control = Some(ControlOutcome { taken: true, next_pc: target, conditional: false });
+            out.control = jump(target);
         }
-        FpArith { kind, prec, fd, fs, ft } => {
+        Op::FpArith { kind, prec, fd, fs, ft } => {
             let v = match prec {
                 Prec::D => {
                     let (a, b) = (f64_of(read(fs)), f64_of(read(ft)));
@@ -197,7 +155,7 @@ pub fn execute(instr: &Instr, pc: u32, read: impl Fn(Reg) -> u64) -> Outcome {
             };
             out.writeback = Some((fd, v));
         }
-        FpCmp { cond, prec, rd, fs, ft } => {
+        Op::FpCmp { cond, prec, rd, fs, ft } => {
             let res = match prec {
                 Prec::D => {
                     let (a, b) = (f64_of(read(fs)), f64_of(read(ft)));
@@ -218,26 +176,26 @@ pub fn execute(instr: &Instr, pc: u32, read: impl Fn(Reg) -> u64) -> Outcome {
             };
             out.writeback = Some((rd, res as u64));
         }
-        FpNeg { prec, fd, fs } => {
+        Op::FpNeg { prec, fd, fs } => {
             let v = match prec {
                 Prec::D => (-f64_of(read(fs))).to_bits(),
                 Prec::S => (-f32_of(read(fs))).to_bits() as u64,
             };
             out.writeback = Some((fd, v));
         }
-        FpAbs { prec, fd, fs } => {
+        Op::FpAbs { prec, fd, fs } => {
             let v = match prec {
                 Prec::D => f64_of(read(fs)).abs().to_bits(),
                 Prec::S => f32_of(read(fs)).abs().to_bits() as u64,
             };
             out.writeback = Some((fd, v));
         }
-        FpMov { fd, fs } => out.writeback = Some((fd, read(fs))),
-        CvtDW { fd, rs } => out.writeback = Some((fd, ((read(rs) as i64) as f64).to_bits())),
-        CvtWD { rd, fs } => out.writeback = Some((rd, (f64_of(read(fs)) as i64) as u64)),
-        Dmtc1 { fs, rt } => out.writeback = Some((fs, read(rt))),
-        Dmfc1 { rt, fs } => out.writeback = Some((rt, read(fs))),
-        Release { regs } => out.release = Some(regs),
+        Op::FpMov { fd, fs } => out.writeback = Some((fd, read(fs))),
+        Op::CvtDW { fd, rs } => out.writeback = Some((fd, ((read(rs) as i64) as f64).to_bits())),
+        Op::CvtWD { rd, fs } => out.writeback = Some((rd, (f64_of(read(fs)) as i64) as u64)),
+        Op::Dmtc1 { fs, rt } => out.writeback = Some((fs, read(rt))),
+        Op::Dmfc1 { rt, fs } => out.writeback = Some((rt, read(fs))),
+        Op::Release { regs } => out.release = Some(regs),
     }
     out
 }
@@ -245,7 +203,7 @@ pub fn execute(instr: &Instr, pc: u32, read: impl Fn(Reg) -> u64) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ms_isa::StopCond;
+    use ms_isa::{AluOp, BranchCond, StopCond};
 
     fn run(op: Op, regs: &[(Reg, u64)]) -> Outcome {
         let read = |r: Reg| regs.iter().find(|(x, _)| *x == r).map(|(_, v)| *v).unwrap_or(0);
@@ -255,22 +213,24 @@ mod tests {
     #[test]
     fn integer_arithmetic() {
         let r = |n| Reg::int(n);
-        let out = run(Op::Addu { rd: r(3), rs: r(1), rt: r(2) }, &[(r(1), 5), (r(2), 7)]);
+        let alu = |op| Op::Alu { op, rd: r(3), rs: r(1), rt: r(2) };
+        let out = run(alu(AluOp::Addu), &[(r(1), 5), (r(2), 7)]);
         assert_eq!(out.writeback, Some((r(3), 12)));
-        let out = run(Op::Subu { rd: r(3), rs: r(1), rt: r(2) }, &[(r(1), 5), (r(2), 7)]);
+        let out = run(alu(AluOp::Subu), &[(r(1), 5), (r(2), 7)]);
         assert_eq!(out.writeback, Some((r(3), (-2i64) as u64)));
-        let out = run(Op::Slt { rd: r(3), rs: r(1), rt: r(2) }, &[(r(1), u64::MAX), (r(2), 1)]);
+        let out = run(alu(AluOp::Slt), &[(r(1), u64::MAX), (r(2), 1)]);
         assert_eq!(out.writeback, Some((r(3), 1))); // -1 < 1 signed
-        let out = run(Op::Sltu { rd: r(3), rs: r(1), rt: r(2) }, &[(r(1), u64::MAX), (r(2), 1)]);
+        let out = run(alu(AluOp::Sltu), &[(r(1), u64::MAX), (r(2), 1)]);
         assert_eq!(out.writeback, Some((r(3), 0))); // max > 1 unsigned
     }
 
     #[test]
     fn division_by_zero_is_zero() {
         let r = |n| Reg::int(n);
-        let out = run(Op::Div { rd: r(3), rs: r(1), rt: r(2) }, &[(r(1), 10)]);
+        let alu = |op| Op::Alu { op, rd: r(3), rs: r(1), rt: r(2) };
+        let out = run(alu(AluOp::Div), &[(r(1), 10)]);
         assert_eq!(out.writeback, Some((r(3), 0)));
-        let out = run(Op::Rem { rd: r(3), rs: r(1), rt: r(2) }, &[(r(1), 10), (r(2), 3)]);
+        let out = run(alu(AluOp::Rem), &[(r(1), 10), (r(2), 3)]);
         assert_eq!(out.writeback, Some((r(3), 1)));
     }
 
@@ -284,8 +244,8 @@ mod tests {
 
     #[test]
     fn branch_targets_are_word_relative() {
-        let i = Instr::new(Op::Bne { rs: Reg::int(1), rt: Reg::int(2), off: -4 })
-            .with_stop(StopCond::Always);
+        let bne = Op::Branch { cond: BranchCond::Ne, rs: Reg::int(1), rt: Reg::int(2), off: -4 };
+        let i = Instr::new(bne).with_stop(StopCond::Always);
         let out = execute(&i, 0x1010, |r| if r == Reg::int(1) { 1 } else { 0 });
         let c = out.control.unwrap();
         assert!(c.taken && c.conditional);
@@ -298,7 +258,7 @@ mod tests {
 
     #[test]
     fn calls_write_return_address() {
-        let out = run(Op::Jal { target: 0x2000 }, &[]);
+        let out = run(Op::Jump { link: true, target: 0x2000 }, &[]);
         assert_eq!(out.writeback, Some((Reg::RA, 0x1004)));
         assert_eq!(out.control.unwrap().next_pc, 0x2000);
         let out = run(Op::Jr { rs: Reg::RA }, &[(Reg::RA, 0x1440)]);

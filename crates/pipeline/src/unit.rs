@@ -922,7 +922,7 @@ impl ProcessingUnit {
             return ExitKind::Halt;
         }
         match slot.instr.op {
-            Op::Jal { target } => ExitKind::Call { target, ret: slot.pc + 4 },
+            Op::Jump { link: true, target } => ExitKind::Call { target, ret: slot.pc + 4 },
             Op::Jalr { .. } => {
                 let target = outcome.control.expect("jalr resolves control").next_pc;
                 ExitKind::Call { target, ret: slot.pc + 4 }
@@ -990,7 +990,7 @@ impl ProcessingUnit {
                     self.fetch_mode = FetchMode::Stopped;
                     return;
                 }
-                Op::J { target } | Op::Jal { target } => {
+                Op::Jump { target, .. } => {
                     // Decode-time redirect: one bubble cycle.
                     slot.next_fetched = Some(target);
                     self.buf.push_back(slot);

@@ -35,7 +35,6 @@
 
 use crate::worker::{exit_line, job_line, parse_worker_line, WorkerLine, GEN_ENV};
 use ms_sweep::Job;
-use ms_trace::json;
 use multiscalar::RunStats;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -171,26 +170,6 @@ impl ShardStats {
         s.push('}');
         s
     }
-}
-
-/// Renders poison jobs as a deterministic JSON array (order of record).
-pub fn poison_jobs_json(jobs: &[PoisonJob]) -> String {
-    let mut s = String::from("[");
-    for (i, p) in jobs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"job\":{},\"identity\":{},\"deaths\":{},\"last_error\":{}}}",
-            json::string(&p.job),
-            json::string(&p.identity),
-            p.deaths,
-            json::string(&p.last_error),
-        );
-    }
-    s.push(']');
-    s
 }
 
 enum SlotState {

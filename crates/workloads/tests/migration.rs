@@ -4,6 +4,7 @@
 //! still produces validated results.
 
 use ms_asm::{assemble, program_to_source, AsmMode};
+use ms_isa::{decode, encode};
 use ms_workloads::{suite, Scale};
 use multiscalar::{Processor, SimConfig};
 
@@ -33,5 +34,19 @@ fn migrated_binaries_run_identically() {
         let s2 = p2.run().unwrap();
         assert_eq!(s1.cycles, s2.cycles, "{name}");
         assert_eq!(s1.instructions, s2.instructions, "{name}");
+    }
+}
+
+#[test]
+fn every_workload_instruction_encodes_in_both_modes() {
+    for w in suite(Scale::Test) {
+        for mode in [AsmMode::Scalar, AsmMode::Multiscalar] {
+            let p = w.assemble(mode).expect("assembles");
+            for (i, instr) in p.text.iter().enumerate() {
+                let at = format!("{} {mode:?} #{i} `{instr}`", w.name);
+                let (word, tag) = encode(instr).unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(decode(word, tag).as_ref(), Ok(instr), "{at}");
+            }
+        }
     }
 }

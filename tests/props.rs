@@ -10,8 +10,8 @@
 
 use ms_asm::{assemble, AsmMode};
 use ms_isa::{
-    decode, encode, FpArithKind, FpCmpCond, Instr, MemWidth, Op, Prec, Reg, RegList, RegMask,
-    StopCond, TagBits,
+    decode, encode, AluImmOp, AluOp, BranchCond, BranchZCond, FpArithKind, FpCmpCond, Instr,
+    MemWidth, Op, Prec, Reg, RegList, RegMask, ShiftOp, StopCond, TagBits,
 };
 use ms_memsys::{Arb, Memory};
 use multiscalar::{Processor, ScalarProcessor, SimConfig};
@@ -28,13 +28,23 @@ fn any_width() -> impl Strategy<Value = MemWidth> {
 fn any_op() -> impl Strategy<Value = Op> {
     let r = any_reg;
     prop_oneof![
-        (r(), r(), r()).prop_map(|(rd, rs, rt)| Op::Addu { rd, rs, rt }),
-        (r(), r(), r()).prop_map(|(rd, rs, rt)| Op::Subu { rd, rs, rt }),
-        (r(), r(), r()).prop_map(|(rd, rs, rt)| Op::Xor { rd, rs, rt }),
-        (r(), r(), r()).prop_map(|(rd, rs, rt)| Op::Mul { rd, rs, rt }),
-        (r(), r(), -2048i32..=2047).prop_map(|(rt, rs, imm)| Op::Addiu { rt, rs, imm }),
-        (r(), r(), 0i32..=4095).prop_map(|(rt, rs, imm)| Op::Ori { rt, rs, imm }),
-        (r(), r(), 0u8..=63).prop_map(|(rd, rt, sh)| Op::Sll { rd, rt, sh }),
+        (r(), r(), r()).prop_map(|(rd, rs, rt)| Op::Alu { op: AluOp::Addu, rd, rs, rt }),
+        (r(), r(), r()).prop_map(|(rd, rs, rt)| Op::Alu { op: AluOp::Subu, rd, rs, rt }),
+        (r(), r(), r()).prop_map(|(rd, rs, rt)| Op::Alu { op: AluOp::Xor, rd, rs, rt }),
+        (r(), r(), r()).prop_map(|(rd, rs, rt)| Op::Alu { op: AluOp::Mul, rd, rs, rt }),
+        (r(), r(), -2048i32..=2047).prop_map(|(rt, rs, imm)| Op::AluImm {
+            op: AluImmOp::Addiu,
+            rt,
+            rs,
+            imm
+        }),
+        (r(), r(), 0i32..=4095).prop_map(|(rt, rs, imm)| Op::AluImm {
+            op: AluImmOp::Ori,
+            rt,
+            rs,
+            imm
+        }),
+        (r(), r(), 0u8..=63).prop_map(|(rd, rt, sh)| Op::Shift { op: ShiftOp::Sll, rd, rt, sh }),
         (r(), -131072i32..=131071).prop_map(|(rt, imm)| Op::Lui { rt, imm }),
         (any_width(), any::<bool>(), r(), r(), -2048i32..=2047).prop_map(
             |(width, signed, rt, base, off)| Op::Load {
@@ -53,10 +63,19 @@ fn any_op() -> impl Strategy<Value = Op> {
             base,
             off
         }),
-        (r(), r(), -2048i32..=2047).prop_map(|(rs, rt, off)| Op::Beq { rs, rt, off }),
-        (r(), -2048i32..=2047).prop_map(|(rs, off)| Op::Bgez { rs, off }),
-        (0u32..(1 << 22)).prop_map(|w| Op::J { target: w * 4 }),
-        (0u32..(1 << 22)).prop_map(|w| Op::Jal { target: w * 4 }),
+        (r(), r(), -2048i32..=2047).prop_map(|(rs, rt, off)| Op::Branch {
+            cond: BranchCond::Eq,
+            rs,
+            rt,
+            off
+        }),
+        (r(), -2048i32..=2047).prop_map(|(rs, off)| Op::BranchZ {
+            cond: BranchZCond::Gez,
+            rs,
+            off
+        }),
+        (0u32..(1 << 22)).prop_map(|w| Op::Jump { link: false, target: w * 4 }),
+        (0u32..(1 << 22)).prop_map(|w| Op::Jump { link: true, target: w * 4 }),
         r().prop_map(|rs| Op::Jr { rs }),
         (r(), r(), r()).prop_map(|(fd, fs, ft)| Op::FpArith {
             kind: FpArithKind::Mul,
@@ -125,9 +144,13 @@ proptest! {
         let mut val = 0u64;
         for instr in &p.text {
             match instr.op {
-                Op::Addiu { rt, imm, .. } if rt == Reg::int(2) => val = imm as i64 as u64,
+                Op::AluImm { op: AluImmOp::Addiu, rt, imm, .. } if rt == Reg::int(2) => {
+                    val = imm as i64 as u64
+                }
                 Op::Lui { rt, imm } if rt == Reg::int(2) => val = ((imm as i64) << 12) as u64,
-                Op::Ori { rt, imm, .. } if rt == Reg::int(2) => val |= imm as u32 as u64,
+                Op::AluImm { op: AluImmOp::Ori, rt, imm, .. } if rt == Reg::int(2) => {
+                    val |= imm as u32 as u64
+                }
                 _ => {}
             }
         }
