@@ -15,7 +15,7 @@ use crate::error::{AsmError, AsmErrorKind};
 use crate::parser::{parse_line, DataItem, DataKind, Operand, Section, Stmt, TargetSpec};
 use ms_isa::{
     AluImmOp, AluOp, BranchCond, DataSegment, ImmField, Instr, MemWidth, Op, Program, Reg, RegList,
-    RegMask, TagBits, TaskDescriptor, TaskTarget, DATA_BASE, TEXT_BASE,
+    RegMask, TagBits, TaskDescriptor, TaskTarget, DATA_BASE, STACK_TOP, TEXT_BASE,
 };
 use std::collections::BTreeMap;
 
@@ -119,7 +119,22 @@ fn filter_mode(stmts: Vec<(usize, Stmt)>, mode: AsmMode) -> Result<Vec<(usize, S
 
 struct Layout {
     symbols: BTreeMap<String, u32>,
+    /// The address each statement starts at in its section, after any
+    /// alignment it implies. Emit pads up to it, so addresses are
+    /// computed in one place.
+    addrs: Vec<u32>,
 }
+
+/// The largest text section, in bytes: code may not reach the data image
+/// at [`DATA_BASE`]. Padding for `.align` counts, so a few lines of source
+/// cannot ask for gigabytes of `nop`s. The largest suite text, Compress
+/// in multiscalar mode, is 288 bytes.
+const MAX_TEXT_BYTES: u32 = DATA_BASE - TEXT_BASE;
+
+/// The largest data image, in bytes: the image may not reach the stack,
+/// which grows down from [`STACK_TOP`]. The largest suite image, Compress
+/// at full scale, is 302,196 bytes.
+const MAX_DATA_BYTES: u32 = STACK_TOP - DATA_BASE;
 
 /// `pc` advanced by `bytes`, unless the section would run past the end
 /// of the 32-bit address space.
@@ -135,68 +150,60 @@ fn align_up(pc: u32, to: u32, line: usize) -> Result<u32, AsmError> {
 
 fn layout(stmts: &[(usize, Stmt)], mode: AsmMode) -> Result<Layout, AsmError> {
     let mut symbols = BTreeMap::new();
+    let mut addrs = Vec::with_capacity(stmts.len());
     let mut section = Section::Text;
     let mut text_pc = TEXT_BASE;
     let mut data_pc = DATA_BASE;
-    for (line, stmt) in stmts {
-        match stmt {
+    let directive = |line, what: &str| Err(err(line, AsmErrorKind::Directive(what.into())));
+    for &(line, ref stmt) in stmts {
+        let pc = if section == Section::Text { text_pc } else { data_pc };
+        // Alignment moves a statement's own address; nothing else does.
+        let at = match stmt {
+            Stmt::Align(n) if *n > 16 => return directive(line, "alignment too large"),
+            Stmt::Align(n) if section == Section::Text => align_up(pc, (1 << n).max(4), line)?,
+            Stmt::Align(n) => align_up(pc, 1 << n, line)?,
+            Stmt::Data(kind, _) => align_up(pc, kind.size(), line)?,
+            _ => pc,
+        };
+        addrs.push(at);
+        let bytes = match stmt {
             Stmt::Label(name) => {
-                let addr = if section == Section::Text { text_pc } else { data_pc };
-                if symbols.insert(name.clone(), addr).is_some() {
-                    return Err(err(*line, AsmErrorKind::DuplicateSymbol(name.clone())));
+                if symbols.insert(name.clone(), at).is_some() {
+                    return Err(err(line, AsmErrorKind::DuplicateSymbol(name.clone())));
                 }
+                0
             }
-            Stmt::Section(s) => section = *s,
-            Stmt::Align(n) => {
-                if *n > 16 {
-                    return Err(err(*line, AsmErrorKind::Directive("alignment too large".into())));
-                }
-                let a = 1u32 << n;
-                if section == Section::Text {
-                    text_pc = align_up(text_pc, a.max(4), *line)?;
-                } else {
-                    data_pc = align_up(data_pc, a, *line)?;
-                }
+            Stmt::Section(s) => {
+                section = *s;
+                continue;
             }
-            Stmt::Data(kind, items) => {
-                if section != Section::Data {
-                    return Err(err(
-                        *line,
-                        AsmErrorKind::Directive("data directive outside .data".into()),
-                    ));
-                }
-                data_pc = align_up(data_pc, kind.size(), *line)?;
-                let bytes = (kind.size() as usize).saturating_mul(items.len());
-                data_pc = advance(data_pc, bytes, *line)?;
+            Stmt::Align(_) | Stmt::Entry(_) | Stmt::Task { .. } => 0,
+            Stmt::Data(kind, items) if section == Section::Data => {
+                (kind.size() as usize).saturating_mul(items.len())
             }
-            Stmt::Space(n) => {
-                if section == Section::Text {
-                    return Err(err(*line, AsmErrorKind::Directive(".space in .text".into())));
-                }
-                data_pc = advance(data_pc, *n as usize, *line)?;
+            Stmt::Data(..) => return directive(line, "data directive outside .data"),
+            Stmt::Space(n) if section == Section::Data => *n as usize,
+            Stmt::Space(_) => return directive(line, ".space in .text"),
+            Stmt::Asciiz(bytes) if section == Section::Data => bytes.len().saturating_add(1),
+            Stmt::Asciiz(_) => return directive(line, ".asciiz in .text"),
+            Stmt::Ins { mnem, ops, .. } if section == Section::Text => {
+                4 * size_in_words(mnem, ops, mode, line)?
             }
-            Stmt::Asciiz(bytes) => {
-                if section == Section::Data {
-                    data_pc = advance(data_pc, bytes.len().saturating_add(1), *line)?;
-                } else {
-                    return Err(err(*line, AsmErrorKind::Directive(".asciiz in .text".into())));
-                }
-            }
-            Stmt::Entry(_) | Stmt::Task { .. } => {}
-            Stmt::Ins { mnem, tags: _, ops } => {
-                if section != Section::Text {
-                    return Err(err(
-                        *line,
-                        AsmErrorKind::Directive("instruction outside .text".into()),
-                    ));
-                }
-                let words = size_in_words(mnem, ops, mode, *line)?;
-                text_pc = advance(text_pc, 4 * words, *line)?;
-            }
+            Stmt::Ins { .. } => return directive(line, "instruction outside .text"),
             Stmt::MsBegin | Stmt::MsEnd | Stmt::ScalarBegin | Stmt::ScalarEnd => unreachable!(),
+        };
+        let end = advance(at, bytes, line)?;
+        let (next, base, room, what) = match section {
+            Section::Text => (&mut text_pc, TEXT_BASE, MAX_TEXT_BYTES, "text section"),
+            Section::Data => (&mut data_pc, DATA_BASE, MAX_DATA_BYTES, "data image"),
+        };
+        if end - base > room {
+            let msg = format!("{what} exceeds {room} bytes");
+            return Err(err(line, AsmErrorKind::OutOfRange(msg)));
         }
+        *next = end;
     }
-    Ok(Layout { symbols })
+    Ok(Layout { symbols, addrs })
 }
 
 /// The mnemonic of `release`, which with more than three registers
@@ -619,23 +626,19 @@ fn emit(stmts: &[(usize, Stmt)], layout: &Layout, mode: AsmMode) -> Result<Progr
     let mut pending_task: Option<(usize, Vec<TargetSpec>, Vec<Reg>)> = None;
     let mut entry_sym: Option<String> = None;
 
-    for (line, stmt) in stmts {
-        match stmt {
-            Stmt::Label(_) => {}
-            Stmt::Section(s) => section = *s,
-            Stmt::Align(n) => {
-                if section == Section::Data {
-                    let a = 1usize << n;
-                    while !(DATA_BASE as usize + data.len()).is_multiple_of(a) {
-                        data.push(0);
-                    }
-                }
+    for ((line, stmt), &at) in stmts.iter().zip(&layout.addrs) {
+        // Pad the section up to the address layout gave the statement.
+        if section == Section::Text {
+            while em.pc() < at {
+                em.push(Op::Nop);
             }
+        } else {
+            data.resize((at - DATA_BASE) as usize, 0);
+        }
+        match stmt {
+            Stmt::Label(_) | Stmt::Align(_) => {}
+            Stmt::Section(s) => section = *s,
             Stmt::Data(kind, items) => {
-                let a = kind.size() as usize;
-                while !(DATA_BASE as usize + data.len()).is_multiple_of(a) {
-                    data.push(0);
-                }
                 for item in items {
                     let v: u64 = match item {
                         DataItem::Imm(v) => *v as u64,

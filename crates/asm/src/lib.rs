@@ -156,19 +156,71 @@ addlist:
 
     #[test]
     fn layout_overflow_is_an_error_not_a_panic() {
-        // `.space`, data items and strings each past the end of the
-        // 32-bit address space (the data section starts at 0x100000).
-        let top = u32::MAX - ms_isa::DATA_BASE - 3; // 4 bytes short of the end
+        // `.space` past the end of the 32-bit address space (the data
+        // section starts at 0x100000), and data items and strings that
+        // each cross the data image's bound at their own line.
+        let room = ms_isa::STACK_TOP - ms_isa::DATA_BASE - 4; // 4 bytes short of the bound
         for (src, line) in [
             (".data\nx: .space 4294967295\ny: .word 1\n".to_owned(), 2),
-            (format!(".data\nx: .space {top}\ny: .word 1, 2\n"), 3),
-            (format!(".data\nx: .space {top}\ny: .asciiz \"four\"\n"), 3),
+            (format!(".data\nx: .space {room}\ny: .word 1, 2\n"), 3),
+            (format!(".data\nx: .space {room}\ny: .asciiz \"four\"\n"), 3),
             (".data\nx: .space -1\n".to_owned(), 2),
         ] {
             let e = assemble(&src, AsmMode::Scalar).expect_err(&src);
             assert!(matches!(e.kind, AsmErrorKind::OutOfRange(_)), "{src}: {e}");
             assert_eq!(e.line, line, "{src}: {e}");
         }
+    }
+
+    #[test]
+    fn data_images_stop_below_the_stack() {
+        // The image may grow up to the stack top and not one byte past it,
+        // however the bytes are asked for: one `.space`, or many
+        // alignments that each add almost 64 KiB.
+        let room = ms_isa::STACK_TOP - ms_isa::DATA_BASE;
+        let p = assemble(&format!(".data\nx: .space {room}\n"), AsmMode::Scalar).unwrap();
+        assert_eq!(p.data[0].bytes.len(), room as usize);
+        let aligns = ".data\n".to_owned() + &".byte 1\n.align 16\n".repeat(200);
+        // Each `.byte`/`.align` pair adds 64 KiB; the `.byte` after the
+        // pair that fills the room is the first byte past it.
+        let past_aligns = 2 + 2 * (room as usize / 65536);
+        for (src, line) in [
+            (format!(".data\nx: .space {}\n", room + 1), 2),
+            (".data\nx: .space 2147483647\n".to_owned(), 2),
+            (aligns, past_aligns),
+        ] {
+            let e = assemble(&src, AsmMode::Scalar).expect_err(&src[..40.min(src.len())]);
+            assert!(matches!(e.kind, AsmErrorKind::OutOfRange(_)), "{e}");
+            assert_eq!(e.line, line, "{e}");
+        }
+    }
+
+    #[test]
+    fn text_stops_below_the_data_image() {
+        // `.align` in `.text` pads with `nop`s, so alignments alone can
+        // fill the text section: up to the data image and not one byte
+        // past it. Each `nop`/`.align 16` pair ends on a 64 KiB boundary.
+        let pairs = (ms_isa::DATA_BASE / 65536) as usize;
+        let full = "nop\n.align 16\n".repeat(pairs) + "top:\n";
+        let p = assemble(&full, AsmMode::Scalar).unwrap();
+        assert_eq!(p.symbol("top"), Some(ms_isa::DATA_BASE));
+        assert_eq!(p.text.len() as u32, (ms_isa::DATA_BASE - TEXT_BASE) / 4);
+        // The `nop` after the pair that fills the room is the first byte
+        // past it.
+        let src = "nop\n.align 16\n".repeat(8 * pairs);
+        let e = assemble(&src, AsmMode::Scalar).expect_err("text past the data image");
+        assert!(matches!(e.kind, AsmErrorKind::OutOfRange(_)), "{e}");
+        assert_eq!(e.line, 2 * pairs + 1, "{e}");
+    }
+
+    #[test]
+    fn align_in_text_pads_with_nops_up_to_the_label() {
+        let p = assemble("main: nop\n.align 4\nb: halt\n", AsmMode::Scalar).unwrap();
+        let b = p.symbol("b").unwrap();
+        assert_eq!(b, TEXT_BASE + 16);
+        assert_eq!(p.instr_at(b).unwrap().op, Op::Halt);
+        assert_eq!(p.text.len(), 5);
+        assert!(p.text[..4].iter().all(|i| i.op == Op::Nop));
     }
 
     #[test]

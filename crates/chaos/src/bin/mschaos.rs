@@ -7,7 +7,7 @@
 //!     [--max-cycles N] [--watchdog N|off] [--out PATH]
 //!
 //! cargo run --release -p ms-chaos --bin mschaos -- serve \
-//!     [--workloads a,b,...] [--plans worker-kill,worker-stall,dup-job,torn-cache,conn-drop] \
+//!     [--workloads a,b,...] [--plans torn-cache,conn-drop] \
 //!     [--seeds N] [--seed-base B] [--units N] [--scale test|full] \
 //!     [--artifacts DIR] [--out PATH]
 //! ```
@@ -20,18 +20,12 @@
 //! failing point.
 //!
 //! The `serve` subcommand runs the *service-layer* campaign instead:
-//! seeded host faults (killed/stalled workers, duplicated jobs, torn
-//! cache files, dropped connections) against the process-shard runtime,
-//! checking that the merged artifact stays byte-identical to an
-//! undisturbed single-process run (report `CHAOS_serve_report.json`;
-//! schema `multiscalar-chaos-serve/v1`). `--artifacts DIR` additionally
-//! writes every point's merged bytes next to the baseline so CI can
-//! `cmp` them. Exits non-zero on any violated check or unmet
-//! robustness floor.
-//!
-//! The hidden `--worker` first argument turns the process into a shard
-//! worker (see `ms_serve::worker`): the serve campaign's supervisors
-//! re-invoke this same binary as their worker processes.
+//! seeded host faults (torn cache files, dropped connections to a live
+//! daemon), checking that the merged artifact stays byte-identical to an
+//! undisturbed run (report `CHAOS_serve_report.json`; schema
+//! `multiscalar-chaos-serve/v2`). `--artifacts DIR` additionally writes
+//! every point's merged bytes next to the baseline so CI can `cmp` them.
+//! Exits non-zero on any violated check or unmet robustness floor.
 
 use ms_chaos::{run_campaign, run_serve_campaign, Campaign, ServeCampaign};
 use ms_chaos::{HOST_PLAN_NAMES, PLAN_NAMES};
@@ -144,7 +138,6 @@ fn serve_main(mut it: std::iter::Skip<std::env::Args>) -> ! {
     });
 
     let failures = report.failures();
-    let totals = report.totals();
     println!(
         "mschaos serve: {} points ({} plans x {} seeds): {} passed, {} failed",
         report.points.len(),
@@ -153,18 +146,7 @@ fn serve_main(mut it: std::iter::Skip<std::env::Args>) -> ! {
         report.points.len() - failures,
         failures,
     );
-    println!(
-        "  restarts {} deaths {} deadline-kills {} requeued {} requeue-deduped {} \
-         duplicates-discarded {} poisoned {} cache-quarantined {}",
-        totals.restarts,
-        totals.deaths,
-        totals.deadline_kills,
-        totals.requeued,
-        totals.requeue_deduped,
-        totals.duplicates_discarded,
-        totals.poisoned,
-        totals.cache_quarantined,
-    );
+    println!("  cache-quarantined {}", report.cache_quarantined());
     for p in report.points.iter().filter(|p| p.failure.is_some()) {
         println!(
             "FAIL {} seed {}: {}\n  repro: mschaos serve --plans {} --seeds 1 --seed-base {} \
@@ -193,12 +175,8 @@ fn serve_main(mut it: std::iter::Skip<std::env::Args>) -> ! {
 fn main() {
     let mut it = std::env::args().skip(1);
     let mut first = it.next();
-    match first.as_deref() {
-        // Shard-worker mode: this very binary, re-invoked by the serve
-        // campaign's supervisors as their worker processes.
-        Some("--worker") => std::process::exit(ms_serve::worker_main()),
-        Some("serve") => serve_main(it),
-        _ => {}
+    if first.as_deref() == Some("serve") {
+        serve_main(it);
     }
 
     let mut campaign = Campaign::default();

@@ -49,8 +49,7 @@ fn mix(mut z: u64) -> u64 {
 pub mod serve_chaos;
 
 pub use serve_chaos::{
-    run_serve_campaign, ServeCampaign, ServeCampaignReport, ServePointResult, ServeTotals,
-    HOST_PLAN_NAMES,
+    run_serve_campaign, ServeCampaign, ServeCampaignReport, ServePointResult, HOST_PLAN_NAMES,
 };
 
 /// The built-in plan shapes, in campaign order.

@@ -1,24 +1,17 @@
-//! Service-layer chaos: seeded host-level faults against the
-//! process-shard runtime, with a byte-identity oracle.
+//! Service-layer chaos: seeded host-level faults against the sweep
+//! cache and a live `msserve` daemon, with a byte-identity oracle.
 //!
 //! The microarchitectural campaigns in the crate root perturb the
 //! simulator *inside* one process and check sequential semantics. This
-//! module perturbs the *host layer* — the supervised worker processes,
-//! the sweep cache, and the `msserve` daemon — and checks the service
-//! invariant instead: **no host fault may change an artifact byte**.
-//! Every plan runs the same job list through a
-//! [`ProcessShardExecutor`] (or a live [`Server`] backed by one) while a
-//! seeded fault fires, then compares the merged `results.json` bytes
-//! against an undisturbed single-process run.
+//! module perturbs the *host layer* — the sweep cache on disk and the
+//! daemon's connections — and checks the service invariant instead:
+//! **no host fault may change an artifact byte**. Every plan runs the
+//! same job list on the in-process executor (behind a live [`Server`]
+//! for `conn-drop`) while a seeded fault fires, then compares the merged
+//! `results.json` bytes against an undisturbed run.
 //!
 //! The host-fault plans ([`HOST_PLAN_NAMES`]):
 //!
-//! * `worker-kill` — a worker SIGKILLs itself mid-job; the supervisor
-//!   must restart it and re-queue the orphan exactly once.
-//! * `worker-stall` — a worker stalls past its per-job deadline while
-//!   its heartbeats keep flowing; only the deadline can catch it.
-//! * `dup-job` — one dispatch is deliberately duplicated; the second
-//!   result must be discarded, never double-merged.
 //! * `torn-cache` — sweep-cache entries are truncated/corrupted on
 //!   disk; reads must quarantine to `.corrupt` and recompute.
 //! * `conn-drop` — a client vanishes mid-request/mid-response; the
@@ -27,36 +20,30 @@
 //! Faults are derived from the seed with the same splitmix64 mixing the
 //! microarchitectural plans use, so a campaign point is reproducible
 //! from `(plan, seed)` alone. The report (schema
-//! `multiscalar-chaos-serve/v1`) carries per-point supervisor counters;
-//! unlike the microarchitectural report its counter values are
-//! *observational* (host scheduling decides e.g. how a re-queue
-//! resolves), but the oracle columns — `identical` and `failure` — are
-//! not negotiable.
+//! `multiscalar-chaos-serve/v2`) carries per-point quarantine counts and
+//! the oracle columns `identical` and `failure`.
 
 use crate::mix;
 use ms_serve::protocol::{self, Response};
-use ms_serve::worker::FAULT_ENV;
-use ms_serve::{ProcessShardExecutor, Server, ServerConfig, ShardOptions, ShardStats};
-use ms_sweep::{artifacts, run_jobs_with, Executor, InProcessExecutor};
+use ms_serve::{Server, ServerConfig};
+use ms_sweep::{artifacts, run_jobs_with, InProcessExecutor};
 use ms_sweep::{SweepCache, SweepOptions, SweepSpec};
 use ms_workloads::Scale;
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The built-in host-fault plan shapes, in campaign order.
-pub const HOST_PLAN_NAMES: [&str; 5] =
-    ["worker-kill", "worker-stall", "dup-job", "torn-cache", "conn-drop"];
+pub const HOST_PLAN_NAMES: [&str; 2] = ["torn-cache", "conn-drop"];
 
 /// A service-layer chaos campaign: every (plan × seed) point runs the
 /// full job list under one seeded host fault and checks byte identity.
 #[derive(Clone, Debug)]
 pub struct ServeCampaign {
     /// Workloads in the job list (each contributes a scalar and a
-    /// multiscalar design point, so `stable_key` round-tripping and both
-    /// engine kinds are exercised).
+    /// multiscalar design point, so both engine kinds are exercised).
     pub workloads: Vec<String>,
     /// Plans to run (subset of [`HOST_PLAN_NAMES`]).
     pub plans: Vec<String>,
@@ -68,11 +55,6 @@ pub struct ServeCampaign {
     pub units: usize,
     /// Workload scale.
     pub scale: Scale,
-    /// Worker command for the shard pools. `None` uses the
-    /// [`ShardOptions`] default: the current executable re-invoked with
-    /// `--worker` (which is why the `mschaos` binary has a hidden
-    /// `--worker` mode). Tests point this at `mschaos` explicitly.
-    pub worker_cmd: Option<Vec<String>>,
     /// Scratch directory for the `torn-cache` plan's cache dirs
     /// (default: the system temp dir). Each point uses a fresh
     /// subdirectory and removes it afterwards.
@@ -93,7 +75,6 @@ impl Default for ServeCampaign {
             seed_base: 0,
             units: 4,
             scale: Scale::Test,
-            worker_cmd: None,
             scratch: None,
             artifacts_dir: None,
         }
@@ -108,37 +89,14 @@ pub struct ServePointResult {
     /// Seed this point ran with.
     pub seed: u64,
     /// Whether the merged artifact was byte-identical to the
-    /// undisturbed single-process run.
+    /// undisturbed run.
     pub identical: bool,
-    /// Supervisor counters for the shard pool this point ran on.
-    pub shard: ShardStats,
     /// Torn cache entries quarantined to `.corrupt` and recomputed
     /// (non-zero only for the `torn-cache` plan).
     pub cache_quarantined: u64,
     /// `None` when every check held; otherwise a `;`-joined list of the
     /// violated expectations.
     pub failure: Option<String>,
-}
-
-/// Aggregated robustness counters across every point of a campaign.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServeTotals {
-    /// Worker respawns after a death.
-    pub restarts: u64,
-    /// Worker deaths observed.
-    pub deaths: u64,
-    /// Deaths caused by a per-job deadline kill.
-    pub deadline_kills: u64,
-    /// Orphaned jobs re-queued by identity.
-    pub requeued: u64,
-    /// Orphan re-queues deduplicated against a live assignment.
-    pub requeue_deduped: u64,
-    /// Duplicate results discarded on arrival.
-    pub duplicates_discarded: u64,
-    /// Job identities quarantined as poison.
-    pub poisoned: u64,
-    /// Torn cache entries quarantined and recomputed.
-    pub cache_quarantined: u64,
 }
 
 /// A finished service-layer campaign.
@@ -156,48 +114,28 @@ impl ServeCampaignReport {
         self.points.iter().filter(|p| p.failure.is_some()).count()
     }
 
-    /// Sums the robustness counters across every point.
-    pub fn totals(&self) -> ServeTotals {
-        let mut t = ServeTotals::default();
-        for p in &self.points {
-            t.restarts += p.shard.restarts;
-            t.deaths += p.shard.deaths;
-            t.deadline_kills += p.shard.deadline_kills;
-            t.requeued += p.shard.requeued;
-            t.requeue_deduped += p.shard.requeue_deduped;
-            t.duplicates_discarded += p.shard.duplicates_discarded;
-            t.poisoned += p.shard.poisoned;
-            t.cache_quarantined += p.cache_quarantined;
-        }
-        t
+    /// Torn cache entries quarantined and recomputed, across every point.
+    pub fn cache_quarantined(&self) -> u64 {
+        self.points.iter().map(|p| p.cache_quarantined).sum()
     }
 
-    /// The robustness floor the issue demands of a full campaign: at
-    /// least one restart, one quarantine-and-recompute, and one
-    /// deduplicated/discarded re-queued job across the plan set.
-    /// Expectations are only levied for plans that actually ran; the
-    /// returned list names every unmet one (empty = floor met).
+    /// The robustness floor of a full campaign: at least one
+    /// quarantine-and-recompute when `torn-cache` ran. The returned list
+    /// names every unmet expectation (empty = floor met).
     pub fn robustness_gaps(&self) -> Vec<String> {
-        let ran = |p: &str| self.campaign.plans.iter().any(|q| q == p);
-        let t = self.totals();
-        let mut gaps = Vec::new();
-        if (ran("worker-kill") || ran("worker-stall")) && t.restarts == 0 {
-            gaps.push("no worker restart recorded".to_string());
+        let ran_torn = self.campaign.plans.iter().any(|p| p == "torn-cache");
+        if ran_torn && self.cache_quarantined() == 0 {
+            vec!["no cache quarantine-and-recompute recorded".to_string()]
+        } else {
+            Vec::new()
         }
-        if ran("torn-cache") && t.cache_quarantined == 0 {
-            gaps.push("no cache quarantine-and-recompute recorded".to_string());
-        }
-        if ran("dup-job") && t.duplicates_discarded == 0 {
-            gaps.push("no deduplicated re-queued job recorded".to_string());
-        }
-        gaps
     }
 
-    /// Serializes the report as JSON, schema `multiscalar-chaos-serve/v1`
-    /// (fixed field order; counter *values* are observational).
+    /// Serializes the report as JSON, schema `multiscalar-chaos-serve/v2`
+    /// (fixed field order).
     pub fn to_json(&self) -> String {
         use ms_trace::json;
-        let mut out = String::from("{\"schema\":\"multiscalar-chaos-serve/v1\"");
+        let mut out = String::from("{\"schema\":\"multiscalar-chaos-serve/v2\"");
         out.push_str(&format!(",\"scale\":{}", json::string(self.campaign.scale.id())));
         out.push_str(&format!(",\"units\":{}", self.campaign.units));
         out.push_str(&format!(
@@ -218,28 +156,17 @@ impl ServeCampaignReport {
             }
             out.push_str(&format!(
                 "{{\"plan\":{},\"seed\":{},\"identical\":{},\"cache_quarantined\":{},\
-                 \"shard\":{},\"failure\":{}}}",
+                 \"failure\":{}}}",
                 json::string(&p.plan),
                 p.seed,
                 p.identical,
                 p.cache_quarantined,
-                p.shard.to_json(),
                 p.failure.as_deref().map_or("null".into(), json::string),
             ));
         }
-        let t = self.totals();
         out.push_str(&format!(
-            "],\"totals\":{{\"restarts\":{},\"deaths\":{},\"deadline_kills\":{},\
-             \"requeued\":{},\"requeue_deduped\":{},\"duplicates_discarded\":{},\
-             \"poisoned\":{},\"cache_quarantined\":{}}}",
-            t.restarts,
-            t.deaths,
-            t.deadline_kills,
-            t.requeued,
-            t.requeue_deduped,
-            t.duplicates_discarded,
-            t.poisoned,
-            t.cache_quarantined,
+            "],\"totals\":{{\"cache_quarantined\":{}}}",
+            self.cache_quarantined()
         ));
         out.push_str(&format!(",\"failures\":{}}}", self.failures()));
         out
@@ -258,10 +185,6 @@ fn spec(c: &ServeCampaign) -> SweepSpec {
         include_scalar: true,
         partitions: Vec::new(),
     }
-}
-
-fn shard_opts(c: &ServeCampaign) -> ShardOptions {
-    ShardOptions { worker_cmd: c.worker_cmd.clone(), ..ShardOptions::default() }
 }
 
 /// Accumulates violated expectations for one point.
@@ -283,87 +206,10 @@ impl Checks {
     }
 }
 
-/// Runs the job list through `exec` and returns the merged bytes.
-fn merged_json(c: &ServeCampaign, opts: &SweepOptions, exec: &dyn Executor) -> String {
-    artifacts::results_json(&run_jobs_with(spec(c).expand(), opts, exec))
-}
-
-fn wait_for(mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !cond() {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    true
-}
-
-/// `worker-kill` / `worker-stall`: one worker armed with a seeded fault
-/// on a seeded job index; a single slot so the fault always fires.
-fn run_worker_fault(
-    c: &ServeCampaign,
-    plan: &str,
-    seed: u64,
-    baseline: &str,
-) -> (String, ShardStats, u64, Checks) {
-    let jobs = spec(c).expand().len() as u64;
-    let stall = plan == "worker-stall";
-    let k = mix(seed ^ if stall { 0x57a1 } else { 0x1c11 }) % jobs.max(1);
-    let fault = if stall { format!("stall@{k}:60000") } else { format!("kill@{k}") };
-    let exec = ProcessShardExecutor::start(ShardOptions {
-        workers: 1,
-        job_deadline_ms: if stall { 250 } else { 120_000 },
-        worker_env: vec![(0, FAULT_ENV.into(), fault)],
-        ..shard_opts(c)
-    });
-    let merged = merged_json(c, &SweepOptions::default(), &exec);
-    let stats = exec.stats();
-    exec.shutdown();
-
-    let mut ck = Checks(Vec::new());
-    ck.expect(merged == baseline, "merged bytes diverged from baseline");
-    ck.expect(stats.deaths >= 1, "fault caused no worker death");
-    ck.expect(stats.restarts >= 1, "no restart after the death");
-    ck.expect(stats.requeued + stats.requeue_deduped >= 1, "orphaned job was not re-queued");
-    if stall {
-        ck.expect(stats.deadline_kills >= 1, "stall was not caught by the job deadline");
-    }
-    ck.expect(stats.poisoned == 0, "a transient fault must not poison");
-    (merged, stats, 0, ck)
-}
-
-/// `dup-job`: a seeded dispatch is issued twice; the second arrival must
-/// be discarded, and the merge must not see it.
-fn run_dup_job(c: &ServeCampaign, seed: u64, baseline: &str) -> (String, ShardStats, u64, Checks) {
-    let jobs = spec(c).expand().len() as u64;
-    let exec = ProcessShardExecutor::start(ShardOptions {
-        duplicate_nth: Some(mix(seed ^ 0xd0b) % jobs.max(1)),
-        ..shard_opts(c)
-    });
-    let merged = merged_json(c, &SweepOptions::default(), &exec);
-    // The duplicate ticket settles after the original result; wait for
-    // its arrival to be recorded as discarded before reading counters.
-    let discarded = wait_for(|| exec.stats().duplicates_discarded >= 1);
-    let stats = exec.stats();
-    exec.shutdown();
-
-    let mut ck = Checks(Vec::new());
-    ck.expect(merged == baseline, "merged bytes diverged from baseline");
-    ck.expect(discarded, "duplicate result was never discarded");
-    ck.expect(stats.completed == jobs, "a duplicate double-settled a job");
-    ck.expect(stats.dispatched > stats.completed, "the duplicate was never dispatched");
-    (merged, stats, 0, ck)
-}
-
 /// `torn-cache`: populate a real cache, corrupt a seeded subset of its
-/// entries on disk, then re-run through process shards. Every torn
-/// entry must be quarantined to `.corrupt` and recomputed.
-fn run_torn_cache(
-    c: &ServeCampaign,
-    seed: u64,
-    baseline: &str,
-) -> (String, ShardStats, u64, Checks) {
+/// entries on disk, then re-run the sweep. Every torn entry must be
+/// quarantined to `.corrupt` and recomputed.
+fn run_torn_cache(c: &ServeCampaign, seed: u64, baseline: &str) -> (String, u64, Checks) {
     let root = c.scratch.clone().unwrap_or_else(std::env::temp_dir);
     let dir = root.join(format!("ms-chaos-serve-cache-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -371,8 +217,8 @@ fn run_torn_cache(
     let opts = SweepOptions { cache: cache.clone(), ..SweepOptions::default() };
 
     let mut ck = Checks(Vec::new());
-    // Populate the cache with an undisturbed in-process run.
-    let _ = merged_json(c, &opts, &InProcessExecutor::new());
+    // Populate the cache with an undisturbed run.
+    run_jobs_with(spec(c).expand(), &opts, &InProcessExecutor::new());
 
     // Tear a seeded subset of the published entries (always >= 1): a
     // truncation models a crash mid-write, a flipped tail models rot.
@@ -405,40 +251,30 @@ fn run_torn_cache(
         }
     }
 
-    // The perturbed run: torn entries must be quarantined and recomputed
-    // by the shard pool; intact entries still serve as hits.
-    let exec = ProcessShardExecutor::start(shard_opts(c));
-    let merged = merged_json(c, &opts, &exec);
-    let stats = exec.stats();
-    exec.shutdown();
+    // The perturbed run: torn entries must be quarantined and recomputed;
+    // intact entries still serve as hits.
+    let report = run_jobs_with(spec(c).expand(), &opts, &InProcessExecutor::new());
+    let merged = artifacts::results_json(&report);
 
     ck.expect(merged == baseline, "merged bytes diverged from baseline");
     ck.expect(cache.quarantined() == torn, "quarantine count != torn entries");
-    ck.expect(stats.completed >= torn, "quarantined entries were not recomputed");
+    ck.expect(report.executed as u64 == torn, "quarantined entries were not recomputed");
     let _ = std::fs::remove_dir_all(&dir);
-    (merged, stats, cache.quarantined(), ck)
+    (merged, cache.quarantined(), ck)
 }
 
-/// `conn-drop`: against a live daemon backed by process shards, a
-/// seeded misbehaving client vanishes (after a full request, or mid
-/// request line); the next well-behaved connection must still get
-/// byte-identical artifacts.
-fn run_conn_drop(
-    c: &ServeCampaign,
-    seed: u64,
-    baseline: &str,
-) -> (String, ShardStats, u64, Checks) {
+/// `conn-drop`: against a live daemon, a seeded misbehaving client
+/// vanishes (after a full request, or mid request line); the next
+/// well-behaved connection must still get byte-identical artifacts.
+fn run_conn_drop(c: &ServeCampaign, seed: u64, baseline: &str) -> (String, u64, Checks) {
     use ms_trace::json;
     let mut ck = Checks(Vec::new());
-    let exec = Arc::new(ProcessShardExecutor::start(shard_opts(c)));
     let cfg = ServerConfig { cache: SweepCache::disabled(), ..ServerConfig::default() };
-    let server = match Server::start(cfg, Arc::clone(&exec) as Arc<dyn Executor>) {
+    let server = match Server::start(cfg, Arc::new(InProcessExecutor::new())) {
         Ok(server) => server,
         Err(e) => {
             ck.expect(false, &format!("daemon failed to bind: {e}"));
-            let stats = exec.stats();
-            exec.shutdown();
-            return (String::new(), stats, 0, ck);
+            return (String::new(), 0, ck);
         }
     };
     let addr = server.addr();
@@ -498,11 +334,10 @@ fn run_conn_drop(
     ck.expect(merged == baseline, "served bytes diverged from baseline after the drop");
 
     server.shutdown();
+    let computed = server.stats().computed;
     server.join();
-    let stats = exec.stats();
-    exec.shutdown();
-    ck.expect(stats.completed >= spec(c).expand().len() as u64, "shard pool computed nothing");
-    (merged, stats, 0, ck)
+    ck.expect(computed >= spec(c).expand().len() as u64, "the daemon computed nothing");
+    (merged, 0, ck)
 }
 
 /// Runs the campaign: every (plan × seed) point, each under its seeded
@@ -526,7 +361,7 @@ pub fn run_serve_campaign(c: &ServeCampaign) -> Result<ServeCampaignReport, Stri
         return Err("campaign expands to an empty job list".to_string());
     }
 
-    // The undisturbed single-process truth every point is held to.
+    // The undisturbed truth every point is held to.
     let baseline = artifacts::results_json(&run_jobs_with(
         jobs,
         &SweepOptions::default(),
@@ -545,9 +380,7 @@ pub fn run_serve_campaign(c: &ServeCampaign) -> Result<ServeCampaignReport, Stri
     for plan in &c.plans {
         for s in 0..c.seeds.max(1) {
             let seed = c.seed_base.wrapping_add(s as u64);
-            let (merged, shard, cache_quarantined, ck) = match plan.as_str() {
-                "worker-kill" | "worker-stall" => run_worker_fault(c, plan, seed, &baseline),
-                "dup-job" => run_dup_job(c, seed, &baseline),
+            let (merged, cache_quarantined, ck) = match plan.as_str() {
                 "torn-cache" => run_torn_cache(c, seed, &baseline),
                 _ => run_conn_drop(c, seed, &baseline),
             };
@@ -556,7 +389,6 @@ pub fn run_serve_campaign(c: &ServeCampaign) -> Result<ServeCampaignReport, Stri
                 plan: plan.clone(),
                 seed,
                 identical: merged == baseline,
-                shard,
                 cache_quarantined,
                 failure: ck.into_failure(),
             });

@@ -1,26 +1,19 @@
-//! The service-layer chaos campaign end to end: real worker processes
-//! (this crate's own `mschaos --worker`), real kills and torn files,
-//! and a byte-identity oracle that must hold for every host fault.
+//! The service-layer chaos campaign end to end: real torn cache files,
+//! a live daemon with clients that vanish mid-conversation, and a
+//! byte-identity oracle that must hold for every host fault.
 
 use ms_chaos::{run_serve_campaign, ServeCampaign, HOST_PLAN_NAMES};
 
-/// Worker command for the shard pools: the `mschaos` binary in its
-/// hidden worker mode (tests cannot rely on `current_exe`, which would
-/// be the test harness itself).
 fn campaign() -> ServeCampaign {
-    ServeCampaign {
-        seeds: 1,
-        worker_cmd: Some(vec![env!("CARGO_BIN_EXE_mschaos").to_string(), "--worker".to_string()]),
-        ..ServeCampaign::default()
-    }
+    ServeCampaign { seeds: 1, ..ServeCampaign::default() }
 }
 
 #[test]
 fn unknown_plans_are_rejected_up_front() {
-    let c = ServeCampaign { plans: vec!["worker-kill".into(), "meteor".into()], ..campaign() };
+    let c = ServeCampaign { plans: vec!["torn-cache".into(), "meteor".into()], ..campaign() };
     let err = run_serve_campaign(&c).expect_err("unknown plan must not run");
     assert!(err.contains("meteor"), "{err}");
-    assert!(err.contains("worker-stall"), "the error must list the valid plans: {err}");
+    assert!(err.contains("conn-drop"), "the error must list the valid plans: {err}");
 }
 
 #[test]
@@ -36,29 +29,20 @@ fn every_host_fault_plan_converges_to_identical_bytes() {
         assert!(p.identical, "{} seed {} diverged", p.plan, p.seed);
     }
 
-    // The issue's robustness floor, across the plan set: at least one
-    // restart, one quarantine-and-recompute, one discarded duplicate.
-    let t = report.totals();
-    assert!(t.restarts >= 1, "{t:?}");
-    assert!(t.deaths >= 1, "{t:?}");
-    assert!(t.deadline_kills >= 1, "{t:?}");
-    assert!(t.requeued + t.requeue_deduped >= 1, "{t:?}");
-    assert!(t.duplicates_discarded >= 1, "{t:?}");
-    assert!(t.cache_quarantined >= 1, "{t:?}");
-    assert_eq!(t.poisoned, 0, "{t:?}");
+    // The robustness floor: at least one quarantine-and-recompute.
+    assert!(report.cache_quarantined() >= 1, "{:?}", report.points);
     assert!(report.robustness_gaps().is_empty(), "{:?}", report.robustness_gaps());
 
-    // The report is well-formed JSON with the expected schema and one
-    // shard-counter object per point.
+    // The report is well-formed JSON with the expected schema and totals.
     let json = report.to_json();
     let doc = ms_trace::jsonv::parse(&json).expect(&json);
     assert_eq!(
         doc.get("schema").and_then(|v| v.as_str()),
-        Some("multiscalar-chaos-serve/v1"),
+        Some("multiscalar-chaos-serve/v2"),
         "{json}"
     );
-    assert!(json.contains("\"totals\""), "{json}");
-    assert!(json.contains("\"restarts\""), "{json}");
+    let quarantined = doc.get("totals").and_then(|t| t.get("cache_quarantined"));
+    assert_eq!(quarantined.and_then(|v| v.as_u64()), Some(report.cache_quarantined()), "{json}");
 
     // The side-channel artifacts CI `cmp`s: a baseline plus one merged
     // file per point, all byte-identical.

@@ -4,7 +4,7 @@
 //! cargo run --release -p ms-serve --bin msserve -- \
 //!     [--port N | --addr HOST:PORT] [--jobs N] [--queue-depth N] \
 //!     [--cache-dir DIR] [--no-cache] [--max-sweep-jobs N] \
-//!     [--shards N] [--idle-timeout-ms MS] [--quiet]
+//!     [--idle-timeout-ms MS] [--quiet]
 //! ```
 //!
 //! Speaks `multiscalar-serve/v1` (see `ms_serve::protocol`): one JSON
@@ -13,12 +13,11 @@
 //! same design points, whether they were computed, served from the
 //! shared cache, or coalesced onto a duplicate in-flight request.
 //!
-//! `--shards N` computes on a supervised pool of N worker *processes*
-//! (`msserve --worker` children) instead of in-process threads: a
-//! worker that panics, is killed, hangs, or emits garbage is restarted
-//! and its job re-queued, and the bytes served are identical either
-//! way. `--idle-timeout-ms MS` evicts connections that go quiet,
-//! answering a structured `timeout` error line before closing.
+//! Every design point computes on one of `--jobs` in-process worker
+//! threads, under a panic guard: a job that panics is answered as a
+//! structured failure and the daemon keeps serving. `--idle-timeout-ms
+//! MS` evicts connections that go quiet, answering a structured
+//! `timeout` error line before closing.
 //!
 //! The cache defaults to the `mssweep` convention (`--cache-dir`, else
 //! `$MS_SWEEP_CACHE`, else `.ms-sweep-cache`), so a daemon started in a
@@ -29,31 +28,26 @@
 //! sends `{"op":"shutdown"}`, then drains queued and in-flight work,
 //! answers everything accepted, and exits 0. Structured per-request log
 //! lines go to stderr unless `--quiet`.
-//!
-//! The hidden `--worker` flag runs the process as a shard worker
-//! speaking the line-JSON pipe protocol on stdin/stdout; it exists for
-//! the supervisor to spawn and is not part of the public CLI surface.
 
-use ms_serve::{ProcessShardExecutor, Server, ServerConfig, ShardOptions};
-use ms_sweep::{Executor, InProcessExecutor, SweepCache};
+use ms_serve::{Server, ServerConfig};
+use ms_sweep::{InProcessExecutor, SweepCache};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
         "usage: msserve [--port N | --addr HOST:PORT] [--jobs N] [--queue-depth N] \
-         [--cache-dir DIR] [--no-cache] [--max-sweep-jobs N] [--shards N] \
+         [--cache-dir DIR] [--no-cache] [--max-sweep-jobs N] \
          [--idle-timeout-ms MS] [--quiet]"
     );
     std::process::exit(2);
 }
 
-fn parse_args() -> (ServerConfig, usize) {
+fn parse_args() -> ServerConfig {
     let mut cfg =
         ServerConfig { addr: "127.0.0.1:7461".into(), log: true, ..ServerConfig::default() };
     let mut cache_dir: Option<String> = None;
     let mut no_cache = false;
-    let mut shards = 0usize;
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -79,7 +73,6 @@ fn parse_args() -> (ServerConfig, usize) {
             "--max-sweep-jobs" => {
                 cfg.max_sweep_jobs = number("--max-sweep-jobs", value("--max-sweep-jobs")).max(1)
             }
-            "--shards" => shards = number("--shards", value("--shards")),
             "--idle-timeout-ms" => {
                 cfg.idle_timeout_ms = number("--idle-timeout-ms", value("--idle-timeout-ms")) as u64
             }
@@ -101,18 +94,11 @@ fn parse_args() -> (ServerConfig, usize) {
             None => SweepCache::from_env(),
         }
     };
-    (cfg, shards)
+    cfg
 }
 
 fn main() -> ExitCode {
-    // Worker mode is dispatched before any other flag parsing: the
-    // supervisor spawns `msserve --worker` children and owns their
-    // whole lifecycle over the stdin/stdout pipe.
-    if std::env::args().nth(1).as_deref() == Some("--worker") {
-        return ExitCode::from(ms_serve::worker_main() as u8);
-    }
-
-    let (cfg, shards) = parse_args();
+    let cfg = parse_args();
 
     // Same up-front validation as mssweep: a bad cache directory is a
     // structured startup error naming the path, not a warning per job.
@@ -121,16 +107,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let exec: Arc<dyn Executor> = if shards > 0 {
-        Arc::new(ProcessShardExecutor::start(ShardOptions {
-            workers: shards,
-            ..ShardOptions::default()
-        }))
-    } else {
-        Arc::new(InProcessExecutor::new())
-    };
-
-    let handle = match Server::start(cfg.clone(), exec) {
+    let handle = match Server::start(cfg.clone(), Arc::new(InProcessExecutor::new())) {
         Ok(handle) => handle,
         Err(e) => {
             eprintln!("msserve: cannot listen on {}: {e}", cfg.addr);
@@ -142,8 +119,7 @@ fn main() -> ExitCode {
         Some(d) => format!("cache {}", d.display()),
         None => "cache disabled".to_string(),
     };
-    let shard_note = if shards > 0 { format!(", {shards} process shards") } else { String::new() };
-    println!("msserve: listening on {} ({cache_note}{shard_note})", handle.addr());
+    println!("msserve: listening on {} ({cache_note})", handle.addr());
 
     // The daemon runs until a client's shutdown op drains it.
     handle.join();

@@ -6,9 +6,9 @@
 //! experiment requests — one workload × [`multiscalar::SimConfig`] ×
 //! scale design point, or a whole sweep — over a versioned
 //! line-delimited JSON protocol ([`protocol`], `multiscalar-serve/v1`),
-//! shards them across a worker pool, and answers with exactly the bytes
-//! `mssweep` would put in its `results.json` artifact for the same
-//! point.
+//! computes them on a pool of in-process worker threads, and answers
+//! with exactly the bytes `mssweep` would put in its `results.json`
+//! artifact for the same point.
 //!
 //! Three layers keep the service cheap under duplicate-heavy traffic:
 //!
@@ -35,7 +35,9 @@
 //! Workers execute through the [`ms_sweep::Executor`] trait, so the
 //! daemon and `mssweep` run the same engine — and tests can interpose
 //! counting or blocking executors to pin down dedup and backpressure
-//! semantics precisely.
+//! semantics precisely. Every job runs on that one in-process path,
+//! under a panic guard: a job that panics settles as a structured
+//! failure, and the daemon keeps serving.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -44,16 +46,10 @@ pub mod flight;
 pub mod load;
 pub mod protocol;
 pub mod server;
-pub mod shard;
 pub mod stats;
-pub mod supervise;
-pub mod worker;
 
 pub use flight::{Flight, FlightBoard, FlightOutcome};
 pub use load::{run_load, LoadOptions, LoadOutcome};
 pub use protocol::{Envelope, Request, RunRequest, SweepRequest, PROTO};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use shard::ProcessShardExecutor;
 pub use stats::{ServeStats, StatsSnapshot};
-pub use supervise::{PoisonJob, ShardOptions, ShardStats, Supervisor};
-pub use worker::worker_main;

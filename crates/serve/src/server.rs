@@ -39,7 +39,7 @@ use ms_sweep::{
 use ms_workloads::{Scale, Workload};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -51,6 +51,12 @@ const RETRY_AFTER_MS: u64 = 100;
 /// Poll interval for the acceptor and connection read loops; bounds how
 /// long threads take to notice a stop signal.
 const POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line, newline included. Requests are a few
+/// hundred bytes (a sweep over every suite workload is under 1 KiB); a
+/// line that reaches the cap is answered `bad_request` and its
+/// connection closed, so one client cannot grow a buffer without bound.
+const MAX_LINE: usize = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -462,6 +468,8 @@ struct LineReader {
 enum ReadLine {
     Line(String),
     TimedOut,
+    /// [`MAX_LINE`] bytes arrived without a newline.
+    TooLong,
     Eof,
 }
 
@@ -477,12 +485,16 @@ impl LineReader {
                 self.pos += nl + 1;
                 return Ok(ReadLine::Line(line));
             }
-            // Compact the consumed prefix, grow if a line exceeds the buffer.
+            // Compact the consumed prefix, grow if a line exceeds the
+            // buffer, refuse a line that reaches the cap.
             self.buf.copy_within(self.pos..self.len, 0);
             self.len -= self.pos;
             self.pos = 0;
+            if self.len == MAX_LINE {
+                return Ok(ReadLine::TooLong);
+            }
             if self.len == self.buf.len() {
-                self.buf.resize(self.buf.len() * 2, 0);
+                self.buf.resize((self.buf.len() * 2).min(MAX_LINE), 0);
             }
             match self.stream.read(&mut self.buf[self.len..]) {
                 Ok(0) => return Ok(ReadLine::Eof),
@@ -549,6 +561,17 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn: u64) {
                     }
                 }
                 continue;
+            }
+            Ok(ReadLine::TooLong) => {
+                shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+                shared.log(conn, "op=? outcome=bad_request detail=\"line too long\"");
+                let detail = format!("request line longer than {MAX_LINE} bytes");
+                let _ = writer
+                    .write_all(protocol::error_line(0, "bad_request", None, &detail).as_bytes());
+                // Half-close first, so the client reads the error and then
+                // EOF even though the rest of its line is never read.
+                let _ = writer.shutdown(Shutdown::Write);
+                break;
             }
             Ok(ReadLine::Eof) | Err(_) => break,
         };

@@ -1,7 +1,9 @@
 //! Service-layer robustness: a leader that panics mid-compute must wake
 //! its joiners with a structured error (and the next caller must get to
-//! lead a fresh flight), and idle connections are evicted with a
-//! structured `timeout` line, never silently.
+//! lead a fresh flight), idle connections are evicted with a structured
+//! `timeout` line, never silently, and no request line — however deeply
+//! nested or however long — can abort the daemon or grow its memory
+//! without bound.
 
 use ms_serve::protocol::{self, Response};
 use ms_serve::{Server, ServerConfig, StatsSnapshot};
@@ -57,31 +59,30 @@ impl Executor for PanicOnceExecutor {
     }
 }
 
-fn fetch_stats(addr: SocketAddr) -> StatsSnapshot {
+/// Opens a connection, reads the hello line, sends `request` and
+/// returns the one response line.
+fn exchange(addr: SocketAddr, request: &[u8]) -> Response {
     let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).unwrap(); // hello
-    writer.write_all(b"{\"op\":\"stats\",\"id\":0}\n").unwrap();
+    writer.write_all(request).unwrap();
     line.clear();
     reader.read_line(&mut line).unwrap();
-    match protocol::parse_response(&line).unwrap() {
+    protocol::parse_response(&line).unwrap()
+}
+
+fn fetch_stats(addr: SocketAddr) -> StatsSnapshot {
+    match exchange(addr, b"{\"op\":\"stats\",\"id\":0}\n") {
         Response::Stats { raw, .. } => StatsSnapshot::from_json(&raw).unwrap(),
         other => panic!("{other:?}"),
     }
 }
 
 fn ask(addr: SocketAddr) -> String {
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap(); // hello
-    writer.write_all(b"{\"op\":\"run\",\"id\":1,\"workload\":\"wc\",\"units\":4}\n").unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    match protocol::parse_response(&line).unwrap() {
+    match exchange(addr, b"{\"op\":\"run\",\"id\":1,\"workload\":\"wc\",\"units\":4}\n") {
         Response::Result { id: 1, payload } => payload,
         other => panic!("{other:?}"),
     }
@@ -174,6 +175,79 @@ fn idle_connections_get_a_structured_timeout_then_eof() {
 
     // The daemon itself is unaffected: a new connection still serves.
     assert!(ask(addr).contains("\"ok\":true"));
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn deeply_nested_lines_are_bad_requests_not_a_daemon_abort() {
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let server = Server::start(cfg, Arc::new(InProcessExecutor::new())).expect("bind");
+    let addr = server.addr();
+    let ping = |depth: usize| {
+        format!("{{\"op\":\"ping\",\"id\":3,\"x\":{}{}}}\n", "[".repeat(depth), "]".repeat(depth))
+    };
+
+    // Nesting up to the parser's limit is still a request, parsed on a
+    // connection thread's stack.
+    let at_limit = ping(ms_trace::jsonv::MAX_DEPTH - 1);
+    assert_eq!(exchange(addr, at_limit.as_bytes()), Response::Pong { id: 3 });
+
+    // 100,000 levels once overflowed that stack and aborted the process.
+    match exchange(addr, ping(100_000).as_bytes()) {
+        Response::Error { code, detail, .. } => {
+            assert_eq!(code, "bad_request");
+            assert!(detail.contains("nesting deeper than"), "{detail}");
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(exchange(addr, b"{\"op\":\"ping\",\"id\":4}\n"), Response::Pong { id: 4 });
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn an_endless_line_is_refused_and_its_connection_closed() {
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let server = Server::start(cfg, Arc::new(InProcessExecutor::new())).expect("bind");
+    let addr = server.addr();
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap(); // hello
+
+    // 8 MiB with no newline. The daemon stops reading at its cap, so the
+    // tail of this write may fail once the connection is gone.
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..128 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    match protocol::parse_response(&line).unwrap() {
+        Response::Error { code, detail, .. } => {
+            assert_eq!(code, "bad_request", "{line}");
+            assert!(detail.contains("request line longer than"), "{detail}");
+        }
+        other => panic!("{other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "connection closed after the error");
+    flood.join().unwrap();
+
+    // The daemon counted the refusal and keeps serving other connections.
+    assert_eq!(fetch_stats(addr).bad_requests, 1);
+    assert_eq!(exchange(addr, b"{\"op\":\"ping\",\"id\":5}\n"), Response::Pong { id: 5 });
 
     server.shutdown();
     server.join();

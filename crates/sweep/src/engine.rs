@@ -16,10 +16,10 @@
 //!
 //! *Where* a job actually simulates is pluggable: the pool hands each
 //! job to an [`Executor`]. The default [`InProcessExecutor`] simulates
-//! on the calling thread; other executors (a counting test shim, the
-//! `ms-serve` daemon's instrumented executor, process/host shards
-//! later) implement the same one-job contract and inherit the engine's
-//! deterministic assembly and caching unchanged.
+//! on the calling thread; other executors (counting, gated and
+//! panicking test shims, a benchmark's timing wrapper) implement the
+//! same one-job contract and inherit the engine's deterministic
+//! assembly and caching unchanged.
 
 use crate::cache::SweepCache;
 use crate::job::{Job, JobKind};

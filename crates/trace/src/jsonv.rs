@@ -75,11 +75,19 @@ impl JsonValue {
     }
 }
 
-/// Parses a complete JSON document. Trailing non-whitespace is an
-/// error; the message names the byte offset of the first problem.
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so an unbounded depth would let one
+/// hostile line overflow the stack. The documents this workspace writes
+/// nest at most eight levels (a served `sweep_result` line); 64 levels
+/// fit a 256 KiB thread stack even in an unoptimized build.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses a complete JSON document. Trailing non-whitespace, and
+/// nesting deeper than [`MAX_DEPTH`], are errors; the message names the
+/// byte offset of the first problem.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut r = Reader { bytes: text.as_bytes(), pos: 0 };
-    let v = r.value()?;
+    let v = r.value(0)?;
     r.skip_ws();
     if r.pos != r.bytes.len() {
         return Err(r.error("trailing data"));
@@ -174,8 +182,12 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// Parses one value nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
         match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
             Some(b'{') => {
                 self.pos += 1;
                 let mut fields = Vec::new();
@@ -187,7 +199,7 @@ impl<'a> Reader<'a> {
                     self.skip_ws();
                     let key = self.string()?;
                     self.expect(b':')?;
-                    fields.push((key, self.value()?));
+                    fields.push((key, self.value(depth + 1)?));
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
@@ -206,7 +218,7 @@ impl<'a> Reader<'a> {
                     return Ok(JsonValue::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
@@ -270,6 +282,25 @@ mod tests {
         let doc = format!("{{\"k\":{}}}", crate::json::string("a\"b\\c\nd\t\u{1}"));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some("a\"b\\c\nd\t\u{1}"));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(e.contains("nesting deeper than"), "{e}");
+        // Far past the limit, on a thread with a small stack: the parser
+        // stops at the limit instead of recursing through the input.
+        let deep = format!("{{\"op\":\"ping\",\"x\":{}}}", nested(100_000));
+        let e = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&deep))
+            .unwrap()
+            .join()
+            .unwrap()
+            .expect_err("100,000 levels");
+        assert!(e.contains("nesting deeper than"), "{e}");
     }
 
     #[test]
