@@ -25,94 +25,34 @@ use ms_bench::perf::{
     measure, measure_accounted, perf_to_json, render_perf, MachineSpec, PerfPoint,
 };
 use ms_sweep::artifacts;
+use ms_workloads::cli::{parse_cli, positive, CliSpec};
 use ms_workloads::Scale;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: msperf [--workloads a,b,...] [--scale test|full] \
-         [--machines scalar,ms4,ms8] [--reps N] [--out PATH] [--cpi]"
-    );
+const USAGE: &str = "usage: msperf [--workloads a,b,...] [--scale test|full] \
+                     [--machines scalar,ms4,ms8] [--reps N] [--out PATH] [--cpi]";
+const SPEC: CliSpec = CliSpec {
+    flags: &["--cpi"],
+    options: &["--workloads", "--scale", "--machines", "--reps", "--out"],
+};
+
+fn usage(err: impl std::fmt::Display) -> ! {
+    eprintln!("msperf: {err}\n{USAGE}");
     std::process::exit(2);
 }
 
 fn main() {
-    let mut workloads: Option<Vec<String>> = None;
-    let mut scale = Scale::Full;
-    let mut machines = MachineSpec::defaults();
-    let mut reps = 3usize;
-    let mut out_path = "BENCH_perf.json".to_string();
-    let mut cpi = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workloads" => {
-                let list = it.next().unwrap_or_else(|| {
-                    eprintln!("--workloads needs a comma-separated list");
-                    usage()
-                });
-                workloads = Some(list.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            "--scale" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--scale needs test|full");
-                    usage()
-                });
-                scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale `{v}` (use test|full)");
-                    usage()
-                });
-            }
-            "--machines" => {
-                let list = it.next().unwrap_or_else(|| {
-                    eprintln!("--machines needs a comma-separated list");
-                    usage()
-                });
-                machines = list
-                    .split(',')
-                    .map(|name| {
-                        MachineSpec::parse(name.trim()).unwrap_or_else(|| {
-                            eprintln!("unknown machine `{name}` (use scalar or ms<N>)");
-                            usage()
-                        })
-                    })
-                    .collect();
-            }
-            "--reps" => {
-                reps = it.next().and_then(|v| v.parse().ok()).filter(|&r| r > 0).unwrap_or_else(
-                    || {
-                        eprintln!("--reps needs a positive integer");
-                        usage()
-                    },
-                );
-            }
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    usage()
-                });
-            }
-            "--cpi" => cpi = true,
-            other => {
-                eprintln!("unknown argument `{other}`");
-                usage();
-            }
-        }
+    let args = parse_cli(&SPEC, std::env::args().skip(1)).unwrap_or_else(|e| usage(e));
+    if let Some(extra) = args.positional.first() {
+        usage(format!("unexpected argument `{extra}`"));
     }
-
+    let scale = args.scale(Scale::Full).unwrap_or_else(|e| usage(e));
+    let machines = args.list("--machines", MachineSpec::parse).unwrap_or_else(|e| usage(e));
+    let machines = machines.unwrap_or_else(MachineSpec::defaults);
+    let reps = args.get("--reps", positive).unwrap_or_else(|e| usage(e)).unwrap_or(3);
+    let out_path = args.value("--out").unwrap_or("BENCH_perf.json");
+    let cpi = args.has("--cpi");
     let suite = ms_workloads::suite(scale);
-    let selected: Vec<_> = match &workloads {
-        None => suite.iter().collect(),
-        Some(names) => names
-            .iter()
-            .map(|n| {
-                suite.iter().find(|w| w.name.eq_ignore_ascii_case(n)).unwrap_or_else(|| {
-                    eprintln!("unknown workload `{n}`");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-    };
+    let selected = args.workloads(&suite).unwrap_or_else(|e| usage(e));
 
     let mut points: Vec<PerfPoint> = Vec::new();
     for w in &selected {
@@ -133,7 +73,7 @@ fn main() {
     println!("total best wall time: {total:.3} s over {} points (reps = {reps})", points.len());
 
     let json = perf_to_json(scale.id(), reps, &points);
-    if let Err(e) = artifacts::write_atomic(std::path::Path::new(&out_path), json.as_bytes()) {
+    if let Err(e) = artifacts::write_atomic(std::path::Path::new(out_path), json.as_bytes()) {
         eprintln!("writing {out_path}: {e}");
         std::process::exit(1);
     }

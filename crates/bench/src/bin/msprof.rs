@@ -29,95 +29,36 @@ use ms_bench::prof::{
     ProfPoint,
 };
 use ms_sweep::artifacts;
+use ms_workloads::cli::{parse_cli, CliArgs, CliSpec};
 use ms_workloads::Scale;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: msprof run [--workloads a,b,...] [--scale test|full] \
-         [--machines ms4,ms8] [--out PATH] [--csv PATH] [--quiet]\n       \
-         msprof diff OLD.json NEW.json"
-    );
+const USAGE: &str = "usage: msprof run [--workloads a,b,...] [--scale test|full] \
+                     [--machines ms4,ms8] [--out PATH] [--csv PATH] [--quiet]\n       \
+                     msprof diff OLD.json NEW.json";
+const RUN_SPEC: CliSpec = CliSpec {
+    flags: &["--quiet"],
+    options: &["--workloads", "--scale", "--machines", "--out", "--csv"],
+};
+const DIFF_SPEC: CliSpec = CliSpec { flags: &[], options: &[] };
+
+fn usage(err: impl std::fmt::Display) -> ! {
+    eprintln!("msprof: {err}\n{USAGE}");
     std::process::exit(2);
 }
 
-fn cmd_run(args: &[String]) {
-    let mut workloads: Option<Vec<String>> = None;
-    let mut scale = Scale::Full;
-    let mut machines: Vec<MachineSpec> = ["ms4", "ms8"]
-        .iter()
-        .map(|n| {
-            MachineSpec::parse(n).unwrap_or_else(|| {
-                eprintln!("msprof: internal error: default machine `{n}` does not parse");
-                std::process::exit(1);
-            })
-        })
-        .collect();
-    let mut out_path = "BENCH_prof.json".to_string();
-    let mut csv_path: Option<String> = None;
-    let mut quiet = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--workloads" => {
-                workloads =
-                    Some(value("--workloads").split(',').map(|s| s.trim().to_string()).collect());
-            }
-            "--scale" => {
-                let v = value("--scale");
-                scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale `{v}` (use test|full)");
-                    usage()
-                });
-            }
-            "--machines" => {
-                machines = value("--machines")
-                    .split(',')
-                    .map(|name| {
-                        let m = MachineSpec::parse(name.trim()).unwrap_or_else(|| {
-                            eprintln!("unknown machine `{name}` (use ms<N>)");
-                            usage()
-                        });
-                        if !m.multiscalar {
-                            eprintln!(
-                                "msprof profiles multiscalar machines only; \
-                                 `{name}` has no CPI stack"
-                            );
-                            usage();
-                        }
-                        m
-                    })
-                    .collect();
-            }
-            "--out" => out_path = value("--out"),
-            "--csv" => csv_path = Some(value("--csv")),
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!("unknown argument `{other}`");
-                usage();
-            }
-        }
+fn cmd_run(args: &CliArgs) {
+    if let Some(extra) = args.positional.first() {
+        usage(format!("unexpected argument `{extra}`"));
     }
-
+    let scale = args.scale(Scale::Full).unwrap_or_else(|e| usage(e));
+    // Only multiscalar machines have a unit queue to profile.
+    let machines = args.list("--machines", |n| MachineSpec::parse(n).filter(|m| m.multiscalar));
+    let machines = machines
+        .unwrap_or_else(|e| usage(e))
+        .unwrap_or_else(|| ["ms4", "ms8"].iter().filter_map(|n| MachineSpec::parse(n)).collect());
+    let out_path = args.value("--out").unwrap_or("BENCH_prof.json");
     let suite = ms_workloads::suite(scale);
-    let selected: Vec<_> = match &workloads {
-        None => suite.iter().collect(),
-        Some(names) => names
-            .iter()
-            .map(|n| {
-                suite.iter().find(|w| w.name.eq_ignore_ascii_case(n)).unwrap_or_else(|| {
-                    eprintln!("unknown workload `{n}`");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-    };
+    let selected = args.workloads(&suite).unwrap_or_else(|e| usage(e));
 
     let mut points: Vec<ProfPoint> = Vec::new();
     for w in &selected {
@@ -132,20 +73,20 @@ fn cmd_run(args: &[String]) {
         }
     }
 
-    if !quiet {
+    if !args.has("--quiet") {
         print!("{}", render_profile(&points));
     }
 
     let json = profile_to_json(scale.id(), &points);
-    if let Err(e) = artifacts::write_atomic(std::path::Path::new(&out_path), json.as_bytes()) {
+    if let Err(e) = artifacts::write_atomic(std::path::Path::new(out_path), json.as_bytes()) {
         eprintln!("writing {out_path}: {e}");
         std::process::exit(1);
     }
     eprintln!("wrote {out_path} ({} points)", points.len());
 
-    if let Some(path) = csv_path {
+    if let Some(path) = args.value("--csv") {
         if let Err(e) =
-            artifacts::write_atomic(std::path::Path::new(&path), profile_to_csv(&points).as_bytes())
+            artifacts::write_atomic(std::path::Path::new(path), profile_to_csv(&points).as_bytes())
         {
             eprintln!("writing {path}: {e}");
             std::process::exit(1);
@@ -154,8 +95,10 @@ fn cmd_run(args: &[String]) {
     }
 }
 
-fn cmd_diff(args: &[String]) {
-    let [old_path, new_path] = args else { usage() };
+fn cmd_diff(args: &CliArgs) {
+    let [old_path, new_path] = args.positional.as_slice() else {
+        usage("diff takes exactly two profiles")
+    };
     let load = |path: &String| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("reading {path}: {e}");
@@ -175,10 +118,11 @@ fn cmd_diff(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.split_first() {
-        Some((cmd, rest)) if cmd == "run" => cmd_run(rest),
-        Some((cmd, rest)) if cmd == "diff" => cmd_diff(rest),
-        _ => usage(),
-    }
+    let mut argv = std::env::args().skip(1);
+    let (spec, cmd): (_, fn(&CliArgs)) = match argv.next().as_deref() {
+        Some("run") => (RUN_SPEC, cmd_run),
+        Some("diff") => (DIFF_SPEC, cmd_diff),
+        _ => usage("expected `run` or `diff`"),
+    };
+    cmd(&parse_cli(&spec, argv).unwrap_or_else(|e| usage(e)));
 }

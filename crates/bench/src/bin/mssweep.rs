@@ -46,6 +46,7 @@
 
 use ms_bench::{render_table34, rows_from_sweep, tables_to_json};
 use ms_sweep::{artifacts, run_sweep, SweepCache, SweepOptions, SweepSpec};
+use ms_workloads::cli::{parse_cli, parsed, positive, CliArgs, CliError, CliSpec};
 use ms_workloads::Scale;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -56,131 +57,89 @@ struct Args {
     opts: SweepOptions,
     out_dir: PathBuf,
     quiet: bool,
+    list: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mssweep [--workloads a,b,c] [--scale test|full] [--widths 1,2] \
-         [--units 4,8] [--order inorder|ooo|both] [--partition AXES|none]... \
-         [--jobs N] [--out-dir DIR] [--cache-dir DIR] [--no-cache] [--metrics] \
-         [--cpi] [--quiet]\n       mssweep --list"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: mssweep [--workloads a,b,c] [--scale test|full] [--widths 1,2] \
+                     [--units 4,8] [--order inorder|ooo|both] [--partition AXES|none]... \
+                     [--jobs N] [--out-dir DIR] [--cache-dir DIR] [--no-cache] [--metrics] \
+                     [--cpi] [--quiet]\n       mssweep --list";
+const SPEC: CliSpec = CliSpec {
+    flags: &["--list", "--no-cache", "--metrics", "--cpi", "--quiet"],
+    options: &[
+        "--workloads",
+        "--scale",
+        "--widths",
+        "--units",
+        "--order",
+        "--partition",
+        "--jobs",
+        "--out-dir",
+        "--cache-dir",
+    ],
+};
 
-fn parse_list<T: std::str::FromStr>(flag: &str, v: &str) -> Vec<T> {
-    let parsed: Vec<T> = v.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-    if parsed.is_empty() || parsed.len() != v.split(',').count() {
-        eprintln!("{flag}: cannot parse `{v}` as a comma-separated list");
-        usage();
+fn parse_args(args: &CliArgs) -> Result<Args, CliError> {
+    if let Some(extra) = args.positional.first() {
+        return Err(format!("unexpected argument `{extra}`").into());
     }
-    parsed
-}
-
-fn parse_args() -> Args {
-    let mut spec = SweepSpec::tables34(Scale::Full);
-    let mut jobs = 0usize;
-    let mut out_dir = PathBuf::from("mssweep-out");
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut metrics = false;
-    let mut cpi = false;
-    let mut quiet = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--list" => {
-                for w in ms_workloads::suite(Scale::Test) {
-                    println!("{:<12} {}", w.name, w.description);
-                }
-                std::process::exit(0);
-            }
-            "--workloads" => {
-                spec.workloads =
-                    value("--workloads").split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--scale" => {
-                spec.scale = Scale::parse(&value("--scale")).unwrap_or_else(|| {
-                    eprintln!("--scale must be `test` or `full`");
-                    usage()
-                });
-            }
-            "--widths" => spec.widths = parse_list("--widths", &value("--widths")),
-            "--partition" => {
-                // Normalize to the policy's stable key so equivalent
-                // spellings (`size=8` vs `loops=1,size=8`) share one
-                // design point and one cache entry.
-                let axes = value("--partition");
-                spec.partitions.push(if axes == "none" {
-                    None
-                } else {
-                    match ms_cfg::PartitionPolicy::parse(&axes) {
-                        Ok(p) => Some(p.stable_key()),
-                        Err(e) => {
-                            eprintln!("--partition: {e}");
-                            usage();
-                        }
-                    }
-                });
-            }
-            "--units" => spec.unit_counts = parse_list("--units", &value("--units")),
-            "--order" => {
-                spec.orders = match value("--order").as_str() {
-                    "inorder" => vec![false],
-                    "ooo" => vec![true],
-                    "both" => vec![false, true],
-                    other => {
-                        eprintln!("--order must be inorder|ooo|both, got `{other}`");
-                        usage();
-                    }
-                };
-            }
-            "--jobs" => {
-                jobs = value("--jobs").parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs needs a non-negative integer (0 = all cores)");
-                    usage()
-                });
-            }
-            "--out-dir" => out_dir = PathBuf::from(value("--out-dir")),
-            "--cache-dir" => cache_dir = Some(value("--cache-dir")),
-            "--no-cache" => no_cache = true,
-            "--metrics" => metrics = true,
-            "--cpi" => cpi = true,
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!("unknown argument `{other}`");
-                usage();
-            }
-        }
+    let mut spec = SweepSpec::tables34(args.scale(Scale::Full)?);
+    if let Some(names) = args.list("--workloads", parsed)? {
+        spec.workloads = names;
     }
-
-    let cache = if no_cache {
-        SweepCache::disabled()
-    } else {
-        match cache_dir {
-            Some(dir) => SweepCache::at(dir),
-            None => SweepCache::from_env(),
-        }
+    // The paper's machine space (§5.1): 1- or 2-way issue, one unit or more.
+    if let Some(widths) = args.list("--widths", |v| parsed(v).filter(|w| matches!(w, 1 | 2)))? {
+        spec.widths = widths;
+    }
+    if let Some(units) = args.list("--units", positive)? {
+        spec.unit_counts = units;
+    }
+    let order = |v: &str| match v {
+        "inorder" => Some(vec![false]),
+        "ooo" => Some(vec![true]),
+        "both" => Some(vec![false, true]),
+        _ => None,
     };
+    if let Some(orders) = args.get("--order", order)? {
+        spec.orders = orders;
+    }
+    for axes in args.values("--partition") {
+        // Normalize to the policy's stable key so equivalent spellings
+        // (`size=8` vs `loops=1,size=8`) share one design point and one
+        // cache entry.
+        spec.partitions.push(if axes == "none" {
+            None
+        } else {
+            let policy = ms_cfg::PartitionPolicy::parse(axes);
+            Some(policy.map_err(|e| format!("--partition: {e}"))?.stable_key())
+        });
+    }
+    let out_dir = PathBuf::from(args.value("--out-dir").unwrap_or("mssweep-out"));
+    let quiet = args.has("--quiet");
     let opts = SweepOptions {
-        jobs,
-        cache,
+        jobs: args.get("--jobs", parsed)?.unwrap_or(0),
+        cache: SweepCache::from_cli(args),
         progress: !quiet,
-        metrics_dir: metrics.then(|| out_dir.join("metrics")),
-        cpi,
+        metrics_dir: args.has("--metrics").then(|| out_dir.join("metrics")),
+        cpi: args.has("--cpi"),
     };
-    Args { spec, opts, out_dir, quiet }
+    Ok(Args { spec, opts, out_dir, quiet, list: args.has("--list") })
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = match parse_cli(&SPEC, std::env::args().skip(1)).and_then(|a| parse_args(&a)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("mssweep: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    if args.list {
+        for w in ms_workloads::suite(Scale::Test) {
+            println!("{:<12} {}", w.name, w.description);
+        }
+        return ExitCode::SUCCESS;
+    }
     if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
         eprintln!("cannot create {}: {e}", args.out_dir.display());
         return ExitCode::FAILURE;

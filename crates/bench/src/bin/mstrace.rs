@@ -30,7 +30,9 @@
 //! `report.json` then holds the error and its diagnostic snapshot, and
 //! the exit code is 1.
 
+use ms_sweep::statsio::stats_to_json;
 use ms_trace::{json, ChromeTraceSink, JsonLinesSink, MetricsReport, MetricsSink, TeeSink};
+use ms_workloads::cli::{parse_cli, positive, CliArgs, CliError, CliSpec};
 use ms_workloads::{Scale, WorkloadError};
 use multiscalar::{CpiAccountant, RunStats, SimConfig};
 use std::fs::File;
@@ -44,77 +46,27 @@ struct Args {
     scale: Scale,
     out_dir: PathBuf,
     jsonl: bool,
+    list: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mstrace <workload> [--units N] [--scale test|full] \
-         [--out-dir DIR] [--jsonl]\n       mstrace --list"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: mstrace <workload> [--units N] [--scale test|full] \
+                     [--out-dir DIR] [--jsonl]\n       mstrace --list";
+const SPEC: CliSpec =
+    CliSpec { flags: &["--list", "--jsonl"], options: &["--units", "--scale", "--out-dir"] };
+
+fn parse_args(args: &CliArgs) -> Result<Args, CliError> {
+    let units = args.get("--units", positive)?.unwrap_or(8);
+    let scale = args.scale(Scale::Test)?;
+    let out_dir = PathBuf::from(args.value("--out-dir").unwrap_or("mstrace-out"));
+    let list = args.has("--list");
+    let workload = match args.positional.as_slice() {
+        [workload] => workload.clone(),
+        [] if list => String::new(),
+        [] => return Err("no workload named".into()),
+        _ => return Err("more than one workload named".into()),
+    };
+    Ok(Args { workload, units, scale, out_dir, jsonl: args.has("--jsonl"), list })
 }
-
-fn parse_args() -> Args {
-    let mut workload = None;
-    let mut units = 8usize;
-    let mut scale = Scale::Test;
-    let mut out_dir = PathBuf::from("mstrace-out");
-    let mut jsonl = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--list" => {
-                for w in ms_workloads::suite(Scale::Test) {
-                    println!("{:<12} {}", w.name, w.description);
-                }
-                std::process::exit(0);
-            }
-            "--units" => {
-                units = it.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or_else(
-                    || {
-                        eprintln!("--units needs a positive integer");
-                        usage()
-                    },
-                );
-            }
-            "--scale" => {
-                scale = match it.next().as_deref() {
-                    Some("test") => Scale::Test,
-                    Some("full") => Scale::Full,
-                    other => {
-                        eprintln!(
-                            "--scale must be `test` or `full`, got `{}`",
-                            other.unwrap_or("nothing")
-                        );
-                        usage();
-                    }
-                };
-            }
-            "--out-dir" => {
-                out_dir = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--out-dir needs a path");
-                    usage()
-                }));
-            }
-            "--jsonl" => jsonl = true,
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
-            other => {
-                if workload.replace(other.to_string()).is_some() {
-                    eprintln!("more than one workload named");
-                    usage();
-                }
-            }
-        }
-    }
-    let Some(workload) = workload else { usage() };
-    Args { workload, units, scale, out_dir, jsonl }
-}
-
-use ms_sweep::statsio::stats_to_json;
 
 /// Cross-checks event-derived counters against the simulator's own
 /// aggregates. Any disagreement means an instrumentation call-site is
@@ -185,24 +137,33 @@ fn failure_fields(err: &WorkloadError) -> String {
 /// Writes `report.json`: the run's identity, then `fields`.
 fn write_report(path: &Path, args: &Args, fields: &str) -> io::Result<()> {
     let mut f = BufWriter::new(File::create(path)?);
-    let scale = match args.scale {
-        Scale::Test => "test",
-        Scale::Full => "full",
-    };
     write!(
         f,
-        "{{\"workload\":\"{}\",\"units\":{},\"scale\":\"{scale}\",{fields}}}",
+        "{{\"workload\":\"{}\",\"units\":{},\"scale\":\"{}\",{fields}}}",
         args.workload.to_ascii_lowercase(),
         args.units,
+        args.scale.id(),
     )?;
     f.flush()
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let usage = |e: &dyn std::fmt::Display| {
+        eprintln!("mstrace: {e}\n{USAGE}");
+        ExitCode::from(2)
+    };
+    let args = match parse_cli(&SPEC, std::env::args().skip(1)).and_then(|a| parse_args(&a)) {
+        Ok(args) => args,
+        Err(e) => return usage(&e),
+    };
+    if args.list {
+        for w in ms_workloads::suite(Scale::Test) {
+            println!("{:<12} {}", w.name, w.description);
+        }
+        return ExitCode::SUCCESS;
+    }
     let Some(w) = ms_workloads::by_name(&args.workload, args.scale) else {
-        eprintln!("unknown workload `{}`; try --list", args.workload);
-        return ExitCode::from(2);
+        return usage(&format!("unknown workload `{}`; try --list", args.workload));
     };
 
     if let Err(e) = std::fs::create_dir_all(&args.out_dir) {

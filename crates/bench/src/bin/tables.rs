@@ -19,71 +19,40 @@ use ms_bench::{
     render_table34, table1, table2, tables_to_json, EvalRow,
 };
 use ms_sweep::{artifacts, JobFailure, SweepCache, SweepOptions};
+use ms_workloads::cli::{parse_cli, parsed, CliSpec};
 use ms_workloads::Scale;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tables [all|table1|table2|table3|table4|cycles|ablation|scaling] \
-         [--test-scale] [--jobs N] [--json PATH] [--cache-dir DIR] [--no-cache]"
-    );
+const USAGE: &str = "usage: tables [all|table1|table2|table3|table4|cycles|ablation|scaling] \
+                     [--test-scale] [--jobs N] [--json PATH] [--cache-dir DIR] [--no-cache]";
+const SPEC: CliSpec = CliSpec {
+    flags: &["--test-scale", "--no-cache"],
+    options: &["--jobs", "--json", "--cache-dir"],
+};
+const SELECTORS: [&str; 9] =
+    ["all", "table1", "config", "table2", "table3", "table4", "cycles", "ablation", "scaling"];
+
+fn usage(err: impl std::fmt::Display) -> ! {
+    eprintln!("tables: {err}\n{USAGE}");
     std::process::exit(2);
 }
 
 fn main() {
-    let mut what: Option<String> = None;
-    let mut scale = Scale::Full;
-    let mut jobs = 0usize;
-    let mut json_path: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--test-scale" => scale = Scale::Test,
-            "--no-cache" => no_cache = true,
-            "--jobs" => {
-                jobs = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--jobs needs a non-negative integer (0 = all cores)");
-                    usage()
-                });
-            }
-            "--json" => {
-                json_path = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--json needs a path");
-                    usage()
-                }));
-            }
-            "--cache-dir" => {
-                cache_dir = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--cache-dir needs a path");
-                    usage()
-                }));
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
-            other => {
-                if what.replace(other.to_string()).is_some() {
-                    eprintln!("more than one selector named");
-                    usage();
-                }
-            }
-        }
-    }
-    let what = what.unwrap_or_else(|| "all".to_string());
-    let run = |name: &str| what == "all" || what == name;
-
-    let cache = if no_cache {
-        SweepCache::disabled()
-    } else {
-        match cache_dir {
-            Some(dir) => SweepCache::at(dir),
-            None => SweepCache::from_env(),
-        }
+    let args = parse_cli(&SPEC, std::env::args().skip(1)).unwrap_or_else(|e| usage(e));
+    let what = match args.positional.as_slice() {
+        [] => "all",
+        [what] if SELECTORS.contains(&what.as_str()) => what.as_str(),
+        [what] => usage(format!("unknown selector `{what}`")),
+        _ => usage("more than one selector named"),
     };
-    let opts = SweepOptions { jobs, cache, ..SweepOptions::default() };
+    let run = |name: &str| what == "all" || what == name;
+    let scale = if args.has("--test-scale") { Scale::Test } else { Scale::Full };
+    let jobs = args.get("--jobs", parsed).unwrap_or_else(|e| usage(e)).unwrap_or(0);
+    let json_path = args.value("--json");
+    if json_path.is_some() && !["all", "table3", "table4"].contains(&what) {
+        usage(format!("--json requires table3 and/or table4 (selector `{what}` computes neither)"));
+    }
+
+    let opts = SweepOptions { jobs, cache: SweepCache::from_cli(&args), ..SweepOptions::default() };
     let sweep_or_die = |ooo: bool| -> Vec<EvalRow> {
         evaluate_suite(ooo, scale, &opts).unwrap_or_else(|f: JobFailure| {
             eprintln!("design point failed: {f}");
@@ -125,23 +94,11 @@ fn main() {
         }
     }
     if let Some(path) = json_path {
-        if rows3.is_none() && rows4.is_none() {
-            eprintln!("--json requires table3 and/or table4 (selector `{what}` computes neither)");
-            std::process::exit(2);
-        }
         let json = tables_to_json(rows3.as_deref(), rows4.as_deref());
-        if let Err(e) = artifacts::write_atomic(std::path::Path::new(&path), json.as_bytes()) {
+        if let Err(e) = artifacts::write_atomic(std::path::Path::new(path), json.as_bytes()) {
             eprintln!("writing {path}: {e}");
             std::process::exit(1);
         }
         eprintln!("wrote {path}");
-    }
-    if !["all", "table1", "config", "table2", "table3", "table4", "cycles", "ablation", "scaling"]
-        .contains(&what.as_str())
-    {
-        eprintln!(
-            "unknown selector `{what}`; use all|table1|table2|table3|table4|cycles|ablation|scaling"
-        );
-        std::process::exit(2);
     }
 }

@@ -13,7 +13,8 @@
 //! assembly failure.
 
 use ms_asm::{assemble, AsmMode};
-use ms_cfg::{check_program, parse_cli, CliSpec, Severity};
+use ms_cfg::{check_program, Severity};
+use ms_workloads::cli::{parse_cli, CliSpec};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: mscheck [--list] <program.s>";

@@ -21,7 +21,8 @@
 //! Exit status: 0 if every case partitioned and checked clean, 1 if any
 //! case failed, 2 on usage, read or assembly errors.
 
-use ms_cfg::{check_program, parse_cli, CliSpec, PartitionPolicy, Partitioned, Severity};
+use ms_cfg::{check_program, PartitionPolicy, Partitioned, Severity};
+use ms_workloads::cli::{parse_cli, CliSpec};
 use ms_workloads::Scale;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -50,10 +51,9 @@ fn main() -> ExitCode {
         Err(e) => return fail(e.to_string()),
     };
 
-    let scale = match args.value("--scale").unwrap_or("test") {
-        "test" => Scale::Test,
-        "full" => Scale::Full,
-        other => return fail(format!("unknown scale `{other}`")),
+    let scale = match args.scale(Scale::Test) {
+        Ok(scale) => scale,
+        Err(e) => return fail(e.to_string()),
     };
 
     let mut policies = Vec::new();

@@ -26,12 +26,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod cli;
 pub mod partition;
 mod summary;
 mod taskcheck;
 
-pub use cli::{parse_cli, CliArgs, CliError, CliSpec};
 pub use partition::{
     partition_program, partition_source, PartitionError, PartitionPolicy, Partitioned,
 };

@@ -3,7 +3,8 @@
 //! Pins three behaviours that regressed or nearly regressed:
 //!
 //! * unknown `--` flags are rejected with usage text and exit 2 (a typo
-//!   like `--lsit` used to silently run a plain check and exit 0),
+//!   like `--lsit` used to silently run a plain check and exit 0), and
+//!   so are options given without their value,
 //! * `mscheck --list` keeps stdout machine-clean: the listing is the
 //!   only stdout output, diagnostics and the summary go to stderr,
 //! * malformed-annotation programs exit 1 (distinct from usage errors).
@@ -56,6 +57,17 @@ fn mspart_rejects_unknown_flags_with_usage() {
     assert_eq!(out.status.code(), Some(2), "unknown flag must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--lsit") && stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn mspart_rejects_options_without_values_with_usage() {
+    for args in [&["--workload", "wc", "--policy"][..], &["--scale"]] {
+        let out = run(env!("CARGO_BIN_EXE_mspart"), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: missing value must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("needs a value") && stderr.contains("usage:"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing on stdout for usage errors");
+    }
 }
 
 #[test]

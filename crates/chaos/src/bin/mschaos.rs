@@ -30,11 +30,12 @@
 use ms_chaos::{run_campaign, run_serve_campaign, Campaign, ServeCampaign};
 use ms_chaos::{HOST_PLAN_NAMES, PLAN_NAMES};
 use ms_sweep::artifacts;
-use ms_workloads::Scale;
+use ms_workloads::cli::{parse_cli, parsed, positive, CliArgs, CliError, CliSpec};
 
-fn usage() -> ! {
+fn usage(err: impl std::fmt::Display) -> ! {
     eprintln!(
-        "usage: mschaos [--workloads a,b,...] [--plans {}] \
+        "mschaos: {err}\n\
+         usage: mschaos [--workloads a,b,...] [--plans {}] \
          [--seeds N] [--seed-base B] [--units N] [--scale test|full] \
          [--max-cycles N] [--watchdog N|off] [--out PATH]\n\
          \x20      mschaos serve [--workloads a,b,...] [--plans {}] \
@@ -46,6 +47,34 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+const SPEC: CliSpec = CliSpec {
+    flags: &[],
+    options: &[
+        "--workloads",
+        "--plans",
+        "--seeds",
+        "--seed-base",
+        "--units",
+        "--scale",
+        "--out",
+        "--max-cycles",
+        "--watchdog",
+    ],
+};
+const SERVE_SPEC: CliSpec = CliSpec {
+    flags: &[],
+    options: &[
+        "--workloads",
+        "--plans",
+        "--seeds",
+        "--seed-base",
+        "--units",
+        "--scale",
+        "--out",
+        "--artifacts",
+    ],
+};
+
 /// Writes a report artifact crash-safely; exits on failure.
 fn write_report(path: &str, bytes: &str) {
     if let Err(e) = artifacts::write_atomic(std::path::Path::new(path), bytes.as_bytes()) {
@@ -55,82 +84,23 @@ fn write_report(path: &str, bytes: &str) {
     eprintln!("wrote {path}");
 }
 
-fn serve_main(mut it: std::iter::Skip<std::env::Args>) -> ! {
-    let mut campaign = ServeCampaign::default();
-    let mut out_path = "CHAOS_serve_report.json".to_string();
+fn serve_campaign(args: &CliArgs) -> Result<ServeCampaign, CliError> {
+    let d = ServeCampaign::default();
+    Ok(ServeCampaign {
+        workloads: args.list("--workloads", parsed)?.unwrap_or(d.workloads),
+        plans: args.list("--plans", parsed)?.unwrap_or(d.plans),
+        seeds: args.get("--seeds", positive)?.unwrap_or(d.seeds),
+        seed_base: args.get("--seed-base", parsed)?.unwrap_or(d.seed_base),
+        units: args.get("--units", positive)?.unwrap_or(d.units),
+        scale: args.scale(d.scale)?,
+        artifacts_dir: args.value("--artifacts").map(Into::into).or(d.artifacts_dir),
+        ..d
+    })
+}
 
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workloads" => {
-                let list = it.next().unwrap_or_else(|| {
-                    eprintln!("--workloads needs a comma-separated list");
-                    usage()
-                });
-                campaign.workloads = list.split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--plans" => {
-                let list = it.next().unwrap_or_else(|| {
-                    eprintln!("--plans needs a comma-separated list");
-                    usage()
-                });
-                campaign.plans = list.split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--seeds" => {
-                campaign.seeds =
-                    it.next().and_then(|v| v.parse().ok()).filter(|&s| s > 0).unwrap_or_else(
-                        || {
-                            eprintln!("--seeds needs a positive integer");
-                            usage()
-                        },
-                    );
-            }
-            "--seed-base" => {
-                campaign.seed_base = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed-base needs an integer");
-                    usage()
-                });
-            }
-            "--units" => {
-                campaign.units =
-                    it.next().and_then(|v| v.parse().ok()).filter(|&u| u > 0).unwrap_or_else(
-                        || {
-                            eprintln!("--units needs a positive integer");
-                            usage()
-                        },
-                    );
-            }
-            "--scale" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--scale needs test|full");
-                    usage()
-                });
-                campaign.scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale `{v}` (use test|full)");
-                    usage()
-                });
-            }
-            "--artifacts" => {
-                campaign.artifacts_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--artifacts needs a directory");
-                            usage()
-                        })
-                        .into(),
-                );
-            }
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    usage()
-                });
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                usage();
-            }
-        }
-    }
+fn serve_main(args: &CliArgs) -> ! {
+    let campaign = serve_campaign(args).unwrap_or_else(|e| usage(e));
+    let out_path = args.value("--out").unwrap_or("CHAOS_serve_report.json");
 
     let report = run_serve_campaign(&campaign).unwrap_or_else(|e| {
         eprintln!("mschaos serve: {e}");
@@ -165,107 +135,41 @@ fn serve_main(mut it: std::iter::Skip<std::env::Args>) -> ! {
         println!("FLOOR {gap}");
     }
 
-    write_report(&out_path, &report.to_json());
+    write_report(out_path, &report.to_json());
     if failures > 0 || !gaps.is_empty() {
         std::process::exit(1);
     }
     std::process::exit(0);
 }
 
-fn main() {
-    let mut it = std::env::args().skip(1);
-    let mut first = it.next();
-    if first.as_deref() == Some("serve") {
-        serve_main(it);
-    }
+fn campaign(args: &CliArgs) -> Result<Campaign, CliError> {
+    let d = Campaign::default();
+    let watchdog = |v: &str| if v == "off" { Some(None) } else { positive(v).map(Some) };
+    Ok(Campaign {
+        workloads: args.list("--workloads", parsed)?.unwrap_or(d.workloads),
+        plans: args.list("--plans", parsed)?.unwrap_or(d.plans),
+        seeds: args.get("--seeds", positive)?.unwrap_or(d.seeds),
+        seed_base: args.get("--seed-base", parsed)?.unwrap_or(d.seed_base),
+        units: args.get("--units", positive)?.unwrap_or(d.units),
+        scale: args.scale(d.scale)?,
+        max_cycles: args.get("--max-cycles", positive)?.unwrap_or(d.max_cycles),
+        watchdog: args.get("--watchdog", watchdog)?.unwrap_or(d.watchdog),
+    })
+}
 
-    let mut campaign = Campaign::default();
-    let mut out_path = "CHAOS_report.json".to_string();
-    while let Some(arg) = first.take().or_else(|| it.next()) {
-        match arg.as_str() {
-            "--workloads" => {
-                let list = it.next().unwrap_or_else(|| {
-                    eprintln!("--workloads needs a comma-separated list");
-                    usage()
-                });
-                campaign.workloads = list.split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--plans" => {
-                let list = it.next().unwrap_or_else(|| {
-                    eprintln!("--plans needs a comma-separated list");
-                    usage()
-                });
-                campaign.plans = list.split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--seeds" => {
-                campaign.seeds =
-                    it.next().and_then(|v| v.parse().ok()).filter(|&s| s > 0).unwrap_or_else(
-                        || {
-                            eprintln!("--seeds needs a positive integer");
-                            usage()
-                        },
-                    );
-            }
-            "--seed-base" => {
-                campaign.seed_base = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed-base needs an integer");
-                    usage()
-                });
-            }
-            "--units" => {
-                campaign.units =
-                    it.next().and_then(|v| v.parse().ok()).filter(|&u| u > 0).unwrap_or_else(
-                        || {
-                            eprintln!("--units needs a positive integer");
-                            usage()
-                        },
-                    );
-            }
-            "--scale" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--scale needs test|full");
-                    usage()
-                });
-                campaign.scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale `{v}` (use test|full)");
-                    usage()
-                });
-            }
-            "--max-cycles" => {
-                campaign.max_cycles =
-                    it.next().and_then(|v| v.parse().ok()).filter(|&c| c > 0).unwrap_or_else(
-                        || {
-                            eprintln!("--max-cycles needs a positive integer");
-                            usage()
-                        },
-                    );
-            }
-            "--watchdog" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--watchdog needs a cycle count or `off`");
-                    usage()
-                });
-                campaign.watchdog = if v == "off" {
-                    None
-                } else {
-                    Some(v.parse().ok().filter(|&w| w > 0).unwrap_or_else(|| {
-                        eprintln!("--watchdog needs a positive integer or `off`");
-                        usage()
-                    }))
-                };
-            }
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    usage()
-                });
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                usage();
-            }
-        }
+fn main() {
+    let mut argv = std::env::args().skip(1).peekable();
+    let serve = argv.next_if_eq("serve").is_some();
+    let args =
+        parse_cli(if serve { &SERVE_SPEC } else { &SPEC }, argv).unwrap_or_else(|e| usage(e));
+    if let Some(extra) = args.positional.first() {
+        usage(format!("unexpected argument `{extra}`"));
     }
+    if serve {
+        serve_main(&args);
+    }
+    let campaign = campaign(&args).unwrap_or_else(|e| usage(e));
+    let out_path = args.value("--out").unwrap_or("CHAOS_report.json");
 
     let report = run_campaign(&campaign).unwrap_or_else(|e| {
         eprintln!("mschaos: {e}");
@@ -293,7 +197,7 @@ fn main() {
         );
     }
 
-    write_report(&out_path, &report.to_json());
+    write_report(out_path, &report.to_json());
     if failures > 0 {
         std::process::exit(1);
     }

@@ -151,7 +151,7 @@ impl SimConfig {
     /// Two configs produce the same key iff they are equal, and the
     /// rendering is stable across processes and Rust releases (unlike
     /// `Hash`, whose hasher may change), so it is safe to use in on-disk
-    /// cache keys. The leading `simconfig v1` token must be bumped
+    /// cache keys. The leading `simconfig v2` token must be bumped
     /// whenever a field is added, removed, or changes meaning.
     pub fn stable_key(&self) -> String {
         let predictor = match self.predictor {
@@ -213,111 +213,6 @@ impl SimConfig {
             predictor,
             arb_policy,
         )
-    }
-
-    /// Parses a [`SimConfig::stable_key`] rendering back into a config.
-    ///
-    /// This is the inverse of `stable_key`: the round trip
-    /// `from_stable_key(k)?.stable_key() == k` holds for every key
-    /// produced by this crate version. Returns `None` on any version
-    /// mismatch, missing/extra section, or malformed field — callers
-    /// shipping keys across a process boundary (the ms-serve worker pipe
-    /// protocol) treat `None` as a protocol error, never a panic.
-    ///
-    /// ```
-    /// use multiscalar::SimConfig;
-    /// let cfg = SimConfig::multiscalar(4).issue(2).out_of_order(true);
-    /// let back = SimConfig::from_stable_key(&cfg.stable_key()).unwrap();
-    /// assert_eq!(back, cfg);
-    /// ```
-    pub fn from_stable_key(key: &str) -> Option<SimConfig> {
-        fn field<'a>(part: Option<&'a str>, name: &str) -> Option<&'a str> {
-            part?.strip_prefix(name)?.strip_prefix('=')
-        }
-        fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
-            s.parse().ok()
-        }
-        fn nums<const N: usize>(s: &str) -> Option<[u64; N]> {
-            let mut out = [0u64; N];
-            let mut it = s.split(',');
-            for slot in out.iter_mut() {
-                *slot = num(it.next()?)?;
-            }
-            if it.next().is_some() {
-                return None;
-            }
-            Some(out)
-        }
-        let mut parts = key.split(';');
-        if parts.next()? != "simconfig v2" {
-            return None;
-        }
-        let units: usize = num(field(parts.next(), "units")?)?;
-        if units == 0 {
-            return None;
-        }
-        let mut cfg = SimConfig::multiscalar(units);
-        cfg.issue_width = num(field(parts.next(), "issue")?)?;
-        cfg.ooo = num(field(parts.next(), "ooo")?)?;
-        cfg.window = num(field(parts.next(), "window")?)?;
-        let l: [u64; 12] = nums(field(parts.next(), "lat")?)?;
-        cfg.latencies = LatencyTable {
-            int_alu: l[0],
-            int_mul: l[1],
-            int_div: l[2],
-            load: l[3],
-            store: l[4],
-            branch: l[5],
-            fp_add_s: l[6],
-            fp_mul_s: l[7],
-            fp_div_s: l[8],
-            fp_add_d: l[9],
-            fp_mul_d: l[10],
-            fp_div_d: l[11],
-        };
-        let ic: [u64; 4] = nums(field(parts.next(), "icache")?)?;
-        cfg.icache = ICacheConfig {
-            size_bytes: u32::try_from(ic[0]).ok()?,
-            block_bytes: u32::try_from(ic[1]).ok()?,
-            hit_time: ic[2],
-            miss_extra: ic[3],
-        };
-        let bk: [u64; 5] = nums(field(parts.next(), "banks")?)?;
-        cfg.banks = DataBanksConfig {
-            nbanks: usize::try_from(bk[0]).ok()?,
-            bank_bytes: u32::try_from(bk[1]).ok()?,
-            block_bytes: u32::try_from(bk[2]).ok()?,
-            hit_time: bk[3],
-            miss_extra: bk[4],
-        };
-        let bus: [u64; 2] = nums(field(parts.next(), "bus")?)?;
-        cfg.bus = BusConfig { first_beat: bus[0], extra_beat: bus[1] };
-        cfg.arb_capacity = num(field(parts.next(), "arb_capacity")?)?;
-        cfg.max_cycles = num(field(parts.next(), "max_cycles")?)?;
-        cfg.watchdog = match field(parts.next(), "watchdog")? {
-            "off" => None,
-            w => Some(num(w)?),
-        };
-        cfg.ring_hop_latency = num(field(parts.next(), "ring_hop")?)?;
-        cfg.ring_width = match field(parts.next(), "ring_width")? {
-            "issue" => None,
-            w => Some(num(w)?),
-        };
-        cfg.predictor = match field(parts.next(), "predictor")? {
-            "pas" => crate::PredictorKind::Pas,
-            "static-first-target" => crate::PredictorKind::StaticFirstTarget,
-            "last-outcome" => crate::PredictorKind::LastOutcome,
-            _ => return None,
-        };
-        cfg.arb_full_policy = match field(parts.next(), "arb_full")? {
-            "stall" => crate::ArbFullPolicy::Stall,
-            "squash" => crate::ArbFullPolicy::Squash,
-            _ => return None,
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(cfg)
     }
 
     /// The per-unit pipeline configuration implied by this config.
@@ -385,47 +280,16 @@ mod tests {
         for v in &variants {
             assert_ne!(v.stable_key(), base_key, "{v:?}");
         }
-        let mut tiny = base;
-        tiny.arb_capacity = 8;
-        assert_ne!(tiny.stable_key(), base_key);
-    }
-
-    #[test]
-    fn stable_key_round_trips() {
-        let base = SimConfig::multiscalar(8);
-        let variants = [
-            base,
-            base.issue(2).out_of_order(true),
-            base.max_cycles(7).watchdog(None),
-            base.watchdog(Some(5_000)).ring_latency(2),
-            base.ring_width(4).predictor(crate::PredictorKind::LastOutcome),
-            base.predictor(crate::PredictorKind::StaticFirstTarget),
-            base.arb_policy(crate::ArbFullPolicy::Squash),
-            SimConfig::multiscalar(4),
-            SimConfig::scalar(),
-        ];
-        for v in &variants {
-            let key = v.stable_key();
-            let back = SimConfig::from_stable_key(&key).unwrap();
-            assert_eq!(back, *v, "round trip of {key}");
-            assert_eq!(back.stable_key(), key);
+        // Fields no builder sets, one variant each.
+        let mut fields = [base; 6];
+        fields[0].arb_capacity = 8;
+        fields[1].window = 32;
+        fields[2].latencies.int_mul = 7;
+        fields[3].icache.size_bytes *= 2;
+        fields[4].banks.nbanks *= 2;
+        fields[5].bus.extra_beat += 1;
+        for v in &fields {
+            assert_ne!(v.stable_key(), base_key, "{v:?}");
         }
-    }
-
-    #[test]
-    fn from_stable_key_rejects_malformed() {
-        let key = SimConfig::multiscalar(4).stable_key();
-        assert!(SimConfig::from_stable_key("").is_none());
-        assert!(SimConfig::from_stable_key("simconfig v1;units=4").is_none());
-        assert!(SimConfig::from_stable_key(&key.replace("v2", "v3")).is_none());
-        assert!(SimConfig::from_stable_key(&key.replace("units=4", "units=zero")).is_none());
-        assert!(SimConfig::from_stable_key(&key.replace("units=4", "units=0")).is_none());
-        assert!(SimConfig::from_stable_key(&key.replace("predictor=pas", "predictor=psychic"))
-            .is_none());
-        assert!(SimConfig::from_stable_key(&format!("{key};extra=1")).is_none());
-        assert!(SimConfig::from_stable_key(key.rsplit_once(';').unwrap().0).is_none());
-        // Truncated or over-long latency list.
-        assert!(SimConfig::from_stable_key(&key.replace("lat=1,", "lat=")).is_none());
-        assert!(SimConfig::from_stable_key(&key.replace("lat=1,", "lat=1,1,")).is_none());
     }
 }

@@ -24,89 +24,60 @@
 
 use ms_fuzz::diff::validate_source;
 use ms_fuzz::{gen, run_corpus, run_one, Campaign, Mode};
+use ms_workloads::cli::{parse_cli, CliArgs, CliError, CliSpec};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: msfuzz [--seed B] [--count N] [--mode normal|adversarial|mixed] \
-         [--max-cycles N] [--watchdog N] [--no-shrink] [--out PATH] [--repro-dir DIR] \
-         [--repro FILE.s] [--repro-seed S] [--emit-seed S]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: msfuzz [--seed B] [--count N] [--mode normal|adversarial|mixed] \
+                     [--max-cycles N] [--watchdog N] [--no-shrink] [--out PATH] \
+                     [--repro-dir DIR] [--repro FILE.s] [--repro-seed S] [--emit-seed S]";
+const SPEC: CliSpec = CliSpec {
+    flags: &["--no-shrink"],
+    options: &[
+        "--seed",
+        "--count",
+        "--mode",
+        "--max-cycles",
+        "--watchdog",
+        "--out",
+        "--repro-dir",
+        "--repro",
+        "--repro-seed",
+        "--emit-seed",
+    ],
+};
 
-fn parse_u64(v: Option<String>, what: &str) -> u64 {
-    let v = v.unwrap_or_else(|| {
-        eprintln!("{what} needs an integer");
-        usage()
-    });
-    let parsed = match v.strip_prefix("0x") {
+/// Reads a decimal or `0x`-prefixed hexadecimal integer.
+fn int(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => v.parse().ok(),
-    };
-    parsed.unwrap_or_else(|| {
-        eprintln!("{what}: `{v}` is not an integer");
-        usage()
-    })
+    }
+}
+
+fn campaign(args: &CliArgs) -> Result<Campaign, CliError> {
+    let mut c = Campaign::default();
+    c.seed = args.get("--seed", int)?.unwrap_or(c.seed);
+    c.count = args.get("--count", |v| int(v).filter(|&n| n > 0))?.unwrap_or(c.count);
+    c.mode = args.get("--mode", Mode::parse)?.unwrap_or(c.mode);
+    c.opts.max_cycles = args.get("--max-cycles", int)?.unwrap_or(c.opts.max_cycles);
+    c.opts.watchdog = args.get("--watchdog", int)?.unwrap_or(c.opts.watchdog);
+    c.shrink = !args.has("--no-shrink");
+    Ok(c)
 }
 
 fn main() {
-    let mut campaign = Campaign::default();
-    let mut out_path = "FUZZ_report.json".to_string();
-    let mut repro_dir = ".".to_string();
-    let mut repro_file: Option<String> = None;
-    let mut repro_seed: Option<u64> = None;
-    let mut emit_seed: Option<u64> = None;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => campaign.seed = parse_u64(it.next(), "--seed"),
-            "--count" => {
-                campaign.count = parse_u64(it.next(), "--count");
-                if campaign.count == 0 {
-                    eprintln!("--count needs a positive integer");
-                    usage();
-                }
-            }
-            "--mode" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--mode needs normal|adversarial|mixed");
-                    usage()
-                });
-                campaign.mode = Mode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown mode `{v}` (use normal|adversarial|mixed)");
-                    usage()
-                });
-            }
-            "--max-cycles" => campaign.opts.max_cycles = parse_u64(it.next(), "--max-cycles"),
-            "--watchdog" => campaign.opts.watchdog = parse_u64(it.next(), "--watchdog"),
-            "--no-shrink" => campaign.shrink = false,
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    usage()
-                });
-            }
-            "--repro-dir" => {
-                repro_dir = it.next().unwrap_or_else(|| {
-                    eprintln!("--repro-dir needs a directory");
-                    usage()
-                });
-            }
-            "--repro" => {
-                repro_file = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--repro needs a .s file");
-                    usage()
-                }));
-            }
-            "--repro-seed" => repro_seed = Some(parse_u64(it.next(), "--repro-seed")),
-            "--emit-seed" => emit_seed = Some(parse_u64(it.next(), "--emit-seed")),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                usage();
-            }
-        }
+    let usage = |e: CliError| -> ! {
+        eprintln!("msfuzz: {e}\n{USAGE}");
+        std::process::exit(2);
+    };
+    let args = parse_cli(&SPEC, std::env::args().skip(1)).unwrap_or_else(|e| usage(e));
+    if let Some(extra) = args.positional.first() {
+        usage(format!("unexpected argument `{extra}`").into());
     }
+    let campaign = campaign(&args).unwrap_or_else(|e| usage(e));
+    let repro_seed = args.get("--repro-seed", int).unwrap_or_else(|e| usage(e));
+    let emit_seed = args.get("--emit-seed", int).unwrap_or_else(|e| usage(e));
+    let out_path = args.value("--out").unwrap_or("FUZZ_report.json");
+    let repro_dir = args.value("--repro-dir").unwrap_or(".");
 
     if let Some(seed) = emit_seed {
         let adversarial = campaign.mode == Mode::Adversarial;
@@ -114,8 +85,8 @@ fn main() {
         return;
     }
 
-    if let Some(path) = repro_file {
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    if let Some(path) = args.value("--repro") {
+        let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("reading {path}: {e}");
             std::process::exit(2);
         });
@@ -164,7 +135,7 @@ fn main() {
         eprintln!("wrote {path}");
     }
 
-    write_or_die(&out_path, &report.to_json());
+    write_or_die(out_path, &report.to_json());
     eprintln!("wrote {out_path}");
     if !report.failures.is_empty() {
         std::process::exit(1);

@@ -200,25 +200,19 @@ impl Arb {
     /// Yields `(line, byte_mask, first_byte_offset_within_access)`. An
     /// access of at most 8 bytes covers at most two lines, so this is a
     /// fixed-size, allocation-free iterator — it sits on the path of
-    /// every simulated load and store.
+    /// every simulated load and store. Like [`Memory::read_le`], an
+    /// access past the top of the address space wraps to address 0: its
+    /// second piece is line 0.
     fn split(addr: u32, size: u32) -> impl Iterator<Item = (u32, u8, u32)> {
-        let mut pieces = [(0u32, 0u8, 0u32); 2];
-        let mut n = 0;
-        let mut a = addr;
-        let end = addr + size;
-        while a < end {
-            let line = a >> 3;
-            let line_end = (line + 1) << 3;
-            let chunk_end = end.min(line_end);
-            let mut mask = 0u8;
-            for b in a..chunk_end {
-                mask |= 1 << (b & 7);
-            }
-            pieces[n] = (line, mask, a - addr);
-            n += 1;
-            a = chunk_end;
-        }
-        pieces.into_iter().take(n)
+        let mask = |first: u32, len: u32| (((1u16 << len) - 1) << first) as u8;
+        let line = addr >> 3;
+        let off = addr & 7;
+        let head = size.min(8 - off);
+        let pieces = [
+            (line, mask(off, head), 0),
+            ((line + 1) & (u32::MAX >> 3), mask(0, size - head), head),
+        ];
+        pieces.into_iter().take(if head < size { 2 } else { 1 })
     }
 
     /// Ensures an entry exists for `line`, respecting bank capacity.
@@ -290,7 +284,7 @@ impl Arb {
             return Ok(LoadResult { value: mem.read_le(addr, size), forwarded: false });
         }
 
-        for (line, mask, _chunk_off) in Self::split(addr, size) {
+        for (line, mask, chunk_off) in Self::split(addr, size) {
             let bank = self.bank_of(line);
             let entry = self.banks[bank].get(&line);
 
@@ -299,7 +293,7 @@ impl Arb {
             // contiguous), so a single table walk serves it.
             if entry.is_none() && my_rank == 0 {
                 let base = (line << 3) | mask.trailing_zeros();
-                value |= mem.read_le(base, mask.count_ones()) << (8 * (base - addr));
+                value |= mem.read_le(base, mask.count_ones()) << (8 * chunk_off);
                 continue;
             }
 
@@ -329,7 +323,8 @@ impl Arb {
                             let bit = h.trailing_zeros();
                             h &= h - 1;
                             let global_addr = (line << 3) | bit;
-                            value |= (st.bytes[bit as usize] as u64) << (8 * (global_addr - addr));
+                            value |= (st.bytes[bit as usize] as u64)
+                                << (8 * global_addr.wrapping_sub(addr));
                         }
                         remaining &= !hit;
                     }
@@ -340,7 +335,7 @@ impl Arb {
                 let bit = h.trailing_zeros();
                 h &= h - 1;
                 let global_addr = (line << 3) | bit;
-                value |= (mem.read_u8(global_addr) as u64) << (8 * (global_addr - addr));
+                value |= (mem.read_u8(global_addr) as u64) << (8 * global_addr.wrapping_sub(addr));
             }
             // Every byte not supplied by our own store records a load bit
             // (the violation-detection footprint); the head never does.
@@ -404,8 +399,7 @@ impl Arb {
                 if mask & (1 << bit) == 0 {
                     continue;
                 }
-                let global_addr = (line << 3) | bit as u32;
-                let byte_index = global_addr - addr;
+                let byte_index = ((line << 3) | bit as u32).wrapping_sub(addr);
                 e.stages[stage].bytes[bit as usize] = (value >> (8 * byte_index)) as u8;
                 e.stages[stage].store_mask |= 1 << bit;
             }
@@ -875,5 +869,57 @@ mod matrix_tests {
         assert_eq!(st.load_forwards, 1);
         assert_eq!(st.violations, 1);
         assert!(st.peak_bank_occupancy >= 1);
+    }
+
+    /// Accesses in the top 8-byte line of the address space: one that
+    /// fills it, and two that run past its end and wrap to address 0.
+    const TOP_OF_MEMORY: [(u32, u32); 3] = [(0xFFFF_FFF8, 4), (0xFFFF_FFFC, 4), (0xFFFF_FFFC, 8)];
+
+    #[test]
+    fn split_covers_exactly_the_bytes_memory_touches() {
+        for (addr, size) in TOP_OF_MEMORY {
+            let mut bytes: Vec<u32> = Arb::split(addr, size)
+                .flat_map(|(line, mask, _)| {
+                    (0..8).filter(move |b| mask & (1 << b) != 0).map(move |b| (line << 3) | b)
+                })
+                .collect();
+            let mut touched: Vec<u32> = (0..size).map(|i| addr.wrapping_add(i)).collect();
+            bytes.sort_unstable();
+            touched.sort_unstable();
+            assert_eq!(bytes, touched, "({addr:#x}, {size})");
+        }
+    }
+
+    #[test]
+    fn top_of_memory_loads_and_stores_forward_and_drain_like_memory() {
+        for (addr, size) in TOP_OF_MEMORY {
+            let value = 0x8877_6655_4433_2211u64 & (u64::MAX >> (64 - 8 * size));
+            let mut mem = Memory::new();
+            mem.write_le(addr, size, 0x0102_0304_0506_0708);
+            let mut arb = Arb::new(4, 2, 256);
+
+            // The head's load reads memory; a successor's load of the
+            // same bytes records load bits without panicking.
+            let before = mem.read_le(addr, size);
+            assert_eq!(arb.load(0, addr, size, &mem).unwrap().value, before);
+            assert_eq!(arb.load(2, addr, size, &mem).unwrap().value, before);
+
+            // Unit 1 stores: unit 2 read before it, so it is violated,
+            // and unit 2's next load sees unit 1's bytes.
+            assert_eq!(arb.store(1, addr, size, value, 3).unwrap(), vec![2], "({addr:#x}, {size})");
+            let r = arb.load(2, addr, size, &mem).unwrap();
+            assert_eq!((r.value, r.forwarded), (value, true), "({addr:#x}, {size})");
+
+            let mut expected = mem.clone();
+            expected.write_le(addr, size, value);
+            arb.drain_stage(1, &mut mem);
+            for i in 0..size {
+                let a = addr.wrapping_add(i);
+                assert_eq!(mem.read_u8(a), expected.read_u8(a), "byte {a:#x}");
+            }
+            for a in [0xFFFF_FFF0, 0xFFFF_FFF4, 0, 4, 8] {
+                assert_eq!(mem.read_le(a, 4), expected.read_le(a, 4), "word {a:#x}");
+            }
+        }
     }
 }

@@ -32,76 +32,42 @@
 //! failed outright.
 
 use ms_serve::load::{fetch_stats, run_load, LoadOptions};
+use ms_workloads::cli::{parse_cli, parsed, CliArgs, CliError, CliSpec};
 use std::process::ExitCode;
 
-struct Args {
-    opts: LoadOptions,
-    out: Option<String>,
-    timing_out: Option<String>,
-    stats_out: Option<String>,
-    shutdown: bool,
-}
+const USAGE: &str = "usage: msload [--addr HOST:PORT] [--connections N] [--requests N] \
+                     [--points N] [--seed N] [--deadline-ms MS] [--backoff-cap-ms MS] \
+                     [--out FILE] [--timing-out FILE] [--stats-out FILE] [--shutdown]";
+const SPEC: CliSpec = CliSpec {
+    flags: &["--shutdown"],
+    options: &[
+        "--addr",
+        "--connections",
+        "--requests",
+        "--points",
+        "--seed",
+        "--deadline-ms",
+        "--backoff-cap-ms",
+        "--out",
+        "--timing-out",
+        "--stats-out",
+    ],
+};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: msload [--addr HOST:PORT] [--connections N] [--requests N] [--points N] \
-         [--seed N] [--deadline-ms MS] [--backoff-cap-ms MS] [--out FILE] \
-         [--timing-out FILE] [--stats-out FILE] [--shutdown]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        opts: LoadOptions::default(),
-        out: None,
-        timing_out: None,
-        stats_out: None,
-        shutdown: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        let number = |flag: &str, v: String| -> usize {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} needs a non-negative integer, got `{v}`");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--addr" => args.opts.addr = value("--addr"),
-            "--connections" => {
-                args.opts.connections = number("--connections", value("--connections")).max(1)
-            }
-            "--requests" => {
-                args.opts.requests_per_conn = number("--requests", value("--requests")).max(1)
-            }
-            "--points" => args.opts.points = number("--points", value("--points")),
-            "--seed" => args.opts.seed = number("--seed", value("--seed")) as u64,
-            "--deadline-ms" => {
-                args.opts.deadline_ms =
-                    number("--deadline-ms", value("--deadline-ms")).max(1) as u64
-            }
-            "--backoff-cap-ms" => {
-                args.opts.backoff_cap_ms =
-                    number("--backoff-cap-ms", value("--backoff-cap-ms")).max(1) as u64
-            }
-            "--out" => args.out = Some(value("--out")),
-            "--timing-out" => args.timing_out = Some(value("--timing-out")),
-            "--stats-out" => args.stats_out = Some(value("--stats-out")),
-            "--shutdown" => args.shutdown = true,
-            other => {
-                eprintln!("unknown argument `{other}`");
-                usage();
-            }
-        }
-    }
-    args
+fn load_options(args: &CliArgs) -> Result<LoadOptions, CliError> {
+    let d = LoadOptions::default();
+    // Counts and times of zero are raised to one.
+    let at_least_one = |option| args.get(option, |v| parsed::<usize>(v).map(|n| n.max(1)));
+    Ok(LoadOptions {
+        addr: args.value("--addr").map_or(d.addr, str::to_string),
+        connections: at_least_one("--connections")?.unwrap_or(d.connections),
+        requests_per_conn: at_least_one("--requests")?.unwrap_or(d.requests_per_conn),
+        points: args.get("--points", parsed)?.unwrap_or(d.points),
+        seed: args.get("--seed", parsed)?.unwrap_or(d.seed),
+        deadline_ms: at_least_one("--deadline-ms")?.map_or(d.deadline_ms, |n| n as u64),
+        backoff_cap_ms: at_least_one("--backoff-cap-ms")?.map_or(d.backoff_cap_ms, |n| n as u64),
+        ..d
+    })
 }
 
 fn write_artifact(path: &str, contents: &str) -> bool {
@@ -118,16 +84,28 @@ fn write_artifact(path: &str, contents: &str) -> bool {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let parsed = parse_cli(&SPEC, std::env::args().skip(1)).and_then(|args| {
+        if let Some(extra) = args.positional.first() {
+            return Err(format!("unexpected argument `{extra}`").into());
+        }
+        Ok((load_options(&args)?, args))
+    });
+    let (opts, args) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("msload: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     eprintln!(
         "msload: {} connections x {} pipelined requests over {} points -> {} in flight",
-        args.opts.connections,
-        args.opts.requests_per_conn,
-        args.opts.points,
-        args.opts.connections * args.opts.requests_per_conn,
+        opts.connections,
+        opts.requests_per_conn,
+        opts.points,
+        opts.connections * opts.requests_per_conn,
     );
 
-    let outcome = match run_load(&args.opts) {
+    let outcome = match run_load(&opts) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("msload: load run failed: {e}");
@@ -145,15 +123,15 @@ fn main() -> ExitCode {
 
     let mut io_ok = true;
     let report = outcome.report_json();
-    match &args.out {
+    match args.value("--out") {
         Some(path) => io_ok &= write_artifact(path, &report),
         None => println!("{report}"),
     }
-    if let Some(path) = &args.timing_out {
+    if let Some(path) = args.value("--timing-out") {
         io_ok &= write_artifact(path, &outcome.timing_json());
     }
-    if let Some(path) = &args.stats_out {
-        match fetch_stats(&args.opts.addr) {
+    if let Some(path) = args.value("--stats-out") {
+        match fetch_stats(&opts.addr) {
             Ok(raw) => io_ok &= write_artifact(path, &raw),
             Err(e) => {
                 eprintln!("msload: cannot fetch stats: {e}");
@@ -162,10 +140,10 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.shutdown {
+    if args.has("--shutdown") {
         use std::io::{BufRead as _, BufReader, Write as _};
         let drain = || -> std::io::Result<()> {
-            let stream = std::net::TcpStream::connect(&args.opts.addr)?;
+            let stream = std::net::TcpStream::connect(&opts.addr)?;
             let mut writer = stream.try_clone()?;
             let mut reader = BufReader::new(stream);
             let mut line = String::new();

@@ -31,74 +31,56 @@
 
 use ms_serve::{Server, ServerConfig};
 use ms_sweep::{InProcessExecutor, SweepCache};
+use ms_workloads::cli::{parse_cli, parsed, CliArgs, CliError, CliSpec};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: msserve [--port N | --addr HOST:PORT] [--jobs N] [--queue-depth N] \
-         [--cache-dir DIR] [--no-cache] [--max-sweep-jobs N] \
-         [--idle-timeout-ms MS] [--quiet]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: msserve [--port N | --addr HOST:PORT] [--jobs N] [--queue-depth N] \
+                     [--cache-dir DIR] [--no-cache] [--max-sweep-jobs N] \
+                     [--idle-timeout-ms MS] [--quiet]";
+const SPEC: CliSpec = CliSpec {
+    flags: &["--no-cache", "--quiet"],
+    options: &[
+        "--port",
+        "--addr",
+        "--jobs",
+        "--queue-depth",
+        "--cache-dir",
+        "--max-sweep-jobs",
+        "--idle-timeout-ms",
+    ],
+};
 
-fn parse_args() -> ServerConfig {
-    let mut cfg =
-        ServerConfig { addr: "127.0.0.1:7461".into(), log: true, ..ServerConfig::default() };
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        let number = |flag: &str, v: String| -> usize {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} needs a non-negative integer, got `{v}`");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--port" => cfg.addr = format!("127.0.0.1:{}", number("--port", value("--port"))),
-            "--addr" => cfg.addr = value("--addr"),
-            "--jobs" => cfg.workers = number("--jobs", value("--jobs")),
-            "--queue-depth" => {
-                cfg.queue_depth = number("--queue-depth", value("--queue-depth")).max(1)
-            }
-            "--max-sweep-jobs" => {
-                cfg.max_sweep_jobs = number("--max-sweep-jobs", value("--max-sweep-jobs")).max(1)
-            }
-            "--idle-timeout-ms" => {
-                cfg.idle_timeout_ms = number("--idle-timeout-ms", value("--idle-timeout-ms")) as u64
-            }
-            "--cache-dir" => cache_dir = Some(value("--cache-dir")),
-            "--no-cache" => no_cache = true,
-            "--quiet" => cfg.log = false,
-            other => {
-                eprintln!("unknown argument `{other}`");
-                usage();
-            }
-        }
+fn server_config(args: &CliArgs) -> Result<ServerConfig, CliError> {
+    if let Some(extra) = args.positional.first() {
+        return Err(format!("unexpected argument `{extra}`").into());
     }
-
-    cfg.cache = if no_cache {
-        SweepCache::disabled()
-    } else {
-        match cache_dir {
-            Some(dir) => SweepCache::at(dir),
-            None => SweepCache::from_env(),
-        }
+    let d = ServerConfig::default();
+    let addr = match (args.get("--port", parsed::<usize>)?, args.value("--addr")) {
+        (Some(_), Some(_)) => return Err("give --port or --addr, not both".into()),
+        (Some(port), None) => format!("127.0.0.1:{port}"),
+        (None, addr) => addr.unwrap_or("127.0.0.1:7461").to_string(),
     };
-    cfg
+    let at_least_one = |option| args.get(option, |v| parsed::<usize>(v).map(|n| n.max(1)));
+    Ok(ServerConfig {
+        addr,
+        workers: args.get("--jobs", parsed)?.unwrap_or(d.workers),
+        queue_depth: at_least_one("--queue-depth")?.unwrap_or(d.queue_depth),
+        max_sweep_jobs: at_least_one("--max-sweep-jobs")?.unwrap_or(d.max_sweep_jobs),
+        idle_timeout_ms: args.get("--idle-timeout-ms", parsed)?.unwrap_or(d.idle_timeout_ms),
+        cache: SweepCache::from_cli(args),
+        log: !args.has("--quiet"),
+    })
 }
 
 fn main() -> ExitCode {
-    let cfg = parse_args();
+    let cfg = match parse_cli(&SPEC, std::env::args().skip(1)).and_then(|a| server_config(&a)) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("msserve: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     // Same up-front validation as mssweep: a bad cache directory is a
     // structured startup error naming the path, not a warning per job.

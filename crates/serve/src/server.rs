@@ -219,37 +219,24 @@ fn worker_loop(shared: &Shared) {
             }
         };
 
-        // The executor runs under a panic guard: a leader that panics
-        // mid-compute must still resolve its flight (with a structured
-        // failure), or every coalesced joiner waits forever and the
-        // flight key stays leased so no later caller can ever lead it.
-        let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compute_and_store(
-                &item.job,
-                &item.workload,
-                item.fingerprint,
-                &shared.cfg.cache,
-                shared.exec.as_ref(),
-                0,
-            )
-        }));
+        // `compute_and_store` runs the executor under a panic guard: a
+        // leader that panics mid-compute still resolves its flight (with
+        // a structured failure), so no coalesced joiner waits forever
+        // and the flight key is freed for the next caller.
+        let computed = compute_and_store(
+            &item.job,
+            &item.workload,
+            item.fingerprint,
+            &shared.cfg.cache,
+            shared.exec.as_ref(),
+            0,
+        );
         let outcome = match computed {
-            Ok(Ok(stats)) => {
+            Ok(stats) => {
                 shared.stats.computed.fetch_add(1, Ordering::Relaxed);
                 Ok(JobOutcome { job: item.job.clone(), stats, cached: false })
             }
-            Ok(Err(error)) => Err(JobFailure { job: item.job.clone(), error }),
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".into());
-                Err(JobFailure {
-                    job: item.job.clone(),
-                    error: format!("executor panicked: {msg}"),
-                })
-            }
+            Err(error) => Err(JobFailure { job: item.job.clone(), error }),
         };
         let payload: Arc<str> = artifacts::outcome_json(&outcome).into();
         // Complete before resolving: later identical requests must start

@@ -30,6 +30,7 @@
 
 use crate::hash::fnv1a_64;
 use crate::statsio::{stats_from_kv, stats_to_kv};
+use ms_workloads::cli::CliArgs;
 use multiscalar::RunStats;
 use std::fs;
 use std::io::Write;
@@ -98,6 +99,18 @@ impl SweepCache {
         match std::env::var(CACHE_ENV) {
             Ok(dir) if !dir.is_empty() => SweepCache::at(dir),
             _ => SweepCache::at(DEFAULT_CACHE_DIR),
+        }
+    }
+
+    /// The cache a command line asks for: disabled by `--no-cache`, else
+    /// rooted at `--cache-dir DIR`, else [`SweepCache::from_env`]. The
+    /// one reading of these options that `tables`, `mssweep` and
+    /// `msserve` share.
+    pub fn from_cli(args: &CliArgs) -> SweepCache {
+        match args.value("--cache-dir") {
+            _ if args.has("--no-cache") => SweepCache::disabled(),
+            Some(dir) => SweepCache::at(dir),
+            None => SweepCache::from_env(),
         }
     }
 

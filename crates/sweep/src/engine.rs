@@ -29,6 +29,7 @@ use ms_workloads::{by_name, Scale, Workload};
 use multiscalar::{CpiAccountant, RunStats};
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -162,12 +163,17 @@ impl Executor for InProcessExecutor {
 /// the `ms-serve` daemon, so a served response and a sweep artifact for
 /// the same design point are the same bytes by construction.
 ///
+/// The executor runs under a panic guard, so a job that panics settles
+/// as a failure like any other: the rest of a sweep completes, and a
+/// daemon keeps serving.
+///
 /// A cache-store failure degrades to "not cached" (reported to stderr);
 /// the result is still valid and returned.
 ///
 /// # Errors
 /// Propagates the executor's failure string (assembly, simulation,
-/// validation, or artifact I/O).
+/// validation, or artifact I/O), or `executor panicked: …` with the
+/// panic's message.
 pub fn compute_and_store(
     job: &Job,
     workload: &Workload,
@@ -176,7 +182,15 @@ pub fn compute_and_store(
     exec: &dyn Executor,
     slot: usize,
 ) -> Result<RunStats, String> {
-    let stats = exec.run(job, workload, slot)?;
+    let run = std::panic::catch_unwind(AssertUnwindSafe(|| exec.run(job, workload, slot)));
+    let stats = run.unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".into());
+        Err(format!("executor panicked: {msg}"))
+    })?;
     if let Err(e) = cache.store(&job.cache_key(fingerprint), &stats) {
         eprintln!("ms-sweep: cache store failed for {}: {e}", job.id());
     }
@@ -540,6 +554,43 @@ mod tests {
         assert_eq!(exec.0.load(Ordering::Relaxed), 2, "warm run never touches the executor");
         assert_eq!(warm.cache_hits, 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_that_point_only() {
+        struct PanicsOnEight(InProcessExecutor);
+        impl Executor for PanicsOnEight {
+            fn run(
+                &self,
+                job: &Job,
+                w: &ms_workloads::Workload,
+                slot: usize,
+            ) -> Result<RunStats, String> {
+                if job.cfg.units == 8 {
+                    panic!("injected panic on {}", job.id());
+                }
+                self.0.run(job, w, slot)
+            }
+            fn name(&self) -> &str {
+                "panics-on-eight"
+            }
+        }
+        let mut jobs = tiny_jobs();
+        for units in [8, 2] {
+            jobs.push(Job { cfg: SimConfig::multiscalar(units), ..jobs[1].clone() });
+        }
+        let opts = SweepOptions { jobs: 2, ..SweepOptions::default() };
+        let report = run_jobs_with(jobs, &opts, &PanicsOnEight(InProcessExecutor::new()));
+        assert_eq!(report.executed, 4);
+        let failures: Vec<_> = report.failures().collect();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].job.cfg.units, 8);
+        assert!(
+            failures[0].error.starts_with("executor panicked: injected panic"),
+            "{}",
+            failures[0]
+        );
+        assert_eq!(report.successes().count(), 3);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! and the memory system — ARB, banked data cache, per-unit instruction
 //! caches and the shared bus (Sections 2.3/5.1).
 
-use std::fmt;
-
 /// Why a run of tasks was squashed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SquashKind {
@@ -446,95 +444,6 @@ impl TraceEvent {
     }
 }
 
-/// Human-readable one-line form (`[cycle] what: details`).
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use TraceEvent::*;
-        match *self {
-            TaskPredict { cycle, task, history, chosen, ntargets } => write!(
-                f,
-                "[{cycle}] predict: task {task:#x} hist={history:#06x} -> target {chosen}/{ntargets}"
-            ),
-            TaskAssign { cycle, order, unit, entry, by_prediction } => write!(
-                f,
-                "[{cycle}] assign: #{order} -> u{unit} @{entry:#x}{}",
-                if by_prediction { " (predicted)" } else { "" }
-            ),
-            TaskValidate { cycle, entry, actual_next, correct } => write!(
-                f,
-                "[{cycle}] validate: task {entry:#x} next={actual_next:#x?} correct={correct}"
-            ),
-            TaskRetire { cycle, order, unit, entry, instructions } => write!(
-                f,
-                "[{cycle}] retire: #{order} u{unit} @{entry:#x} ({instructions} instrs)"
-            ),
-            TaskSquash { cycle, order, unit, entry, cause } => write!(
-                f,
-                "[{cycle}] squash: #{order} u{unit} @{entry:#x} ({})",
-                cause.as_str()
-            ),
-            SquashWave { cycle, cause, depth, redirect } => write!(
-                f,
-                "[{cycle}] squash-wave: {} tasks ({}), redirect={redirect:#x?}",
-                depth,
-                cause.as_str()
-            ),
-            DescriptorFetch { cycle, entry, hit } => {
-                write!(f, "[{cycle}] descriptor: {entry:#x} hit={hit}")
-            }
-            RingSend { cycle, unit, reg, order } => {
-                write!(f, "[{cycle}] ring: send r{reg} from u{unit} (#{order})")
-            }
-            RingHop { cycle, from, to, reg, hops } => {
-                write!(f, "[{cycle}] ring: r{reg} hop u{from}->u{to} ({hops} hops)")
-            }
-            RingDeliver { cycle, unit, reg, hops, propagate } => write!(
-                f,
-                "[{cycle}] ring: r{reg} -> u{unit} deliver after {hops} hops prop={propagate}"
-            ),
-            RingDie { cycle, unit, reg, hops } => {
-                write!(f, "[{cycle}] ring: r{reg} dies at u{unit} after {hops} hops")
-            }
-            UnitIssue { cycle, unit } => write!(f, "[{cycle}] issue: u{unit}"),
-            UnitStall { cycle, unit, reason } => {
-                write!(f, "[{cycle}] stall: u{unit} {}", reason.as_str())
-            }
-            UnitRedirect { cycle, unit, to_pc } => {
-                write!(f, "[{cycle}] redirect: u{unit} -> {to_pc:#x}")
-            }
-            ArbLoad { cycle, unit, addr, size, forwarded } => write!(
-                f,
-                "[{cycle}] arb: load u{unit} @{addr:#x}+{size} fwd={forwarded}"
-            ),
-            ArbStore { cycle, unit, addr, size, violated } => write!(
-                f,
-                "[{cycle}] arb: store u{unit} @{addr:#x}+{size} violated={violated}"
-            ),
-            ArbViolation { cycle, store_unit, violated_unit, addr } => write!(
-                f,
-                "[{cycle}] arb: violation store u{store_unit} @{addr:#x} kills u{violated_unit}"
-            ),
-            ArbFullStall { cycle, unit, addr, is_store } => write!(
-                f,
-                "[{cycle}] arb: full on u{unit} @{addr:#x} ({})",
-                if is_store { "store" } else { "load" }
-            ),
-            ArbOccupancy { cycle, entries } => {
-                write!(f, "[{cycle}] arb: occupancy {entries}")
-            }
-            DCacheAccess { cycle, bank, addr, hit } => {
-                write!(f, "[{cycle}] dcache: bank {bank} @{addr:#x} hit={hit}")
-            }
-            ICacheFetch { cycle, unit, pc, hit } => {
-                write!(f, "[{cycle}] icache: u{unit} @{pc:#x} hit={hit}")
-            }
-            BusRequest { cycle, words, waited, done } => {
-                write!(f, "[{cycle}] bus: {words} words waited={waited} done={done}")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,7 +459,6 @@ mod tests {
         };
         assert_eq!(ev.kind(), "task_assign");
         assert_eq!(ev.cycle(), 7);
-        assert_eq!(ev.to_string(), "[7] assign: #1 -> u2 @0x400 (predicted)");
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub use event::{SquashKind, StallReason, TraceEvent};
 pub use histogram::Histogram;
 pub use jsonl::{event_to_json, JsonLinesSink};
 pub use metrics::{MetricsReport, MetricsSink};
-pub use sink::{FnSink, NullSink, TeeSink, TraceSink, VecSink};
+pub use sink::{NullSink, TeeSink, TraceSink, VecSink};

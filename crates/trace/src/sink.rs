@@ -74,15 +74,6 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     }
 }
 
-/// Wraps a closure as a sink (handy in tests).
-pub struct FnSink<F: FnMut(&TraceEvent)>(pub F);
-
-impl<F: FnMut(&TraceEvent)> TraceSink for FnSink<F> {
-    fn event(&mut self, ev: &TraceEvent) {
-        (self.0)(ev);
-    }
-}
-
 /// Buffers every event in memory (tests and small programs only).
 #[derive(Debug, Default)]
 pub struct VecSink {

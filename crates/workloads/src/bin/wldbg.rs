@@ -1,45 +1,40 @@
 //! Debug driver: run one workload by name at test scale and print stats.
 //!
-//! Usage: `wldbg <name> [scalar|ms] [units] [--max-cycles N]`
+//! Usage: `wldbg [name] [scalar|ms] [units] [--max-cycles N]`
 //!
-//! The cycle bound defaults to 3,000,000 and can be overridden with
-//! `--max-cycles` or the `MS_MAX_CYCLES` environment variable (the flag
-//! wins). On a timeout or a stalled run the full diagnostic snapshot is
-//! printed.
+//! The workload defaults to `Example`, the mode to the scalar baseline,
+//! the unit count (for `ms`) to 4 and the cycle bound to 3,000,000. On a
+//! timeout or a stalled run the full diagnostic snapshot is printed.
 
+use ms_workloads::cli::{parse_cli, parsed, positive, CliSpec};
 use ms_workloads::{by_name, Scale, WorkloadError};
 use multiscalar::SimConfig;
 
-const DEFAULT_MAX_CYCLES: u64 = 3_000_000;
+const USAGE: &str = "usage: wldbg [name] [scalar|ms] [units] [--max-cycles N]";
+const SPEC: CliSpec = CliSpec { flags: &[], options: &["--max-cycles"] };
 
-fn max_cycles_from(args: &[String]) -> u64 {
-    if let Some(i) = args.iter().position(|a| a == "--max-cycles") {
-        let val = args.get(i + 1).and_then(|s| s.parse().ok());
-        return val.unwrap_or_else(|| {
-            eprintln!("wldbg: --max-cycles needs a positive integer");
-            std::process::exit(2);
-        });
-    }
-    match std::env::var("MS_MAX_CYCLES") {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("wldbg: MS_MAX_CYCLES={s} is not a positive integer");
-            std::process::exit(2);
-        }),
-        Err(_) => DEFAULT_MAX_CYCLES,
-    }
+fn usage(err: impl std::fmt::Display) -> ! {
+    eprintln!("wldbg: {err}\n{USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args.get(1).map(String::as_str).unwrap_or("Example");
-    let mode = args.get(2).map(String::as_str).unwrap_or("scalar");
-    let units: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let max_cycles = max_cycles_from(&args);
-    let w = by_name(name, Scale::Test).unwrap_or_else(|| panic!("unknown workload {name}"));
-    let result = if mode == "scalar" {
-        w.run_scalar(SimConfig::scalar().max_cycles(max_cycles))
-    } else {
-        w.run_multiscalar(SimConfig::multiscalar(units).max_cycles(max_cycles))
+    let args = parse_cli(&SPEC, std::env::args().skip(1)).unwrap_or_else(|e| usage(e));
+    let max_cycles = args.get("--max-cycles", parsed).unwrap_or_else(|e| usage(e));
+    let max_cycles = max_cycles.unwrap_or(3_000_000);
+    let (name, mode, units) = match args.positional.as_slice() {
+        [] => ("Example", "scalar", "4"),
+        [name] => (name.as_str(), "scalar", "4"),
+        [name, mode] => (name.as_str(), mode.as_str(), "4"),
+        [name, mode, units] => (name.as_str(), mode.as_str(), units.as_str()),
+        [_, _, _, extra, ..] => usage(format!("unexpected argument `{extra}`")),
+    };
+    let Some(w) = by_name(name, Scale::Test) else { usage(format!("unknown workload `{name}`")) };
+    let Some(units) = positive(units) else { usage(format!("invalid unit count `{units}`")) };
+    let result = match mode {
+        "scalar" => w.run_scalar(SimConfig::scalar().max_cycles(max_cycles)),
+        "ms" => w.run_multiscalar(SimConfig::multiscalar(units).max_cycles(max_cycles)),
+        _ => usage(format!("unknown mode `{mode}`")),
     };
     match result {
         Ok(stats) => println!("{name} {mode}: ok\n{stats}"),

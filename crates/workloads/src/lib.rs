@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod cli;
 mod cmp;
 mod compress;
 mod data;
