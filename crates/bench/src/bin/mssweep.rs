@@ -46,7 +46,7 @@
 
 use ms_bench::{render_table34, rows_from_sweep, tables_to_json};
 use ms_sweep::{artifacts, run_sweep, SweepCache, SweepOptions, SweepSpec};
-use ms_workloads::cli::{parse_cli, parsed, positive, CliArgs, CliError, CliSpec};
+use ms_workloads::cli::{parse_cli, parsed, units, CliArgs, CliError, CliSpec};
 use ms_workloads::Scale;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -91,7 +91,7 @@ fn parse_args(args: &CliArgs) -> Result<Args, CliError> {
     if let Some(widths) = args.list("--widths", |v| parsed(v).filter(|w| matches!(w, 1 | 2)))? {
         spec.widths = widths;
     }
-    if let Some(units) = args.list("--units", positive)? {
+    if let Some(units) = args.list("--units", units)? {
         spec.unit_counts = units;
     }
     let order = |v: &str| match v {

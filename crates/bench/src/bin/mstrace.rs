@@ -32,7 +32,7 @@
 
 use ms_sweep::statsio::stats_to_json;
 use ms_trace::{json, ChromeTraceSink, JsonLinesSink, MetricsReport, MetricsSink, TeeSink};
-use ms_workloads::cli::{parse_cli, positive, CliArgs, CliError, CliSpec};
+use ms_workloads::cli::{parse_cli, units, CliArgs, CliError, CliSpec};
 use ms_workloads::{Scale, WorkloadError};
 use multiscalar::{CpiAccountant, RunStats, SimConfig};
 use std::fs::File;
@@ -55,7 +55,7 @@ const SPEC: CliSpec =
     CliSpec { flags: &["--list", "--jsonl"], options: &["--units", "--scale", "--out-dir"] };
 
 fn parse_args(args: &CliArgs) -> Result<Args, CliError> {
-    let units = args.get("--units", positive)?.unwrap_or(8);
+    let units = args.get("--units", units)?.unwrap_or(8);
     let scale = args.scale(Scale::Test)?;
     let out_dir = PathBuf::from(args.value("--out-dir").unwrap_or("mstrace-out"));
     let list = args.has("--list");

@@ -61,7 +61,8 @@ pub struct MachineSpec {
 
 impl MachineSpec {
     /// Parses a machine name: `scalar`, or `ms<N>` for an `N`-unit
-    /// multiscalar machine (e.g. `ms4`, `ms8`).
+    /// multiscalar machine, `N` up to [`SimConfig::MAX_UNITS`] (e.g.
+    /// `ms4`, `ms8`).
     pub fn parse(name: &str) -> Option<MachineSpec> {
         if name == "scalar" {
             return Some(MachineSpec {
@@ -70,10 +71,7 @@ impl MachineSpec {
                 cfg: SimConfig::scalar(),
             });
         }
-        let units: usize = name.strip_prefix("ms")?.parse().ok()?;
-        if units == 0 {
-            return None;
-        }
+        let units = ms_workloads::cli::units(name.strip_prefix("ms")?)?;
         Some(MachineSpec {
             name: name.to_string(),
             multiscalar: true,

@@ -19,6 +19,7 @@ fn msperf_rejects_malformed_command_lines() {
     assert_usage_error(bin, &["--scale", "test", "--reps"]);
     assert_usage_error(bin, &["--reps", "0"]);
     assert_usage_error(bin, &["--machines", "ms0"]);
+    assert_usage_error(bin, &["--machines", "ms65"]);
     assert_usage_error(bin, &["--workloads", "wc,nosuch"]);
 }
 
@@ -30,6 +31,7 @@ fn msprof_rejects_malformed_command_lines() {
     assert_usage_error(bin, &["run", "--bogus"]);
     assert_usage_error(bin, &["run", "--out"]);
     assert_usage_error(bin, &["run", "--machines", "scalar"]);
+    assert_usage_error(bin, &["run", "--machines", "ms65"]);
     assert_usage_error(bin, &["diff", "--bogus", "a.json", "b.json"]);
     assert_usage_error(bin, &["diff", "a.json"]);
 }
@@ -51,6 +53,7 @@ fn mssweep_machine_space_errors_are_usage_errors_not_panics() {
     assert_usage_error(bin, &["--units", "0"]);
     assert_usage_error(bin, &["--widths", "3"]);
     assert_usage_error(bin, &["--units", "4,0", "--widths", "1"]);
+    assert_usage_error(bin, &["--units", "4,65", "--widths", "1"]);
 }
 
 #[test]
@@ -59,6 +62,7 @@ fn mstrace_rejects_malformed_command_lines() {
     assert_usage_error(bin, &["wc", "--bogus"]);
     assert_usage_error(bin, &["wc", "--out-dir"]);
     assert_usage_error(bin, &["wc", "--units", "0"]);
+    assert_usage_error(bin, &["wc", "--scale", "test", "--units", "65"]);
     assert_usage_error(bin, &["wc", "cmp"]);
     assert_usage_error(bin, &["--list", "wc", "cmp"]);
     assert_usage_error(bin, &[]);

@@ -30,7 +30,7 @@
 use ms_chaos::{run_campaign, run_serve_campaign, Campaign, ServeCampaign};
 use ms_chaos::{HOST_PLAN_NAMES, PLAN_NAMES};
 use ms_sweep::artifacts;
-use ms_workloads::cli::{parse_cli, parsed, positive, CliArgs, CliError, CliSpec};
+use ms_workloads::cli::{parse_cli, parsed, positive, units, CliArgs, CliError, CliSpec};
 
 fn usage(err: impl std::fmt::Display) -> ! {
     eprintln!(
@@ -91,7 +91,7 @@ fn serve_campaign(args: &CliArgs) -> Result<ServeCampaign, CliError> {
         plans: args.list("--plans", parsed)?.unwrap_or(d.plans),
         seeds: args.get("--seeds", positive)?.unwrap_or(d.seeds),
         seed_base: args.get("--seed-base", parsed)?.unwrap_or(d.seed_base),
-        units: args.get("--units", positive)?.unwrap_or(d.units),
+        units: args.get("--units", units)?.unwrap_or(d.units),
         scale: args.scale(d.scale)?,
         artifacts_dir: args.value("--artifacts").map(Into::into).or(d.artifacts_dir),
         ..d
@@ -150,7 +150,7 @@ fn campaign(args: &CliArgs) -> Result<Campaign, CliError> {
         plans: args.list("--plans", parsed)?.unwrap_or(d.plans),
         seeds: args.get("--seeds", positive)?.unwrap_or(d.seeds),
         seed_base: args.get("--seed-base", parsed)?.unwrap_or(d.seed_base),
-        units: args.get("--units", positive)?.unwrap_or(d.units),
+        units: args.get("--units", units)?.unwrap_or(d.units),
         scale: args.scale(d.scale)?,
         max_cycles: args.get("--max-cycles", positive)?.unwrap_or(d.max_cycles),
         watchdog: args.get("--watchdog", watchdog)?.unwrap_or(d.watchdog),

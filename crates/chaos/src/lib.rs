@@ -21,10 +21,11 @@
 //!
 //! all of which the simulator must absorb. A [`Campaign`] runs each
 //! (workload × plan × seed) point end-to-end and checks the oracle:
-//! final memory equals the reference ([`Workload::verify_memory`]),
-//! retired instruction and task counts equal an unperturbed baseline, and
-//! the retirement sequence is identical and in order. Reports serialize
-//! to deterministic JSON — same seed, byte-identical report.
+//! every task retires exactly as the same task of the sequential walk of
+//! the binary ([`multiscalar::Processor::run_checked`]), and final memory
+//! equals the reference ([`Workload::verify_memory`]). A failing point
+//! names the first task that left the walk. Reports serialize to
+//! deterministic JSON — same seed, byte-identical report.
 //!
 //! The `mschaos` binary is the campaign CLI; see `README.md` ("Chaos
 //! testing") and `DESIGN.md` §9.
@@ -32,19 +33,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use ms_workloads::{Scale, Workload, WorkloadError};
-use multiscalar::{FaultInjector, NoFaults, SimConfig};
+// splitmix64 is the pure mixing function behind every plan decision
+// (no sequential state, so decisions are call-order free).
+use ms_trace::hash::splitmix64 as mix;
+use ms_workloads::{Scale, Workload};
+use multiscalar::{FaultInjector, SimConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-/// splitmix64 finalizer: the pure mixing function behind every plan
-/// decision (no sequential state, so decisions are call-order free).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 pub mod serve_chaos;
 
@@ -327,72 +322,25 @@ impl CampaignReport {
     }
 }
 
-/// Architectural fingerprint of an unperturbed run, against which every
-/// perturbed run is checked.
-struct Baseline {
-    instructions: u64,
-    tasks_retired: u64,
-    retirement_entries: Vec<u32>,
-}
-
 fn sim_config(c: &Campaign) -> SimConfig {
     SimConfig::multiscalar(c.units).max_cycles(c.max_cycles).watchdog(c.watchdog)
 }
 
-fn baseline(w: &Workload, c: &Campaign) -> Result<Baseline, WorkloadError> {
-    let (stats, p) = w.run_multiscalar_with_injector(sim_config(c), NoFaults)?;
-    Ok(Baseline {
-        instructions: stats.instructions,
-        tasks_retired: stats.tasks_retired,
-        retirement_entries: p.retirement_log().iter().map(|r| r.entry).collect(),
-    })
-}
-
 /// Runs one (workload, plan) point and applies the oracle.
-fn run_point(w: &Workload, base: &Baseline, plan: FaultPlan, c: &Campaign) -> PointResult {
-    let workload = w.name.to_string();
-    let plan_name = plan.name().to_string();
-    let seed = plan.seed();
-    // `run_multiscalar_with_injector` already verifies final memory
-    // against the reference implementation — the core oracle.
-    match w.run_multiscalar_with_injector(sim_config(c), plan) {
-        Ok((stats, p)) => {
-            let mut failure = None;
-            if stats.instructions != base.instructions {
-                failure = Some(format!(
-                    "retired {} instructions, baseline retired {}",
-                    stats.instructions, base.instructions
-                ));
-            } else if stats.tasks_retired != base.tasks_retired {
-                failure = Some(format!(
-                    "retired {} tasks, baseline retired {}",
-                    stats.tasks_retired, base.tasks_retired
-                ));
-            } else {
-                let log = p.retirement_log();
-                if log.windows(2).any(|w| w[1].cycle < w[0].cycle) {
-                    failure = Some("retirement cycles are not non-decreasing".into());
-                } else if log.iter().map(|r| r.entry).ne(base.retirement_entries.iter().copied()) {
-                    failure = Some("retirement entry sequence diverges from baseline".into());
-                }
-            }
-            PointResult {
-                workload,
-                plan: plan_name,
-                seed,
-                cycles: stats.cycles,
-                tasks_squashed: stats.tasks_squashed,
-                failure,
-            }
-        }
-        Err(e) => PointResult {
-            workload,
-            plan: plan_name,
-            seed,
-            cycles: 0,
-            tasks_squashed: 0,
-            failure: Some(e.to_string()),
-        },
+fn run_point(w: &Workload, plan: FaultPlan, c: &Campaign) -> PointResult {
+    let (plan_name, seed) = (plan.name().to_string(), plan.seed());
+    let run = w.run_multiscalar_with_injector(sim_config(c), plan);
+    let (cycles, tasks_squashed, failure) = match run {
+        Ok((stats, _)) => (stats.cycles, stats.tasks_squashed, None),
+        Err(e) => (0, 0, Some(e.to_string())),
+    };
+    PointResult {
+        workload: w.name.to_string(),
+        plan: plan_name,
+        seed,
+        cycles,
+        tasks_squashed,
+        failure,
     }
 }
 
@@ -415,24 +363,21 @@ pub fn resolve(c: &Campaign) -> Result<Vec<Workload>, String> {
         .collect()
 }
 
-/// Runs the whole campaign: for every workload, an unperturbed baseline,
-/// then every (plan × seed) perturbed run checked against it.
+/// Runs the whole campaign: every (workload × plan × seed) point, each
+/// perturbed run checked against the oracle.
 ///
 /// # Errors
-/// Returns an error string for unknown names or a failing baseline (a
-/// baseline failure means the simulator is broken even without faults).
+/// Returns an error string for unknown workload or plan names.
 pub fn run_campaign(c: &Campaign) -> Result<CampaignReport, String> {
     let workloads = resolve(c)?;
     let mut points = Vec::new();
     for w in &workloads {
-        let base =
-            baseline(w, c).map_err(|e| format!("{}: unperturbed baseline failed: {e}", w.name))?;
         for plan_name in &c.plans {
             for s in 0..c.seeds {
                 let seed = c.seed_base + s;
                 let plan = FaultPlan::by_name(plan_name, seed)
                     .unwrap_or_else(|| unreachable!("plan names pre-validated"));
-                points.push(run_point(w, &base, plan, c));
+                points.push(run_point(w, plan, c));
             }
         }
     }
@@ -510,15 +455,14 @@ mod tests {
             seeds: 8,
             ..Campaign::default()
         };
-        match run_campaign(&c) {
-            Ok(report) => {
-                assert!(report.failures() > 0, "seeded bug went undetected: {}", report.to_json());
-                let fail = report.points.iter().find(|p| p.failure.is_some()).unwrap();
-                assert!(fail.repro(&c).contains("--seed-base"), "{}", fail.repro(&c));
-            }
-            // Also acceptable: the bug corrupts even the unperturbed
-            // baseline (control/memory squashes leak stores too).
-            Err(e) => assert!(e.contains("baseline failed"), "{e}"),
-        }
+        let report = run_campaign(&c).expect("campaign runs");
+        assert!(report.failures() > 0, "seeded bug went undetected: {}", report.to_json());
+        let fail = report.points.iter().find(|p| p.failure.is_some()).unwrap();
+        assert!(fail.repro(&c).contains("--seed-base"), "{}", fail.repro(&c));
+        // The failure names the first task that left the sequential walk,
+        // not only a wrong output word.
+        let what = fail.failure.as_deref().unwrap();
+        assert!(what.contains("task ") && what.contains("(entry 0x"), "{what}");
+        assert!(what.contains("left the sequential walk"), "{what}");
     }
 }

@@ -17,6 +17,7 @@ fn mschaos_rejects_malformed_command_lines() {
     assert_usage_error(&["--bogus"]);
     assert_usage_error(&["--seeds"]);
     assert_usage_error(&["--units", "0"]);
+    assert_usage_error(&["--units", "65"]);
     assert_usage_error(&["--watchdog", "0"]);
     assert_usage_error(&["--artifacts", "dir"]);
     assert_usage_error(&["stray"]);
@@ -28,5 +29,6 @@ fn mschaos_serve_rejects_malformed_command_lines() {
     assert_usage_error(&["serve", "--artifacts"]);
     assert_usage_error(&["serve", "--max-cycles", "5"]);
     assert_usage_error(&["serve", "--seeds", "zero"]);
+    assert_usage_error(&["serve", "--units", "65"]);
     assert_usage_error(&["serve", "serve"]);
 }

@@ -54,6 +54,10 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
+    /// The most processing units a command line or a served request may
+    /// ask for: the widest machine the evaluation runs (ms64).
+    pub const MAX_UNITS: usize = 64;
+
     /// The paper's multiscalar configuration for `units` processing units
     /// (2 × units data banks, 2-cycle data-cache hits).
     ///

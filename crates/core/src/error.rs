@@ -36,6 +36,25 @@ pub enum SimError {
         /// failure, oldest first.
         history: Vec<DiagnosticSnapshot>,
     },
+    /// A retired task differs from the same task of the sequential walk
+    /// of the binary (see [`crate::Processor::run_checked`]).
+    Diverged {
+        /// The task's dispatch order.
+        order: u64,
+        /// The task's entry PC.
+        entry: u32,
+        /// The processing unit that ran it.
+        unit: usize,
+        /// The cycle it retired.
+        cycle: u64,
+        /// The first difference, e.g. `$2 is 0x1 where the walk has 0x2`.
+        what: String,
+        /// Machine state just after the task left the head.
+        snapshot: Box<DiagnosticSnapshot>,
+        /// Flight-recorder history: periodic snapshots leading up to the
+        /// retirement, oldest first.
+        history: Vec<DiagnosticSnapshot>,
+    },
     /// An internal simulator invariant broke. Carries the machine state
     /// instead of panicking, so the break is diagnosable post-mortem.
     Internal {
@@ -61,9 +80,9 @@ impl SimError {
     pub fn snapshot(&self) -> Option<&DiagnosticSnapshot> {
         match self {
             SimError::Timeout { snapshot, .. } => snapshot.as_deref(),
-            SimError::NoProgress { snapshot, .. } | SimError::Internal { snapshot, .. } => {
-                Some(snapshot)
-            }
+            SimError::NoProgress { snapshot, .. }
+            | SimError::Diverged { snapshot, .. }
+            | SimError::Internal { snapshot, .. } => Some(snapshot),
             _ => None,
         }
     }
@@ -73,7 +92,9 @@ impl SimError {
     /// error carries none).
     pub fn history(&self) -> &[DiagnosticSnapshot] {
         match self {
-            SimError::Timeout { history, .. } | SimError::NoProgress { history, .. } => history,
+            SimError::Timeout { history, .. }
+            | SimError::NoProgress { history, .. }
+            | SimError::Diverged { history, .. } => history,
             _ => &[],
         }
     }
@@ -106,6 +127,12 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
+            SimError::Diverged { order, entry, unit, cycle, what, history, .. } => write!(
+                f,
+                "task {order} (entry {entry:#x}, unit {unit}, cycle {cycle}) left the \
+                 sequential walk: {what} [{} flight-recorder frames]",
+                history.len()
+            ),
             SimError::Internal { what, snapshot } => {
                 write!(f, "internal invariant broke: {what} ({})", snapshot.summary())
             }

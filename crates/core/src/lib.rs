@@ -12,6 +12,9 @@
 //!   accounting).
 //! * [`ScalarProcessor`] — the paper's scalar baseline: one identical
 //!   unit, non-speculative memory, 1-cycle cache hits.
+//! * [`SequentialWalk`] — a binary run one instruction at a time and cut
+//!   into tasks: the differential oracle [`Processor::run_checked`]
+//!   holds every retiring task to.
 //! * [`SimConfig`] — the Section-5.1 machine parameters, with builders for
 //!   the 4-/8-unit, 1-/2-way, in-order/out-of-order design points of
 //!   Tables 3 and 4.
@@ -23,8 +26,9 @@
 //! * [`FaultInjector`]/[`DiagnosticSnapshot`] — chaos-testing hooks that
 //!   perturb the microarchitecture without changing architectural
 //!   results, and the structured machine-state dump attached to
-//!   [`SimError::Timeout`], [`SimError::NoProgress`] and
-//!   [`SimError::Internal`] failures (see the `ms-chaos` crate).
+//!   [`SimError::Timeout`], [`SimError::NoProgress`],
+//!   [`SimError::Diverged`] and [`SimError::Internal`] failures (see the
+//!   `ms-chaos` crate).
 //!
 //! ## Quick start
 //!
@@ -78,6 +82,7 @@ mod processor;
 mod ring;
 mod scalar;
 mod stats;
+mod walk;
 
 pub use ablation::{ArbFullPolicy, PredictorKind};
 pub use config::SimConfig;
@@ -85,10 +90,11 @@ pub use diag::{DiagnosticSnapshot, HeadDiag, UnitDiag};
 pub use error::SimError;
 pub use flight::FlightRecorder;
 pub use inject::{FaultInjector, NoFaults};
-pub use processor::{Processor, Retirement};
+pub use processor::Processor;
 pub use ring::{Ring, RingMsg};
 pub use scalar::ScalarProcessor;
 pub use stats::{CycleBreakdown, RunStats};
+pub use walk::SequentialWalk;
 
 pub use ms_trace::CpiAccountant;
 

@@ -24,9 +24,8 @@ use crate::flight::FlightRecorder;
 use crate::inject::{FaultInjector, NoFaults};
 use crate::ring::{Ring, RingMsg};
 use crate::stats::RunStats;
-use ms_isa::{
-    PredecodedProgram, Program, Reg, RegMask, TargetKind, TaskDescriptor, NUM_REGS, STACK_TOP,
-};
+use crate::walk::{boot, SequentialWalk};
+use ms_isa::{PredecodedProgram, Program, Reg, RegMask, TargetKind, TaskDescriptor, NUM_REGS};
 use ms_memsys::{Arb, DataBanks, MemBus, Memory};
 use ms_pipeline::{ExitKind, MemPorts, ProcessingUnit};
 use ms_predictor::{DescriptorCache, ReturnAddressStack, TaskPredictor};
@@ -151,7 +150,9 @@ pub struct Processor<S: TraceSink = NullSink, F: FaultInjector = NoFaults, A: Tr
     /// forward-progress watchdog and diagnostic snapshots.
     last_retire_cycle: u64,
     stats: RunStats,
-    retirement_log: Vec<Retirement>,
+    /// The sequential walk every retiring task is checked against, set
+    /// by [`Processor::run_checked`].
+    walk: Option<Box<SequentialWalk>>,
     last_outcome: HashMap<u32, usize>,
 
     // Per-cycle scratch buffers, reused across `step` calls so the hot
@@ -176,19 +177,6 @@ pub struct Processor<S: TraceSink = NullSink, F: FaultInjector = NoFaults, A: Tr
     /// Always-on bounded flight recorder: periodic diagnostic snapshots,
     /// attached to [`SimError::Timeout`]/[`SimError::NoProgress`].
     flight: FlightRecorder,
-}
-
-/// One retired task, as recorded in [`Processor::retirement_log`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Retirement {
-    /// Cycle at which the task retired.
-    pub cycle: u64,
-    /// Task entry address.
-    pub entry: u32,
-    /// Processing unit that executed it.
-    pub unit: usize,
-    /// Instructions the task committed.
-    pub instructions: u64,
 }
 
 impl Processor {
@@ -275,12 +263,7 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         extra: A,
     ) -> Result<Processor<S, F, A>, SimError> {
         Processor::check_program(&prog)?;
-        let mut mem = Memory::new();
-        for seg in &prog.data {
-            mem.write_slice(seg.base, &seg.bytes);
-        }
-        let mut boot_vals = [0u64; NUM_REGS];
-        boot_vals[Reg::SP.index()] = STACK_TOP as u64;
+        let (mem, boot_vals) = boot(&prog);
         let units: Vec<ProcessingUnit> = (0..cfg.units)
             .map(|i| {
                 let mut u = ProcessingUnit::new(i, cfg.unit_config());
@@ -319,7 +302,7 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             now: 0,
             last_retire_cycle: 0,
             stats: RunStats::default(),
-            retirement_log: Vec::new(),
+            walk: None,
             last_outcome: HashMap::new(),
             scratch_arrivals: Vec::new(),
             scratch_violations: Vec::new(),
@@ -368,12 +351,6 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
     /// Current cycle.
     pub fn cycles(&self) -> u64 {
         self.now
-    }
-
-    /// Every retired task, in retirement (sequential) order — the record
-    /// of the sequencer's walk through the program CFG.
-    pub fn retirement_log(&self) -> &[Retirement] {
-        &self.retirement_log
     }
 
     /// Runs to completion.
@@ -433,9 +410,26 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         Ok(self.stats.clone())
     }
 
+    /// [`Processor::run`] on a processor that has not stepped yet, with
+    /// every task checked as it retires against the same task of a
+    /// [`SequentialWalk`] of the binary.
+    ///
+    /// # Errors
+    /// As [`Processor::run`], and [`SimError::Diverged`] for the first
+    /// retired task that differs from the walk.
+    ///
+    /// # Panics
+    /// Panics if the processor has already stepped.
+    pub fn run_checked(&mut self) -> Result<RunStats, SimError> {
+        assert_eq!(self.now, 0, "a checked run starts on a processor that has not stepped");
+        self.walk = Some(Box::new(SequentialWalk::new(self.prog.program().clone())));
+        self.run()
+    }
+
     /// Captures the current microarchitectural state for diagnosis: the
-    /// payload of [`SimError::Timeout`], [`SimError::NoProgress`] and
-    /// [`SimError::Internal`], also callable directly from debug tools.
+    /// payload of [`SimError::Timeout`], [`SimError::NoProgress`],
+    /// [`SimError::Diverged`] and [`SimError::Internal`], also callable
+    /// directly from debug tools.
     pub fn snapshot(&self) -> DiagnosticSnapshot {
         let arb_stats = self.arb.stats();
         DiagnosticSnapshot {
@@ -794,6 +788,19 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                 self.banks.drain_store(now, line, &mut self.bus);
             }
             let c = self.units[u].counters();
+            if let Some(walk) = self.walk.as_deref_mut() {
+                if let Some(what) = walk.diff(head.entry, head.create, &self.units[u], &self.mem) {
+                    return Err(SimError::Diverged {
+                        order: head.order,
+                        entry: head.entry,
+                        unit: u,
+                        cycle: now,
+                        what,
+                        snapshot: Box::new(self.snapshot()),
+                        history: self.flight.history(),
+                    });
+                }
+            }
             self.stats.instructions += c.instructions;
             self.stats.tasks_retired += 1;
             self.stats.breakdown.useful += c.busy_cycles;
@@ -801,12 +808,6 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             self.stats.breakdown.no_comp_intra_task += c.intra_task_cycles;
             self.stats.breakdown.no_comp_wait_retire += c.wait_retire_cycles;
             self.stats.breakdown.no_comp_arb += c.arb_stall_cycles;
-            self.retirement_log.push(Retirement {
-                cycle: now,
-                entry: head.entry,
-                unit: u,
-                instructions: c.instructions,
-            });
             if Self::TRACED {
                 self.sink.event(&TraceEvent::TaskRetire {
                     cycle: now,
@@ -823,10 +824,8 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             // create-mask registers; in-flight messages from older tasks
             // carrying these registers are now stale (see the kill in
             // the arrivals loop).
-            if let Some(desc) = self.prog.task_at(head.entry) {
-                for r in desc.create.iter() {
-                    self.retired_creates[r.index()] = head.order + 1;
-                }
+            for r in head.create.iter() {
+                self.retired_creates[r.index()] = head.order + 1;
             }
             match self.active.front() {
                 Some(next) => self.arb.set_head(next.unit),

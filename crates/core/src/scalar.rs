@@ -9,9 +9,10 @@
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::stats::RunStats;
-use ms_isa::{MemWidth, PredecodedProgram, Program, Reg, RegMask, NUM_REGS, STACK_TOP};
+use crate::walk::boot;
+use ms_isa::{PredecodedProgram, Program, Reg, RegMask};
 use ms_memsys::{DataBanks, MemBus, Memory};
-use ms_pipeline::{execute, extend_load, ExitKind, MemPorts, ProcessingUnit};
+use ms_pipeline::{ExitKind, MemPorts, ProcessingUnit};
 
 /// The scalar baseline.
 pub struct ScalarProcessor {
@@ -23,9 +24,6 @@ pub struct ScalarProcessor {
     banks: DataBanks,
     now: u64,
     done: bool,
-    /// Final register file of a [`ScalarProcessor::run_fast`] run (the
-    /// fast path executes outside the pipeline's register file).
-    fast_regs: Option<[u64; NUM_REGS]>,
 }
 
 impl ScalarProcessor {
@@ -37,14 +35,9 @@ impl ScalarProcessor {
         if prog.text.is_empty() {
             return Err(SimError::BadProgram("empty text segment".into()));
         }
-        let mut mem = Memory::new();
-        for seg in &prog.data {
-            mem.write_slice(seg.base, &seg.bytes);
-        }
+        let (mem, regs) = boot(&prog);
         let mut unit = ProcessingUnit::new(0, cfg.unit_config());
-        let mut boot = [0u64; NUM_REGS];
-        boot[Reg::SP.index()] = STACK_TOP as u64;
-        unit.assign_task(prog.entry, RegMask::EMPTY, &boot, RegMask::EMPTY, 0);
+        unit.assign_task(prog.entry, RegMask::EMPTY, &regs, RegMask::EMPTY, 0);
         let prog = PredecodedProgram::new(prog);
         Ok(ScalarProcessor {
             unit,
@@ -53,7 +46,6 @@ impl ScalarProcessor {
             banks: DataBanks::new(cfg.banks),
             now: 0,
             done: false,
-            fast_regs: None,
             prog,
             cfg,
         })
@@ -71,16 +63,7 @@ impl ScalarProcessor {
 
     /// Reads a register (after a run, the final architectural value).
     pub fn reg(&self, r: Reg) -> u64 {
-        match &self.fast_regs {
-            Some(regs) => {
-                if r.is_zero() {
-                    0
-                } else {
-                    regs[r.index()]
-                }
-            }
-            None => self.unit.reg(r),
-        }
+        self.unit.reg(r)
     }
 
     /// Runs to the `halt` instruction.
@@ -134,81 +117,5 @@ impl ScalarProcessor {
         stats.icache = self.unit.icache_stats();
         stats.bus = self.bus.stats();
         Ok(stats)
-    }
-
-    /// Greedy fast-forward run: executes the program architecturally —
-    /// one instruction per loop iteration, no pipeline, cache, or bus
-    /// modelling — and reports only what the differential oracle
-    /// consumes: the final memory image, the final register file
-    /// (served through [`ScalarProcessor::reg`]), and the exact retired
-    /// instruction count.
-    ///
-    /// The timing fields of the returned [`RunStats`] are **not**
-    /// meaningful (`cycles` equals `instructions`); anything that
-    /// compares cycle counts — the benchmark tables, the CPI stacks —
-    /// must use [`ScalarProcessor::run`]. `ms-fuzz`'s differential
-    /// oracle is the intended caller: it only compares memory, registers
-    /// and instruction counts, so the reference side can skip the
-    /// microarchitecture entirely.
-    ///
-    /// # Errors
-    /// Faults on fetch outside the text segment; times out after
-    /// `max_cycles` *instructions* (the ticked bound is always at least
-    /// as tight, since each instruction costs ≥ 1 cycle).
-    pub fn run_fast(&mut self) -> Result<RunStats, SimError> {
-        assert!(!self.done, "scalar processor already ran");
-        let mut regs = [0u64; NUM_REGS];
-        regs[Reg::SP.index()] = STACK_TOP as u64;
-        let mut pc = self.prog.entry;
-        let mut instructions = 0u64;
-        loop {
-            if instructions >= self.cfg.max_cycles {
-                return Err(SimError::Timeout {
-                    cycles: self.cfg.max_cycles,
-                    snapshot: None,
-                    history: Vec::new(),
-                });
-            }
-            let Some((instr, _meta)) = self.prog.fetch(pc) else {
-                return Err(SimError::Fault(format!(
-                    "unit 0: instruction fetch outside text segment at {pc:#x}"
-                )));
-            };
-            let outcome = execute(&instr, pc, |r| if r.is_zero() { 0 } else { regs[r.index()] });
-            instructions += 1;
-            if let Some((rd, v)) = outcome.writeback {
-                if !rd.is_zero() {
-                    regs[rd.index()] = v;
-                }
-            }
-            if let Some(req) = outcome.mem {
-                if req.is_store {
-                    self.mem.write_le(req.addr, req.size, req.value);
-                } else {
-                    let raw = self.mem.read_le(req.addr, req.size);
-                    let width = match req.size {
-                        1 => MemWidth::B,
-                        2 => MemWidth::H,
-                        4 => MemWidth::W,
-                        _ => MemWidth::D,
-                    };
-                    let v = extend_load(width, req.signed, raw);
-                    let rd = req.dest.expect("loads have destinations");
-                    if !rd.is_zero() {
-                        regs[rd.index()] = v;
-                    }
-                }
-            }
-            if outcome.halt {
-                break;
-            }
-            pc = match outcome.control {
-                Some(c) => c.next_pc,
-                None => pc + 4,
-            };
-        }
-        self.done = true;
-        self.fast_regs = Some(regs);
-        Ok(RunStats { cycles: instructions, instructions, tasks_retired: 1, ..RunStats::default() })
     }
 }

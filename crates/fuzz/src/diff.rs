@@ -6,13 +6,17 @@
 //!    annotated program (any error is a generator or checker bug) and
 //!    should flag adversarially perturbed ones.
 //! 2. **Differential** — the program runs on the multiscalar simulator
-//!    at several [`SimConfig`] points and on the scalar reference; final
-//!    memory, final registers and retire counts must agree.
+//!    at several [`SimConfig`] points, each run checked task by task
+//!    against the sequential walk of the same binary
+//!    ([`Processor::run_checked`]); final memory and registers must
+//!    agree with the scalar binary walked to its halt.
 //! 3. **Runtime containment** — a perturbed program the checker missed
 //!    may still fail loudly (simulator fault, watchdog, debug assert);
 //!    that counts as *caught*. What must never happen is a perturbed
-//!    program running to completion with a different answer and nobody
-//!    noticing: silent divergence is the bug class this crate hunts.
+//!    program computing something other than its sequential walk: a
+//!    task that leaves the walk, or a final state that differs from the
+//!    scalar binary's, is silent divergence, the bug class this crate
+//!    hunts.
 //!
 //! The core oracle, [`validate_pair`], takes an already-assembled
 //! multiscalar/scalar program pair and the memory regions to compare, so
@@ -23,7 +27,7 @@ use crate::gen::{ARR_BYTES, OUT_BYTES};
 use ms_asm::{assemble, AsmMode};
 use ms_cfg::{check_program, Severity};
 use ms_isa::{Program, DATA_BASE};
-use multiscalar::{Processor, ScalarProcessor, SimConfig};
+use multiscalar::{Processor, SequentialWalk, SimConfig, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Knobs for one validation run.
@@ -127,11 +131,10 @@ pub fn validate_source(src: &str, adversarial: bool, opts: &ValidateOpts) -> Cas
 
 /// Validates an assembled multiscalar program against a scalar reference
 /// binary: the static checker must accept `ms_prog`, and at every config
-/// in `configs` the final bytes of each `(base, len)` region in
-/// `regions`, the final registers (except `$31`) and the retire counts
-/// must match the scalar run. Retire counts must also agree *across*
-/// multiscalar configs — the architectural path is fixed, only the
-/// schedule may vary.
+/// in `configs` the checked run must retire exactly the tasks of the
+/// walk of `ms_prog`, and the final bytes of each `(base, len)` region
+/// in `regions` and the final registers (except `$31`) must match the
+/// walk of `sc_prog`.
 pub fn validate_pair(
     ms_prog: &Program,
     sc_prog: &Program,
@@ -153,39 +156,35 @@ pub fn validate_pair(
         };
     }
 
-    // Scalar reference. The oracle only compares final memory,
-    // registers, and instruction counts — never scalar cycles — so the
-    // greedy `run_fast` path (no pipeline or memory-system modelling)
-    // is a legal and much faster reference.
-    let cfg = SimConfig::scalar().max_cycles(opts.max_cycles);
-    let mut scalar = match ScalarProcessor::new(sc_prog.clone(), cfg) {
-        Ok(s) => s,
+    // Scalar reference: the scalar binary walked to its halt.
+    let mut scalar = SequentialWalk::new(sc_prog.clone());
+    match scalar.next_task(opts.max_cycles) {
+        Ok((_, Some(_))) if scalar.halted() => {}
+        Ok(_) => {
+            let e = format!("the scalar binary did not halt in {} instructions", opts.max_cycles);
+            return CaseOutcome::fail("scalar-error", e);
+        }
         Err(e) => return CaseOutcome::fail("scalar-error", e.to_string()),
-    };
-    let sc_stats = match scalar.run_fast() {
-        Ok(s) => s,
-        Err(e) => return CaseOutcome::fail("scalar-error", e.to_string()),
-    };
+    }
     let sc_mem: Vec<Vec<u8>> =
         regions.iter().map(|&(base, len)| scalar.memory().read_vec(base, len)).collect();
-    let sc_regs: Vec<u64> = (0..ms_isa::NUM_REGS)
-        .map(|r| scalar.reg(ms_isa::Reg::from_index(r).expect("register index")))
-        .collect();
 
-    let mut ms_counts: Option<(u64, u64)> = None;
+    let diverged = if adversarial { "silent-divergence" } else { "diverged" };
     for (name, cfg) in configs {
         let prog = ms_prog.clone();
         let cfg = *cfg;
-        let run = catch_unwind(AssertUnwindSafe(|| -> Result<_, String> {
-            let mut p = Processor::new(prog, cfg).map_err(|e| e.to_string())?;
-            let stats = p.run().map_err(|e| e.to_string())?;
+        let run = catch_unwind(AssertUnwindSafe(|| -> Result<_, SimError> {
+            let mut p = Processor::new(prog, cfg)?;
+            p.run_checked()?;
             let mem: Vec<Vec<u8>> =
                 regions.iter().map(|&(base, len)| p.memory().read_vec(base, len)).collect();
-            let regs = p.final_regs().ok_or_else(|| "no final registers".to_string())?;
-            Ok((stats, mem, regs))
+            Ok((mem, p.final_regs().expect("a finished run has retired a task")))
         }));
-        let (stats, mem, regs) = match run {
+        let (mem, regs) = match run {
             Ok(Ok(r)) => r,
+            Ok(Err(e @ SimError::Diverged { .. })) => {
+                return CaseOutcome::fail(diverged, format!("{name}: {e}"));
+            }
             Ok(Err(e)) => {
                 return if adversarial {
                     CaseOutcome::pass("caught-runtime")
@@ -206,27 +205,8 @@ pub fn validate_pair(
                 };
             }
         };
-
-        if let Some(d) = diverges(name, regions, &stats, &mem, &regs, &sc_stats, &sc_mem, &sc_regs)
-        {
-            let verdict = if adversarial { "silent-divergence" } else { "diverged" };
-            return CaseOutcome::fail(verdict, d);
-        }
-        match ms_counts {
-            None => ms_counts = Some((stats.instructions, stats.tasks_retired)),
-            Some((instr, tasks)) => {
-                if stats.instructions != instr || stats.tasks_retired != tasks {
-                    let verdict = if adversarial { "silent-divergence" } else { "diverged" };
-                    return CaseOutcome::fail(
-                        verdict,
-                        format!(
-                            "{name}: retire counts {}i/{}t disagree with earlier config \
-                             {instr}i/{tasks}t",
-                            stats.instructions, stats.tasks_retired
-                        ),
-                    );
-                }
-            }
+        if let Some(d) = diverges(name, regions, &mem, &regs, &sc_mem, scalar.regs()) {
+            return CaseOutcome::fail(diverged, d);
         }
     }
 
@@ -237,16 +217,13 @@ pub fn validate_pair(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn diverges(
     name: &str,
     regions: &[(u32, usize)],
-    stats: &multiscalar::RunStats,
     mem: &[Vec<u8>],
     regs: &[u64; ms_isa::NUM_REGS],
-    sc_stats: &multiscalar::RunStats,
     sc_mem: &[Vec<u8>],
-    sc_regs: &[u64],
+    sc_regs: &[u64; ms_isa::NUM_REGS],
 ) -> Option<String> {
     for (ri, &(base, _)) in regions.iter().enumerate() {
         if let Some(i) = (0..mem[ri].len()).find(|&i| mem[ri][i] != sc_mem[ri][i]) {
@@ -266,14 +243,6 @@ fn diverges(
         return Some(format!(
             "{name}: register ${r} is {:#x}, scalar has {:#x}",
             regs[r], sc_regs[r]
-        ));
-    }
-    // The multiscalar binary carries instructions the scalar one lacks,
-    // so retired-instruction counts may only grow.
-    if stats.instructions < sc_stats.instructions {
-        return Some(format!(
-            "{name}: retired {} instructions, fewer than the scalar reference's {}",
-            stats.instructions, sc_stats.instructions
         ));
     }
     None

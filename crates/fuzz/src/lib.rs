@@ -26,17 +26,9 @@ pub mod shrink;
 
 use diff::{validate_source, ValidateOpts};
 use gen::{generate, render};
+use ms_trace::hash::splitmix64;
 use ms_trace::json;
 use std::collections::BTreeMap;
-
-/// splitmix64 finalizer — per-case seeds are derived, not sequential,
-/// so any case can be reproduced in isolation.
-pub fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Which expectation regime the corpus runs under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,7 +73,8 @@ impl Mode {
 /// A corpus run configuration.
 #[derive(Clone, Debug)]
 pub struct Campaign {
-    /// Base seed; case `i` uses `mix(seed ^ i)`.
+    /// Base seed; case `i` uses `splitmix64(seed ^ i)`, derived rather
+    /// than sequential, so any case can be reproduced in isolation.
     pub seed: u64,
     /// Number of programs to generate and validate.
     pub count: u64,
@@ -186,7 +179,7 @@ pub fn run_corpus(campaign: &Campaign) -> Report {
     let mut failures = Vec::new();
 
     for i in 0..campaign.count {
-        let case_seed = mix(campaign.seed ^ i);
+        let case_seed = splitmix64(campaign.seed ^ i);
         let adversarial = campaign.mode.adversarial(i);
         let prog = generate(case_seed, adversarial);
         let src = render(&prog);

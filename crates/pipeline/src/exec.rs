@@ -5,7 +5,7 @@
 //! the outcome takes effect. Keeping semantics separate from timing makes
 //! them independently testable.
 
-use ms_isa::{FpArithKind, FpCmpCond, Instr, MemWidth, Op, Prec, Reg, RegList};
+use ms_isa::{FpArithKind, FpCmpCond, Instr, Op, Prec, Reg, RegList};
 
 /// A memory access requested by an instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,6 +50,14 @@ pub struct Outcome {
     pub halt: bool,
 }
 
+impl Outcome {
+    /// Whether `instr`, whose outcome this is, ends its task: it halts,
+    /// or its stop tag fires on the branch outcome.
+    pub fn ends_task(&self, instr: &Instr) -> bool {
+        self.halt || instr.tags.stop.fires(self.control.is_some_and(|c| c.taken))
+    }
+}
+
 fn f64_of(bits: u64) -> f64 {
     f64::from_bits(bits)
 }
@@ -58,14 +66,14 @@ fn f32_of(bits: u64) -> f32 {
     f32::from_bits(bits as u32)
 }
 
-/// Sign- or zero-extends a raw little-endian load of `width`.
-pub fn extend_load(width: MemWidth, signed: bool, raw: u64) -> u64 {
-    let bits = 8 * width.bytes();
+/// Sign- or zero-extends `raw`, the little-endian bytes the load `req` read.
+pub fn extend_load(req: &MemRequest, raw: u64) -> u64 {
+    let bits = 8 * req.size;
     if bits == 64 {
         return raw;
     }
     let masked = raw & ((1u64 << bits) - 1);
-    if signed && masked >> (bits - 1) != 0 {
+    if req.signed && masked >> (bits - 1) != 0 {
         masked | !((1u64 << bits) - 1)
     } else {
         masked
@@ -203,7 +211,7 @@ pub fn execute(instr: &Instr, pc: u32, read: impl Fn(Reg) -> u64) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ms_isa::{AluOp, BranchCond, StopCond};
+    use ms_isa::{AluOp, BranchCond, MemWidth, StopCond};
 
     fn run(op: Op, regs: &[(Reg, u64)]) -> Outcome {
         let read = |r: Reg| regs.iter().find(|(x, _)| *x == r).map(|(_, v)| *v).unwrap_or(0);
@@ -295,6 +303,17 @@ mod tests {
 
     #[test]
     fn load_extension() {
+        let extend_load = |width: MemWidth, signed, raw| {
+            let req = MemRequest {
+                is_store: false,
+                addr: 0,
+                size: width.bytes(),
+                value: 0,
+                signed,
+                dest: None,
+            };
+            super::extend_load(&req, raw)
+        };
         assert_eq!(extend_load(MemWidth::B, true, 0x80), 0xffff_ffff_ffff_ff80);
         assert_eq!(extend_load(MemWidth::B, false, 0x80), 0x80);
         assert_eq!(extend_load(MemWidth::W, true, 0x8000_0000), 0xffff_ffff_8000_0000);

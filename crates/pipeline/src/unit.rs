@@ -825,14 +825,8 @@ impl ProcessingUnit {
         }
 
         // Stop / control resolution.
-        let taken = outcome.control.map(|c| c.taken).unwrap_or(false);
-        let stop_fires = outcome.halt
-            || match slot.instr.tags.stop {
-                StopCond::None => false,
-                cond => cond.fires(taken),
-            };
         let this_seq = slot.seq;
-        if stop_fires {
+        if outcome.ends_task(&slot.instr) {
             self.stop_resolved = true;
             self.exit_kind = Some(self.classify_exit(&slot, &outcome));
             self.buf.retain(|s| s.seq <= this_seq);
@@ -907,7 +901,7 @@ impl ProcessingUnit {
             };
             let completion =
                 ports.banks.access_load_traced(access_at, req.addr, forwarded, ports.bus, sink);
-            let value = extend_load_width(req, raw);
+            let value = extend_load(&req, raw);
             let dest = req.dest.expect("loads have destinations");
             self.regs.write(dest, value, completion);
             if slot.instr.tags.forward {
@@ -1137,17 +1131,6 @@ impl ProcessingUnit {
             }
         }
     }
-}
-
-fn extend_load_width(req: MemRequest, raw: u64) -> u64 {
-    use ms_isa::MemWidth;
-    let width = match req.size {
-        1 => MemWidth::B,
-        2 => MemWidth::H,
-        4 => MemWidth::W,
-        _ => MemWidth::D,
-    };
-    extend_load(width, req.signed, raw)
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 
 use crate::protocol::{self, Response};
 use ms_sweep::{Job, JobKind};
+use ms_trace::hash::{fnv1a_64, splitmix64, FNV1A_64_OFFSET};
 use ms_workloads::{suite, Scale};
 use multiscalar::SimConfig;
 use std::fmt::Write as _;
@@ -104,15 +105,6 @@ fn request_line(point: usize, job: &Job) -> String {
     )
 }
 
-/// SplitMix64 finalizer — the jitter source. Pure function of its
-/// input, so retry schedules are reproducible from the seed.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The backoff before retry `attempt` (0-based) of `point` on
 /// connection `conn`: the server's `retry_after_ms` hint doubled per
 /// attempt, plus deterministic jitter (up to a quarter of the base,
@@ -126,20 +118,10 @@ fn backoff_ms(opts: &LoadOptions, conn: usize, point: usize, attempt: usize, hin
         .wrapping_add((conn as u64) << 40)
         .wrapping_add((point as u64) << 20)
         .wrapping_add(attempt as u64);
-    let jitter = mix64(salt) % (base / 4 + 1);
+    // splitmix64 is a pure function of the salt, so retry schedules are
+    // reproducible from the seed.
+    let jitter = splitmix64(salt) % (base / 4 + 1);
     (base + jitter).min(opts.backoff_cap_ms)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Per-point accounting, merged across every connection.
@@ -260,7 +242,7 @@ struct ConnTally {
 
 fn record(state: &mut PointState, payload: &str) {
     state.requests += 1;
-    let digest = fnv1a_64(payload.as_bytes());
+    let digest = fnv1a_64(FNV1A_64_OFFSET, payload.as_bytes());
     match state.digest {
         None => state.digest = Some(digest),
         Some(d) if d != digest => state.divergent += 1,

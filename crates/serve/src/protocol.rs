@@ -168,10 +168,9 @@ fn parse_width(w: u64) -> Result<usize, String> {
 }
 
 fn parse_units(u: u64) -> Result<usize, String> {
-    if (1..=64).contains(&u) {
-        Ok(u as usize)
-    } else {
-        Err(format!("units must be in 1..=64, got {u}"))
+    match usize::try_from(u) {
+        Ok(n @ 1..=SimConfig::MAX_UNITS) => Ok(n),
+        _ => Err(format!("units must be in 1..={}, got {u}", SimConfig::MAX_UNITS)),
     }
 }
 

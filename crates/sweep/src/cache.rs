@@ -28,8 +28,8 @@
 //! and the point recomputed. The sweep never fails because of a bad
 //! cache file, and never silently re-reads the same torn bytes twice.
 
-use crate::hash::fnv1a_64;
 use crate::statsio::{stats_from_kv, stats_to_kv};
+use ms_trace::hash::{fnv1a_64, FNV1A_64_OFFSET};
 use ms_workloads::cli::CliArgs;
 use multiscalar::RunStats;
 use std::fs;
@@ -147,13 +147,13 @@ impl SweepCache {
     }
 
     fn entry_path(dir: &Path, key: &str) -> PathBuf {
-        dir.join(format!("{:016x}.entry", fnv1a_64(key.as_bytes())))
+        dir.join(format!("{:016x}.entry", fnv1a_64(FNV1A_64_OFFSET, key.as_bytes())))
     }
 
     /// Renders the entry bytes for `key`/`stats` (checksum included).
     fn render(key: &str, stats: &RunStats) -> String {
         let mut body = format!("{HEADER}\nkey {key}\n{}", stats_to_kv(stats));
-        let sum = fnv1a_64(body.as_bytes());
+        let sum = fnv1a_64(FNV1A_64_OFFSET, body.as_bytes());
         body.push_str(&format!("checksum {sum:016x}\n"));
         body
     }
@@ -169,7 +169,7 @@ impl SweepCache {
         let stored_sum = checksum_line.strip_prefix("checksum ").ok_or(())?;
         let mut prefix = prefix.to_string();
         prefix.push('\n');
-        if format!("{:016x}", fnv1a_64(prefix.as_bytes())) != stored_sum {
+        if format!("{:016x}", fnv1a_64(FNV1A_64_OFFSET, prefix.as_bytes())) != stored_sum {
             return Err(());
         }
         let rest = prefix.strip_prefix(HEADER).and_then(|r| r.strip_prefix('\n')).ok_or(())?;

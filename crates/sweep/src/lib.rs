@@ -38,7 +38,6 @@
 pub mod artifacts;
 pub mod cache;
 pub mod engine;
-mod hash;
 pub mod job;
 pub mod spec;
 pub mod statsio;

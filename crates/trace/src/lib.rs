@@ -25,6 +25,7 @@
 pub mod chrome;
 pub mod cpi;
 pub mod event;
+pub mod hash;
 pub mod histogram;
 pub mod json;
 pub mod jsonl;

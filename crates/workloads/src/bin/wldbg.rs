@@ -6,7 +6,7 @@
 //! the unit count (for `ms`) to 4 and the cycle bound to 3,000,000. On a
 //! timeout or a stalled run the full diagnostic snapshot is printed.
 
-use ms_workloads::cli::{parse_cli, parsed, positive, CliSpec};
+use ms_workloads::cli::{self, parse_cli, parsed, CliSpec};
 use ms_workloads::{by_name, Scale, WorkloadError};
 use multiscalar::SimConfig;
 
@@ -30,7 +30,7 @@ fn main() {
         [_, _, _, extra, ..] => usage(format!("unexpected argument `{extra}`")),
     };
     let Some(w) = by_name(name, Scale::Test) else { usage(format!("unknown workload `{name}`")) };
-    let Some(units) = positive(units) else { usage(format!("invalid unit count `{units}`")) };
+    let Some(units) = cli::units(units) else { usage(format!("invalid unit count `{units}`")) };
     let result = match mode {
         "scalar" => w.run_scalar(SimConfig::scalar().max_cycles(max_cycles)),
         "ms" => w.run_multiscalar(SimConfig::multiscalar(units).max_cycles(max_cycles)),

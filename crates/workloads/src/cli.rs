@@ -9,6 +9,7 @@
 //! further down.
 
 use crate::{Scale, Workload};
+use multiscalar::SimConfig;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::str::FromStr;
@@ -103,9 +104,15 @@ impl CliArgs {
     }
 }
 
-/// Reads a number greater than zero (`--units`, `--reps`, `--seeds`, …).
+/// Reads a number greater than zero (`--reps`, `--seeds`, …).
 pub fn positive<T: FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
     v.parse().ok().filter(|n| *n > T::default())
+}
+
+/// Reads a processing-unit count, 1 to [`SimConfig::MAX_UNITS`]
+/// (`--units`, `ms<N>` machine names, …).
+pub fn units(v: &str) -> Option<usize> {
+    positive(v).filter(|&n| n <= SimConfig::MAX_UNITS)
 }
 
 /// Reads any value [`FromStr`] accepts (`--jobs`, `--seed-base`, names, …).
@@ -248,6 +255,15 @@ mod tests {
             let a = parse(&["--units", bad]).unwrap();
             let e = a.list("--units", positive::<usize>).unwrap_err();
             assert!(e.to_string().contains("--units"), "{bad:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn unit_counts_stop_at_the_machine_bound() {
+        assert_eq!(units("1"), Some(1));
+        assert_eq!(units("64"), Some(SimConfig::MAX_UNITS));
+        for bad in ["0", "65", "100000", "-4", "four"] {
+            assert_eq!(units(bad), None, "{bad}");
         }
     }
 

@@ -38,6 +38,7 @@ pub use data::Scale;
 
 use ms_asm::{assemble, AsmMode};
 use ms_isa::Program;
+use multiscalar::trace::hash::{fnv1a_64, FNV1A_64_OFFSET};
 use multiscalar::{Processor, RunStats, ScalarProcessor, SimConfig, SimError};
 use std::fmt;
 
@@ -145,16 +146,6 @@ impl From<SimError> for WorkloadError {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 impl Workload {
     /// A stable 64-bit fingerprint of the workload's full content
     /// identity: name, generated source (which bakes in the scale-sized
@@ -166,15 +157,14 @@ impl Workload {
     /// this is what keys the `ms-sweep` on-disk result cache. The hash is
     /// FNV-1a, independent of `std`'s unstable default hasher.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, self.name.as_bytes());
-        fnv1a(&mut h, &[0xff]);
-        fnv1a(&mut h, self.source.as_bytes());
+        let mut h = fnv1a_64(FNV1A_64_OFFSET, self.name.as_bytes());
+        h = fnv1a_64(h, &[0xff]);
+        h = fnv1a_64(h, self.source.as_bytes());
         for c in &self.checks {
-            fnv1a(&mut h, &[0xfe]);
-            fnv1a(&mut h, c.symbol.as_bytes());
-            fnv1a(&mut h, &c.offset.to_le_bytes());
-            fnv1a(&mut h, &c.bytes);
+            h = fnv1a_64(h, &[0xfe]);
+            h = fnv1a_64(h, c.symbol.as_bytes());
+            h = fnv1a_64(h, &c.offset.to_le_bytes());
+            h = fnv1a_64(h, &c.bytes);
         }
         h
     }
@@ -302,9 +292,9 @@ impl Workload {
     }
 
     /// Like [`Workload::run_multiscalar`], but perturbs the
-    /// microarchitecture through `injector` (chaos testing) and returns
-    /// the finished processor alongside the stats so callers can inspect
-    /// the retirement log and final memory. Memory is validated against
+    /// microarchitecture through `injector` (chaos testing), checks each
+    /// task as it retires ([`Processor::run_checked`]) and returns the
+    /// finished processor alongside the stats. Memory is validated against
     /// the reference before returning — fault injection must never change
     /// architectural results.
     ///
@@ -318,7 +308,7 @@ impl Workload {
     ) -> Result<(RunStats, Processor<multiscalar::trace::NullSink, F>), WorkloadError> {
         let prog = self.assemble(AsmMode::Multiscalar)?;
         let mut p = Processor::with_injector(prog, cfg, injector)?;
-        let stats = p.run()?;
+        let stats = p.run_checked()?;
         self.verify_memory(p.memory(), p.program())?;
         Ok((stats, p))
     }

@@ -30,6 +30,7 @@ fn wldbg_rejects_malformed_command_lines() {
 fn unknown_workloads_and_zero_units_are_usage_errors_not_panics() {
     assert_usage_error(&["nosuch"]);
     assert_usage_error(&["Wc", "ms", "0"]);
+    assert_usage_error(&["Wc", "ms", "65"]);
 }
 
 #[test]

@@ -3,15 +3,16 @@
 //! The paper's Figure 2 shows basic blocks A..E with an inner loop (B, C)
 //! inside an outer loop (A..D), executed as the dynamic sequence
 //! A¹₁B¹₁C¹₁B¹₂… — one *task* per outer iteration. This example builds
-//! that CFG, runs it on a 4-unit multiscalar processor, and prints the
-//! retirement log: the sequential task walk reconstructed from a parallel
-//! execution.
+//! that CFG, runs it on a 4-unit multiscalar processor, and prints its
+//! task retirements: the sequential task walk reconstructed from a
+//! parallel execution.
 //!
 //! ```text
 //! cargo run --example cfg_walk
 //! ```
 
 use ms_asm::{assemble, AsmMode};
+use multiscalar::trace::{TraceEvent, VecSink};
 use multiscalar::{Processor, SimConfig};
 
 /// Outer loop of 3 iterations; each iteration runs a data-dependent number
@@ -57,20 +58,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prog = assemble(SRC, AsmMode::Multiscalar)?;
     println!("program listing (Figure 4 shape):\n{}", prog.listing());
 
-    let mut p = Processor::new(prog.clone(), SimConfig::multiscalar(4))?;
+    let mut p = Processor::with_sink(prog.clone(), SimConfig::multiscalar(4), VecSink::default())?;
     let stats = p.run()?;
 
     println!("task walk (retirement order):");
     let name_of = |entry: u32| {
         prog.symbols.iter().find(|(_, &a)| a == entry).map(|(n, _)| n.as_str()).unwrap_or("?")
     };
-    for (i, r) in p.retirement_log().iter().enumerate() {
+    let retired = p.sink().events.iter().filter_map(|ev| match *ev {
+        TraceEvent::TaskRetire { cycle, unit, entry, instructions, .. } => {
+            Some((cycle, unit, entry, instructions))
+        }
+        _ => None,
+    });
+    for (i, (cycle, unit, entry, instructions)) in retired.enumerate() {
         println!(
-            "  task {i}: {:12} on unit {} retired at cycle {:>4} ({} instructions)",
-            name_of(r.entry),
-            r.unit,
-            r.cycle,
-            r.instructions
+            "  task {i}: {:12} on unit {unit} retired at cycle {cycle:>4} ({instructions} instructions)",
+            name_of(entry),
         );
     }
     println!(

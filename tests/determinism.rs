@@ -5,6 +5,7 @@
 
 use ms_asm::AsmMode;
 use ms_workloads::{by_name, suite, Scale};
+use multiscalar::trace::{TraceEvent, VecSink};
 use multiscalar::{Processor, SimConfig};
 
 #[test]
@@ -87,10 +88,19 @@ fn cycle_accounting_is_conservative() {
 fn retirement_log_is_sequential_and_complete() {
     let w = by_name("Cmp", Scale::Test).unwrap();
     let prog = w.assemble(AsmMode::Multiscalar).unwrap();
-    let mut p = Processor::new(prog, SimConfig::multiscalar(4)).unwrap();
+    let mut p = Processor::with_sink(prog, SimConfig::multiscalar(4), VecSink::default()).unwrap();
     let st = p.run().unwrap();
-    let log = p.retirement_log();
+    // The run's retirements, as its `TaskRetire` events: (cycle, instructions).
+    let log: Vec<(u64, u64)> = p
+        .sink()
+        .events
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::TaskRetire { cycle, instructions, .. } => Some((cycle, instructions)),
+            _ => None,
+        })
+        .collect();
     assert_eq!(log.len() as u64, st.tasks_retired);
-    assert!(log.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-    assert_eq!(log.iter().map(|r| r.instructions).sum::<u64>(), st.instructions);
+    assert!(log.windows(2).all(|w| w[0].0 <= w[1].0));
+    assert_eq!(log.iter().map(|r| r.1).sum::<u64>(), st.instructions);
 }

@@ -5,8 +5,8 @@
 
 use ms_asm::{assemble, AsmMode};
 use ms_cfg::{check_program, Severity};
-use ms_fuzz::diff::{validate_source, ValidateOpts};
-use multiscalar::{Processor, ScalarProcessor, SimConfig};
+use ms_fuzz::diff::{config_points, validate_source, ValidateOpts};
+use multiscalar::{Processor, ScalarProcessor, SimConfig, SimError};
 
 const OOO_RELEASE_RAW: &str = include_str!("repros/ooo_release_raw.s");
 const STALE_FORWARD: &str = include_str!("repros/stale_forward.s");
@@ -68,10 +68,26 @@ fn stale_forward_repro_is_rejected_statically() {
 
 /// Documents *why* the stale forward must be a static error: run
 /// unchecked, the multiscalar result really does diverge (successors see
-/// the forwarded 1, the scalar reference computes 2).
+/// the forwarded 1, the scalar reference computes 2). Run checked, on
+/// every machine the fuzzer uses, the retire-time oracle names the first
+/// wrong task: task 1, at `A`, forwards `$2` = 1 where the sequential
+/// walk has 2.
 #[test]
 fn stale_forward_repro_really_diverges_at_runtime() {
     let ms = assemble(STALE_FORWARD, AsmMode::Multiscalar).expect("assemble ms");
+    assert_eq!(ms.symbol("A"), Some(0x100c), "the repro's layout changed; update this pin");
+    for (name, cfg) in config_points(&opts()) {
+        let mut p = Processor::new(ms.clone(), cfg).expect("build ms");
+        let err = p.run_checked().expect_err("the checked run must catch the stale forward");
+        let SimError::Diverged { order, entry, ref what, .. } = err else {
+            panic!("{name}: expected a divergence, got {err}");
+        };
+        assert_eq!((order, entry), (1, 0x100c), "{name}: {err}");
+        assert_eq!(what, "$2 is 0x1 where the walk has 0x2", "{name}: {err}");
+        assert!(err.snapshot().is_some() && !err.history().is_empty(), "{name}: {err}");
+        assert!(err.to_string().starts_with("task 1 (entry 0x100c, unit "), "{name}: {err}");
+    }
+
     let sc = assemble(STALE_FORWARD, AsmMode::Scalar).expect("assemble scalar");
     let out = ms.symbol("out").expect("out symbol");
     let mut p =

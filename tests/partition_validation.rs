@@ -9,7 +9,8 @@
 //!    results to the scalar binary it was derived from — final data
 //!    memory, final registers (except `$31`, which shifts with inserted
 //!    instructions) — at one-unit, out-of-order and ring configurations,
-//!    with retire counts agreeing across all multiscalar configs.
+//!    each run retiring exactly the tasks of the sequential walk of the
+//!    partitioned binary (checked as each task retires).
 //!
 //! Inputs come from two corpora: the fuzz generator (scalar-stripped
 //! honest programs) and the ten built-in workloads.
