@@ -12,7 +12,7 @@
 //! `.scalar_begin`/`.scalar_end` blocks are kept, and vice versa.
 
 use crate::error::{AsmError, AsmErrorKind};
-use crate::parser::{parse_line, DataItem, DataKind, Operand, Section, Stmt, TargetSpec};
+use crate::parser::{parse_line, DataItem, DataKind, Operand, Parsed, Section, Stmt, TargetSpec};
 use ms_isa::{
     AluImmOp, AluOp, BranchCond, DataSegment, ImmField, Instr, MemWidth, Op, Program, Reg, RegList,
     RegMask, TagBits, TaskDescriptor, TaskTarget, DATA_BASE, STACK_TOP, TEXT_BASE,
@@ -50,19 +50,13 @@ fn err(line: usize, kind: AsmErrorKind) -> AsmError {
 /// # Ok::<(), ms_asm::AsmError>(())
 /// ```
 pub fn assemble(src: &str, mode: AsmMode) -> Result<Program, AsmError> {
-    let stmts = filter_mode(parse_all(src)?, mode)?;
-    let layout = layout(&stmts, mode)?;
-    emit(&stmts, &layout, mode)
-}
-
-fn parse_all(src: &str) -> Result<Vec<(usize, Stmt)>, AsmError> {
-    let mut out = Vec::new();
+    let mut parsed = Parsed::default();
     for (i, line) in src.lines().enumerate() {
-        for stmt in parse_line(line, i + 1)? {
-            out.push((i + 1, stmt));
-        }
+        parse_line(line, i + 1, &mut parsed)?;
     }
-    Ok(out)
+    let stmts = filter_mode(parsed.stmts, mode)?;
+    let layout = layout(&stmts, mode)?;
+    emit(&stmts, &parsed.names, &layout, mode)
 }
 
 /// Drops statements excluded by the mode and validates block nesting.
@@ -117,8 +111,8 @@ fn filter_mode(stmts: Vec<(usize, Stmt)>, mode: AsmMode) -> Result<Vec<(usize, S
     Ok(out)
 }
 
-struct Layout {
-    symbols: BTreeMap<String, u32>,
+struct Layout<'a> {
+    symbols: BTreeMap<&'a str, u32>,
     /// The address each statement starts at in its section, after any
     /// alignment it implies. Emit pads up to it, so addresses are
     /// computed in one place.
@@ -148,7 +142,7 @@ fn align_up(pc: u32, to: u32, line: usize) -> Result<u32, AsmError> {
     advance(pc, ((to - pc % to) % to) as usize, line)
 }
 
-fn layout(stmts: &[(usize, Stmt)], mode: AsmMode) -> Result<Layout, AsmError> {
+fn layout<'a>(stmts: &[(usize, Stmt<'a>)], mode: AsmMode) -> Result<Layout<'a>, AsmError> {
     let mut symbols = BTreeMap::new();
     let mut addrs = Vec::with_capacity(stmts.len());
     let mut section = Section::Text;
@@ -168,8 +162,8 @@ fn layout(stmts: &[(usize, Stmt)], mode: AsmMode) -> Result<Layout, AsmError> {
         addrs.push(at);
         let bytes = match stmt {
             Stmt::Label(name) => {
-                if symbols.insert(name.clone(), at).is_some() {
-                    return Err(err(line, AsmErrorKind::DuplicateSymbol(name.clone())));
+                if symbols.insert(*name, at).is_some() {
+                    return Err(err(line, AsmErrorKind::DuplicateSymbol((*name).to_owned())));
                 }
                 0
             }
@@ -264,7 +258,7 @@ fn alias(mnem: &str) -> Option<Op> {
 }
 
 struct Emitter<'a> {
-    symbols: &'a BTreeMap<String, u32>,
+    symbols: &'a BTreeMap<&'a str, u32>,
     text: Vec<Instr>,
     mode: AsmMode,
 }
@@ -274,13 +268,14 @@ impl Emitter<'_> {
         TEXT_BASE + 4 * self.text.len() as u32
     }
 
+    /// The address of label `name`.
+    fn addr(&self, name: &str, line: usize) -> Result<u32, AsmError> {
+        let addr = self.symbols.get(name).copied();
+        addr.ok_or_else(|| err(line, AsmErrorKind::UndefinedSymbol(name.to_owned())))
+    }
+
     fn sym(&self, name: &str, off: i64, line: usize) -> Result<u32, AsmError> {
-        let base = self
-            .symbols
-            .get(name)
-            .copied()
-            .ok_or_else(|| err(line, AsmErrorKind::UndefinedSymbol(name.to_owned())))?;
-        Ok((base as i64 + off) as u32)
+        Ok((self.addr(name, line)? as i64 + off) as u32)
     }
 
     fn reg(&self, op: Option<&Operand>, line: usize) -> Result<Reg, AsmError> {
@@ -618,13 +613,19 @@ impl Emitter<'_> {
     }
 }
 
-fn emit(stmts: &[(usize, Stmt)], layout: &Layout, mode: AsmMode) -> Result<Program, AsmError> {
+/// Emits the program; `names` are the labels symbolic data items name.
+fn emit(
+    stmts: &[(usize, Stmt)],
+    names: &[&str],
+    layout: &Layout,
+    mode: AsmMode,
+) -> Result<Program, AsmError> {
     let mut em = Emitter { symbols: &layout.symbols, text: Vec::new(), mode };
     let mut data: Vec<u8> = Vec::new();
     let mut section = Section::Text;
     let mut tasks: BTreeMap<u32, TaskDescriptor> = BTreeMap::new();
-    let mut pending_task: Option<(usize, Vec<TargetSpec>, Vec<Reg>)> = None;
-    let mut entry_sym: Option<String> = None;
+    let mut pending_task: Option<(usize, &[TargetSpec], &[Reg])> = None;
+    let mut entry_sym: Option<&str> = None;
 
     for ((line, stmt), &at) in stmts.iter().zip(&layout.addrs) {
         // Pad the section up to the address layout gave the statement.
@@ -639,18 +640,15 @@ fn emit(stmts: &[(usize, Stmt)], layout: &Layout, mode: AsmMode) -> Result<Progr
             Stmt::Label(_) | Stmt::Align(_) => {}
             Stmt::Section(s) => section = *s,
             Stmt::Data(kind, items) => {
+                let n = kind.size() as usize;
                 for item in items {
-                    let v: u64 = match item {
-                        DataItem::Imm(v) => *v as u64,
-                        DataItem::Sym(name, off) => {
-                            let base = layout.symbols.get(name).copied().ok_or_else(|| {
-                                err(*line, AsmErrorKind::UndefinedSymbol(name.clone()))
-                            })?;
-                            (base as i64 + off) as u64
+                    let v: u64 = match *item {
+                        DataItem::Imm(v) => v as u64,
+                        DataItem::Sym(i, off) => {
+                            (em.addr(names[i as usize], *line)? as i64 + off) as u64
                         }
                         DataItem::Fp(f) => f.to_bits(),
                     };
-                    let n = kind.size() as usize;
                     if *kind != DataKind::Double && *kind != DataKind::Dword {
                         let limit = 1i128 << (8 * n);
                         let sv = v as i64 as i128;
@@ -671,7 +669,7 @@ fn emit(stmts: &[(usize, Stmt)], layout: &Layout, mode: AsmMode) -> Result<Progr
                 data.extend_from_slice(bytes);
                 data.push(0);
             }
-            Stmt::Entry(name) => entry_sym = Some(name.clone()),
+            Stmt::Entry(name) => entry_sym = Some(name),
             Stmt::Task { targets, create } => {
                 if mode == AsmMode::Scalar {
                     continue;
@@ -684,23 +682,18 @@ fn emit(stmts: &[(usize, Stmt)], layout: &Layout, mode: AsmMode) -> Result<Progr
                         ),
                     ));
                 }
-                pending_task = Some((*line, targets.clone(), create.clone()));
+                pending_task = Some((*line, targets, create));
             }
             Stmt::Ins { mnem, tags, ops } => {
                 let before = em.text.len();
                 let at = em.pc();
                 if let Some((tline, targets, create)) = pending_task.take() {
                     let mut tt = Vec::with_capacity(targets.len());
-                    for t in &targets {
-                        tt.push(match t {
+                    for t in targets {
+                        tt.push(match *t {
                             TargetSpec::Ret => TaskTarget::ret(),
                             TargetSpec::Halt => TaskTarget::halt(),
-                            TargetSpec::Label(name) => {
-                                let a = layout.symbols.get(name).copied().ok_or_else(|| {
-                                    err(tline, AsmErrorKind::UndefinedSymbol(name.clone()))
-                                })?;
-                                TaskTarget::addr(a)
-                            }
+                            TargetSpec::Label(name) => TaskTarget::addr(em.addr(name, tline)?),
                         });
                     }
                     let mask: RegMask = create.iter().copied().collect();
@@ -724,20 +717,16 @@ fn emit(stmts: &[(usize, Stmt)], layout: &Layout, mode: AsmMode) -> Result<Progr
         ));
     }
 
+    let entry_name = entry_sym.or_else(|| layout.symbols.contains_key("main").then_some("main"));
+    let entry = entry_name.map_or(Ok(TEXT_BASE), |name| em.addr(name, 0))?;
+
     let mut program = Program::new();
     program.text = em.text;
-    program.symbols = layout.symbols.clone();
+    program.symbols = layout.symbols.iter().map(|(&name, &a)| (name.to_owned(), a)).collect();
     program.tasks = tasks;
     if !data.is_empty() {
         program.data.push(DataSegment { base: DATA_BASE, bytes: data });
     }
-    let entry_name =
-        entry_sym.or_else(|| layout.symbols.contains_key("main").then(|| "main".to_owned()));
-    program.entry = match entry_name {
-        Some(name) => {
-            *layout.symbols.get(&name).ok_or_else(|| err(0, AsmErrorKind::UndefinedSymbol(name)))?
-        }
-        None => TEXT_BASE,
-    };
+    program.entry = entry;
     Ok(program)
 }

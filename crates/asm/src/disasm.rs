@@ -78,6 +78,32 @@ impl Annotations {
     }
 }
 
+/// Appends one data line, such as `  .byte 1, 2, 3`, to `out`: the
+/// `directive` and `items` in decimal, comma-separated. This is the one
+/// form data is written in, by [`annotate_source`] and the workload
+/// generators.
+pub fn write_data_line<T: Copy + Into<u64>>(out: &mut String, directive: &str, items: &[T]) {
+    out.push_str("  ");
+    out.push_str(directive);
+    out.push(' ');
+    for (i, &item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let (mut v, mut digits, mut at) = (item.into(), [0u8; 20], 20);
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    }
+    out.push('\n');
+}
+
 /// Computes a label name for every address that needs one: task entries,
 /// branch/jump targets, and the entry point. Existing symbol names are
 /// reused; anonymous targets get `L_<hex>`.
@@ -259,8 +285,7 @@ pub fn annotate_source(prog: &Program, ann: &Annotations) -> String {
                     stop = stop.min(a.max(cursor + 1));
                 }
                 let chunk = &seg.bytes[(cursor - seg.base) as usize..(stop - seg.base) as usize];
-                let items: Vec<String> = chunk.iter().map(|b| b.to_string()).collect();
-                let _ = writeln!(out, "  .byte {}", items.join(", "));
+                write_data_line(&mut out, ".byte", chunk);
                 cursor = stop;
             }
         }
@@ -318,6 +343,8 @@ pub fn annotate_source(prog: &Program, ann: &Annotations) -> String {
 mod tests {
     use super::*;
     use crate::{assemble, AsmMode};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     const SRC: &str = "
 .data
@@ -482,6 +509,38 @@ B:
         let rescalar = assemble(&src, AsmMode::Scalar).unwrap();
         assert_eq!(rescalar.text.len(), scalar.text.len() + 1, "{src}");
         assert!(rescalar.tasks.is_empty());
+    }
+
+    /// The data line `to_string` and `join` wrote before the renderer.
+    fn joined<T: ToString>(directive: &str, items: &[T]) -> String {
+        let items: Vec<String> = items.iter().map(T::to_string).collect();
+        format!("  {directive} {}\n", items.join(", "))
+    }
+
+    fn rendered<T: Copy + Into<u64>>(directive: &str, items: &[T]) -> String {
+        let mut out = String::new();
+        write_data_line(&mut out, directive, items);
+        out
+    }
+
+    #[test]
+    fn data_lines_render_extreme_values() {
+        let edges = [0u64, 1, 9, 10, 99, 100, 255, 256, u32::MAX.into(), u64::MAX];
+        assert_eq!(rendered(".dword", &edges), joined(".dword", &edges));
+        assert_eq!(rendered(".byte", &[7u8]), "  .byte 7\n");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn data_lines_match_to_string_and_join(
+            bytes in vec(any::<u8>(), 1..=24),
+            words in vec(any::<u32>(), 1..=12),
+        ) {
+            prop_assert_eq!(rendered(".byte", &bytes), joined(".byte", &bytes));
+            prop_assert_eq!(rendered(".word", &words), joined(".word", &words));
+        }
     }
 
     #[test]

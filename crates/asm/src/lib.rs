@@ -55,9 +55,10 @@ mod error;
 mod parser;
 
 pub use assemble::{assemble, AsmMode};
-pub use disasm::{annotate_source, program_to_source, Annotations, InsertOp, TaskAnn};
+pub use disasm::{
+    annotate_source, program_to_source, write_data_line, Annotations, InsertOp, TaskAnn,
+};
 pub use error::{AsmError, AsmErrorKind};
-pub use parser::{DataItem, DataKind, Operand, Section, Stmt, TargetSpec};
 
 #[cfg(test)]
 mod tests {

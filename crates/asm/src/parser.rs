@@ -1,15 +1,19 @@
 //! Line-level parsing: source text to statements.
 //!
 //! The grammar is deliberately simple — one statement per line, with
-//! optional leading `label:` definitions, `;`/`#` comments, and
+//! optional leading `label:` definitions, `;`/`#`/`//` comments, and
 //! multiscalar tag suffixes written `mnemonic!f!s`.
+//!
+//! Statements borrow their names and operands from the source, and a
+//! data directive's items are decoded straight from the line into one
+//! list of the right size.
 
 use crate::error::{AsmError, AsmErrorKind};
 use ms_isa::{Reg, StopCond, TagBits};
 
 /// An assembler section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Section {
+pub(crate) enum Section {
     /// Code.
     Text,
     /// Initialized data.
@@ -18,7 +22,7 @@ pub enum Section {
 
 /// Width of a data directive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DataKind {
+pub(crate) enum DataKind {
     /// `.byte`
     Byte,
     /// `.half`
@@ -44,29 +48,30 @@ impl DataKind {
 }
 
 /// A literal or symbolic data item.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DataItem {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum DataItem {
     /// Integer literal.
     Imm(i64),
-    /// Label address plus offset.
-    Sym(String, i64),
+    /// Label address plus offset; the label is that entry of
+    /// [`Parsed::names`], which keeps the item at 16 bytes.
+    Sym(u32, i64),
     /// Floating-point literal (only for `.double`).
     Fp(f64),
 }
 
 /// An instruction operand as written.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Operand {
+pub(crate) enum Operand<'a> {
     /// A register.
     Reg(Reg),
     /// An integer immediate.
     Imm(i64),
     /// A label reference plus constant offset.
-    Sym(String, i64),
+    Sym(&'a str, i64),
     /// A memory operand `disp(base)`.
     Mem {
         /// Displacement (immediate or symbolic).
-        disp: Box<Operand>,
+        disp: Box<Operand<'a>>,
         /// Base register.
         base: Reg,
     },
@@ -74,9 +79,9 @@ pub enum Operand {
 
 /// A `.task` successor-target specification.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TargetSpec {
+pub(crate) enum TargetSpec<'a> {
     /// A label in the program.
-    Label(String),
+    Label(&'a str),
     /// Pop the sequencer return-address stack.
     Ret,
     /// End of program.
@@ -85,9 +90,9 @@ pub enum TargetSpec {
 
 /// One parsed statement.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt<'a> {
     /// `label:` definition.
-    Label(String),
+    Label(&'a str),
     /// `.text` / `.data`.
     Section(Section),
     /// `.align n` (align to `2^n` bytes).
@@ -99,11 +104,11 @@ pub enum Stmt {
     /// `.asciiz "…"` NUL-terminated string.
     Asciiz(Vec<u8>),
     /// `.entry label` — program entry point.
-    Entry(String),
+    Entry(&'a str),
     /// `.task targets=… create=…` — applies to the next text address.
     Task {
         /// Possible successor tasks.
-        targets: Vec<TargetSpec>,
+        targets: Vec<TargetSpec<'a>>,
         /// Registers the task may create.
         create: Vec<Reg>,
     },
@@ -122,71 +127,98 @@ pub enum Stmt {
         /// Parsed tag suffixes.
         tags: TagBits,
         /// Operands in source order.
-        ops: Vec<Operand>,
+        ops: Vec<Operand<'a>>,
     },
+}
+
+/// A source's statements, each with its line, and the labels its
+/// symbolic data items refer to.
+#[derive(Default)]
+pub(crate) struct Parsed<'a> {
+    /// Statements in source order.
+    pub stmts: Vec<(usize, Stmt<'a>)>,
+    /// Labels of symbolic data items, in source order.
+    pub names: Vec<&'a str>,
 }
 
 fn err(line: usize, kind: AsmErrorKind) -> AsmError {
     AsmError::new(line, kind)
 }
 
-/// Strips a comment (`;`, `#`, or `//`) outside of string literals.
-fn strip_comment(s: &str) -> &str {
-    let mut in_str = false;
-    let mut prev_slash = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            ';' | '#' if !in_str => return &s[..i],
-            '/' if !in_str => {
-                if prev_slash {
-                    return &s[..i - 1];
-                }
-                prev_slash = true;
-                continue;
-            }
-            _ => {}
+/// The bytes of `s` that `wanted` accepts and that lie outside string
+/// and char literals, with their offsets. A string runs from one `"` to
+/// the next. A char literal is a `'`, one char or a `\` and one char,
+/// and a `'`, as [`parse_int`] reads it; a `'` that starts none is an
+/// ordinary byte.
+fn code_bytes<'a>(
+    s: &'a str,
+    wanted: impl Fn(u8) -> bool + 'a,
+) -> impl Iterator<Item = (usize, u8)> + 'a {
+    let bytes = s.as_bytes();
+    let (mut i, mut in_str) = (0, false);
+    std::iter::from_fn(move || loop {
+        let skip = match in_str {
+            true => bytes[i..].iter().position(|&b| b == b'"'),
+            false => bytes[i..].iter().position(|&b| b == b'"' || b == b'\'' || wanted(b)),
+        };
+        let at = i + skip?;
+        i = at + 1;
+        match bytes[at] {
+            b'"' => in_str = !in_str,
+            b'\'' => i = at + char_literal_len(&s[at..]).unwrap_or(1),
+            b => return Some((at, b)),
         }
-        prev_slash = false;
+    })
+}
+
+/// The length of the char literal `t` starts with, if it starts with one.
+fn char_literal_len(t: &str) -> Option<usize> {
+    let mut chars = t.char_indices().skip(1);
+    if chars.next()?.1 == '\\' {
+        chars.next()?;
+    }
+    let (end, close) = chars.next()?;
+    (close == '\'').then_some(end + 1)
+}
+
+/// Strips a comment (`;`, `#`, or `//`) outside of string and char
+/// literals.
+fn strip_comment(s: &str) -> &str {
+    for (i, b) in code_bytes(s, |b| matches!(b, b';' | b'#' | b'/')) {
+        if b != b'/' || s.as_bytes().get(i + 1) == Some(&b'/') {
+            return &s[..i];
+        }
     }
     s
 }
 
-/// Splits at top-level commas (outside string literals and parentheses).
-fn split_operands(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    let mut depth = 0i32;
-    for c in s.chars() {
-        match c {
-            '"' => {
-                in_str = !in_str;
-                cur.push(c);
+/// Calls `each` on the trimmed items of `s`, split at top-level commas
+/// (outside literals and parentheses). A trailing empty item is dropped;
+/// any other empty item is passed on.
+fn split_items<'a>(
+    s: &'a str,
+    mut each: impl FnMut(&'a str) -> Result<(), AsmError>,
+) -> Result<(), AsmError> {
+    let (mut depth, mut start) = (0i32, 0);
+    for (i, b) in code_bytes(s, |b| matches!(b, b',' | b'(' | b')')) {
+        match b {
+            b'(' => depth += 1,
+            b')' => depth -= 1,
+            _ if depth == 0 => {
+                each(s[start..i].trim())?;
+                start = i + 1;
             }
-            '(' if !in_str => {
-                depth += 1;
-                cur.push(c);
-            }
-            ')' if !in_str => {
-                depth -= 1;
-                cur.push(c);
-            }
-            ',' if !in_str && depth == 0 => {
-                out.push(cur.trim().to_owned());
-                cur = String::new();
-            }
-            _ => cur.push(c),
+            _ => {}
         }
     }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_owned());
+    match s[start..].trim() {
+        "" => Ok(()),
+        last => each(last),
     }
-    out
 }
 
 /// Parses an integer literal: decimal, `0x` hex, or a char literal.
-pub fn parse_int(s: &str, line: usize) -> Result<i64, AsmError> {
+fn parse_int(s: &str, line: usize) -> Result<i64, AsmError> {
     let s = s.trim();
     let bad = || err(line, AsmErrorKind::Syntax(format!("invalid integer `{s}`")));
     if let Some(body) = s.strip_prefix("'") {
@@ -213,12 +245,17 @@ pub fn parse_int(s: &str, line: usize) -> Result<i64, AsmError> {
         Some(b) => (true, b),
         None => (false, s),
     };
-    let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).map_err(|_| bad())?
-    } else {
-        body.parse::<i64>().map_err(|_| bad())?
+    let (digits, radix) = match body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+        Some(hex) => (hex, 16),
+        None => (body, 10),
     };
-    Ok(if neg { -v } else { v })
+    let v = match i64::from_str_radix(digits, radix) {
+        Ok(v) => v,
+        // The magnitude of i64::MIN is one past i64::MAX.
+        Err(_) if neg && u64::from_str_radix(digits, radix) == Ok(1 << 63) => i64::MIN,
+        Err(_) => return Err(bad()),
+    };
+    Ok(if neg { v.wrapping_neg() } else { v })
 }
 
 fn is_symbol_start(c: char) -> bool {
@@ -230,23 +267,28 @@ fn is_symbol_char(c: char) -> bool {
 }
 
 /// Parses a symbol with optional `+off`/`-off`.
-fn parse_sym(s: &str, line: usize) -> Result<(String, i64), AsmError> {
+fn parse_sym(s: &str, line: usize) -> Result<(&str, i64), AsmError> {
     let s = s.trim();
     if let Some(plus) = s.find(['+', '-'].as_slice()) {
         if plus > 0 {
             let (name, rest) = s.split_at(plus);
             let off = parse_int(rest, line)?;
-            return Ok((name.trim().to_owned(), off));
+            return Ok((name.trim(), off));
         }
     }
     if !s.starts_with(is_symbol_start) || !s.chars().all(is_symbol_char) {
         return Err(err(line, AsmErrorKind::Syntax(format!("invalid symbol `{s}`"))));
     }
-    Ok((s.to_owned(), 0))
+    Ok((s, 0))
+}
+
+/// Whether an operand or data item is written as an integer literal.
+fn is_int_literal(s: &str) -> bool {
+    s.starts_with(|c: char| c.is_ascii_digit() || c == '-' || c == '\'')
 }
 
 /// Parses a single operand.
-pub fn parse_operand(s: &str, line: usize) -> Result<Operand, AsmError> {
+fn parse_operand(s: &str, line: usize) -> Result<Operand<'_>, AsmError> {
     let s = s.trim();
     if s.is_empty() {
         return Err(err(line, AsmErrorKind::Syntax("empty operand".into())));
@@ -280,7 +322,7 @@ pub fn parse_operand(s: &str, line: usize) -> Result<Operand, AsmError> {
             .map_err(|_| err(line, AsmErrorKind::Syntax(format!("invalid register `{s}`"))))?;
         return Ok(Operand::Reg(r));
     }
-    if s.starts_with(|c: char| c.is_ascii_digit()) || s.starts_with('-') || s.starts_with('\'') {
+    if is_int_literal(s) {
         return Ok(Operand::Imm(parse_int(s, line)?));
     }
     let (name, off) = parse_sym(s, line)?;
@@ -349,31 +391,43 @@ fn parse_string_lit(s: &str, line: usize) -> Result<Vec<u8>, AsmError> {
     Ok(out)
 }
 
-fn parse_data_items(kind: DataKind, rest: &str, line: usize) -> Result<Stmt, AsmError> {
-    let mut items = Vec::new();
-    for piece in split_operands(rest) {
-        if kind == DataKind::Double {
-            let v: f64 = piece.trim().parse().map_err(|_| {
-                err(line, AsmErrorKind::Syntax(format!("invalid double `{piece}`")))
-            })?;
-            items.push(DataItem::Fp(v));
-        } else if piece.starts_with(|c: char| c.is_ascii_digit())
-            || piece.starts_with('-')
-            || piece.starts_with('\'')
-        {
-            items.push(DataItem::Imm(parse_int(&piece, line)?));
+/// Parses the items of a data directive, decoding each literal straight
+/// from the line; a symbol's name goes to `names`.
+fn parse_data<'a>(
+    kind: DataKind,
+    rest: &'a str,
+    line: usize,
+    names: &mut Vec<&'a str>,
+) -> Result<Stmt<'a>, AsmError> {
+    // Every item but the last ends at a comma, so this is the item count
+    // (or more, for a trailing comma or commas inside literals).
+    let mut items = Vec::with_capacity(1 + rest.bytes().filter(|&b| b == b',').count());
+    split_items(rest, |piece| {
+        let item = if piece.is_empty() {
+            return Err(err(line, AsmErrorKind::Syntax("empty data item".into())));
+        } else if kind == DataKind::Double {
+            let bad = || err(line, AsmErrorKind::Syntax(format!("invalid double `{piece}`")));
+            DataItem::Fp(piece.parse().map_err(|_| bad())?)
+        } else if is_int_literal(piece) {
+            DataItem::Imm(parse_int(piece, line)?)
         } else {
-            let (name, off) = parse_sym(&piece, line)?;
-            items.push(DataItem::Sym(name, off));
-        }
-    }
+            let (name, off) = parse_sym(piece, line)?;
+            let too_many =
+                || err(line, AsmErrorKind::OutOfRange("too many symbols in data".into()));
+            let at = u32::try_from(names.len()).map_err(|_| too_many())?;
+            names.push(name);
+            DataItem::Sym(at, off)
+        };
+        items.push(item);
+        Ok(())
+    })?;
     if items.is_empty() {
         return Err(err(line, AsmErrorKind::Directive("data directive with no items".into())));
     }
     Ok(Stmt::Data(kind, items))
 }
 
-fn parse_task(rest: &str, line: usize) -> Result<Stmt, AsmError> {
+fn parse_task(rest: &str, line: usize) -> Result<Stmt<'_>, AsmError> {
     let mut targets = Vec::new();
     let mut create = Vec::new();
     for field in rest.split_whitespace() {
@@ -386,7 +440,7 @@ fn parse_task(rest: &str, line: usize) -> Result<Stmt, AsmError> {
                 targets.push(match t {
                     "ret" => TargetSpec::Ret,
                     "halt" => TargetSpec::Halt,
-                    _ => TargetSpec::Label(t.to_owned()),
+                    _ => TargetSpec::Label(t),
                 });
             }
         } else if let Some(cs) = field.strip_prefix("create=") {
@@ -422,7 +476,11 @@ fn parse_task(rest: &str, line: usize) -> Result<Stmt, AsmError> {
     Ok(Stmt::Task { targets, create })
 }
 
-fn parse_directive(text: &str, line: usize) -> Result<Stmt, AsmError> {
+fn parse_directive<'a>(
+    text: &'a str,
+    line: usize,
+    names: &mut Vec<&'a str>,
+) -> Result<Stmt<'a>, AsmError> {
     let (name, rest) = match text.find(char::is_whitespace) {
         Some(i) => (&text[..i], text[i..].trim()),
         None => (text, ""),
@@ -431,11 +489,11 @@ fn parse_directive(text: &str, line: usize) -> Result<Stmt, AsmError> {
         ".text" => Ok(Stmt::Section(Section::Text)),
         ".data" => Ok(Stmt::Section(Section::Data)),
         ".align" => Ok(Stmt::Align(parse_int(rest, line)? as u32)),
-        ".byte" => parse_data_items(DataKind::Byte, rest, line),
-        ".half" => parse_data_items(DataKind::Half, rest, line),
-        ".word" => parse_data_items(DataKind::Word, rest, line),
-        ".dword" => parse_data_items(DataKind::Dword, rest, line),
-        ".double" => parse_data_items(DataKind::Double, rest, line),
+        ".byte" => parse_data(DataKind::Byte, rest, line, names),
+        ".half" => parse_data(DataKind::Half, rest, line, names),
+        ".word" => parse_data(DataKind::Word, rest, line, names),
+        ".dword" => parse_data(DataKind::Dword, rest, line, names),
+        ".double" => parse_data(DataKind::Double, rest, line, names),
         ".space" => {
             let n = parse_int(rest, line)?;
             let n = u32::try_from(n).map_err(|_| {
@@ -455,10 +513,13 @@ fn parse_directive(text: &str, line: usize) -> Result<Stmt, AsmError> {
     }
 }
 
-/// Parses one source line into zero or more statements
-/// (`label: instr` yields two).
-pub fn parse_line(raw: &str, line: usize) -> Result<Vec<Stmt>, AsmError> {
-    let mut out = Vec::new();
+/// Parses one source line, appending its statements (`label: instr`
+/// yields two) to `out`.
+pub(crate) fn parse_line<'a>(
+    raw: &'a str,
+    line: usize,
+    out: &mut Parsed<'a>,
+) -> Result<(), AsmError> {
     let mut text = strip_comment(raw).trim();
     // Leading label definitions.
     while let Some(colon) = text.find(':') {
@@ -467,18 +528,19 @@ pub fn parse_line(raw: &str, line: usize) -> Result<Vec<Stmt>, AsmError> {
             && candidate.starts_with(is_symbol_start)
             && candidate.chars().all(is_symbol_char)
         {
-            out.push(Stmt::Label(candidate.to_owned()));
+            out.stmts.push((line, Stmt::Label(candidate)));
             text = text[colon + 1..].trim();
         } else {
             break;
         }
     }
     if text.is_empty() {
-        return Ok(out);
+        return Ok(());
     }
     if text.starts_with('.') {
-        out.push(parse_directive(text, line)?);
-        return Ok(out);
+        let stmt = parse_directive(text, line, &mut out.names)?;
+        out.stmts.push((line, stmt));
+        return Ok(());
     }
     let (raw_mnem, rest) = match text.find(char::is_whitespace) {
         Some(i) => (&text[..i], text[i..].trim()),
@@ -486,22 +548,34 @@ pub fn parse_line(raw: &str, line: usize) -> Result<Vec<Stmt>, AsmError> {
     };
     let (mnem, tags) = parse_mnemonic(raw_mnem, line)?;
     let mut ops = Vec::new();
-    for piece in split_operands(rest) {
-        ops.push(parse_operand(&piece, line)?);
-    }
-    out.push(Stmt::Ins { mnem, tags, ops });
-    Ok(out)
+    split_items(rest, |piece| {
+        ops.push(parse_operand(piece, line)?);
+        Ok(())
+    })?;
+    out.stmts.push((line, Stmt::Ins { mnem, tags, ops }));
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The statements of one line, without their line numbers.
+    fn parse(src: &str) -> Result<Vec<Stmt<'_>>, AsmError> {
+        let mut out = Parsed::default();
+        parse_line(src, 1, &mut out)?;
+        Ok(out.stmts.into_iter().map(|(_, s)| s).collect())
+    }
+
+    fn stmts(src: &str) -> Vec<Stmt<'_>> {
+        parse(src).unwrap()
+    }
+
     #[test]
     fn labels_and_instruction_on_one_line() {
-        let stmts = parse_line("LOOP: addu $4, $4, $5 ; bump", 1).unwrap();
+        let stmts = stmts("LOOP: addu $4, $4, $5 ; bump");
         assert_eq!(stmts.len(), 2);
-        assert_eq!(stmts[0], Stmt::Label("LOOP".into()));
+        assert_eq!(stmts[0], Stmt::Label("LOOP"));
         match &stmts[1] {
             Stmt::Ins { mnem, ops, .. } => {
                 assert_eq!(mnem, "addu");
@@ -513,22 +587,20 @@ mod tests {
 
     #[test]
     fn tag_suffixes_parse() {
-        let stmts = parse_line("bne!f!st $4, $5, L", 1).unwrap();
-        match &stmts[0] {
+        match &stmts("bne!f!st $4, $5, L")[0] {
             Stmt::Ins { tags, .. } => {
                 assert!(tags.forward);
                 assert_eq!(tags.stop, StopCond::IfTaken);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse_line("bne!s!s $4, $5, L", 1).is_err());
-        assert!(parse_line("bne!x $4, $5, L", 1).is_err());
+        assert!(parse("bne!s!s $4, $5, L").is_err());
+        assert!(parse("bne!x $4, $5, L").is_err());
     }
 
     #[test]
     fn memory_operands() {
-        let stmts = parse_line("lw $8, -4($17)", 1).unwrap();
-        match &stmts[0] {
+        match &stmts("lw $8, -4($17)")[0] {
             Stmt::Ins { ops, .. } => match &ops[1] {
                 Operand::Mem { disp, base } => {
                     assert_eq!(**disp, Operand::Imm(-4));
@@ -538,12 +610,9 @@ mod tests {
             },
             other => panic!("unexpected {other:?}"),
         }
-        let stmts = parse_line("lw $8, buf+8($17)", 1).unwrap();
-        match &stmts[0] {
+        match &stmts("lw $8, buf+8($17)")[0] {
             Stmt::Ins { ops, .. } => match &ops[1] {
-                Operand::Mem { disp, .. } => {
-                    assert_eq!(**disp, Operand::Sym("buf".into(), 8));
-                }
+                Operand::Mem { disp, .. } => assert_eq!(**disp, Operand::Sym("buf", 8)),
                 other => panic!("unexpected {other:?}"),
             },
             other => panic!("unexpected {other:?}"),
@@ -552,40 +621,38 @@ mod tests {
 
     #[test]
     fn task_directive() {
-        let stmts =
-            parse_line(".task targets=OUTER,OUTERFALLOUT create=$4,$8,$17,$20,$23", 1).unwrap();
-        match &stmts[0] {
+        match &stmts(".task targets=OUTER,OUTERFALLOUT create=$4,$8,$17,$20,$23")[0] {
             Stmt::Task { targets, create } => {
                 assert_eq!(targets.len(), 2);
                 assert_eq!(create.len(), 5);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse_line(".task create=$1", 1).is_err());
-        assert!(parse_line(".task targets=A,B,C,D,E", 1).is_err());
+        assert!(parse(".task create=$1").is_err());
+        assert!(parse(".task targets=A,B,C,D,E").is_err());
     }
 
     #[test]
     fn data_directives() {
         assert_eq!(
-            parse_line(".word 1, 0x10, -3", 1).unwrap()[0],
+            stmts(".word 1, 0x10, -3")[0],
             Stmt::Data(
                 DataKind::Word,
                 vec![DataItem::Imm(1), DataItem::Imm(16), DataItem::Imm(-3)]
             )
         );
+        let mut out = Parsed::default();
+        parse_line(".word head, tail+4", 1, &mut out).unwrap();
         assert_eq!(
-            parse_line(".word head, tail+4", 1).unwrap()[0],
-            Stmt::Data(
-                DataKind::Word,
-                vec![DataItem::Sym("head".into(), 0), DataItem::Sym("tail".into(), 4)]
-            )
+            out.stmts[0].1,
+            Stmt::Data(DataKind::Word, vec![DataItem::Sym(0, 0), DataItem::Sym(1, 4)])
         );
+        assert_eq!(out.names, ["head", "tail"]);
         assert_eq!(
-            parse_line(".double 1.5, -2.0", 1).unwrap()[0],
+            stmts(".double 1.5, -2.0")[0],
             Stmt::Data(DataKind::Double, vec![DataItem::Fp(1.5), DataItem::Fp(-2.0)])
         );
-        assert_eq!(parse_line(".asciiz \"hi\\n\"", 1).unwrap()[0], Stmt::Asciiz(b"hi\n".to_vec()));
+        assert_eq!(stmts(".asciiz \"hi\\n\"")[0], Stmt::Asciiz(b"hi\n".to_vec()));
     }
 
     #[test]
@@ -597,15 +664,31 @@ mod tests {
     }
 
     #[test]
+    fn literals_hide_separators_from_the_scanner() {
+        assert_eq!(strip_comment(".byte '#', ';' ; c"), ".byte '#', ';' ");
+        assert_eq!(strip_comment(".asciiz \"a//b\" // c"), ".asciiz \"a//b\" ");
+        assert_eq!(strip_comment("li $2, '\\'' # c"), "li $2, '\\'' ");
+        // A `'` that starts no literal is an ordinary byte.
+        assert_eq!(strip_comment(".byte ' ; c"), ".byte ' ");
+        let mut items = Vec::new();
+        split_items("',', \"a,b\", (1, 2), 3,", |i| {
+            items.push(i);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(items, ["','", "\"a,b\"", "(1, 2)", "3"]);
+    }
+
+    #[test]
     fn comments_are_stripped() {
-        assert!(parse_line("; just a comment", 1).unwrap().is_empty());
-        assert!(parse_line("# hash comment", 1).unwrap().is_empty());
-        assert!(parse_line("// slash comment", 1).unwrap().is_empty());
-        assert_eq!(parse_line("nop // trailing", 1).unwrap().len(), 1);
+        assert!(stmts("; just a comment").is_empty());
+        assert!(stmts("# hash comment").is_empty());
+        assert!(stmts("// slash comment").is_empty());
+        assert_eq!(stmts("nop // trailing").len(), 1);
     }
 
     #[test]
     fn unknown_directive_is_an_error() {
-        assert!(parse_line(".bogus 1", 7).is_err());
+        assert!(parse(".bogus 1").is_err());
     }
 }

@@ -1,5 +1,6 @@
 //! Input generation helpers shared by the workloads.
 
+use ms_asm::write_data_line;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
@@ -49,30 +50,28 @@ pub fn rng(seed: u64) -> SmallRng {
 
 /// Renders a `.word` data block (chunked lines) for `label`.
 pub fn word_block(label: &str, words: &[u32]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, ".align 3");
-    let _ = writeln!(s, "{label}:");
-    for chunk in words.chunks(12) {
-        let items: Vec<String> = chunk.iter().map(|w| w.to_string()).collect();
-        let _ = writeln!(s, "  .word {}", items.join(", "));
-    }
-    if words.is_empty() {
-        let _ = writeln!(s, "  .word 0");
-    }
-    s
+    int_block(label, ".word", 12, words)
 }
 
 /// Renders a `.byte` data block (chunked lines) for `label`.
 pub fn byte_block(label: &str, bytes: &[u8]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, ".align 3");
-    let _ = writeln!(s, "{label}:");
-    for chunk in bytes.chunks(24) {
-        let items: Vec<String> = chunk.iter().map(|b| b.to_string()).collect();
-        let _ = writeln!(s, "  .byte {}", items.join(", "));
+    int_block(label, ".byte", 24, bytes)
+}
+
+/// An 8-aligned block of `directive` lines, `per_line` items each, for
+/// `label`; an empty block holds one zero.
+fn int_block<T: Copy + Default + Into<u64>>(
+    label: &str,
+    directive: &str,
+    per_line: usize,
+    items: &[T],
+) -> String {
+    let mut s = format!(".align 3\n{label}:\n");
+    for chunk in items.chunks(per_line) {
+        write_data_line(&mut s, directive, chunk);
     }
-    if bytes.is_empty() {
-        let _ = writeln!(s, "  .byte 0");
+    if items.is_empty() {
+        write_data_line(&mut s, directive, &[T::default()]);
     }
     s
 }
