@@ -146,10 +146,10 @@ fn err(line: usize, kind: AsmErrorKind) -> AsmError {
 }
 
 /// The bytes of `s` that `wanted` accepts and that lie outside string
-/// and char literals, with their offsets. A string runs from one `"` to
-/// the next. A char literal is a `'`, one char or a `\` and one char,
-/// and a `'`, as [`parse_int`] reads it; a `'` that starts none is an
-/// ordinary byte.
+/// and char literals, with their offsets. A string runs from a `"` to
+/// the next `"` that no `\` escapes, as [`parse_string_lit`] reads it. A
+/// char literal is a `'`, one char or a `\` and one char, and a `'`, as
+/// [`parse_int`] reads it; a `'` that starts none is an ordinary byte.
 fn code_bytes<'a>(
     s: &'a str,
     wanted: impl Fn(u8) -> bool + 'a,
@@ -158,13 +158,14 @@ fn code_bytes<'a>(
     let (mut i, mut in_str) = (0, false);
     std::iter::from_fn(move || loop {
         let skip = match in_str {
-            true => bytes[i..].iter().position(|&b| b == b'"'),
+            true => bytes[i..].iter().position(|&b| b == b'"' || b == b'\\'),
             false => bytes[i..].iter().position(|&b| b == b'"' || b == b'\'' || wanted(b)),
         };
         let at = i + skip?;
         i = at + 1;
         match bytes[at] {
             b'"' => in_str = !in_str,
+            b'\\' if in_str => i = (at + 2).min(bytes.len()),
             b'\'' => i = at + char_literal_len(&s[at..]).unwrap_or(1),
             b => return Some((at, b)),
         }
@@ -249,6 +250,11 @@ fn parse_int(s: &str, line: usize) -> Result<i64, AsmError> {
         Some(hex) => (hex, 16),
         None => (body, 10),
     };
+    // `from_str_radix` reads a sign of its own: after a `-` or `0x` has
+    // been stripped, the magnitude must start with a digit.
+    if (neg || radix == 16) && !digits.starts_with(|c: char| c.is_digit(radix)) {
+        return Err(bad());
+    }
     let v = match i64::from_str_radix(digits, radix) {
         Ok(v) => v,
         // The magnitude of i64::MIN is one past i64::MAX.
@@ -661,6 +667,17 @@ mod tests {
         assert_eq!(parse_int("'\\n'", 1).unwrap(), 10);
         assert_eq!(parse_int("' '", 1).unwrap(), 32);
         assert!(parse_int("'ab'", 1).is_err());
+    }
+
+    #[test]
+    fn a_literal_takes_one_sign() {
+        for (lit, v) in [("-5", -5), ("+5", 5), ("0x5", 5), ("-0x5", -5)] {
+            assert_eq!(parse_int(lit, 1).unwrap(), v, "{lit}");
+        }
+        assert_eq!(parse_int("-9223372036854775808", 1).unwrap(), i64::MIN);
+        for lit in ["--5", "-+3", "0x-5", "0x+5", "-0x-5"] {
+            assert!(parse_int(lit, 1).is_err(), "{lit}");
+        }
     }
 
     #[test]

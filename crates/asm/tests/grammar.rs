@@ -79,10 +79,31 @@ const ROWS: &[(&str, &str, &str)] = &[
     // Separators and comment starts inside a string are text.
     ("string with separators", ".data\ns: .asciiz \"a,b;c#d//e\"\n", "ok 372a0c825f9b183b"),
     ("string then comment", ".data\ns: .asciiz \"x;y\" ; note\n", "ok c518e0f6f155aa0b"),
+    // An escaped quote does not end a string; an escaped backslash lets
+    // the next quote end it.
+    ("escaped quote, then `;`", ".data\ns: .asciiz \"a\\\";b\"\n", "ok 635ab1d0d21ebecc"),
+    ("escaped quote, then `#`", ".data\ns: .asciiz \"a\\\"#b\"\n", "ok 1237388d3ba84f34"),
+    (
+        "escaped quotes around `,`",
+        ".data\ns: .asciiz \"say \\\"hi, there\\\"\"\n",
+        "ok 264c3e0cbd70a6c1",
+    ),
+    (
+        "escaped backslash, then a comment",
+        ".data\ns: .asciiz \"a\\\\\"; c\n",
+        "ok 83afc62c0f7c586b",
+    ),
     ("comments", "main: nop // one\n nop # two\n halt ; three\n", "ok e7369cf520b1bcf1"),
     // Integer spellings.
     ("hex literals", ".data\nx: .word 0x10, 0XfF, -0x10\n", "ok 06391fd0f6412438"),
     ("negative literals", ".data\nx: .half -1, -32768\n", "ok 409a7cb103ac93f6"),
+    // One sign at most, before any `0x`.
+    ("one sign each", ".data\nx: .word -5, 0x5, -0x5, x+5, x-5\n", "ok fb5cc9e3446d9361"),
+    ("`--5`", ".data\nx: .byte --5\n", "line 2: syntax error: invalid integer `--5`"),
+    ("`-+3`", ".data\nx: .byte -+3\n", "line 2: syntax error: invalid integer `-+3`"),
+    ("`0x-5`", ".data\nx: .byte 0x-5\n", "line 2: syntax error: invalid integer `0x-5`"),
+    ("`0x+5`", ".data\nx: .byte 0x+5\n", "line 2: syntax error: invalid integer `0x+5`"),
+    ("`-0x-5`", ".data\nx: .byte -0x-5\n", "line 2: syntax error: invalid integer `-0x-5`"),
     (
         "char literals",
         ".data\nx: .byte 'a', '\\n', '\\t', '\\0', '\\\\', '\\'', ' '\n",
@@ -235,5 +256,28 @@ fn an_empty_data_item_is_named() {
     for src in [".data\nx: .byte 1,,2\n", ".data\nx: .word ,1\n", ".data\nx: .double 1.5,,2\n"] {
         let e = assemble(src, AsmMode::Multiscalar).expect_err(src);
         assert_eq!(e.to_string(), "line 2: syntax error: empty data item", "{src}");
+    }
+}
+
+#[test]
+fn an_escaped_quote_stays_in_its_string() {
+    for (src, bytes) in [
+        (".data\ns: .asciiz \"a\\\";b\"\n", b"a\";b\0".as_slice()),
+        (".data\ns: .asciiz \"say \\\"hi, there\\\"\"\n", b"say \"hi, there\"\0"),
+        (".data\ns: .asciiz \"a\\\\\"; c\n", b"a\\\0"),
+    ] {
+        assert_eq!(program(src).data[0].bytes, bytes, "{src}");
+    }
+}
+
+#[test]
+fn a_second_sign_is_an_invalid_integer() {
+    let p = program(".data\nx: .word -5, 0x5, -0x5, x+5, x-5\n");
+    let x = p.symbol("x").expect("x");
+    let words = [-5i32 as u32, 5, -5i32 as u32, x + 5, x - 5];
+    assert_eq!(p.data[0].bytes, words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<_>>());
+    for lit in ["--5", "-+3", "0x-5", "0x+5", "-0x-5"] {
+        let e = assemble(&format!(".data\nx: .byte {lit}\n"), AsmMode::Multiscalar).expect_err(lit);
+        assert_eq!(e.to_string(), format!("line 2: syntax error: invalid integer `{lit}`"));
     }
 }

@@ -38,7 +38,7 @@ pub mod perf;
 pub mod prof;
 
 use ms_sweep::{run_sweep, JobFailure, JobKind, SweepOptions, SweepReport, SweepSpec};
-use ms_workloads::{suite, Scale, Workload, WorkloadError};
+use ms_workloads::{by_name, suite, Scale, Workload, WorkloadError};
 use multiscalar::{RunStats, SimConfig};
 use std::fmt::Write;
 
@@ -635,7 +635,7 @@ pub fn render_scaling(scale: Scale) -> String {
     }
     let _ = writeln!(out);
     for name in ["Cmp", "Example", "Eqntott", "Compress", "Xlisp"] {
-        let w = suite(scale).into_iter().find(|w| w.name == name).expect("workload");
+        let w = by_name(name, scale).expect("workload");
         let curve = scaling(&w, &units);
         let _ = write!(out, "{:10}", name);
         for (_, sp) in curve {

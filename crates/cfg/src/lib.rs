@@ -34,7 +34,7 @@ pub use partition::{
     partition_program, partition_source, PartitionError, PartitionPolicy, Partitioned,
 };
 pub use summary::{summarize_functions, FnSummary};
-pub use taskcheck::{check_program, Diagnostic, Report, Severity, TaskAnalysis};
+pub use taskcheck::{check_program, Diagnostic, Report, Severity, StaticExit, TaskAnalysis};
 
 #[cfg(test)]
 mod tests {
@@ -344,6 +344,42 @@ F:
 ",
         );
         assert!(bad.has_errors(), "{bad}");
+    }
+
+    #[test]
+    fn stops_fire_on_the_taken_bit_of_the_runtime() {
+        // `b` is always taken, so `b!s` leaves only to its target. A jump
+        // is taken, so `j!st` leaves and `j!sn` never does; any other
+        // non-branch is not taken, so `addiu!sn` leaves to the next
+        // instruction.
+        let r = check(
+            "
+main:
+.task targets=B create=
+A:
+    b!s B
+    nop
+.task targets=C create=
+B:
+    j!st C
+.task targets=D create=
+C:
+    addiu!sn $0, $0, 0
+.task targets=halt create=
+D:
+    j!sn E
+E:
+    halt
+",
+        );
+        assert!(!r.has_errors(), "{r}");
+        let exits: Vec<&[StaticExit]> = r.tasks.iter().map(|t| t.exits.as_slice()).collect();
+        let addr = StaticExit::Addr;
+        assert_eq!(
+            exits,
+            [&[addr(0x1008)][..], &[addr(0x100c)], &[addr(0x1010)], &[StaticExit::Halt]]
+        );
+        assert_eq!(r.tasks[0].reachable, 1, "the dead `nop` is not walked: {r}");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! whichever task invokes them, and their effects are folded into create
 //! masks via [`crate::summarize_functions`].
 
-use crate::summary::{summarize_functions, FnSummary};
+use crate::taskcheck::{Code, TaskView};
 use ms_asm::{annotate_source, assemble, Annotations, AsmMode, InsertOp, TaskAnn};
 use ms_isa::{Op, Program, Reg, RegMask, StopCond, TargetKind, MAX_TARGETS};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -179,9 +179,10 @@ pub enum PartitionError {
         /// The doubly-reachable address.
         pc: u32,
     },
-    /// A control shape the partitioner declines (e.g. an always-taken
-    /// branch as the final text instruction, whose checker-mandated
-    /// fall-through target would dangle past the text segment).
+    /// A control shape the partitioner declines: an always-taken branch
+    /// as the final text instruction, whose dead fall-through target (kept
+    /// so emitted sources stay byte-identical) would dangle past the text
+    /// segment.
     Unsupported {
         /// Address of the offending instruction.
         pc: u32,
@@ -254,8 +255,7 @@ pub struct Partitioned {
 
 /// Static facts about the task-level code of the input program.
 struct Analysis<'a> {
-    prog: &'a Program,
-    summaries: BTreeMap<u32, FnSummary>,
+    code: Code<'a>,
     /// Every address reachable at task level (functions excluded).
     task_pcs: BTreeSet<u32>,
     /// Maximal runs of consecutive task-level addresses, half-open.
@@ -264,78 +264,13 @@ struct Analysis<'a> {
     edges: Vec<(u32, u32)>,
 }
 
-/// Task-level successors of `pc` in the scalar program, with always-taken
-/// branches resolved to their target. `jal` continues past the call only
-/// when the callee can return; the callee body itself is not a successor
-/// (it is a suppressed call).
-fn scalar_successors(
-    prog: &Program,
-    summaries: &BTreeMap<u32, FnSummary>,
-    pc: u32,
-) -> Result<Vec<u32>, PartitionError> {
-    let instr = prog.instr_at(pc).expect("caller ensured pc is in text");
-    let succ = match instr.op {
-        Op::Halt => Vec::new(),
-        Op::Jump { link: false, target } => vec![target],
-        Op::Jump { link: true, target } => {
-            if summaries.get(&target).is_none_or(|s| s.returns) {
-                vec![pc + 4]
-            } else {
-                Vec::new()
-            }
-        }
-        Op::Jr { .. } | Op::Jalr { .. } => return Err(PartitionError::IndirectControl { pc }),
-        ref op if op.is_branch() => {
-            let t = op.branch_target(pc).expect("is_branch implies a target");
-            if op.is_always_taken() {
-                vec![t]
-            } else {
-                vec![pc + 4, t]
-            }
-        }
-        _ => vec![pc + 4],
-    };
-    for &s in &succ {
-        if prog.instr_at(s).is_none() {
-            return Err(PartitionError::RunsOffText { pc });
-        }
-    }
-    Ok(succ)
-}
-
-/// Collects every address inside the function at `entry` (following the
-/// same walk as the summarizer: `jal` assumed to return, callees not
-/// entered).
-fn function_pcs(prog: &Program, entry: u32) -> BTreeSet<u32> {
-    let mut seen = BTreeSet::new();
-    let mut work = VecDeque::from([entry]);
-    while let Some(pc) = work.pop_front() {
-        if !seen.insert(pc) {
-            continue;
-        }
-        let Some(instr) = prog.instr_at(pc) else {
-            continue;
-        };
-        match instr.op {
-            Op::Jump { link: false, target } => work.push_back(target),
-            Op::Jump { link: true, .. } => work.push_back(pc + 4),
-            Op::Jr { .. } | Op::Jalr { .. } | Op::Halt => {}
-            ref op if op.is_branch() => {
-                work.push_back(pc + 4);
-                if let Some(t) = op.branch_target(pc) {
-                    work.push_back(t);
-                }
-            }
-            _ => work.push_back(pc + 4),
-        }
-    }
-    seen
-}
-
 fn analyze(prog: &Program) -> Result<Analysis<'_>, PartitionError> {
-    let summaries = summarize_functions(prog);
+    let code = Code::new(prog);
 
-    // Task-level reachability from the program entry.
+    // Task-level reachability from the program entry, along the checker's
+    // edges: a call is not entered (it is a suppressed call) and is passed
+    // only when the callee can return, and no edge is cut, because the
+    // input carries no stop tags.
     let mut task_pcs = BTreeSet::new();
     let mut work = VecDeque::from([prog.entry]);
     if prog.instr_at(prog.entry).is_none() {
@@ -346,7 +281,15 @@ fn analyze(prog: &Program) -> Result<Analysis<'_>, PartitionError> {
         if !task_pcs.insert(pc) {
             continue;
         }
-        for s in scalar_successors(prog, &summaries, pc)? {
+        let instr = prog.instr_at(pc).expect("every walked address is in text");
+        if matches!(instr.op, Op::Jr { .. } | Op::Jalr { .. }) {
+            return Err(PartitionError::IndirectControl { pc });
+        }
+        let kept = code.edges(&instr.op, pc).filter(|e| !instr.tags.stop.fires(e.taken));
+        for s in kept.filter_map(|e| e.next) {
+            if prog.instr_at(s).is_none() {
+                return Err(PartitionError::RunsOffText { pc });
+            }
             edges.push((pc, s));
             work.push_back(s);
         }
@@ -355,11 +298,9 @@ fn analyze(prog: &Program) -> Result<Analysis<'_>, PartitionError> {
     edges.dedup();
 
     // Suppressed-call bodies must be disjoint from task-level code.
-    for &entry in summaries.keys() {
-        for pc in function_pcs(prog, entry) {
-            if task_pcs.contains(&pc) {
-                return Err(PartitionError::SharedCode { pc });
-            }
+    for sum in code.summaries.values() {
+        if let Some(&pc) = sum.body.iter().find(|pc| task_pcs.contains(pc)) {
+            return Err(PartitionError::SharedCode { pc });
         }
     }
 
@@ -372,7 +313,7 @@ fn analyze(prog: &Program) -> Result<Analysis<'_>, PartitionError> {
         }
     }
 
-    Ok(Analysis { prog, summaries, task_pcs, ranges, edges })
+    Ok(Analysis { code, task_pcs, ranges, edges })
 }
 
 impl Analysis<'_> {
@@ -412,23 +353,26 @@ struct Boundary {
 }
 
 /// Decides the boundary role of `pc` inside its task `span` given the
-/// current entry set. Mirrors the checker's task walk exactly:
+/// current entry set, so that the checker's task walk, which ends a path
+/// where a stop fires just as a processing unit does, leaves the task at
+/// entries only:
 ///
-/// * a stop-always on a *branch* records both the branch target and the
-///   fall-through as exits, so an always-taken `b!s` must list both;
-/// * a conditional stop keeps the task walking on the non-stopping side,
-///   so `!st`/`!sn` are only used when that side stays inside the task;
-/// * `jal` is never stop-tagged (see [`Boundary::insert_jump`]);
-/// * an untagged always-taken branch still has its fall-through walked by
-///   the checker, so when the fall-through is a task entry the branch
-///   carries `!sn` — a stop that provably never fires but marks the edge.
+/// * a conditional branch whose arms both leave takes `!s`; with one arm
+///   leaving, `!st`/`!sn` stops on that arm and the other stays inside;
+/// * an always-taken branch to an entry takes `!st` or `!s`, both firing;
+/// * `jal` is never stop-tagged (see [`Boundary::insert_jump`]).
+///
+/// Two annotations on always-taken branches are dead and kept only
+/// because emitted sources are pinned byte for byte: the fall-through
+/// target a `b!s` lists, and a never-firing `!sn` with its fall-through
+/// target where the branch stays in the task but ends the span.
 fn classify(
     a: &Analysis<'_>,
     entries: &BTreeSet<u32>,
     span: (u32, u32),
     pc: u32,
 ) -> Result<Boundary, PartitionError> {
-    let instr = a.prog.instr_at(pc).expect("span addresses are in text");
+    let instr = a.code.prog.instr_at(pc).expect("span addresses are in text");
     let is_entry = |v: u32| entries.contains(&v);
     let b = |stop, exits, insert_jump| Boundary { stop, exits, insert_jump };
     let none = Boundary::default();
@@ -442,7 +386,7 @@ fn classify(
             }
         }
         Op::Jump { link: true, target } => {
-            let returns = a.summaries.get(&target).is_none_or(|s| s.returns);
+            let returns = a.code.returns(target);
             if returns && is_entry(pc + 4) {
                 b(StopCond::None, vec![TargetKind::Addr(pc + 4)], Some(pc + 4))
             } else {
@@ -461,9 +405,9 @@ fn classify(
                         // fires only when taken (i.e. always).
                         b(StopCond::IfTaken, vec![TargetKind::Addr(t)], None)
                     } else {
-                        // Stop-always on a branch: the checker demands
-                        // the (dead) fall-through among the targets too.
-                        if a.prog.instr_at(pc + 4).is_none() {
+                        // The dead fall-through target is kept for the
+                        // pinned bytes.
+                        if a.code.prog.instr_at(pc + 4).is_none() {
                             return Err(PartitionError::Unsupported {
                                 pc,
                                 what: "always-taken branch at the end of the text segment",
@@ -476,10 +420,10 @@ fn classify(
                         )
                     }
                 } else if pc + 4 >= span.1 {
-                    // Target stays in the task but the checker still
-                    // walks the dead fall-through, which would escape the
-                    // span; `!sn` marks it as a (never-taken) exit.
-                    if a.prog.instr_at(pc + 4).is_none() {
+                    // The target stays in the task; the never-firing
+                    // `!sn` and its dead fall-through target are kept
+                    // for the pinned bytes.
+                    if a.code.prog.instr_at(pc + 4).is_none() {
                         return Err(PartitionError::Unsupported {
                             pc,
                             what: "always-taken branch at the end of the text segment",
@@ -551,7 +495,7 @@ fn place_entries(
     }
     if policy.call_split {
         for &pc in &a.task_pcs {
-            if matches!(a.prog.instr_at(pc).map(|i| i.op), Some(Op::Jump { link: true, .. }))
+            if matches!(a.code.prog.instr_at(pc).map(|i| i.op), Some(Op::Jump { link: true, .. }))
                 && a.task_pcs.contains(&(pc + 4))
             {
                 entries.insert(pc + 4);
@@ -611,88 +555,24 @@ fn place_entries(
     }
 }
 
-/// Successors of `pc` as the *checker's stale-communication walk* will
-/// see them in the emitted program, expressed in input addresses: stop
-/// bits end the path, conditional stops keep the non-stopping side, an
-/// inserted boundary jump ends the path after a `jal`.
-fn stale_successors(a: &Analysis<'_>, boundaries: &BTreeMap<u32, Boundary>, pc: u32) -> Vec<u32> {
-    let Some(instr) = a.prog.instr_at(pc) else {
-        return Vec::new();
-    };
-    let always = instr.op.is_always_taken();
-    let is_real_branch = instr.op.is_branch() && !always;
-    let boundary = boundaries.get(&pc);
-    match boundary.map_or(StopCond::None, |b| b.stop) {
-        StopCond::Always => return Vec::new(),
-        StopCond::IfTaken if is_real_branch => return vec![pc + 4],
-        StopCond::IfNotTaken if is_real_branch => {
-            return instr.op.branch_target(pc).into_iter().collect();
-        }
-        StopCond::IfTaken if always => return Vec::new(),
-        StopCond::IfNotTaken if always => {
-            return instr.op.branch_target(pc).into_iter().collect();
-        }
-        _ => {}
-    }
-    match instr.op {
-        Op::Jump { link: false, target } => vec![target],
-        Op::Jump { link: true, .. } => {
-            if boundary.is_some_and(|b| b.insert_jump.is_some()) {
-                Vec::new() // the inserted `j!s` ends the walk
-            } else {
-                vec![pc + 4] // the checker walks past every other call
-            }
-        }
-        Op::Jr { .. } | Op::Jalr { .. } | Op::Halt => Vec::new(),
-        ref op if always => op.branch_target(pc).into_iter().collect(),
-        ref op if op.is_branch() => {
-            let mut v = vec![pc + 4];
-            v.extend(op.branch_target(pc));
-            v
-        }
-        _ => vec![pc + 4],
-    }
+/// The partition being planned, as the checker's walks will see the
+/// emitted program in input addresses: the planned entries and stop tags.
+/// The instructions emission inserts write no register, and the `j!s`
+/// after a call sits just before the next task's entry, which already
+/// ends a walk.
+struct Plan<'a> {
+    entries: &'a BTreeSet<u32>,
+    boundaries: &'a BTreeMap<u32, Boundary>,
 }
 
-/// Whether any write of `reg` (a task-level def or a callee write) is
-/// reachable from `pc` on the checker's stale walk. Walking through the
-/// task's own entry models loop-carried staleness; other entries end the
-/// walk just as the checker's does.
-fn write_reachable(
-    a: &Analysis<'_>,
-    entries: &BTreeSet<u32>,
-    boundaries: &BTreeMap<u32, Boundary>,
-    own_entry: u32,
-    from: u32,
-    reg: Reg,
-) -> bool {
-    let mut seen = BTreeSet::new();
-    let mut work: VecDeque<u32> = stale_successors(a, boundaries, from).into();
-    while let Some(pc) = work.pop_front() {
-        if !seen.insert(pc) {
-            continue;
-        }
-        if pc != own_entry && entries.contains(&pc) {
-            continue;
-        }
-        let Some(instr) = a.prog.instr_at(pc) else {
-            continue;
-        };
-        let mut written = RegMask::EMPTY;
-        if let Some(d) = instr.op.def() {
-            written.insert(d);
-        }
-        if let Op::Jump { link: true, target } = instr.op {
-            if let Some(sum) = a.summaries.get(&target) {
-                written = written.union(sum.writes);
-            }
-        }
-        if written.contains(reg) {
-            return true;
-        }
-        work.extend(stale_successors(a, boundaries, pc));
+impl TaskView for Plan<'_> {
+    fn stop_at(&self, pc: u32) -> StopCond {
+        self.boundaries.get(&pc).map_or(StopCond::None, |b| b.stop)
     }
-    false
+
+    fn is_entry(&self, pc: u32) -> bool {
+        self.entries.contains(&pc)
+    }
 }
 
 /// Partitions a plain scalar `prog` into tasks under `policy` and derives
@@ -745,38 +625,35 @@ pub fn partition_program(
         let mut create = RegMask::EMPTY;
         let mut pc = span.0;
         while pc < span.1 {
-            let instr = a.prog.instr_at(pc).expect("span addresses are in text");
-            if let Some(d) = instr.op.def() {
-                create.insert(d);
-            }
-            if let Op::Jump { link: true, target } = instr.op {
-                if let Some(sum) = a.summaries.get(&target) {
-                    create = create.union(sum.writes);
-                }
-            }
+            let instr = a.code.prog.instr_at(pc).expect("span addresses are in text");
+            create = create.union(a.code.writes(&instr));
             pc += 4;
         }
         create.remove(Reg::ZERO);
         creates.insert(entry, create);
     }
 
-    // Forward bits: a task-level write whose register is never written
-    // again on any checker-visible path gets `!f` — the value is final,
-    // successors need not wait for end-of-task auto-release. Multiple
-    // mutually exclusive final writes may each carry the bit (Figure 4).
+    // Forward bits: a task-level write gets `!f` when the checker's own
+    // stale walk, run over the planned annotations, finds its register
+    // written again on no path, neither conditional nor unconditional —
+    // the value is final, successors need not wait for end-of-task
+    // auto-release. Multiple mutually exclusive final writes may each
+    // carry the bit (Figure 4).
+    let plan = Plan { entries: &entries, boundaries: &boundaries };
     let mut forward_pcs: BTreeSet<u32> = BTreeSet::new();
     if policy.forward {
         for &entry in &entries {
             let span = a.span_of(&entries, entry);
             let mut pc = span.0;
             while pc < span.1 {
-                let instr = a.prog.instr_at(pc).expect("span addresses are in text");
+                let instr = a.code.prog.instr_at(pc).expect("span addresses are in text");
                 let candidate = match instr.op {
                     Op::Jump { link: true, .. } => None, // $31 shifts with inserted code
                     ref op => op.def().filter(|d| *d != Reg::ZERO),
                 };
                 if let Some(d) = candidate {
-                    if !write_reachable(&a, &entries, &boundaries, entry, pc, d) {
+                    let regs = RegMask::from_iter([d]);
+                    if a.code.rewrites(&plan, entry, pc, regs, false).is_empty() {
                         forward_pcs.insert(pc);
                     }
                 }
@@ -805,12 +682,12 @@ pub fn partition_program(
         let Some(b) = boundaries.get(&last_pc) else {
             continue;
         };
-        let last = a.prog.instr_at(last_pc).expect("span addresses are in text");
+        let last = a.code.prog.instr_at(last_pc).expect("span addresses are in text");
         let mut rel = creates[&entry];
         let mut pc = span.0;
         while pc < span.1 {
             if forward_pcs.contains(&pc) {
-                if let Some(d) = a.prog.instr_at(pc).and_then(|i| i.op.def()) {
+                if let Some(d) = a.code.prog.instr_at(pc).and_then(|i| i.op.def()) {
                     rel.remove(d);
                 }
             }
@@ -845,7 +722,7 @@ pub fn partition_program(
     let mut ann = Annotations::default();
     for (&pc, b) in &boundaries {
         if b.stop != StopCond::None || forward_pcs.contains(&pc) {
-            let base = a.prog.instr_at(pc).expect("boundary pcs are in text").tags;
+            let base = a.code.prog.instr_at(pc).expect("boundary pcs are in text").tags;
             ann.tags.insert(
                 pc,
                 ms_isa::TagBits {

@@ -7,7 +7,8 @@
 //! whether it can return. Summaries are computed to a fixpoint, so mutual
 //! recursion converges.
 
-use ms_isa::{Op, Program, Reg, RegMask, StopCond};
+use crate::taskcheck::{edges, StaticExit};
+use ms_isa::{Op, Program, RegMask, StopCond};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The may-effects of one function (a `jal` target).
@@ -32,10 +33,15 @@ pub struct FnSummary {
     /// PCs of register-indirect jumps through a register other than `$31`
     /// (statically unverifiable control).
     pub indirect_jumps: Vec<u32>,
+    /// Every address the function's own body reaches (callee bodies
+    /// excluded), ascending.
+    pub(crate) body: Vec<u32>,
 }
 
-/// Walks one function body (without descending into callees) and records
-/// its local effects plus direct call targets.
+/// Walks one function body (without descending into callees) along the
+/// task walks' [`edges`] and records its local effects, its direct call
+/// targets and the addresses it reaches. Stops are recorded, not obeyed:
+/// the walk goes on past them, and assumes every nested call returns.
 fn walk_function(prog: &Program, entry: u32) -> FnSummary {
     let mut s = FnSummary { entry, ..FnSummary::default() };
     let mut seen = BTreeSet::new();
@@ -58,43 +64,29 @@ fn walk_function(prog: &Program, entry: u32) -> FnSummary {
         }
         if instr.tags.stop != StopCond::None {
             s.internal_stops.push(pc);
-            // A stop ends the task; conservatively do not follow further
-            // on the stopping path, but conditional stops continue.
         }
-        match instr.op {
-            Op::Jump { link: false, target } => work.push_back(target),
-            Op::Jump { link: true, target } => {
-                s.calls.insert(target);
-                work.push_back(pc + 4); // assume the callee returns
+        if let Op::Jump { link: true, target } = instr.op {
+            s.calls.insert(target);
+        }
+        for e in edges(&instr.op, pc, &|_| true) {
+            match e.exit {
+                StaticExit::Return => s.returns = true,
+                StaticExit::Unverifiable(_) => s.indirect_jumps.push(pc),
+                StaticExit::Addr(_) | StaticExit::Halt => {}
             }
-            Op::Jr { rs } => {
-                if rs == Reg::RA {
-                    s.returns = true;
-                } else {
-                    s.indirect_jumps.push(pc);
-                }
-            }
-            Op::Jalr { .. } => s.indirect_jumps.push(pc),
-            Op::Halt => {}
-            ref op if op.is_branch() => {
-                work.push_back(pc + 4);
-                if let Some(c) = op.branch_target(pc) {
-                    work.push_back(c);
-                }
-            }
-            _ => work.push_back(pc + 4),
+            work.extend(e.next);
         }
     }
+    s.body = seen.into_iter().collect();
     s
 }
 
 /// Computes summaries for every `jal` target in the program, propagating
 /// callee effects to callers until a fixpoint.
 pub fn summarize_functions(prog: &Program) -> BTreeMap<u32, FnSummary> {
-    // Discover function entries: all jal targets.
+    // Function entries: every jal target.
     let mut entries = BTreeSet::new();
-    for (i, instr) in prog.text.iter().enumerate() {
-        let _pc = prog.text_base + 4 * i as u32;
+    for instr in &prog.text {
         if let Op::Jump { link: true, target } = instr.op {
             entries.insert(target);
         }

@@ -1,7 +1,12 @@
 //! Task-region discovery and annotation checking.
+//!
+//! Every walk in this crate reads control flow through one edge function,
+//! [`edges`], which gives each edge the taken bit the runtime gives it. A
+//! walk that honours stop tags cuts an edge exactly where
+//! [`StopCond::fires`] says a processing unit ends its task.
 
 use crate::summary::{summarize_functions, FnSummary};
-use ms_isa::{Op, Program, Reg, RegMask, StopCond, TargetKind};
+use ms_isa::{Instr, Op, Program, Reg, RegMask, StopCond, TargetKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -109,73 +114,161 @@ impl fmt::Display for Report {
     }
 }
 
+/// One control edge leaving an instruction, as the runtime takes it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Edge {
+    /// The taken bit the runtime gives this path; a stop tag fires on it
+    /// as [`StopCond::fires`] says.
+    pub(crate) taken: bool,
+    /// The task exit this edge is when a stop fires on it.
+    pub(crate) exit: StaticExit,
+    /// Where control goes on inside the task when no stop fires: the
+    /// destination, or past a suppressed call. `None` after
+    /// register-indirect control and after a call that cannot return.
+    pub(crate) next: Option<u32>,
+}
+
+/// The control edges of `op` at `pc`, each with the taken bit a
+/// processing unit gives it (ms-pipeline's `Outcome::ends_task` fires a
+/// stop on the same bit): a jump is taken and a fall-through is not, an
+/// always-taken branch has no fall-through, and a `jal` whose stop does
+/// not fire is a suppressed call, which continues past the call only
+/// when `returns(callee)`. `halt` has no edges: it ends the task whatever
+/// its tags.
+pub(crate) fn edges(op: &Op, pc: u32, returns: &dyn Fn(u32) -> bool) -> impl Iterator<Item = Edge> {
+    let to = |dest: u32, taken| Edge { taken, exit: StaticExit::Addr(dest), next: Some(dest) };
+    let leave = |exit| Edge { taken: true, exit, next: None };
+    let (first, second) = match *op {
+        Op::Halt => (None, None),
+        Op::Jump { link: false, target } => (Some(to(target, true)), None),
+        Op::Jump { link: true, target } => {
+            (Some(Edge { next: returns(target).then_some(pc + 4), ..to(target, true) }), None)
+        }
+        Op::Jr { rs } if rs == Reg::RA => (Some(leave(StaticExit::Return)), None),
+        Op::Jr { .. } | Op::Jalr { .. } => (Some(leave(StaticExit::Unverifiable(pc))), None),
+        ref op => match op.branch_target(pc) {
+            Some(t) if op.is_always_taken() => (Some(to(t, true)), None),
+            Some(t) => (Some(to(pc + 4, false)), Some(to(t, true))),
+            None => (Some(to(pc + 4, false)), None),
+        },
+    };
+    first.into_iter().chain(second)
+}
+
+/// What a task walk reads besides the code: the stop tag at each address
+/// and where tasks begin. An assembled program answers from its tags and
+/// descriptors, and the partitioner from the boundaries it plans, so both
+/// ask the same walk.
+pub(crate) trait TaskView {
+    /// The stop tag of the instruction at `pc`.
+    fn stop_at(&self, pc: u32) -> StopCond;
+    /// Whether a task begins at `pc`.
+    fn is_entry(&self, pc: u32) -> bool;
+}
+
+impl TaskView for Program {
+    fn stop_at(&self, pc: u32) -> StopCond {
+        self.instr_at(pc).map_or(StopCond::None, |i| i.tags.stop)
+    }
+
+    fn is_entry(&self, pc: u32) -> bool {
+        self.task_at(pc).is_some()
+    }
+}
+
+/// A program's code and the summaries of its functions: what every task
+/// walk reads.
+pub(crate) struct Code<'a> {
+    pub(crate) prog: &'a Program,
+    pub(crate) summaries: BTreeMap<u32, FnSummary>,
+}
+
+impl<'a> Code<'a> {
+    pub(crate) fn new(prog: &'a Program) -> Self {
+        Code { prog, summaries: summarize_functions(prog) }
+    }
+
+    /// Whether a call to `callee` can return.
+    pub(crate) fn returns(&self, callee: u32) -> bool {
+        self.summaries.get(&callee).is_none_or(|s| s.returns)
+    }
+
+    /// The [`edges`] of `op` at `pc`, calls returning as their callees'
+    /// summaries say.
+    pub(crate) fn edges(&self, op: &Op, pc: u32) -> impl Iterator<Item = Edge> {
+        edges(op, pc, &|callee| self.returns(callee))
+    }
+
+    /// The registers `instr` writes, its callee's writes included.
+    pub(crate) fn writes(&self, instr: &Instr) -> RegMask {
+        let written = RegMask::from_iter(instr.op.def());
+        match instr.op {
+            Op::Jump { link: true, target } => {
+                self.summaries.get(&target).map_or(written, |s| written.union(s.writes))
+            }
+            _ => written,
+        }
+    }
+
+    /// The first write of each register in `regs` that the task entered
+    /// at `entry` reaches after the instruction at `from`, with its
+    /// address, in walk order. The walk follows every edge whose stop (as
+    /// `view` gives it) does not fire; with `unconditional` it also drops
+    /// both edges of a conditional branch, so what it reaches executes
+    /// whenever `from` does. Another task's entry ends a path (the task
+    /// walk reports falling into it); the task's own entry does not, so a
+    /// loop's next iteration counts.
+    pub(crate) fn rewrites(
+        &self,
+        view: &impl TaskView,
+        entry: u32,
+        from: u32,
+        regs: RegMask,
+        unconditional: bool,
+    ) -> Vec<(Reg, u32)> {
+        let successors = |pc: u32| -> Vec<u32> {
+            let Some(instr) = self.prog.instr_at(pc) else {
+                return Vec::new();
+            };
+            let edges: Vec<Edge> = self.edges(&instr.op, pc).collect();
+            if unconditional && edges.len() > 1 {
+                return Vec::new();
+            }
+            let stop = view.stop_at(pc);
+            edges.iter().filter(|e| !stop.fires(e.taken)).filter_map(|e| e.next).collect()
+        };
+        let (mut found, mut live) = (Vec::new(), regs);
+        let mut seen: BTreeSet<u32> = BTreeSet::new();
+        let mut work: VecDeque<u32> = successors(from).into();
+        while let Some(pc) = work.pop_front() {
+            if live.is_empty() {
+                break;
+            }
+            if !seen.insert(pc) || (pc != entry && view.is_entry(pc)) {
+                continue;
+            }
+            let Some(instr) = self.prog.instr_at(pc) else {
+                continue;
+            };
+            let written = self.writes(&instr);
+            for r in live.iter().filter(|&r| written.contains(r)) {
+                found.push((r, pc));
+                live.remove(r);
+            }
+            work.extend(successors(pc));
+        }
+        found
+    }
+}
+
 struct Checker<'a> {
-    prog: &'a Program,
-    summaries: BTreeMap<u32, FnSummary>,
+    code: Code<'a>,
     diags: Vec<Diagnostic>,
 }
 
 impl Checker<'_> {
     fn diag(&mut self, severity: Severity, task: u32, pc: Option<u32>, message: String) {
         self.diags.push(Diagnostic { severity, task: Some(task), pc, message });
-    }
-
-    /// Intra-task control successors of `pc`, honouring stop bits the same
-    /// way the main task walk does (a firing stop ends the task-level path).
-    ///
-    /// With `only_unconditional`, successors that depend on a conditional
-    /// branch outcome are dropped, so reachability through the remaining
-    /// edges means "executes whenever `pc` does".
-    fn intra_task_successors(&self, pc: u32, only_unconditional: bool) -> Vec<u32> {
-        let Some(instr) = self.prog.instr_at(pc) else {
-            return Vec::new();
-        };
-        if matches!(instr.op, Op::Halt) {
-            return Vec::new();
-        }
-        let always_taken = instr.op.is_always_taken();
-        let is_branch = instr.op.is_branch() && !always_taken;
-        match instr.tags.stop {
-            StopCond::Always => return Vec::new(),
-            StopCond::IfTaken if is_branch => {
-                return if only_unconditional { Vec::new() } else { vec![pc + 4] };
-            }
-            StopCond::IfNotTaken if is_branch => {
-                return if only_unconditional {
-                    Vec::new()
-                } else {
-                    instr.op.branch_target(pc).into_iter().collect()
-                };
-            }
-            StopCond::IfTaken | StopCond::IfNotTaken if always_taken => {
-                // An always-taken branch resolves its conditional stop
-                // statically: `!st` fires (exit), `!sn` never does.
-                return match instr.tags.stop {
-                    StopCond::IfTaken => Vec::new(),
-                    _ => instr.op.branch_target(pc).into_iter().collect(),
-                };
-            }
-            _ => {}
-        }
-        match instr.op {
-            Op::Jump { link: false, target } => vec![target],
-            // Callee effects are folded in via summaries at the visit site.
-            Op::Jump { link: true, .. } => vec![pc + 4],
-            Op::Jr { .. } | Op::Jalr { .. } => Vec::new(),
-            _ if always_taken => instr.op.branch_target(pc).into_iter().collect(),
-            ref op if op.is_branch() => {
-                if only_unconditional {
-                    Vec::new()
-                } else {
-                    let mut v = vec![pc + 4];
-                    if let Some(t) = op.branch_target(pc) {
-                        v.push(t);
-                    }
-                    v
-                }
-            }
-            _ => vec![pc + 4],
-        }
     }
 
     /// Checks every register in `regs` communicated at `comm_pc` (forward
@@ -193,59 +286,22 @@ impl Checker<'_> {
         what: &'static str,
     ) {
         let mut reported = RegMask::EMPTY;
-        for (only_unconditional, severity) in [(true, Severity::Error), (false, Severity::Warning)]
-        {
-            let mut live = regs.difference(reported);
-            if live.is_empty() {
-                continue;
-            }
-            let mut seen: BTreeSet<u32> = BTreeSet::new();
-            let mut work: VecDeque<u32> =
-                self.intra_task_successors(comm_pc, only_unconditional).into();
-            while let Some(pc) = work.pop_front() {
-                if live.is_empty() {
-                    break;
-                }
-                if !seen.insert(pc) {
-                    continue;
-                }
-                if pc != entry && self.prog.task_at(pc).is_some() {
-                    continue; // fall-through into another task is reported separately
-                }
-                let Some(instr) = self.prog.instr_at(pc) else {
-                    continue;
+        for (unconditional, severity) in [(true, Severity::Error), (false, Severity::Warning)] {
+            let live = regs.difference(reported);
+            for (r, pc) in self.code.rewrites(self.code.prog, entry, comm_pc, live, unconditional) {
+                let msg = if unconditional {
+                    format!(
+                        "{r} {what} here but is written again at {pc:#x} before the task ends; \
+                         successors receive the stale value"
+                    )
+                } else {
+                    format!(
+                        "{r} {what} here but may be written again at {pc:#x} on a conditional \
+                         path; if both execute, successors receive the stale value"
+                    )
                 };
-                let mut written = RegMask::EMPTY;
-                if let Some(d) = instr.op.def() {
-                    written.insert(d);
-                }
-                if let Op::Jump { link: true, target } = instr.op {
-                    if let Some(sum) = self.summaries.get(&target) {
-                        written = written.union(sum.writes);
-                    }
-                }
-                for r in live.iter() {
-                    if written.contains(r) {
-                        let msg = if only_unconditional {
-                            format!(
-                                "{r} {what} here but is written again at {pc:#x} before the \
-                                 task ends; successors receive the stale value"
-                            )
-                        } else {
-                            format!(
-                                "{r} {what} here but may be written again at {pc:#x} on a \
-                                 conditional path; if both execute, successors receive the \
-                                 stale value"
-                            )
-                        };
-                        self.diag(severity, entry, Some(comm_pc), msg);
-                        reported.insert(r);
-                        live.remove(r);
-                    }
-                }
-                for s in self.intra_task_successors(pc, only_unconditional) {
-                    work.push_back(s);
-                }
+                self.diag(severity, entry, Some(comm_pc), msg);
+                reported.insert(r);
             }
         }
     }
@@ -257,7 +313,7 @@ impl Checker<'_> {
     /// (or a future binary loader) can; a malformed layout must surface
     /// as an error diagnostic, never as a checker panic.
     fn check_descriptor_layout(&mut self, key: u32) -> bool {
-        let Some(desc) = self.prog.task_at(key) else {
+        let Some(desc) = self.code.prog.task_at(key) else {
             self.diag(
                 Severity::Error,
                 key,
@@ -285,7 +341,7 @@ impl Checker<'_> {
             );
             return false;
         }
-        if key < self.prog.text_base || key >= self.prog.text_end() {
+        if key < self.code.prog.text_base || key >= self.code.prog.text_end() {
             self.diag(
                 Severity::Error,
                 key,
@@ -298,7 +354,7 @@ impl Checker<'_> {
     }
 
     fn check_task(&mut self, entry: u32) -> TaskAnalysis {
-        let Some(desc) = self.prog.task_at(entry) else {
+        let Some(desc) = self.code.prog.task_at(entry) else {
             // Defensive twin of `check_descriptor_layout`: a task walk
             // without a descriptor is a malformed layout, not a panic.
             self.diag(
@@ -327,7 +383,7 @@ impl Checker<'_> {
             if !seen.insert(pc) {
                 continue;
             }
-            if pc != entry && self.prog.task_at(pc).is_some() {
+            if pc != entry && self.code.prog.task_at(pc).is_some() {
                 self.diag(
                     Severity::Error,
                     entry,
@@ -336,7 +392,7 @@ impl Checker<'_> {
                 );
                 continue;
             }
-            let Some(instr) = self.prog.instr_at(pc) else {
+            let Some(instr) = self.code.prog.instr_at(pc) else {
                 self.diag(
                     Severity::Error,
                     entry,
@@ -362,71 +418,31 @@ impl Checker<'_> {
                 continue;
             }
 
-            let is_branch = instr.op.is_branch();
-            match instr.tags.stop {
-                StopCond::Always => {
-                    match instr.op {
-                        Op::Jump { target, .. } => {
-                            exits.insert(StaticExit::Addr(target));
-                        }
-                        Op::Jr { rs } => {
-                            if rs == Reg::RA {
-                                exits.insert(StaticExit::Return);
-                            } else {
-                                exits.insert(StaticExit::Unverifiable(pc));
-                            }
-                        }
-                        Op::Jalr { .. } => {
-                            exits.insert(StaticExit::Unverifiable(pc));
-                        }
-                        ref op if op.is_branch() => {
-                            if let Some(t) = op.branch_target(pc) {
-                                exits.insert(StaticExit::Addr(t));
-                            }
-                            exits.insert(StaticExit::Addr(pc + 4));
-                        }
-                        _ => {
-                            exits.insert(StaticExit::Addr(pc + 4));
-                        }
-                    }
-                    continue; // the path ends at a stop-always
-                }
-                StopCond::IfTaken if is_branch => {
-                    if let Some(t) = instr.op.branch_target(pc) {
-                        exits.insert(StaticExit::Addr(t));
-                    }
-                    work.push_back(pc + 4); // not-taken continues the task
-                    continue;
-                }
-                StopCond::IfNotTaken if is_branch => {
-                    exits.insert(StaticExit::Addr(pc + 4));
-                    if let Some(t) = instr.op.branch_target(pc) {
-                        work.push_back(t); // taken continues the task
-                    }
-                    continue;
-                }
-                StopCond::IfTaken | StopCond::IfNotTaken => {
-                    self.diag(
-                        Severity::Warning,
-                        entry,
-                        Some(pc),
-                        "conditional stop bit on a non-branch instruction".into(),
-                    );
-                }
-                StopCond::None => {}
+            // A stop fires on an edge exactly as it does at run time: the
+            // edge is then an exit, and otherwise the task goes on.
+            let stop = instr.tags.stop;
+            if matches!(stop, StopCond::IfTaken | StopCond::IfNotTaken) && !instr.op.is_branch() {
+                self.diag(
+                    Severity::Warning,
+                    entry,
+                    Some(pc),
+                    "conditional stop bit on a non-branch instruction".into(),
+                );
             }
-
-            match instr.op {
-                Op::Jump { link: false, target } => work.push_back(target),
-                Op::Jump { link: true, target } => {
-                    if let Some(sum) = self.summaries.get(&target).cloned() {
+            for e in self.code.edges(&instr.op, pc) {
+                if stop.fires(e.taken) {
+                    exits.insert(e.exit);
+                    continue;
+                }
+                if let Op::Jump { link: true, target } = instr.op {
+                    if let Some(sum) = self.code.summaries.get(&target).cloned() {
                         forwards = forwards.union(sum.forwards);
                         releases = releases.union(sum.releases);
-                        for stop in &sum.internal_stops {
+                        for &at in &sum.internal_stops {
                             self.diag(
                                 Severity::Warning,
                                 entry,
-                                Some(*stop),
+                                Some(at),
                                 format!("stop bit inside function {target:#x} called by this task"),
                             );
                         }
@@ -440,21 +456,16 @@ impl Checker<'_> {
                                     .into(),
                             );
                         }
-                        if sum.returns {
-                            work.push_back(pc + 4);
-                        } else {
-                            self.diag(
-                                Severity::Warning,
-                                entry,
-                                Some(pc),
-                                format!("call to {target:#x} never returns statically"),
-                            );
-                        }
-                    } else {
-                        work.push_back(pc + 4);
                     }
-                }
-                Op::Jr { .. } | Op::Jalr { .. } => {
+                    if e.next.is_none() {
+                        self.diag(
+                            Severity::Warning,
+                            entry,
+                            Some(pc),
+                            format!("call to {target:#x} never returns statically"),
+                        );
+                    }
+                } else if e.next.is_none() {
                     self.diag(
                         Severity::Error,
                         entry,
@@ -464,13 +475,7 @@ impl Checker<'_> {
                             .into(),
                     );
                 }
-                ref op if op.is_branch() => {
-                    work.push_back(pc + 4);
-                    if let Some(t) = op.branch_target(pc) {
-                        work.push_back(t);
-                    }
-                }
-                _ => work.push_back(pc + 4),
+                work.extend(e.next);
             }
         }
 
@@ -548,7 +553,7 @@ impl Checker<'_> {
 /// segment) produce error diagnostics and skip the per-task walk — they
 /// never panic the checker.
 pub fn check_program(prog: &Program) -> Report {
-    let mut checker = Checker { prog, summaries: summarize_functions(prog), diags: Vec::new() };
+    let mut checker = Checker { code: Code::new(prog), diags: Vec::new() };
     let mut tasks = Vec::new();
     for &entry in prog.tasks.keys() {
         if checker.check_descriptor_layout(entry) {

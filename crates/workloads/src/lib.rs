@@ -314,25 +314,32 @@ impl Workload {
     }
 }
 
+/// Builds one workload at a scale.
+type Build = fn(Scale) -> Workload;
+
+/// Each workload's paper row name and constructor, in the paper's table
+/// order: the one list [`suite`] and [`by_name`] read.
+const WORKLOADS: [(&str, Build); 10] = [
+    ("Compress", compress::workload),
+    ("Eqntott", eqntott::workload),
+    ("Espresso", espresso::workload),
+    ("Gcc", gcc_like::workload),
+    ("Sc", sc_like::workload),
+    ("Xlisp", xlisp_like::workload),
+    ("Tomcatv", tomcatv::workload),
+    ("Cmp", cmp::workload),
+    ("Wc", wc::workload),
+    ("Example", symsearch::workload),
+];
+
 /// The full benchmark ensemble, in the paper's table order.
 pub fn suite(scale: Scale) -> Vec<Workload> {
-    vec![
-        compress::workload(scale),
-        eqntott::workload(scale),
-        espresso::workload(scale),
-        gcc_like::workload(scale),
-        sc_like::workload(scale),
-        xlisp_like::workload(scale),
-        tomcatv::workload(scale),
-        cmp::workload(scale),
-        wc::workload(scale),
-        symsearch::workload(scale),
-    ]
+    WORKLOADS.iter().map(|(_, build)| build(scale)).collect()
 }
 
-/// Looks up one workload by its paper row name (case-insensitive).
+/// Builds one workload, named by its paper row name (case-insensitive).
 pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
-    suite(scale).into_iter().find(|w| w.name.eq_ignore_ascii_case(name))
+    WORKLOADS.iter().find(|(row, _)| row.eq_ignore_ascii_case(name)).map(|(_, build)| build(scale))
 }
 
 #[cfg(test)]
@@ -348,6 +355,19 @@ mod identity_tests {
         assert_ne!(a.fingerprint(), full.fingerprint(), "scale changes the fingerprint");
         let other = by_name("Cmp", Scale::Test).unwrap();
         assert_ne!(a.fingerprint(), other.fingerprint(), "different workloads differ");
+    }
+
+    #[test]
+    fn by_name_builds_the_suite_entry_alone() {
+        for scale in [Scale::Test, Scale::Full] {
+            for w in suite(scale) {
+                for name in [w.name.to_string(), w.name.to_lowercase(), w.name.to_uppercase()] {
+                    let one = by_name(&name, scale).unwrap_or_else(|| panic!("{name}"));
+                    assert_eq!(one.fingerprint(), w.fingerprint(), "{name} at {}", scale.id());
+                }
+            }
+            assert!(by_name("nosuch", scale).is_none());
+        }
     }
 
     #[test]

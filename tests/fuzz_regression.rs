@@ -10,6 +10,9 @@ use multiscalar::{Processor, ScalarProcessor, SimConfig, SimError};
 
 const OOO_RELEASE_RAW: &str = include_str!("repros/ooo_release_raw.s");
 const STALE_FORWARD: &str = include_str!("repros/stale_forward.s");
+const STOP_ON_JUMP: &str = include_str!("repros/stop_on_jump.s");
+const STOP_ON_FALLTHROUGH: &str = include_str!("repros/stop_on_fallthrough.s");
+const DEAD_FALLTHROUGH: &str = include_str!("repros/dead_fallthrough.s");
 
 fn opts() -> ValidateOpts {
     ValidateOpts { max_cycles: 1_000_000, watchdog: 200_000 }
@@ -102,4 +105,38 @@ fn stale_forward_repro_really_diverges_at_runtime() {
         1,
         "the multiscalar run no longer shows the stale forward; update this pin"
     );
+}
+
+/// A stop tag fires where the runtime says it does: a jump counts as
+/// taken and any other non-branch as not taken, so `j!st` and `addiu!sn`
+/// end their tasks. Each repro's fired exit is not a descriptor target;
+/// the checker used to follow the jump or the fall-through instead and
+/// leave the fault to run time. Both must now be caught statically.
+#[test]
+fn conditional_stops_off_branches_fire_as_at_run_time() {
+    for (name, src, exit) in [
+        ("stop_on_jump", STOP_ON_JUMP, "exit Addr(4108)"),
+        ("stop_on_fallthrough", STOP_ON_FALLTHROUGH, "exit Addr(4104)"),
+    ] {
+        let report = check_program(&assemble(src, AsmMode::Multiscalar).expect("assemble ms"));
+        let errors: Vec<String> =
+            report.of_severity(Severity::Error).map(|d| d.to_string()).collect();
+        assert!(
+            errors.iter().any(|e| e.contains(exit) && e.contains("not among its descriptor")),
+            "{name}: expected the fired exit to be flagged, got {errors:?}"
+        );
+        let outcome = validate_source(src, true, &opts());
+        assert!(outcome.pass, "{name}: {} ({})", outcome.verdict, outcome.detail);
+        assert_eq!(outcome.verdict, "caught-static", "{name}: {}", outcome.detail);
+    }
+}
+
+/// An always-taken `b!s C` leaves only to C: its dead fall-through is no
+/// exit and need not be a descriptor target. The checker used to reject
+/// the repro although every machine runs it as the scalar reference.
+#[test]
+fn always_taken_stop_needs_no_fallthrough_target() {
+    let outcome = validate_source(DEAD_FALLTHROUGH, false, &opts());
+    assert!(outcome.pass, "{} ({})", outcome.verdict, outcome.detail);
+    assert_eq!(outcome.verdict, "ok");
 }
