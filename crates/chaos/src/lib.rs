@@ -41,12 +41,6 @@ use multiscalar::{FaultInjector, SimConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-pub mod serve_chaos;
-
-pub use serve_chaos::{
-    run_serve_campaign, ServeCampaign, ServeCampaignReport, ServePointResult, HOST_PLAN_NAMES,
-};
-
 /// The built-in plan shapes, in campaign order.
 pub const PLAN_NAMES: [&str; 5] = ["mispredict", "ring", "arb", "squash", "storm"];
 

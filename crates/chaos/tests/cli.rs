@@ -1,6 +1,6 @@
-//! CLI contract tests for `mschaos`, both campaigns: a malformed command
-//! line prints the usage to stderr, writes nothing to stdout, and exits 2
-//! before any campaign point runs.
+//! CLI contract tests for `mschaos`: a malformed command line prints the
+//! usage to stderr, writes nothing to stdout, and exits 2 before any
+//! campaign point runs.
 
 use std::process::Command;
 
@@ -21,14 +21,4 @@ fn mschaos_rejects_malformed_command_lines() {
     assert_usage_error(&["--watchdog", "0"]);
     assert_usage_error(&["--artifacts", "dir"]);
     assert_usage_error(&["stray"]);
-}
-
-#[test]
-fn mschaos_serve_rejects_malformed_command_lines() {
-    assert_usage_error(&["serve", "--bogus"]);
-    assert_usage_error(&["serve", "--artifacts"]);
-    assert_usage_error(&["serve", "--max-cycles", "5"]);
-    assert_usage_error(&["serve", "--seeds", "zero"]);
-    assert_usage_error(&["serve", "--units", "65"]);
-    assert_usage_error(&["serve", "serve"]);
 }

@@ -11,12 +11,13 @@
 //!    ([`Processor::run_checked`]); final memory and registers must
 //!    agree with the scalar binary walked to its halt.
 //! 3. **Runtime containment** — a perturbed program the checker missed
-//!    may still fail loudly (simulator fault, watchdog, debug assert);
-//!    that counts as *caught*. What must never happen is a perturbed
-//!    program computing something other than its sequential walk: a
-//!    task that leaves the walk, or a final state that differs from the
-//!    scalar binary's, is silent divergence, the bug class this crate
-//!    hunts.
+//!    may still fail loudly (simulator fault, watchdog, cycle bound);
+//!    that counts as *caught*. A panic never does: it fails the case
+//!    with verdict `panic` in every mode. What must never happen is a
+//!    perturbed program computing something other than its sequential
+//!    walk: a task that leaves the walk, or a final state that differs
+//!    from the scalar binary's, is silent divergence, the bug class this
+//!    crate hunts.
 //!
 //! The core oracle, [`validate_pair`], takes an already-assembled
 //! multiscalar/scalar program pair and the memory regions to compare, so
@@ -192,17 +193,15 @@ pub fn validate_pair(
                     CaseOutcome::fail("runtime-error", format!("{name}: {e}"))
                 };
             }
+            // A panic is a simulator bug whatever the annotations say,
+            // never a catch.
             Err(panic) => {
                 let msg = panic
                     .downcast_ref::<String>()
                     .map(String::as_str)
                     .or_else(|| panic.downcast_ref::<&str>().copied())
                     .unwrap_or("panic");
-                return if adversarial {
-                    CaseOutcome::pass("caught-runtime")
-                } else {
-                    CaseOutcome::fail("runtime-error", format!("{name}: panicked: {msg}"))
-                };
+                return CaseOutcome::fail("panic", format!("{name}: panicked: {msg}"));
             }
         };
         if let Some(d) = diverges(name, regions, &mem, &regs, &sc_mem, scalar.regs()) {

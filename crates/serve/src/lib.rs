@@ -27,10 +27,10 @@
 //! Because simulation results are deterministic and responses carry
 //! self-validating identity (workload fingerprint +
 //! `SimConfig::stable_key` + FNV checksum, via the cache key), a
-//! response is byte-identical no matter which layer produced it — the
-//! property the `msload` load generator ([`load`]) asserts at thousands
-//! of concurrent requests, and CI byte-compares against a cold
-//! `mssweep` run.
+//! response is byte-identical no matter which layer produced it. The
+//! socket-level tests in `tests/` pin that for computed, cached,
+//! coalesced and pipelined answers, and CI byte-compares a served point
+//! against a cold `mssweep` run.
 //!
 //! Workers execute through the [`ms_sweep::Executor`] trait, so the
 //! daemon and `mssweep` run the same engine — and tests can interpose
@@ -43,13 +43,11 @@
 #![deny(missing_docs)]
 
 pub mod flight;
-pub mod load;
 pub mod protocol;
 pub mod server;
 pub mod stats;
 
 pub use flight::{Flight, FlightBoard, FlightOutcome};
-pub use load::{run_load, LoadOptions, LoadOutcome};
 pub use protocol::{Envelope, Request, RunRequest, SweepRequest, PROTO};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use stats::{ServeStats, StatsSnapshot};

@@ -704,12 +704,25 @@ impl Server {
                         Ok((stream, _)) => {
                             let conn = next_conn;
                             next_conn += 1;
-                            let shared = Arc::clone(&shared);
-                            let handle = std::thread::Builder::new()
-                                .stack_size(256 * 1024)
-                                .spawn(move || handle_connection(&shared, stream, conn))
-                                .expect("spawn connection thread");
-                            connections.lock().unwrap().push(handle);
+                            let spawned = {
+                                let shared = Arc::clone(&shared);
+                                std::thread::Builder::new()
+                                    .stack_size(256 * 1024)
+                                    .spawn(move || handle_connection(&shared, stream, conn))
+                            };
+                            match spawned {
+                                Ok(handle) => {
+                                    // Keep only live connections: a finished
+                                    // thread's handle would hold its stack
+                                    // until shutdown.
+                                    let mut live = connections.lock().unwrap();
+                                    live.retain(|h| !h.is_finished());
+                                    live.push(handle);
+                                }
+                                // The stream went down with the closure, so
+                                // only this connection closes.
+                                Err(e) => shared.log(conn, &format!("spawn failed: {e}")),
+                            }
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(5));
@@ -771,7 +784,6 @@ impl ServerHandle {
     }
 }
 
-/// Convenience for tests and `msload`: a one-request client connection.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -891,6 +903,25 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn finished_connections_are_not_kept() {
+        let server = start(SweepCache::disabled(), 8, 1);
+        let addr = server.addr();
+        for id in 0..64 {
+            let ping = format!(r#"{{"op":"ping","id":{id}}}"#);
+            assert_eq!(request(addr, &[&ping]), [Response::Pong { id }]);
+        }
+        // Each accept drops the handles of finished connections. The last
+        // few pings may still be closing when the bare connection arrives.
+        let bare = TcpStream::connect(addr).expect("connect");
+        let mut hello = String::new();
+        std::io::BufReader::new(&bare).read_line(&mut hello).unwrap();
+        let kept = server.connections.lock().unwrap().len();
+        assert!(kept <= 3, "{kept} connection handles kept");
         server.shutdown();
         server.join();
     }

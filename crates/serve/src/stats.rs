@@ -1,8 +1,8 @@
 //! Daemon counters: what was served, from which layer, at what cost.
 //!
 //! All counters are relaxed atomics — they are operational telemetry,
-//! not part of any deterministic artifact, which is why the `msload`
-//! deterministic report excludes them. A [`StatsSnapshot`] renders in a
+//! not part of any deterministic artifact: which layer answered a
+//! request never shows in its bytes. A [`StatsSnapshot`] renders in a
 //! fixed field order so CI can parse it with simple tooling.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -111,7 +111,7 @@ impl StatsSnapshot {
     }
 
     /// Parses a snapshot back out of its [`StatsSnapshot::to_json`]
-    /// rendering (used by `msload --stats-out` and tests).
+    /// rendering (used by tests that read the `stats` op).
     ///
     /// # Errors
     /// Returns a description of the first missing or mistyped field.

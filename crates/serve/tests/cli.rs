@@ -1,6 +1,6 @@
-//! CLI contract tests for `msserve` and `msload`: a malformed command
-//! line prints the usage to stderr, writes nothing to stdout, and exits 2
-//! before any socket is opened.
+//! CLI contract tests for `msserve`: a malformed command line prints the
+//! usage to stderr, writes nothing to stdout, and exits 2 before any
+//! socket is opened.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -12,8 +12,8 @@ fn assert_usage_error(bin: &str, args: &[&str]) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary runs");
-    // A command line the binary wrongly accepts starts a daemon or a load
-    // run: fail the test then instead of waiting on it forever.
+    // A command line the binary wrongly accepts starts a daemon: fail the
+    // test then instead of waiting on it forever.
     let deadline = Instant::now() + Duration::from_secs(30);
     while child.try_wait().expect("child status").is_none() {
         if Instant::now() > deadline {
@@ -36,15 +36,5 @@ fn msserve_rejects_malformed_command_lines() {
     assert_usage_error(bin, &["--jobs"]);
     assert_usage_error(bin, &["--queue-depth", "deep"]);
     assert_usage_error(bin, &["--port", "7461", "--addr", "127.0.0.1:7462"]);
-    assert_usage_error(bin, &["stray"]);
-}
-
-#[test]
-fn msload_rejects_malformed_command_lines() {
-    let bin = env!("CARGO_BIN_EXE_msload");
-    assert_usage_error(bin, &["--bogus"]);
-    assert_usage_error(bin, &["--connections"]);
-    assert_usage_error(bin, &["--seed", "-1"]);
-    assert_usage_error(bin, &["--shutdown=now"]);
     assert_usage_error(bin, &["stray"]);
 }

@@ -1,14 +1,17 @@
 //! Service-layer robustness: a leader that panics mid-compute must wake
 //! its joiners with a structured error (and the next caller must get to
 //! lead a fresh flight), idle connections are evicted with a structured
-//! `timeout` line, never silently, and no request line — however deeply
-//! nested or however long — can abort the daemon or grow its memory
-//! without bound.
+//! `timeout` line, never silently, a client that vanishes mid-request
+//! changes nothing the next client is served, and no request line —
+//! however deeply nested or however long — can abort the daemon or grow
+//! its memory without bound.
 
 use ms_serve::protocol::{self, Response};
 use ms_serve::{Server, ServerConfig, StatsSnapshot};
-use ms_sweep::{Executor, InProcessExecutor, Job, SweepCache};
-use ms_workloads::Workload;
+use ms_sweep::{
+    artifacts, run_jobs, Executor, InProcessExecutor, Job, SweepCache, SweepOptions, SweepSpec,
+};
+use ms_workloads::{Scale, Workload};
 use multiscalar::RunStats;
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -131,6 +134,51 @@ fn leader_panic_wakes_joiners_with_structured_error_and_frees_the_flight() {
     let retry = ask(addr);
     assert!(retry.contains("\"ok\":true"), "{retry}");
     assert_eq!(exec.entered.load(Ordering::SeqCst), 2, "retry re-evaluated");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn clients_that_vanish_mid_request_change_nothing_the_next_client_gets() {
+    // The reference, built as `served_sweep_bytes_equal_results_json`
+    // builds it: a cold engine run of the spec the sweep line expands to.
+    let spec = SweepSpec {
+        workloads: vec!["wc".into(), "cmp".into()],
+        scale: Scale::Test,
+        widths: vec![1],
+        orders: vec![false],
+        unit_counts: vec![4],
+        include_scalar: true,
+        partitions: Vec::new(),
+    };
+    let cold = artifacts::results_json(&run_jobs(spec.expand(), &SweepOptions::default()));
+
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let server = Server::start(cfg, Arc::new(InProcessExecutor::new())).expect("bind");
+    let addr = server.addr();
+    let sweep: &[u8] = b"{\"op\":\"sweep\",\"id\":1,\"workloads\":[\"wc\",\"cmp\"],\
+                         \"widths\":[1],\"units\":[4]}\n";
+
+    // One client sends the whole line and closes without reading the
+    // answer, so the daemon computes for a socket that is gone. Another
+    // closes halfway through the line.
+    for sent in [sweep, &sweep[..sweep.len() / 2]] {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut hello = String::new();
+        BufReader::new(stream).read_line(&mut hello).unwrap();
+        writer.write_all(sent).unwrap();
+    }
+
+    match exchange(addr, sweep) {
+        Response::SweepResult { id: 1, payload } => {
+            assert_eq!(payload, cold, "served sweep != results.json bytes after the drops");
+        }
+        other => panic!("{other:?}"),
+    }
+    // The reader drops a partial line at EOF: it is not a bad request.
+    assert_eq!(fetch_stats(addr).bad_requests, 0);
 
     server.shutdown();
     server.join();

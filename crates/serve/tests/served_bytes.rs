@@ -1,15 +1,20 @@
 //! End-to-end determinism: a served response is byte-identical to what
 //! a cold `mssweep`-style run computes for the same design point, and a
-//! served sweep is byte-identical to the `results.json` document.
+//! served sweep is byte-identical to the `results.json` document. That
+//! holds whether a point was computed, cached or coalesced, and whether
+//! its request came alone or pipelined behind others.
 
-use ms_serve::load::{run_load, LoadOptions};
 use ms_serve::protocol::{self, Response};
 use ms_serve::{Server, ServerConfig};
-use ms_sweep::{artifacts, run_jobs, InProcessExecutor, SweepCache, SweepOptions, SweepSpec};
+use ms_sweep::{
+    artifacts, run_jobs, InProcessExecutor, Job, JobKind, SweepCache, SweepOptions, SweepSpec,
+};
 use ms_workloads::Scale;
+use multiscalar::SimConfig;
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn ask(addr: std::net::SocketAddr, line: &str) -> Response {
     let stream = TcpStream::connect(addr).unwrap();
@@ -115,37 +120,82 @@ fn served_sweep_bytes_equal_results_json() {
 }
 
 #[test]
-fn load_generator_reports_are_byte_deterministic_across_cache_states() {
-    let dir = std::env::temp_dir().join(format!("ms-serve-bytes-load-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = ServerConfig {
-        workers: 2,
-        queue_depth: 64,
-        cache: SweepCache::at(&dir),
-        ..ServerConfig::default()
-    };
-    let server = Server::start(cfg, Arc::new(InProcessExecutor::new())).expect("bind");
+fn pipelined_batches_are_answered_in_order_with_engine_bytes_cold_and_warm() {
+    const CONNECTIONS: usize = 4;
+    const BATCH: usize = 8;
+    let points = [("wc", 4), ("cmp", 4), ("wc", 8)];
+    // The reference bytes: a cold, cache-less engine run of each point.
+    let jobs: Vec<Job> = points
+        .iter()
+        .map(|&(workload, units)| Job {
+            workload: workload.into(),
+            scale: Scale::Test,
+            kind: JobKind::Multiscalar,
+            cfg: SimConfig::multiscalar(units),
+            partition: None,
+        })
+        .collect();
+    let report = run_jobs(jobs, &SweepOptions::default());
+    let cold: Vec<String> = report.outcomes.iter().map(artifacts::outcome_json).collect();
 
-    let opts = LoadOptions {
-        addr: server.addr().to_string(),
-        connections: 4,
-        requests_per_conn: 8,
-        points: 3,
-        seed: 7,
-        max_retries: 8,
-        ..LoadOptions::default()
-    };
-    // Run A computes (cold cache); run B is answered from cache and
-    // dedup. The deterministic reports must be byte-identical anyway.
-    let a = run_load(&opts).expect("cold load run");
-    let b = run_load(&opts).expect("warm load run");
-    assert_eq!(a.divergent, 0, "{:?}", a.per_point);
-    assert_eq!(a.failed, 0);
-    assert_eq!(a.report_json(), b.report_json(), "cold and warm reports differ");
+    let dir = std::env::temp_dir().join(format!("ms-serve-bytes-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig { workers: 2, cache: SweepCache::at(&dir), ..ServerConfig::default() };
+    let server = Server::start(cfg, Arc::new(InProcessExecutor::new())).expect("bind");
+    let addr = server.addr();
+    // Connection `c` asks for point `(c + id) % 3` under id `id`, so the
+    // connections interleave the points differently.
+    let point = |c: usize, id: usize| (c + id) % points.len();
+
+    // Round one computes on an empty cache; round two is answered from it.
+    for round in ["cold", "warm"] {
+        let start = Barrier::new(CONNECTIONS);
+        std::thread::scope(|scope| {
+            for c in 0..CONNECTIONS {
+                let (start, points, cold) = (&start, &points, &cold);
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).unwrap();
+                    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+                    let mut writer = stream.try_clone().unwrap();
+                    let mut reader = BufReader::new(stream);
+                    let mut line = String::new();
+                    reader.read_line(&mut line).unwrap(); // hello
+                    let batch: String = (0..BATCH)
+                        .map(|id| {
+                            let (workload, units) = points[point(c, id)];
+                            format!(
+                                "{{\"op\":\"run\",\"id\":{id},\"workload\":\"{workload}\",\
+                                 \"units\":{units}}}\n"
+                            )
+                        })
+                        .collect();
+                    // The four batches go out together, and each one is
+                    // written whole before its first answer is read.
+                    start.wait();
+                    writer.write_all(batch.as_bytes()).unwrap();
+                    for id in 0..BATCH {
+                        line.clear();
+                        reader.read_line(&mut line).unwrap();
+                        match protocol::parse_response(&line).expect(&line) {
+                            Response::Result { id: got, payload } => {
+                                assert_eq!(got, id as u64, "{round} conn {c}: answers in order");
+                                assert_eq!(
+                                    payload,
+                                    cold[point(c, id)],
+                                    "{round} conn {c} id {id}: served != cold engine bytes"
+                                );
+                            }
+                            other => panic!("{round} conn {c} id {id}: {other:?}"),
+                        }
+                    }
+                });
+            }
+        });
+    }
 
     let stats = server.stats();
-    assert!(stats.cache_hits > 0, "warm run must hit the cache: {stats:?}");
     assert!(stats.computed <= 3, "at most one compute per point: {stats:?}");
+    assert!(stats.cache_hits > 0, "the warm round must hit the cache: {stats:?}");
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);

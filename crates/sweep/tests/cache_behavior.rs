@@ -1,7 +1,8 @@
 //! End-to-end cache semantics: warm re-runs execute nothing, key changes
-//! invalidate exactly the changed point, corruption is detected and
-//! recomputed.
+//! invalidate exactly the changed point, corruption is detected,
+//! quarantined and recomputed to the same artifact bytes.
 
+use ms_sweep::artifacts::results_json;
 use ms_sweep::{run_jobs, run_sweep, Job, JobKind, SweepCache, SweepOptions, SweepSpec};
 use ms_workloads::Scale;
 use multiscalar::SimConfig;
@@ -78,42 +79,54 @@ fn changing_one_config_field_invalidates_exactly_that_point() {
 #[test]
 fn corrupted_cache_entries_are_recomputed_not_trusted() {
     let dir = tmpdir("corrupt");
-    let job = Job {
-        workload: "Wc".into(),
+    // One cache handle across every rerun, so its quarantine count adds up.
+    let cache = SweepCache::at(&dir);
+    let opts = SweepOptions { jobs: 2, cache: cache.clone(), ..SweepOptions::default() };
+    let job = |workload: &str| Job {
+        workload: workload.into(),
         scale: Scale::Test,
         kind: JobKind::Multiscalar,
         cfg: SimConfig::multiscalar(4),
         partition: None,
     };
-    let cold = run_jobs(vec![job.clone()], &opts(&dir));
-    let truth = cold.successes().next().unwrap().stats.cycles;
+    // Wc's entry is torn below; Cmp's stays intact throughout.
+    let jobs = vec![job("Wc"), job("Cmp")];
+    let cold = results_json(&run_jobs(jobs.clone(), &opts));
 
-    let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+    let torn: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "entry"))
+        .filter(|p| std::fs::read_to_string(p).unwrap().contains("|workload=wc|"))
         .collect();
-    assert_eq!(entries.len(), 1);
+    assert_eq!(torn.len(), 1);
 
-    for (tag, mutate) in [
+    for (n, (tag, mutate)) in [
         (
             "truncated",
             Box::new(|t: &str| t[..t.len() / 3].to_string()) as Box<dyn Fn(&str) -> String>,
         ),
         ("bit-flipped", Box::new(|t: &str| t.replacen("cycles", "cycels", 1))),
         ("garbage", Box::new(|_: &str| "not a cache entry at all\n".to_string())),
-    ] {
-        let original = std::fs::read_to_string(&entries[0]).unwrap();
-        std::fs::write(&entries[0], mutate(&original)).unwrap();
-        let report = run_jobs(vec![job.clone()], &opts(&dir));
-        assert_eq!(report.executed, 1, "{tag} entry must be recomputed");
-        assert_eq!(report.cache_hits, 0, "{tag} entry must not hit");
-        let recomputed = report.successes().next().unwrap();
-        assert_eq!(recomputed.stats.cycles, truth, "{tag}: recomputed result matches");
+        ("tail-appended", Box::new(|t: &str| format!("{t}torn tail\n"))),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let original = std::fs::read_to_string(&torn[0]).unwrap();
+        std::fs::write(&torn[0], mutate(&original)).unwrap();
+        let report = run_jobs(jobs.clone(), &opts);
+        assert_eq!(
+            (report.executed, report.cache_hits),
+            (1, 1),
+            "{tag}: the torn entry is recomputed, the intact one still hits"
+        );
+        assert_eq!(results_json(&report), cold, "{tag}: rerun bytes != cold run bytes");
+        assert_eq!(cache.quarantined(), n as u64 + 1, "{tag}: the torn entry is quarantined");
     }
 
-    // The recompute rewrote a valid entry: we hit again.
-    assert_eq!(run_jobs(vec![job], &opts(&dir)).cache_hits, 1);
+    // The recompute rewrote a valid entry: both points hit again.
+    assert_eq!(run_jobs(jobs, &opts).cache_hits, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

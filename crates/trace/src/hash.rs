@@ -1,8 +1,8 @@
 //! Stable hashes, identical across processes, platforms and Rust
 //! releases (unlike `std`'s randomized default hasher): the workspace's
-//! one FNV-1a and one splitmix64. Workload fingerprints, sweep cache keys
-//! and checksums, and `msload` digests are FNV-1a; fuzz case seeds, chaos
-//! plan decisions and `msload` retry jitter are splitmix64.
+//! one FNV-1a and one splitmix64. Workload fingerprints and sweep cache
+//! keys and checksums are FNV-1a; fuzz case seeds and chaos plan
+//! decisions are splitmix64.
 
 /// The 64-bit FNV-1a offset basis: the hash of no bytes.
 pub const FNV1A_64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
