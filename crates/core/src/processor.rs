@@ -448,7 +448,7 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             }),
             units: (0..self.cfg.units)
                 .map(|u| {
-                    let rec = self.active.iter().find(|r| r.unit == u);
+                    let rec = self.pos_of(u).map(|pos| &self.active[pos]);
                     UnitDiag {
                         unit: u,
                         active: self.units[u].is_active(),
@@ -502,9 +502,14 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         }
     }
 
-    /// Order of the active task on `unit`, if any.
-    fn unit_order(&self, unit: usize) -> Option<u64> {
-        self.active.iter().find(|r| r.unit == unit).map(|r| r.order)
+    /// Position in the task queue of the active task on `unit`, if any.
+    /// The active tasks sit on consecutive units from the head's:
+    /// assignment takes `next_unit`, a squash resets it to the unit
+    /// after the youngest survivor, and retirement pops the head.
+    fn pos_of(&self, unit: usize) -> Option<usize> {
+        let head = self.active.front()?.unit;
+        let pos = unit_after(unit, self.cfg.units - head, self.cfg.units);
+        (pos < self.active.len()).then_some(pos)
     }
 
     /// Advances the simulation one cycle.
@@ -551,8 +556,8 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                 }
                 continue;
             }
-            match self.unit_order(dest) {
-                Some(order) if order > msg.sender_order => {
+            match self.pos_of(dest).map(|pos| (pos, self.active[pos].order)) {
+                Some((pos, order)) if order > msg.sender_order => {
                     // A live producer of this register sits between the
                     // sender and this task in program order. The message
                     // should have died at that producer's unit but slipped
@@ -560,11 +565,10 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                     // window can re-assign the producer after the message
                     // has gone by) — the value is stale here and for every
                     // later task, so kill it instead of delivering.
-                    let skipped_producer = self.active.iter().any(|rec| {
-                        rec.order > msg.sender_order
-                            && rec.order < order
-                            && rec.create.contains(msg.reg)
-                    });
+                    let skipped_producer = self
+                        .active
+                        .range(..pos)
+                        .any(|rec| rec.order > msg.sender_order && rec.create.contains(msg.reg));
                     if skipped_producer {
                         if Self::TRACED {
                             self.sink.event(&TraceEvent::RingDie {
@@ -622,8 +626,10 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         let mut exits = std::mem::take(&mut self.scratch_exits);
         let mut arb_stalled = std::mem::take(&mut self.scratch_arb_stalled);
         let active_len = self.active.len();
+        let head_unit = self.active.front().map_or(0, |r| r.unit);
         for pos in 0..active_len {
-            let unit_idx = self.active[pos].unit;
+            let unit_idx = unit_after(head_unit, pos, n);
+            debug_assert_eq!(self.active[pos].unit, unit_idx, "active tasks off consecutive units");
             let mut ports = MemPorts {
                 mem: &mut self.mem,
                 bus: &mut self.bus,
@@ -636,7 +642,9 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             if let Some(f) = self.units[unit_idx].fault() {
                 return Err(SimError::Fault(f.to_owned()));
             }
-            violations.extend(out.violations);
+            if out.violated {
+                violations.extend_from_slice(self.units[unit_idx].violations());
+            }
             if out.stall == Some(ms_pipeline::StallClass::ArbFull) && pos > 0 {
                 arb_stalled.push(pos);
             }
@@ -660,16 +668,19 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                     StallReason::NoTask
                 };
                 self.sink.event(&TraceEvent::UnitStall { cycle: now, unit: u, reason });
-                u = if u + 1 == n { 0 } else { u + 1 };
+                u = unit_after(u, 1, n);
             }
         }
 
-        // 4. Collect new ring sends.
+        // 4. Collect new ring sends (most units have none queued).
         let mut sends = std::mem::take(&mut self.scratch_sends);
-        for pos in 0..self.active.len() {
-            let rec_unit = self.active[pos].unit;
-            let rec_order = self.active[pos].order;
+        for pos in 0..active_len {
+            let rec_unit = unit_after(head_unit, pos, n);
             self.units[rec_unit].drain_sends_into(now, &mut sends);
+            if sends.is_empty() {
+                continue;
+            }
+            let rec_order = self.active[pos].order;
             for (reg, val) in sends.drain(..) {
                 if Self::TRACED {
                     self.sink.event(&TraceEvent::RingSend {
@@ -709,7 +720,7 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         };
         // Memory violations: squash the earliest violated task.
         for v_unit in violations.drain(..) {
-            if let Some(pos) = self.active.iter().position(|r| r.unit == v_unit) {
+            if let Some(pos) = self.pos_of(v_unit) {
                 let rec = &self.active[pos];
                 let redirect = Pending::Entry {
                     pc: rec.entry,
@@ -719,11 +730,10 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                 consider((pos, redirect, SquashCause::Memory), &mut squash);
             }
         }
-        // Control validation, in task order.
-        for pos in 0..self.active.len() {
-            if self.active[pos].exit.is_none() || self.active[pos].validated {
-                continue;
-            }
+        // Control validation, in task order. A task's exit is validated
+        // in the cycle it resolves, so only this cycle's exits need it.
+        for &(pos, _) in &exits {
+            debug_assert!(!self.active[pos].validated, "task at {pos} validated twice");
             if let Some(req) = self.validate(pos)? {
                 consider(req, &mut squash);
             }
@@ -1209,6 +1219,16 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         self.pending = Pending::Unknown;
         self.seq_ready_at = now + 1; // one assignment per cycle
         Ok(())
+    }
+}
+
+/// The unit `k <= n` places after `unit` around a circular queue of `n`.
+fn unit_after(unit: usize, k: usize, n: usize) -> usize {
+    let u = unit + k;
+    if u >= n {
+        u - n
+    } else {
+        u
     }
 }
 

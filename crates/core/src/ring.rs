@@ -40,6 +40,8 @@ pub struct Ring {
     /// injection); `None` in normal operation.
     width_cap: Option<usize>,
     queues: Vec<VecDeque<InFlight>>,
+    /// Messages in all queues, so an idle ring costs a cycle nothing.
+    in_flight: usize,
 }
 
 impl Ring {
@@ -50,13 +52,13 @@ impl Ring {
     /// Panics if any parameter is zero.
     pub fn new(n: usize, width: usize, hop_latency: u64) -> Ring {
         assert!(n > 0 && width > 0 && hop_latency > 0);
-        Ring { width, hop_latency, width_cap: None, queues: vec![VecDeque::new(); n] }
+        Ring { width, hop_latency, width_cap: None, queues: vec![VecDeque::new(); n], in_flight: 0 }
     }
 
     /// Enqueues a message at `unit`'s output port at cycle `now`; it can
     /// arrive at `unit + 1` once the hop latency elapses.
     pub fn send(&mut self, unit: usize, msg: RingMsg, now: u64) {
-        self.queues[unit].push_back(InFlight { msg, available_from: now + self.hop_latency });
+        self.send_delayed(unit, msg, now, 0);
     }
 
     /// [`Ring::send`] with `extra` additional cycles of hop delay (chaos
@@ -64,6 +66,7 @@ impl Ring {
     pub fn send_delayed(&mut self, unit: usize, msg: RingMsg, now: u64, extra: u64) {
         self.queues[unit]
             .push_back(InFlight { msg, available_from: now + self.hop_latency + extra });
+        self.in_flight += 1;
     }
 
     /// Applies (or with `None` lifts) a back-pressure cap on messages
@@ -81,24 +84,18 @@ impl Ring {
     }
 
     /// Advances to cycle `now`: up to `width` due messages leave each
-    /// unit's output queue. Returns `(destination_unit, message)` pairs
-    /// arriving this cycle.
-    pub fn step(&mut self, now: u64) -> Vec<(usize, RingMsg)> {
-        let mut arrivals = Vec::new();
-        self.step_into(now, &mut arrivals, &mut ms_trace::NullSink);
-        arrivals
-    }
-
-    /// The allocation-free, traced form of [`Ring::step`]: appends this
-    /// cycle's arrivals into a caller-owned buffer (the per-cycle
-    /// processor step reuses one across cycles) and emits a `RingHop` per
-    /// arriving message.
+    /// unit's output queue. Appends the `(destination_unit, message)`
+    /// pairs arriving this cycle to `arrivals`, a buffer the caller
+    /// reuses across cycles, and emits a `RingHop` per arriving message.
     pub fn step_into<S: ms_trace::TraceSink>(
         &mut self,
         now: u64,
         arrivals: &mut Vec<(usize, RingMsg)>,
         sink: &mut S,
     ) {
+        if self.in_flight == 0 {
+            return;
+        }
         let n = self.queues.len();
         let width = self.effective_width();
         for u in 0..n {
@@ -109,7 +106,7 @@ impl Ring {
                     Some(f) if f.available_from <= now => {
                         let mut msg = f.msg;
                         msg.hops += 1;
-                        let dest = (u + 1) % n;
+                        let dest = if u + 1 == n { 0 } else { u + 1 };
                         if S::ENABLED {
                             sink.event(&ms_trace::TraceEvent::RingHop {
                                 cycle: now,
@@ -120,6 +117,7 @@ impl Ring {
                             });
                         }
                         arrivals.push((dest, msg));
+                        self.in_flight -= 1;
                     }
                     Some(f) => {
                         self.queues[u].push_front(f);
@@ -133,7 +131,7 @@ impl Ring {
 
     /// Messages currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.in_flight
     }
 
     /// Per-unit output-queue depth (diagnostic snapshots).
@@ -156,6 +154,7 @@ impl Ring {
         for q in &mut self.queues {
             q.retain(|m| !pred(&m.msg));
         }
+        self.in_flight = self.queues.iter().map(VecDeque::len).sum();
     }
 }
 
@@ -167,11 +166,18 @@ mod tests {
         RingMsg { reg: Reg::int(4), val: 7, sender_order: order, hops: 0 }
     }
 
+    /// One cycle of the ring: the messages arriving at `now`.
+    fn step(ring: &mut Ring, now: u64) -> Vec<(usize, RingMsg)> {
+        let mut arrivals = Vec::new();
+        ring.step_into(now, &mut arrivals, &mut ms_trace::NullSink);
+        arrivals
+    }
+
     #[test]
     fn one_hop_per_cycle() {
         let mut ring = Ring::new(4, 1, 1);
         ring.send(1, msg(0), 0);
-        let arr = ring.step(1);
+        let arr = step(&mut ring, 1);
         assert_eq!(arr.len(), 1);
         assert_eq!(arr[0].0, 2);
         assert_eq!(arr[0].1.hops, 1);
@@ -182,9 +188,9 @@ mod tests {
     fn hop_latency_delays_delivery() {
         let mut ring = Ring::new(4, 1, 3);
         ring.send(0, msg(0), 10);
-        assert!(ring.step(11).is_empty());
-        assert!(ring.step(12).is_empty());
-        let arr = ring.step(13);
+        assert!(step(&mut ring, 11).is_empty());
+        assert!(step(&mut ring, 12).is_empty());
+        let arr = step(&mut ring, 13);
         assert_eq!(arr.len(), 1);
         assert_eq!(arr[0].0, 1);
     }
@@ -194,9 +200,9 @@ mod tests {
         let mut ring = Ring::new(2, 1, 1);
         ring.send(0, msg(0), 0);
         ring.send(0, msg(1), 0);
-        let arr = ring.step(1);
+        let arr = step(&mut ring, 1);
         assert_eq!(arr.len(), 1, "width-1 ring moves one message per hop");
-        let arr = ring.step(2);
+        let arr = step(&mut ring, 2);
         assert_eq!(arr.len(), 1);
         assert_eq!(arr[0].1.sender_order, 1);
     }
@@ -206,14 +212,14 @@ mod tests {
         let mut ring = Ring::new(2, 2, 1);
         ring.send(0, msg(0), 0);
         ring.send(0, msg(1), 0);
-        assert_eq!(ring.step(1).len(), 2);
+        assert_eq!(step(&mut ring, 1).len(), 2);
     }
 
     #[test]
     fn wraps_around() {
         let mut ring = Ring::new(3, 2, 1);
         ring.send(2, msg(0), 0);
-        let arr = ring.step(1);
+        let arr = step(&mut ring, 1);
         assert_eq!(arr[0].0, 0);
     }
 
@@ -221,9 +227,9 @@ mod tests {
     fn delayed_send_adds_jitter() {
         let mut ring = Ring::new(4, 1, 1);
         ring.send_delayed(0, msg(0), 0, 2);
-        assert!(ring.step(1).is_empty());
-        assert!(ring.step(2).is_empty());
-        assert_eq!(ring.step(3).len(), 1);
+        assert!(step(&mut ring, 1).is_empty());
+        assert!(step(&mut ring, 2).is_empty());
+        assert_eq!(step(&mut ring, 3).len(), 1);
     }
 
     #[test]
@@ -232,14 +238,14 @@ mod tests {
         ring.send(0, msg(0), 0);
         ring.send(0, msg(1), 0);
         ring.set_width_cap(Some(1));
-        assert_eq!(ring.step(1).len(), 1, "capped to one message per hop");
+        assert_eq!(step(&mut ring, 1).len(), 1, "capped to one message per hop");
         ring.set_width_cap(None);
-        assert_eq!(ring.step(2).len(), 1);
+        assert_eq!(step(&mut ring, 2).len(), 1);
         // A zero cap clamps to 1: progress is never starved.
         ring.send(0, msg(2), 2);
         ring.send(0, msg(3), 2);
         ring.set_width_cap(Some(0));
-        assert_eq!(ring.step(3).len(), 1);
+        assert_eq!(step(&mut ring, 3).len(), 1);
     }
 
     #[test]
@@ -249,7 +255,7 @@ mod tests {
         ring.send(0, msg(6), 0);
         ring.discard_if(|m| m.sender_order >= 6);
         assert_eq!(ring.in_flight(), 1);
-        let arr = ring.step(1);
+        let arr = step(&mut ring, 1);
         assert_eq!(arr[0].1.sender_order, 5);
     }
 }

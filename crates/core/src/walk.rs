@@ -75,7 +75,7 @@ impl SequentialWalk {
                 )));
             };
             let regs = &self.regs;
-            let out = execute(&instr, self.pc, |r| regs[r.index()]);
+            let out = execute(instr, self.pc, |r| regs[r.index()]);
             let mut write = out.writeback;
             if let Some(req) = out.mem {
                 if req.is_store {
@@ -91,7 +91,7 @@ impl SequentialWalk {
             }
             self.pc = out.control.map_or(self.pc + 4, |c| c.next_pc);
             self.halted = out.halt;
-            if out.ends_task(&instr) {
+            if out.ends_task(instr) {
                 return Ok((entry, Some(n)));
             }
         }

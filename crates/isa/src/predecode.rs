@@ -10,8 +10,10 @@
 //! [`PredecodedProgram`] answers each of those queries once per *static*
 //! instruction instead: it wraps a [`Program`] with a parallel
 //! [`InstrMeta`] table, computed at construction, indexed exactly like
-//! `Program::text`. The fetch stage carries the `InstrMeta` alongside
-//! the `Instr` so later pipeline stages never touch the `Op` matches.
+//! `Program::text`. A pipeline's fetched slots carry only the
+//! instruction's address, and every later stage reads the `Instr` and
+//! its `InstrMeta` back by that address, so none of them re-matches on
+//! the `Op`.
 //!
 //! This is the software analogue of the predecoded instruction cache
 //! common in real front-ends (and of the paper's observation that tag
@@ -19,7 +21,7 @@
 //! cached, and reused).
 
 use crate::instr::Instr;
-use crate::op::{ExecClass, FuClass, RegList};
+use crate::op::{ExecClass, FuClass};
 use crate::program::Program;
 use crate::reg::Reg;
 use crate::tags::RegMask;
@@ -29,10 +31,13 @@ use std::ops::Deref;
 /// matching on its [`Op`](crate::Op), precomputed once per static instruction.
 #[derive(Clone, Copy, Debug)]
 pub struct InstrMeta {
-    /// Source registers (`Op::uses`).
-    pub uses: RegList,
-    /// Source registers as a mask (`uses.to_mask()`).
+    /// Source registers as a mask (`Op::uses`).
     pub uses_mask: RegMask,
+    /// Source registers (`Op::uses`) padded with `$0` to three entries.
+    /// `$0` is always ready, so a scoreboard can take the latest ready-at
+    /// cycle over all three without looking at how many sources there
+    /// are.
+    pub srcs: [Reg; 3],
     /// Destination register (`Op::def`).
     pub def: Option<Reg>,
     /// Coarse functional-unit class (`Op::fu_class`).
@@ -56,9 +61,13 @@ impl InstrMeta {
     pub fn of(instr: &Instr) -> InstrMeta {
         let op = &instr.op;
         let uses = op.uses();
+        let mut srcs = [Reg::ZERO; 3];
+        for (slot, r) in srcs.iter_mut().zip(uses.iter()) {
+            *slot = r;
+        }
         InstrMeta {
-            uses,
             uses_mask: uses.to_mask(),
+            srcs,
             def: op.def(),
             fu_class: op.fu_class(),
             exec_class: op.exec_class(),
@@ -82,7 +91,9 @@ impl InstrMeta {
 /// programs (symbol lookup, task descriptors, listings) works
 /// unchanged; the pipeline's fetch stage additionally gets
 /// [`PredecodedProgram::fetch`], which returns the instruction *and*
-/// its metadata in one bounds-checked lookup.
+/// its metadata in one bounds-checked lookup, and
+/// [`PredecodedProgram::decoded`], which later stages use to read them
+/// again by the fetched instruction's address.
 #[derive(Clone, Debug)]
 pub struct PredecodedProgram {
     prog: Program,
@@ -100,13 +111,24 @@ impl PredecodedProgram {
     /// if it lies in the text segment and is word-aligned. Semantically
     /// identical to [`Program::instr_at`] plus [`InstrMeta::of`].
     #[inline]
-    pub fn fetch(&self, pc: u32) -> Option<(Instr, InstrMeta)> {
+    pub fn fetch(&self, pc: u32) -> Option<(&Instr, &InstrMeta)> {
         if pc < self.prog.text_base || !pc.is_multiple_of(4) {
             return None;
         }
         let idx = ((pc - self.prog.text_base) / 4) as usize;
-        let instr = *self.prog.text.get(idx)?;
-        Some((instr, self.meta[idx]))
+        Some((self.prog.text.get(idx)?, &self.meta[idx]))
+    }
+
+    /// The instruction and its metadata at `pc`, an address that
+    /// [`PredecodedProgram::fetch`] has accepted. A pipeline holds only
+    /// the addresses of the instructions it fetched and reads them here.
+    ///
+    /// # Panics
+    /// Panics if `pc` lies outside the text segment.
+    #[inline]
+    pub fn decoded(&self, pc: u32) -> (&Instr, &InstrMeta) {
+        let idx = (pc.wrapping_sub(self.prog.text_base) / 4) as usize;
+        (&self.prog.text[idx], &self.meta[idx])
     }
 
     /// The wrapped program.
@@ -173,8 +195,12 @@ mod tests {
         for (i, instr) in pd.text.iter().enumerate() {
             let pc = TEXT_BASE + (i as u32) * 4;
             let (fetched, meta) = pd.fetch(pc).expect("in range");
-            assert_eq!(fetched, *instr);
-            assert_eq!(meta.uses, instr.op.uses());
+            assert_eq!(fetched, instr);
+            let (i2, m2) = pd.decoded(pc);
+            assert!(std::ptr::eq(i2, fetched) && std::ptr::eq(m2, meta));
+            let uses: Vec<Reg> = instr.op.uses().iter().collect();
+            assert_eq!(meta.srcs[..uses.len()], uses[..]);
+            assert!(meta.srcs[uses.len()..].iter().all(|r| r.is_zero()));
             assert_eq!(meta.uses_mask, instr.op.uses().to_mask());
             assert_eq!(meta.def, instr.op.def());
             assert_eq!(meta.fu_class, instr.op.fu_class());
@@ -191,9 +217,9 @@ mod tests {
     fn fetch_matches_instr_at_semantics() {
         let pd = PredecodedProgram::new(prog());
         for pc in [0u32, TEXT_BASE - 4, TEXT_BASE + 1, TEXT_BASE + 2, pd.text_end(), u32::MAX] {
-            assert_eq!(pd.fetch(pc).map(|(i, _)| i), pd.instr_at(pc), "pc={pc:#x}");
+            assert_eq!(pd.fetch(pc).map(|(i, _)| *i), pd.instr_at(pc), "pc={pc:#x}");
         }
-        assert_eq!(pd.fetch(TEXT_BASE).map(|(i, _)| i), pd.instr_at(TEXT_BASE));
+        assert_eq!(pd.fetch(TEXT_BASE).map(|(i, _)| *i), pd.instr_at(TEXT_BASE));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! may be produced" by a task. [`TagBits`] and [`RegMask`] model exactly
 //! those artifacts.
 
-use crate::reg::{Reg, NUM_REGS};
+use crate::reg::Reg;
 use std::fmt;
 
 /// The condition under which an instruction terminates its task.
@@ -158,17 +158,18 @@ impl RegMask {
         self.0.count_ones()
     }
 
-    /// Iterates over member registers in index order.
+    /// Iterates over member registers in index order, visiting only the
+    /// set bits.
     pub fn iter(self) -> impl Iterator<Item = Reg> {
-        (0..NUM_REGS).filter_map(
-            move |i| {
-                if self.0 & (1u64 << i) != 0 {
-                    Reg::from_index(i)
-                } else {
-                    None
-                }
-            },
-        )
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Reg::from_index(i)
+        })
     }
 }
 
@@ -216,6 +217,7 @@ impl fmt::Debug for RegMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reg::NUM_REGS;
 
     #[test]
     fn stop_cond_fires_per_outcome() {
@@ -255,6 +257,29 @@ mod tests {
         let m: RegMask = [Reg::fp(0), Reg::int(3), Reg::int(30)].into_iter().collect();
         let v: Vec<Reg> = m.iter().collect();
         assert_eq!(v, vec![Reg::int(3), Reg::int(30), Reg::fp(0)]);
+    }
+
+    #[test]
+    fn iter_yields_exactly_the_set_bits_in_order() {
+        // Random masks (splitmix64), plus the edges: empty, full, each end.
+        let mut state = 0x5EED_u64;
+        let mut masks = vec![0, !0, 1, 1 << 63];
+        for _ in 0..2000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            // Thin some masks out so sparse sets are drawn too.
+            masks.push(if state & 1 == 0 { z ^ (z >> 31) } else { z & (z >> 17) & (z >> 33) });
+        }
+        for bits in masks {
+            let naive: Vec<Reg> = (0..NUM_REGS)
+                .filter(|&i| bits & (1u64 << i) != 0)
+                .filter_map(Reg::from_index)
+                .collect();
+            let fast: Vec<Reg> = RegMask::from_bits(bits).iter().collect();
+            assert_eq!(fast, naive, "mask {bits:#018x}");
+        }
     }
 
     #[test]

@@ -107,15 +107,14 @@ impl RegFile {
     }
 
     /// The cycle at which the latest local writer's result becomes
-    /// readable (0 if never locally written). The parking probe uses
-    /// this to bound how long a `WaitLocal` operand stays blocked.
+    /// readable (0 if never locally written). Always 0 for `$0`, whose
+    /// entry no write or delivery touches. The issue logic compares an
+    /// instruction's latest source against the current cycle with it,
+    /// and the parking probe uses it to bound how long a `WaitLocal`
+    /// operand stays blocked.
     #[inline]
     pub fn ready_at(&self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.ready_at[r.index()]
-        }
+        self.ready_at[r.index()]
     }
 
     /// Registers still awaiting inter-task delivery.
@@ -136,9 +135,12 @@ mod tests {
     #[test]
     fn zero_register_is_hardwired() {
         let mut rf = RegFile::new();
+        rf.install(&[9; NUM_REGS], [Reg::ZERO].into_iter().collect());
         rf.write(Reg::ZERO, 99, 5);
+        rf.deliver(Reg::ZERO, 99, 7);
         assert_eq!(rf.read(Reg::ZERO), 0);
         assert_eq!(rf.status(Reg::ZERO, 0), ReadStatus::Ready);
+        assert_eq!(rf.ready_at(Reg::ZERO), 0, "$0 is ready from cycle 0");
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl TaskCounters {
 }
 
 /// The result of one cycle of execution.
-#[derive(Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TickOutput {
     /// Instructions issued this cycle.
     pub issued: u32,
@@ -183,23 +183,60 @@ pub struct TickOutput {
     pub stall: Option<StallClass>,
     /// The task's exit, reported exactly once when its stop resolves.
     pub exit: Option<ExitKind>,
-    /// ARB stages whose tasks must be squashed (memory-order violations
-    /// caused by stores issued this cycle), earliest first.
-    pub violations: Vec<usize>,
+    /// Whether a store issued this cycle violated memory order. The ARB
+    /// stages whose tasks must be squashed are then in
+    /// [`ProcessingUnit::violations`].
+    pub violated: bool,
 }
 
+/// A fetched instruction in the decode buffer. Its `Instr` and
+/// `InstrMeta` are read back by `pc` from the predecoded program.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
-    seq: u64,
     pc: u32,
-    instr: Instr,
-    /// Predecoded classification of `instr` (carried from fetch so the
-    /// issue and hazard logic never re-match on the `Op`).
-    meta: InstrMeta,
     ready_from: u64,
     /// Where fetch continued after this instruction (`None`: fetch
     /// stalled awaiting this instruction's resolution).
     next_fetched: Option<u32>,
+}
+
+/// The slots an issue scan has passed over without issuing, folded into
+/// masks: each later slot's out-of-order hazard check against all of
+/// them is a few mask tests instead of a walk over the older slots.
+#[derive(Clone, Copy, Default)]
+struct Older {
+    control: bool,
+    mem: bool,
+    defs: RegMask,
+    uses: RegMask,
+}
+
+impl Older {
+    fn add(&mut self, m: &InstrMeta) {
+        self.control |= m.is_control;
+        self.mem |= m.is_load || m.is_store;
+        if let Some(d) = m.def {
+            self.defs.insert(d);
+        }
+        self.uses = self.uses.union(m.uses_mask);
+    }
+
+    /// Whether an instruction classified `m` must not issue ahead of the
+    /// older slots: one of them is control (no intra-task control
+    /// speculation), both are memory operations, or they share a
+    /// register as RAW, WAW or WAR.
+    fn blocks(&self, m: &InstrMeta) -> bool {
+        if self.control || (self.mem && (m.is_load || m.is_store)) {
+            return true;
+        }
+        if !m.uses_mask.intersect(self.defs).is_empty() {
+            return true;
+        }
+        match m.def {
+            Some(d) if !d.is_zero() => self.defs.union(self.uses).contains(d),
+            _ => false,
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -237,7 +274,6 @@ pub struct ProcessingUnit {
     fetch_ready_at: u64,
     fetch_mode: FetchMode,
     buf: VecDeque<Slot>,
-    next_seq: u64,
 
     outstanding_max: u64,
     stop_resolved: bool,
@@ -248,6 +284,9 @@ pub struct ProcessingUnit {
     fwd_vals: [u64; NUM_REGS],
     fwd_known: RegMask,
     pending_sends: Vec<(u64, Reg, u64)>,
+    /// ARB stages violated by the stores of the last tick that reported
+    /// [`TickOutput::violated`], earliest first.
+    violations: Vec<usize>,
 
     counters: TaskCounters,
     fault: Option<String>,
@@ -292,8 +331,7 @@ impl ProcessingUnit {
             fetch_pc: 0,
             fetch_ready_at: 0,
             fetch_mode: FetchMode::Stopped,
-            buf: VecDeque::new(),
-            next_seq: 0,
+            buf: VecDeque::with_capacity(cfg.fetch_buffer),
             outstanding_max: 0,
             stop_resolved: false,
             exit_kind: None,
@@ -302,6 +340,7 @@ impl ProcessingUnit {
             fwd_vals: [0; NUM_REGS],
             fwd_known: RegMask::EMPTY,
             pending_sends: Vec::new(),
+            violations: Vec::new(),
             counters: TaskCounters::default(),
             fault: None,
             last_stall: None,
@@ -487,17 +526,19 @@ impl ProcessingUnit {
         }
     }
 
-    /// Drains ring sends due at or before `now`.
-    pub fn take_sends(&mut self, now: u64) -> Vec<(Reg, u64)> {
-        let mut due = Vec::new();
-        self.drain_sends_into(now, &mut due);
-        due
+    /// The ARB stages that the stores of the last tick reporting
+    /// [`TickOutput::violated`] found violated, earliest first.
+    pub fn violations(&self) -> &[usize] {
+        &self.violations
     }
 
-    /// Like [`ProcessingUnit::take_sends`], but appends into a
-    /// caller-owned buffer — the allocation-free form the per-cycle
-    /// processor step uses.
+    /// Appends the ring sends due at or before `now` to `due`, a buffer
+    /// the caller reuses across cycles.
+    #[inline]
     pub fn drain_sends_into(&mut self, now: u64, due: &mut Vec<(Reg, u64)>) {
+        if self.pending_sends.is_empty() {
+            return;
+        }
         self.pending_sends.retain(|&(cycle, r, v)| {
             if cycle <= now {
                 due.push((r, v));
@@ -582,30 +623,23 @@ impl ProcessingUnit {
         }
         self.fu.begin_cycle();
 
+        // One pass over the considered slots, oldest first: an issued
+        // slot leaves the buffer and the next one slides into its index;
+        // a blocked one joins the older masks that later slots' hazard
+        // checks read. An in-order unit considers only the head.
         let mut first_block: Option<Blocked> = None;
         let mut issued = 0u32;
-        if self.cfg.ooo {
-            let mut idx = 0usize;
-            while issued < self.cfg.issue_width as u32 && idx < self.cfg.window.min(self.buf.len())
-            {
-                match self.try_issue(idx, now, prog, ports, &mut out, sink) {
-                    Ok(()) => issued += 1,
-                    Err(b) => {
-                        if first_block.is_none() {
-                            first_block = Some(b);
-                        }
-                        idx += 1;
-                    }
-                }
-            }
-        } else {
-            while issued < self.cfg.issue_width as u32 && !self.buf.is_empty() {
-                match self.try_issue(0, now, prog, ports, &mut out, sink) {
-                    Ok(()) => issued += 1,
-                    Err(b) => {
-                        first_block = Some(b);
-                        break;
-                    }
+        let considered = if self.cfg.ooo { self.cfg.window } else { 1 };
+        let mut older = Older::default();
+        let mut idx = 0usize;
+        while issued < self.cfg.issue_width as u32 && idx < considered.min(self.buf.len()) {
+            let (instr, meta) = prog.decoded(self.buf[idx].pc);
+            match self.try_issue(idx, instr, meta, &older, now, ports, &mut out, sink) {
+                Ok(()) => issued += 1,
+                Err(b) => {
+                    first_block = first_block.or(Some(b));
+                    older.add(meta);
+                    idx += 1;
                 }
             }
         }
@@ -641,7 +675,7 @@ impl ProcessingUnit {
                 )
             {
                 self.park_stats.0 += 1;
-                if let Some((wake, head)) = self.quiet_span(now + 1) {
+                if let Some((wake, head)) = self.quiet_span(now + 1, prog) {
                     self.park_stats.1 += 1;
                     self.parked_until = wake;
                     self.parked_head = head;
@@ -658,64 +692,48 @@ impl ProcessingUnit {
         out
     }
 
-    /// Why slot `idx` cannot issue at `now`, judged by the checks that
-    /// change no state: decode readiness, operand status and out-of-order
-    /// hazards against older unissued slots. `None` leaves only the FU
-    /// and ARB checks that `try_issue` makes while issuing.
-    fn blocked(&self, idx: usize, now: u64) -> Option<Blocked> {
-        // Borrow, don't copy: this runs for every considered slot of
-        // every stalled cycle.
-        let slot = &self.buf[idx];
+    /// Why `slot` (holding `instr`, classified `meta`) cannot issue at
+    /// `now`, judged by the checks that change no state: decode
+    /// readiness, operand status and out-of-order hazards against the
+    /// `older` unissued slots. `None` leaves only the FU and ARB checks
+    /// that `try_issue` makes while issuing.
+    #[inline]
+    fn blocked(
+        &self,
+        slot: &Slot,
+        instr: &Instr,
+        meta: &InstrMeta,
+        older: &Older,
+        now: u64,
+    ) -> Option<Blocked> {
         if slot.ready_from > now {
             return Some(Blocked::NotDecoded);
         }
-        // Operand readiness. A release is exempt: a register that has
-        // not arrived yet is passed through on arrival (see the
-        // `release_on_arrival` handling at execute) rather than stalling
-        // issue — its sources still participate in the out-of-order
-        // hazard checks below so it cannot slip past an older writer.
-        if !matches!(slot.instr.op, Op::Release { .. }) {
-            let mut remote = false;
-            let mut local = false;
-            for r in slot.meta.uses.iter() {
-                match self.regs.status(r, now) {
-                    ReadStatus::Ready => {}
-                    ReadStatus::WaitLocal => local = true,
-                    ReadStatus::WaitRemote => remote = true,
-                }
-            }
-            if remote {
+        // Operand readiness: a remote wait outranks a local one. A
+        // release is exempt: a register that has not arrived yet is
+        // passed through on arrival (see the `release_on_arrival`
+        // handling at execute) rather than stalling issue — its sources
+        // still take part in the hazard check below so it cannot slip
+        // past an older writer.
+        if !matches!(instr.op, Op::Release { .. }) {
+            if !self.regs.awaiting().intersect(meta.uses_mask).is_empty() {
                 return Some(Blocked::WaitRemote);
             }
-            if local {
+            if self.local_ready_at(meta) > now {
                 return Some(Blocked::WaitLocal);
             }
         }
-        // Out-of-order hazards against older, unissued instructions.
-        if self.cfg.ooo && idx > 0 {
-            let me = &slot.meta;
-            let my_def = me.def;
-            let my_is_mem = me.is_load || me.is_store;
-            for j in 0..idx {
-                let older = &self.buf[j].meta;
-                if older.is_control || (my_is_mem && (older.is_load || older.is_store)) {
-                    return Some(Blocked::Hazard);
-                }
-                // RAW (older defines one of my sources) or WAW.
-                if let Some(d) = older.def {
-                    if me.uses_mask.contains(d) || (my_def == Some(d) && !d.is_zero()) {
-                        return Some(Blocked::Hazard);
-                    }
-                }
-                // WAR: older reads my destination.
-                if let Some(d) = my_def {
-                    if !d.is_zero() && older.uses_mask.contains(d) {
-                        return Some(Blocked::Hazard);
-                    }
-                }
-            }
+        if older.blocks(meta) {
+            return Some(Blocked::Hazard);
         }
         None
+    }
+
+    /// The cycle from which every local source of `meta` is readable.
+    #[inline]
+    fn local_ready_at(&self, meta: &InstrMeta) -> u64 {
+        let [a, b, c] = meta.srcs;
+        self.regs.ready_at(a).max(self.regs.ready_at(b)).max(self.regs.ready_at(c))
     }
 
     /// The reason a zero-issue cycle at `now` is charged to, given why
@@ -768,43 +786,45 @@ impl ProcessingUnit {
         class
     }
 
-    /// Attempts to issue the instruction at buffer index `idx`.
+    /// Attempts to issue the instruction at buffer index `idx`, which
+    /// holds `instr`, classified `meta`; `older` folds the unissued slots
+    /// before it.
+    #[allow(clippy::too_many_arguments)]
     fn try_issue<S: TraceSink>(
         &mut self,
         idx: usize,
+        instr: &Instr,
+        meta: &InstrMeta,
+        older: &Older,
         now: u64,
-        _prog: &PredecodedProgram,
         ports: &mut MemPorts<'_>,
         out: &mut TickOutput,
         sink: &mut S,
     ) -> Result<(), Blocked> {
-        if let Some(b) = self.blocked(idx, now) {
+        let slot = self.buf[idx];
+        if let Some(b) = self.blocked(&slot, instr, meta, older, now) {
             return Err(b);
         }
-        let fu_class = self.buf[idx].meta.fu_class;
-        if !self.fu.available(fu_class) {
+        if !self.fu.available(meta.fu_class) {
             return Err(Blocked::Fu);
         }
-        // Every reject path is behind us (`issue_mem` can still fail, but
-        // needs the copy anyway): take the slot by value.
-        let slot = self.buf[idx];
 
         // Execute (functional) and derive timing.
         let regs = &self.regs;
-        let outcome = execute(&slot.instr, slot.pc, |r| regs.read(r));
-        let lat = self.cfg.latencies.latency(slot.meta.exec_class);
+        let outcome = execute(instr, slot.pc, |r| regs.read(r));
+        let lat = self.cfg.latencies.latency(meta.exec_class);
         let mut done = now + lat;
 
         if let Some(mem) = outcome.mem {
-            done = self.issue_mem(&slot, mem, now + lat, ports, out, sink)?;
+            done = self.issue_mem(instr.tags.forward, mem, now + lat, ports, out, sink)?;
         }
         // Commit the FU now that nothing can fail.
-        let ok = self.fu.try_acquire(fu_class);
+        let ok = self.fu.try_acquire(meta.fu_class);
         debug_assert!(ok, "FU availability checked above");
 
         if let Some((rd, v)) = outcome.writeback {
             self.regs.write(rd, v, done);
-            if slot.instr.tags.forward {
+            if instr.tags.forward {
                 self.schedule_send(done, rd, v);
             }
         }
@@ -824,19 +844,19 @@ impl ProcessingUnit {
             }
         }
 
-        // Stop / control resolution.
-        let this_seq = slot.seq;
-        if outcome.ends_task(&slot.instr) {
+        // Stop / control resolution. A flush drops only the slots younger
+        // than this one, so it stays at `idx`.
+        if outcome.ends_task(instr) {
             self.stop_resolved = true;
-            self.exit_kind = Some(self.classify_exit(&slot, &outcome));
-            self.buf.retain(|s| s.seq <= this_seq);
+            self.exit_kind = Some(classify_exit(instr, slot.pc, &outcome));
+            self.buf.truncate(idx + 1);
             self.fetch_mode = FetchMode::Stopped;
         } else if let Some(c) = outcome.control {
             match slot.next_fetched {
                 Some(next) if next == c.next_pc => {} // fetch already went the right way
                 _ => {
                     // Redirect: flush younger and refetch (2-cycle bubble).
-                    self.buf.retain(|s| s.seq <= this_seq);
+                    self.buf.truncate(idx + 1);
                     self.fetch_pc = c.next_pc;
                     self.fetch_ready_at = now + 2;
                     self.fetch_mode = FetchMode::Run;
@@ -852,15 +872,17 @@ impl ProcessingUnit {
         }
 
         self.outstanding_max = self.outstanding_max.max(done);
-        // Remove the issued slot.
-        let pos = self.buf.iter().position(|s| s.seq == this_seq).expect("issued slot present");
-        self.buf.remove(pos);
+        if idx == 0 {
+            self.buf.pop_front();
+        } else {
+            self.buf.remove(idx);
+        }
         Ok(())
     }
 
     fn issue_mem<S: TraceSink>(
         &mut self,
-        slot: &Slot,
+        forward: bool,
         req: MemRequest,
         access_at: u64,
         ports: &mut MemPorts<'_>,
@@ -881,7 +903,15 @@ impl ProcessingUnit {
                             sink,
                         )
                         .map_err(|_| Blocked::ArbFull)?;
-                    out.violations.extend(violations);
+                    if !violations.is_empty() {
+                        // The first violating store of a tick replaces
+                        // the previous tick's list.
+                        if !out.violated {
+                            out.violated = true;
+                            self.violations.clear();
+                        }
+                        self.violations.extend(violations);
+                    }
                     Ok(ports.banks.access_store(access_at, req.addr))
                 }
                 None => {
@@ -904,35 +934,10 @@ impl ProcessingUnit {
             let value = extend_load(&req, raw);
             let dest = req.dest.expect("loads have destinations");
             self.regs.write(dest, value, completion);
-            if slot.instr.tags.forward {
+            if forward {
                 self.schedule_send(completion, dest, value);
             }
             Ok(completion)
-        }
-    }
-
-    fn classify_exit(&self, slot: &Slot, outcome: &crate::exec::Outcome) -> ExitKind {
-        if outcome.halt {
-            return ExitKind::Halt;
-        }
-        match slot.instr.op {
-            Op::Jump { link: true, target } => ExitKind::Call { target, ret: slot.pc + 4 },
-            Op::Jalr { .. } => {
-                let target = outcome.control.expect("jalr resolves control").next_pc;
-                ExitKind::Call { target, ret: slot.pc + 4 }
-            }
-            Op::Jr { rs } => {
-                let target = outcome.control.expect("jr resolves control").next_pc;
-                if rs == Reg::RA {
-                    ExitKind::Return(target)
-                } else {
-                    ExitKind::Jump(target)
-                }
-            }
-            _ => match outcome.control {
-                Some(c) => ExitKind::Jump(c.next_pc),
-                None => ExitKind::Fall(slot.pc + 4),
-            },
         }
     }
 
@@ -964,7 +969,7 @@ impl ProcessingUnit {
                 break;
             }
             let pc = self.fetch_pc;
-            let Some((instr, meta)) = prog.fetch(pc) else {
+            let Some((&instr, _)) = prog.fetch(pc) else {
                 self.fault = Some(format!(
                     "unit {}: instruction fetch outside text segment at {pc:#x}",
                     self.id
@@ -972,10 +977,8 @@ impl ProcessingUnit {
                 self.fetch_mode = FetchMode::Stopped;
                 return;
             };
-            let seq = self.next_seq;
-            self.next_seq += 1;
             let ready_from = now + 2; // IF at `now`, ID at now+1, issue-eligible next
-            let mut slot = Slot { seq, pc, instr, meta, ready_from, next_fetched: None };
+            let mut slot = Slot { pc, ready_from, next_fetched: None };
 
             match instr.op {
                 Op::Halt => {
@@ -1056,8 +1059,8 @@ impl ProcessingUnit {
     /// be `u64::MAX` when only an external input (a ring delivery,
     /// assignment, squash or retirement, each of which clears a park)
     /// can unblock the unit.
-    pub fn quiet_until(&self, from: u64) -> Option<(u64, StallReason)> {
-        let (wake, head) = self.quiet_span(from)?;
+    pub fn quiet_until(&self, from: u64, prog: &PredecodedProgram) -> Option<(u64, StallReason)> {
+        let (wake, head) = self.quiet_span(from, prog)?;
         Some((wake, self.zero_issue_reason(from, head)))
     }
 
@@ -1066,7 +1069,7 @@ impl ProcessingUnit {
     /// because each way it can change is an event bounded here: decode
     /// (`NotDecoded`), a local result (`WaitLocal`), a ring delivery
     /// (`WaitRemote`, external).
-    fn quiet_span(&self, from: u64) -> Option<(u64, Option<Blocked>)> {
+    fn quiet_span(&self, from: u64, prog: &PredecodedProgram) -> Option<(u64, Option<Blocked>)> {
         if !self.active || self.fault.is_some() || (self.stop_resolved && !self.exit_reported) {
             return None;
         }
@@ -1089,20 +1092,21 @@ impl ProcessingUnit {
         let considered =
             if self.cfg.ooo { self.cfg.window.min(self.buf.len()) } else { self.buf.len().min(1) };
         let mut head = None;
-        for (idx, slot) in self.buf.iter().take(considered).enumerate() {
-            let cause = self.blocked(idx, from)?;
+        let mut older = Older::default();
+        for slot in self.buf.iter().take(considered) {
+            let (instr, meta) = prog.decoded(slot.pc);
+            let cause = self.blocked(slot, instr, meta, &older, from)?;
             wake = wake.min(match cause {
                 Blocked::NotDecoded => slot.ready_from,
                 // No source awaits a predecessor: the latest local
                 // result bounds the wait.
-                Blocked::WaitLocal => {
-                    slot.meta.uses.iter().map(|r| self.regs.ready_at(r)).fold(0, u64::max)
-                }
+                Blocked::WaitLocal => self.local_ready_at(meta),
                 // Cleared only by a ring delivery, or when an older slot
                 // issues (which that slot's own bound covers).
                 _ => u64::MAX,
             });
             head = head.or(Some(cause));
+            older.add(meta);
         }
         Some((wake, head))
     }
@@ -1130,6 +1134,33 @@ impl ProcessingUnit {
                 self.schedule_send(now, r, v);
             }
         }
+    }
+}
+
+/// How a task ends on its stop instruction `instr` at `pc`, given what
+/// executing it did.
+fn classify_exit(instr: &Instr, pc: u32, outcome: &crate::exec::Outcome) -> ExitKind {
+    if outcome.halt {
+        return ExitKind::Halt;
+    }
+    match instr.op {
+        Op::Jump { link: true, target } => ExitKind::Call { target, ret: pc + 4 },
+        Op::Jalr { .. } => {
+            let target = outcome.control.expect("jalr resolves control").next_pc;
+            ExitKind::Call { target, ret: pc + 4 }
+        }
+        Op::Jr { rs } => {
+            let target = outcome.control.expect("jr resolves control").next_pc;
+            if rs == Reg::RA {
+                ExitKind::Return(target)
+            } else {
+                ExitKind::Jump(target)
+            }
+        }
+        _ => match outcome.control {
+            Some(c) => ExitKind::Jump(c.next_pc),
+            None => ExitKind::Fall(pc + 4),
+        },
     }
 }
 
@@ -1329,6 +1360,141 @@ mod tests {
         }
     }
 
+    /// A run's issue schedule in one compact string: per cycle, the
+    /// number of instructions issued, or a letter for the stall reason
+    /// of a zero-issue cycle; a run of `k > 1` equal cycles is written
+    /// `<symbol>x<k>` (`cx17` is 17 cycles of cache miss).
+    #[derive(Default)]
+    pub(super) struct Schedule(Vec<(char, u32)>);
+
+    impl Schedule {
+        pub(super) fn push(&mut self, issued: u32, stall: Option<StallReason>) {
+            let sym = match (issued, stall) {
+                (0, Some(reason)) => match reason {
+                    StallReason::FetchEmpty => 'f',
+                    StallReason::LocalDep => 'l',
+                    StallReason::RemoteDep => 'r',
+                    StallReason::FuBusy => 'u',
+                    StallReason::Hazard => 'h',
+                    StallReason::ArbFull => 'a',
+                    StallReason::Drain => 'd',
+                    StallReason::WaitRetire => 'w',
+                    StallReason::CacheMiss => 'c',
+                    StallReason::NoTask => 'n',
+                    StallReason::SquashRecovery => 's',
+                },
+                (0, None) => '?',
+                (n, _) => char::from_digit(n, 10).expect("issue width below 10"),
+            };
+            match self.0.last_mut() {
+                Some((last, k)) if *last == sym => *k += 1,
+                _ => self.0.push((sym, 1)),
+            }
+        }
+
+        pub(super) fn render(&self) -> String {
+            let tokens: Vec<String> = self
+                .0
+                .iter()
+                .map(|&(sym, k)| if k == 1 { sym.to_string() } else { format!("{sym}x{k}") })
+                .collect();
+            tokens.join(" ")
+        }
+    }
+
+    /// The three unit shapes every pinned schedule runs on: 1-wide
+    /// in-order, 2-wide in-order and 2-wide out-of-order.
+    pub(super) fn schedule_configs() -> [(&'static str, UnitConfig); 3] {
+        [
+            ("w1", UnitConfig::default()),
+            ("w2", UnitConfig { issue_width: 2, ..UnitConfig::default() }),
+            ("w2ooo", UnitConfig { issue_width: 2, ooo: true, ..UnitConfig::default() }),
+        ]
+    }
+
+    /// Compares every `(case, config)` schedule against its pin and
+    /// reports all mismatches at once, each as a ready-to-paste line.
+    pub(super) fn check_schedules(got: &[(String, String)], pinned: &[(&str, &str)]) {
+        let mut bad = Vec::new();
+        for (name, sched) in got {
+            let want = pinned.iter().find(|(n, _)| n == name).map(|(_, s)| *s);
+            if want != Some(sched.as_str()) {
+                bad.push(format!("(\"{name}\", \"{sched}\"),"));
+            }
+        }
+        assert!(bad.is_empty(), "issue schedules moved:\n{}", bad.join("\n"));
+        assert_eq!(got.len(), pinned.len(), "every pin names a run");
+    }
+
+    #[test]
+    fn issue_schedule_is_pinned_per_hazard() {
+        // Each program holds one younger instruction behind one kind of
+        // ordering hazard with an older instruction that waits on a
+        // load; an out-of-order unit still slips the independent tail
+        // past both. Pinned per cycle: issue count or stall reason.
+        let data = "\n.data\nv: .word 0, 0, 0, 0\n.text\nmain:\n la $5, v\n lw $2, 0($5)\n";
+        let cases = [
+            ("raw", " addu $3, $2, $2\n addiu $4, $3, 1\n addiu $6, $0, 1\n"),
+            ("war", " addu $3, $2, $4\n addiu $4, $0, 9\n addiu $6, $0, 1\n"),
+            ("waw", " addu $3, $2, $2\n addiu $3, $0, 9\n addiu $6, $0, 1\n"),
+            ("load_after_store", " sw $2, 4($5)\n lw $6, 8($5)\n addiu $7, $0, 1\n"),
+            (
+                "store_after_load",
+                " addu $8, $5, $2\n lw $3, 4($8)\n sw $6, 8($5)\n addiu $7, $0, 1\n",
+            ),
+            ("branch", " beq $2, $0, L\n addiu $6, $0, 1\nL: addiu $7, $0, 2\n"),
+        ];
+        let mut got = Vec::new();
+        for (name, body) in cases {
+            let src = format!("{data}{body} halt\n");
+            for (shape, cfg) in schedule_configs() {
+                let mut rig = Rig::build(&src, cfg);
+                let mut sched = Schedule::default();
+                for _ in 0..1000 {
+                    let mut ports = MemPorts {
+                        mem: &mut rig.mem,
+                        bus: &mut rig.bus,
+                        banks: &mut rig.banks,
+                        arb: None,
+                        stage: 0,
+                        active_ranks: 1,
+                    };
+                    let out = rig.unit.tick(rig.now, &rig.prog, &mut ports);
+                    sched.push(out.issued, rig.unit.stall_reason());
+                    if rig.unit.is_complete(rig.now) {
+                        break;
+                    }
+                    rig.now += 1;
+                }
+                assert!(rig.unit.is_complete(rig.now), "{name}/{shape} did not finish");
+                got.push((format!("{name}/{shape}"), sched.render()));
+            }
+        }
+        check_schedules(
+            &got,
+            &[
+                ("raw/w1", "cx17 fx2 1x3 lx17 1x4 w"),
+                ("raw/w2", "cx17 fx2 1x3 lx17 1 2 1 w"),
+                ("raw/w2ooo", "cx17 fx2 1x2 2 1 lx16 1x2 w"),
+                ("war/w1", "cx17 fx2 1x3 lx17 1x4 w"),
+                ("war/w2", "cx17 fx2 1x3 lx17 2x2 w"),
+                ("war/w2ooo", "cx17 fx2 1x2 2 1 lx16 2 w"),
+                ("waw/w1", "cx17 fx2 1x3 lx17 1x4 w"),
+                ("waw/w2", "cx17 fx2 1x3 lx17 2x2 w"),
+                ("waw/w2ooo", "cx17 fx2 1x2 2 1 lx16 2 w"),
+                ("load_after_store/w1", "cx17 fx2 1x3 lx17 1x4 w"),
+                ("load_after_store/w2", "cx17 fx2 1x3 lx17 1 2 1 w"),
+                ("load_after_store/w2ooo", "cx17 fx2 1x2 2 1 lx16 1x2 d w"),
+                ("store_after_load/w1", "cx17 fx2 1x3 lx17 1x5 w"),
+                ("store_after_load/w2", "cx17 fx2 1x3 lx17 1x2 2 1 w"),
+                ("store_after_load/w2ooo", "cx17 fx2 1x3 2 lx16 1x3 d w"),
+                ("branch/w1", "cx17 fx2 1x3 lx17 1 fx3 1x2 w"),
+                ("branch/w2", "cx17 fx2 1x3 lx17 1 fx3 2 w"),
+                ("branch/w2ooo", "cx17 fx2 1x3 lx17 1 fx3 2 w"),
+            ],
+        );
+    }
+
     #[test]
     fn quiet_probe_matches_ticked_execution() {
         // At every cycle of a real run, if the probe claims the machine
@@ -1345,7 +1511,7 @@ mod tests {
             rig.unit.set_parking(false);
             let mut quiet_cycles = 0u64;
             for _ in 0..200_000u64 {
-                let claim = rig.unit.quiet_until(rig.now);
+                let claim = rig.unit.quiet_until(rig.now, &rig.prog);
                 let mut ports = MemPorts {
                     mem: &mut rig.mem,
                     bus: &mut rig.bus,
@@ -1472,13 +1638,71 @@ mod multiscalar_unit_tests {
             let mut sends = Vec::new();
             for _ in 0..max {
                 self.tick();
-                sends.extend(self.unit.take_sends(self.now - 1));
+                self.unit.drain_sends_into(self.now - 1, &mut sends);
                 if self.unit.is_complete(self.now - 1) {
                     break;
                 }
             }
             sends
         }
+    }
+
+    #[test]
+    fn issue_schedule_is_pinned_around_awaited_registers() {
+        // `$8` awaits a predecessor and arrives by ring at cycle 30. A
+        // remote operand stalls its reader while an out-of-order unit
+        // issues the independent work behind it; a `release` of an
+        // awaited register issues at once and forwards on arrival.
+        use super::tests::{check_schedules, schedule_configs, Schedule};
+        let cases = [
+            (
+                "remote_operand",
+                "main:\n.task targets=halt create=$3\nA:\n addiu!f $3, $8, 1\n \
+                 addiu $4, $0, 2\n addiu $5, $4, 1\n halt\n",
+            ),
+            (
+                "release_awaited",
+                "main:\n.task targets=halt create=$3,$8\nA:\n release $8\n \
+                 addu $9, $8, $8\n addiu!f $3, $0, 1\n halt\n",
+            ),
+        ];
+        let mut got = Vec::new();
+        for (name, src) in cases {
+            for (shape, cfg) in schedule_configs() {
+                let mut rig = MsRig::new(src, cfg);
+                rig.assign_entry([Reg::int(8)].into_iter().collect());
+                let mut sched = Schedule::default();
+                let mut sends = Vec::new();
+                for _ in 0..1000 {
+                    if rig.now == 30 {
+                        let now = rig.now;
+                        rig.unit.receive(Reg::int(8), 41, now);
+                    }
+                    let out = rig.tick();
+                    sched.push(out.issued, rig.unit.stall_reason());
+                    rig.unit.drain_sends_into(rig.now - 1, &mut sends);
+                    if rig.unit.is_complete(rig.now - 1) {
+                        break;
+                    }
+                }
+                assert!(rig.unit.is_complete(rig.now - 1), "{name}/{shape} did not finish");
+                if name == "release_awaited" {
+                    assert!(sends.contains(&(Reg::int(8), 41)), "{shape}: {sends:?}");
+                }
+                got.push((format!("{name}/{shape}"), sched.render()));
+            }
+        }
+        check_schedules(
+            &got,
+            &[
+                ("remote_operand/w1", "cx17 fx2 rx11 1x4 w"),
+                ("remote_operand/w2", "cx17 fx2 rx11 2x2 w"),
+                ("remote_operand/w2ooo", "cx17 fx2 1 2 rx9 1 w"),
+                ("release_awaited/w1", "cx17 fx2 1 rx10 1x3 w"),
+                ("release_awaited/w2", "cx17 fx2 1 rx10 2 1 w"),
+                ("release_awaited/w2ooo", "cx17 fx2 1 2 rx9 1 w"),
+            ],
+        );
     }
 
     #[test]
@@ -1581,12 +1805,16 @@ A:
         for _ in 0..40 {
             rig.tick();
         }
-        let (wake, reason) = rig.unit.quiet_until(rig.now).expect("remote wait is quiet");
+        let (wake, reason) =
+            rig.unit.quiet_until(rig.now, &rig.prog).expect("remote wait is quiet");
         assert_eq!(wake, u64::MAX, "only a ring delivery can unblock the unit");
         assert_eq!(reason, StallReason::RemoteDep);
         let now = rig.now;
         rig.unit.receive(Reg::int(8), 41, now);
-        assert!(rig.unit.quiet_until(now).is_none(), "delivered operand makes the slot issuable");
+        assert!(
+            rig.unit.quiet_until(now, &rig.prog).is_none(),
+            "delivered operand makes the slot issuable"
+        );
     }
 
     #[test]
@@ -1724,6 +1952,8 @@ A:
         rig.unit.clear();
         assert!(!rig.unit.is_active());
         let now = rig.now;
-        assert!(rig.unit.take_sends(now + 100).is_empty());
+        let mut sends = Vec::new();
+        rig.unit.drain_sends_into(now + 100, &mut sends);
+        assert!(sends.is_empty());
     }
 }

@@ -12,8 +12,9 @@
 //!
 //! ## Admission control
 //!
-//! The compute queue is the only unbounded-growth hazard, so it is the
-//! thing that is bounded. A request that would push past
+//! Two things grow with load, and both are bounded. Live connections are
+//! capped at `MAX_CONNECTIONS`: one past the cap is answered a single
+//! `overloaded` line and closed. A request that would push past
 //! [`ServerConfig::queue_depth`] is answered `overloaded` with a
 //! `retry_after_ms` hint — immediately, not after a timeout — and its
 //! flight is resolved `Rejected` so coalesced duplicates hear the same
@@ -57,6 +58,13 @@ const POLL: Duration = Duration::from_millis(100);
 /// line that reaches the cap is answered `bad_request` and its
 /// connection closed, so one client cannot grow a buffer without bound.
 const MAX_LINE: usize = 1 << 20;
+
+/// The most connections served at once. Each live connection holds a
+/// thread with a 256 KiB stack, so 256 of them reserve 64 MiB. A
+/// connection has at most one request in flight, so 256 connections can
+/// already fill the default 256-deep compute queue; more would only
+/// wait. Unit tests use a cap that a handful of sockets reaches.
+const MAX_CONNECTIONS: usize = if cfg!(test) { 8 } else { 256 };
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -653,6 +661,16 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn: u64) {
     shared.log(conn, "closed");
 }
 
+/// Answers a connection past [`MAX_CONNECTIONS`] with one `overloaded`
+/// line, in place of the hello, and closes it.
+fn refuse_connection(shared: &Shared, mut stream: TcpStream, conn: u64) {
+    shared.log(conn, "outcome=overloaded detail=\"connection cap\"");
+    let detail = format!("{MAX_CONNECTIONS} connections are open; retry later");
+    let _ = stream
+        .write_all(protocol::error_line(0, "overloaded", Some(RETRY_AFTER_MS), &detail).as_bytes());
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
 /// The daemon. Construct with [`Server::start`]; interact through the
 /// returned [`ServerHandle`].
 pub struct Server;
@@ -704,6 +722,15 @@ impl Server {
                         Ok((stream, _)) => {
                             let conn = next_conn;
                             next_conn += 1;
+                            // Keep only live connections: a finished
+                            // thread's handle would hold its stack until
+                            // shutdown.
+                            let mut live = connections.lock().unwrap();
+                            live.retain(|h| !h.is_finished());
+                            if live.len() >= MAX_CONNECTIONS {
+                                refuse_connection(&shared, stream, conn);
+                                continue;
+                            }
                             let spawned = {
                                 let shared = Arc::clone(&shared);
                                 std::thread::Builder::new()
@@ -711,14 +738,7 @@ impl Server {
                                     .spawn(move || handle_connection(&shared, stream, conn))
                             };
                             match spawned {
-                                Ok(handle) => {
-                                    // Keep only live connections: a finished
-                                    // thread's handle would hold its stack
-                                    // until shutdown.
-                                    let mut live = connections.lock().unwrap();
-                                    live.retain(|h| !h.is_finished());
-                                    live.push(handle);
-                                }
+                                Ok(handle) => live.push(handle),
                                 // The stream went down with the closure, so
                                 // only this connection closes.
                                 Err(e) => shared.log(conn, &format!("spawn failed: {e}")),
@@ -922,6 +942,49 @@ mod tests {
         std::io::BufReader::new(&bare).read_line(&mut hello).unwrap();
         let kept = server.connections.lock().unwrap().len();
         assert!(kept <= 3, "{kept} connection handles kept");
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn connections_past_the_cap_are_refused() {
+        let server = start(SweepCache::disabled(), 8, 1);
+        let addr = server.addr();
+        let first_line = |stream: &TcpStream| {
+            let mut line = String::new();
+            std::io::BufReader::new(stream).read_line(&mut line).unwrap();
+            protocol::parse_response(&line).expect(&line)
+        };
+        let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let s = TcpStream::connect(addr).expect("connect");
+                assert!(matches!(first_line(&s), Response::Hello { .. }));
+                s
+            })
+            .collect();
+        // One past the cap reads `overloaded` instead of the hello, then EOF.
+        let mut refused = TcpStream::connect(addr).expect("connect");
+        match first_line(&refused) {
+            Response::Error { code, retry_after_ms, .. } => {
+                assert_eq!((code.as_str(), retry_after_ms), ("overloaded", Some(RETRY_AFTER_MS)));
+            }
+            other => panic!("{other:?}"),
+        }
+        let mut rest = Vec::new();
+        refused.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "refused connection stays open");
+        // Closing one frees its place once its thread sees the EOF.
+        drop(held.pop());
+        let served = (0..100).any(|_| {
+            let s = TcpStream::connect(addr).expect("connect");
+            if matches!(first_line(&s), Response::Hello { .. }) {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            false
+        });
+        assert!(served, "a freed place is never handed out");
+        drop(held);
         server.shutdown();
         server.join();
     }
