@@ -7,10 +7,12 @@
 //! cargo run --release -p ms-bench --bin msprof -- diff OLD.json NEW.json
 //! ```
 //!
-//! `msprof run` executes each (workload, machine) point with a live
-//! cycle accountant, prints the per-point CPI-stack tables, and records
-//! the profile as `multiscalar-prof/v1` JSON (default `BENCH_prof.json`;
-//! `--csv` additionally writes the flat bucket matrix). Every number in
+//! `msprof run` sweeps each (workload, machine) point on the `ms-sweep`
+//! engine, in parallel and with a live cycle accountant (never from the
+//! result cache, which keeps no CPI stacks), prints the per-point
+//! CPI-stack tables in workload-major order, and records the profile as
+//! `multiscalar-prof/v1` JSON (default `BENCH_prof.json`; `--csv`
+//! additionally writes the flat bucket matrix). Every number in
 //! the profile is a simulated quantity, so the output is byte-identical
 //! across runs of the same build — CI `cmp`s two runs to enforce this.
 //!
@@ -25,8 +27,7 @@
 
 use ms_bench::perf::MachineSpec;
 use ms_bench::prof::{
-    diff_profiles, parse_profile, profile, profile_to_csv, profile_to_json, render_profile,
-    ProfPoint,
+    self, diff_profiles, parse_profile, profile_to_csv, profile_to_json, render_profile,
 };
 use ms_sweep::artifacts;
 use ms_workloads::cli::{parse_cli, CliArgs, CliSpec};
@@ -60,18 +61,11 @@ fn cmd_run(args: &CliArgs) {
     let suite = ms_workloads::suite(scale);
     let selected = args.workloads(&suite).unwrap_or_else(|e| usage(e));
 
-    let mut points: Vec<ProfPoint> = Vec::new();
-    for w in &selected {
-        for m in &machines {
-            match profile(w, m) {
-                Ok(p) => points.push(p),
-                Err(e) => {
-                    eprintln!("{} on {}: {e}", w.name, m.name);
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
+    let names: Vec<&str> = selected.iter().map(|w| w.name).collect();
+    let points = prof::sweep(&names, &machines, scale).unwrap_or_else(|f| {
+        eprintln!("msprof: design point failed: {f}");
+        std::process::exit(1);
+    });
 
     if !args.has("--quiet") {
         print!("{}", render_profile(&points));

@@ -6,19 +6,21 @@
 //!     [--test-scale] [--jobs N] [--json PATH] [--cache-dir DIR] [--no-cache]
 //! ```
 //!
-//! Table 3/4 regeneration runs on the `ms-sweep` engine: design points
-//! execute in parallel (`--jobs`, default = available cores; `--jobs 1`
-//! is the exact serial path) and are memoized in the on-disk result
-//! cache (default `.ms-sweep-cache`, overridable with `--cache-dir` or
-//! `$MS_SWEEP_CACHE`; `--no-cache` disables). Output is byte-identical
-//! across worker counts. `--json PATH` additionally writes the computed
-//! tables as machine-readable JSON (the `BENCH_tables.json` format).
+//! Every selector runs on the `ms-sweep` engine: the selected tables'
+//! design points are merged, a point two tables share runs once, and the
+//! points execute in parallel (`--jobs`, default = available cores;
+//! `--jobs 1` is the exact serial path) and are memoized in the on-disk
+//! result cache (default `.ms-sweep-cache`, overridable with
+//! `--cache-dir` or `$MS_SWEEP_CACHE`; `--no-cache` disables). Each
+//! table is rendered from its own points only, so the output is
+//! byte-identical across worker counts and cache states. `--json PATH`
+//! additionally writes Tables 3 and 4 as machine-readable JSON (the
+//! `BENCH_tables.json` format). A failed design point prints
+//! `design point failed: <job id>: <error>` after the tables before it
+//! and exits 1.
 
-use ms_bench::{
-    ablation, evaluate_suite, render_ablation, render_cycles, render_scaling, render_table2,
-    render_table34, table1, table2, tables_to_json, EvalRow,
-};
-use ms_sweep::{artifacts, JobFailure, SweepCache, SweepOptions};
+use ms_bench::{select, table34_rows, tables_to_json, Table};
+use ms_sweep::{artifacts, run_jobs, Job, SweepCache, SweepOptions};
 use ms_workloads::cli::{parse_cli, parsed, CliSpec};
 use ms_workloads::Scale;
 
@@ -28,8 +30,6 @@ const SPEC: CliSpec = CliSpec {
     flags: &["--test-scale", "--no-cache"],
     options: &["--jobs", "--json", "--cache-dir"],
 };
-const SELECTORS: [&str; 9] =
-    ["all", "table1", "config", "table2", "table3", "table4", "cycles", "ablation", "scaling"];
 
 fn usage(err: impl std::fmt::Display) -> ! {
     eprintln!("tables: {err}\n{USAGE}");
@@ -40,61 +40,49 @@ fn main() {
     let args = parse_cli(&SPEC, std::env::args().skip(1)).unwrap_or_else(|e| usage(e));
     let what = match args.positional.as_slice() {
         [] => "all",
-        [what] if SELECTORS.contains(&what.as_str()) => what.as_str(),
-        [what] => usage(format!("unknown selector `{what}`")),
+        [what] => what.as_str(),
         _ => usage("more than one selector named"),
     };
-    let run = |name: &str| what == "all" || what == name;
+    let selector = if what == "config" { Table::Latencies.selector() } else { what };
+    let tables: Vec<Table> =
+        Table::ALL.into_iter().filter(|t| what == "all" || selector == t.selector()).collect();
+    if tables.is_empty() {
+        usage(format!("unknown selector `{what}`"));
+    }
     let scale = if args.has("--test-scale") { Scale::Test } else { Scale::Full };
     let jobs = args.get("--jobs", parsed).unwrap_or_else(|e| usage(e)).unwrap_or(0);
     let json_path = args.value("--json");
-    if json_path.is_some() && !["all", "table3", "table4"].contains(&what) {
+    if json_path.is_some() && !tables.iter().any(|t| matches!(t, Table::Speedups { .. })) {
         usage(format!("--json requires table3 and/or table4 (selector `{what}` computes neither)"));
     }
 
+    // Tables share points (all of Table 2 is Table 3's), so each distinct
+    // point runs once; each table still reads only its own jobs, since
+    // the in-order scaling and ablation points would otherwise join
+    // Table 3's rows.
+    let own: Vec<Vec<Job>> = tables.iter().map(|t| t.jobs(scale)).collect();
+    let mut merged: Vec<Job> = Vec::new();
+    for job in own.iter().flatten() {
+        if !merged.contains(job) {
+            merged.push(job.clone());
+        }
+    }
     let opts = SweepOptions { jobs, cache: SweepCache::from_cli(&args), ..SweepOptions::default() };
-    let sweep_or_die = |ooo: bool| -> Vec<EvalRow> {
-        evaluate_suite(ooo, scale, &opts).unwrap_or_else(|f: JobFailure| {
+    let report = run_jobs(merged, &opts);
+
+    let mut rows = [None, None]; // Table 3 and Table 4, for `--json`
+    for (table, jobs) in tables.into_iter().zip(&own) {
+        let outcomes = select(&report, jobs).unwrap_or_else(|f| {
             eprintln!("design point failed: {f}");
             std::process::exit(1);
-        })
-    };
-
-    if run("table1") || run("config") {
-        println!("{}", table1());
-    }
-    if run("table2") {
-        println!("{}", render_table2(&table2(scale)));
-    }
-    let mut rows3: Option<Vec<EvalRow>> = None;
-    let mut rows4: Option<Vec<EvalRow>> = None;
-    if run("table3") {
-        let rows = sweep_or_die(false);
-        println!("{}", render_table34(&rows, false));
-        rows3 = Some(rows);
-    }
-    if run("table4") {
-        let rows = sweep_or_die(true);
-        println!("{}", render_table34(&rows, true));
-        rows4 = Some(rows);
-    }
-    if run("cycles") {
-        println!("{}", render_cycles(scale, 8));
-    }
-    if run("scaling") {
-        println!("{}", render_scaling(scale));
-    }
-    if run("ablation") {
-        for name in ["Example", "Wc", "Compress"] {
-            let Some(w) = ms_workloads::by_name(name, scale) else {
-                eprintln!("tables: ablation workload `{name}` is missing from the suite");
-                std::process::exit(1);
-            };
-            println!("{}", render_ablation(name, &ablation(&w)));
+        });
+        println!("{}", table.render(&outcomes));
+        if let Table::Speedups { ooo } = table {
+            rows[usize::from(ooo)] = Some(table34_rows(&outcomes));
         }
     }
     if let Some(path) = json_path {
-        let json = tables_to_json(rows3.as_deref(), rows4.as_deref());
+        let json = tables_to_json(rows[0].as_deref(), rows[1].as_deref());
         if let Err(e) = artifacts::write_atomic(std::path::Path::new(path), json.as_bytes()) {
             eprintln!("writing {path}: {e}");
             std::process::exit(1);

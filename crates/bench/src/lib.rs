@@ -1,22 +1,27 @@
 //! # ms-bench — the evaluation harness
 //!
-//! Regenerates the paper's evaluation artifacts:
+//! Regenerates the paper's evaluation artifacts, one [`Table`] each:
 //!
-//! * **Table 2** — dynamic instruction counts, scalar vs. multiscalar
-//!   binaries ([`table2`]),
-//! * **Table 3** — scalar IPC, 4-/8-unit speedups and task-prediction
-//!   accuracy with in-order units, 1-way and 2-way ([`evaluate_suite`]
-//!   with `ooo = false`, rendered by [`render_table34`]),
-//! * **Table 4** — the same with out-of-order units (`ooo = true`),
-//! * the **Section 3 cycle-distribution** report ([`cycle_distribution`]),
 //! * **Table 1** — the functional-unit latency configuration
-//!   ([`table1`]).
+//!   ([`table1`]),
+//! * **Table 2** — dynamic instruction counts, scalar vs. multiscalar
+//!   binaries,
+//! * **Table 3** — scalar IPC, 4-/8-unit speedups and task-prediction
+//!   accuracy with in-order units, 1-way and 2-way ([`table34_rows`],
+//!   rendered by [`render_table34`]),
+//! * **Table 4** — the same with out-of-order units,
+//! * the **Section 3 cycle-distribution** report,
+//! * and two extensions: speedup against the number of units, and the
+//!   DESIGN.md §4 ablations.
 //!
-//! Run `cargo run --release -p ms-bench --bin tables -- all` to print
-//! everything. Table 3/4 regeneration runs on the `ms-sweep` engine —
-//! parallel across design points and memoized in an on-disk cache by
-//! default (`--jobs 1` recovers the serial path; see the `mssweep` CLI
-//! for arbitrary axis sweeps).
+//! A table is a list of `ms-sweep` design points ([`Table::jobs`]) and a
+//! rendering of their outcomes ([`Table::render`]); nothing here runs a
+//! simulation itself. Run `cargo run --release -p ms-bench --bin tables
+//! -- all` to print everything: the binary merges the selected tables'
+//! points, runs each distinct point once on the `ms-sweep` engine
+//! (parallel across points and memoized in an on-disk cache by default;
+//! `--jobs 1` is the serial path), and renders each table from its own
+//! points. See the `mssweep` CLI for arbitrary axis sweeps.
 //!
 //! The [`perf`] module (and its `msperf` CLI) measures the *simulator's
 //! own* throughput — wall seconds, simulated cycles/sec — and emits
@@ -24,22 +29,23 @@
 //!
 //! The [`prof`] module (and its `msprof` CLI) profiles the *simulated*
 //! machine instead: conservation-checked CPI stacks per workload ×
-//! machine, recorded as `multiscalar-prof/v1` JSON and diffable across
-//! builds; see the "Profiling" section of the README.
+//! machine, swept on the same engine, recorded as `multiscalar-prof/v1`
+//! JSON and diffable across builds; see the "Profiling" section of the
+//! README.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 // `JobFailure` deliberately carries the whole failed `Job` (see
-// ms-sweep); each `Result` spans an entire table sweep, so the
-// Err-variant size does not matter.
+// ms-sweep); each `Result` spans an entire table, so the Err-variant
+// size does not matter.
 #![allow(clippy::result_large_err)]
 
 pub mod perf;
 pub mod prof;
 
-use ms_sweep::{run_sweep, JobFailure, JobKind, SweepOptions, SweepReport, SweepSpec};
-use ms_workloads::{by_name, suite, Scale, Workload, WorkloadError};
-use multiscalar::{RunStats, SimConfig};
+use ms_sweep::{Job, JobFailure, JobKind, JobOutcome, SweepReport, SweepSpec};
+use ms_workloads::{suite, Scale};
+use multiscalar::{ArbFullPolicy, PredictorKind, SimConfig};
 use std::fmt::Write;
 
 /// One multiscalar design point's result against a benchmark.
@@ -77,95 +83,185 @@ pub struct EvalRow {
     pub per_width: Vec<WidthResult>,
 }
 
-/// A design point that failed, identified precisely: the workload, the
-/// machine kind, and the configuration axes are all in `job`.
-#[derive(Debug)]
-pub struct EvalError {
-    /// Which design point failed, e.g. `compress ms8 w2 ooo`.
-    pub job: String,
-    /// The underlying assembly/simulation/validation failure.
-    pub source: WorkloadError,
+/// The machine of the Section 3 cycle distribution, and the workloads
+/// and unit counts of the scaling curves and the ablation (extensions
+/// beyond the paper's 4/8 design points, same machine scaling rule).
+const CYCLE_UNITS: usize = 8;
+const SCALING_WORKLOADS: [&str; 5] = ["Cmp", "Example", "Eqntott", "Compress", "Xlisp"];
+const SCALING_UNITS: [usize; 7] = [1, 2, 4, 6, 8, 12, 16];
+const ABLATION_WORKLOADS: [&str; 3] = ["Example", "Wc", "Compress"];
+
+/// The ablation's knobs of DESIGN.md §4 — ring latency, ring width,
+/// prediction scheme and ARB-overflow policy — each varied against the
+/// paper's 8-unit in-order configuration, with its row label.
+fn ablation_points() -> [(&'static str, SimConfig); 9] {
+    let base = SimConfig::multiscalar(8);
+    let tiny = |policy| SimConfig { arb_capacity: 8, ..base.arb_policy(policy) };
+    [
+        ("baseline (8u, ring=1, PAs, stall)", base),
+        ("ring latency 2", base.ring_latency(2)),
+        ("ring latency 4", base.ring_latency(4)),
+        ("ring width 4", base.ring_width(4)),
+        ("static prediction", base.predictor(PredictorKind::StaticFirstTarget)),
+        ("last-outcome prediction", base.predictor(PredictorKind::LastOutcome)),
+        ("ARB overflow: squash", base.arb_policy(ArbFullPolicy::Squash)),
+        ("tiny ARB (8 lines/bank), stall", tiny(ArbFullPolicy::Stall)),
+        ("tiny ARB (8 lines/bank), squash", tiny(ArbFullPolicy::Squash)),
+    ]
 }
 
-impl std::fmt::Display for EvalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.job, self.source)
+fn job(workload: &str, scale: Scale, kind: JobKind, cfg: SimConfig) -> Job {
+    Job { workload: workload.to_string(), scale, kind, cfg, partition: None }
+}
+
+/// Per workload in `names`: the scalar baseline, then `cfgs` on the
+/// multiscalar machine.
+fn curves<'a>(
+    names: impl IntoIterator<Item = &'a str>,
+    scale: Scale,
+    cfgs: impl Iterator<Item = SimConfig> + Clone,
+) -> Vec<Job> {
+    let mut jobs = Vec::new();
+    for name in names {
+        jobs.push(job(name, scale, JobKind::Scalar, SimConfig::scalar()));
+        jobs.extend(cfgs.clone().map(|cfg| job(name, scale, JobKind::Multiscalar, cfg)));
     }
+    jobs
 }
 
-impl std::error::Error for EvalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
+/// One of the artifacts the `tables` binary prints, in print order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Table {
+    /// Table 1: the functional-unit latencies (no design points).
+    Latencies,
+    /// Table 2: scalar-binary vs. 4-unit multiscalar-binary counts.
+    Counts,
+    /// Table 3 (in-order units) or Table 4 (`ooo`).
+    Speedups {
+        /// Out-of-order units (Table 4).
+        ooo: bool,
+    },
+    /// The Section 3 cycle distribution on 8 units.
+    Cycles,
+    /// Speedup against 1 to 16 units for five workloads.
+    Scaling,
+    /// The DESIGN.md §4 ablation on three workloads.
+    Ablation,
 }
 
-/// Runs the sweep behind Table 3 (`ooo = false`) or Table 4
-/// (`ooo = true`) for one benchmark, serially in the calling thread.
-///
-/// # Errors
-/// Returns the first design point that fails assembly, simulation, or
-/// output validation, identified by workload and configuration — the
-/// harness never reports numbers from an unvalidated run.
-pub fn evaluate_workload(
-    w: &Workload,
-    ooo: bool,
-    widths: &[usize],
-    unit_counts: &[usize],
-) -> Result<EvalRow, EvalError> {
-    let order = if ooo { "ooo" } else { "inorder" };
-    let mut per_width = Vec::new();
-    for &width in widths {
-        let scfg = SimConfig::scalar().issue(width).out_of_order(ooo);
-        let s = w.run_scalar(scfg).map_err(|source| EvalError {
-            job: format!("{} scalar w{width} {order}", w.name),
-            source,
-        })?;
-        let mut multi = Vec::new();
-        for &units in unit_counts {
-            let mcfg = SimConfig::multiscalar(units).issue(width).out_of_order(ooo);
-            let m = w.run_multiscalar(mcfg).map_err(|source| EvalError {
-                job: format!("{} ms{units} w{width} {order}", w.name),
-                source,
-            })?;
-            multi.push(MultiResult {
-                units,
-                speedup: s.cycles as f64 / m.cycles as f64,
-                pred: m.prediction_accuracy(),
-                cycles: m.cycles,
-            });
+impl Table {
+    /// Every table, in the order `tables all` prints them.
+    pub const ALL: [Table; 7] = [
+        Table::Latencies,
+        Table::Counts,
+        Table::Speedups { ooo: false },
+        Table::Speedups { ooo: true },
+        Table::Cycles,
+        Table::Scaling,
+        Table::Ablation,
+    ];
+
+    /// The `tables` selector that prints this table alone.
+    pub fn selector(self) -> &'static str {
+        match self {
+            Table::Latencies => "table1",
+            Table::Counts => "table2",
+            Table::Speedups { ooo: false } => "table3",
+            Table::Speedups { ooo: true } => "table4",
+            Table::Cycles => "cycles",
+            Table::Scaling => "scaling",
+            Table::Ablation => "ablation",
         }
-        per_width.push(WidthResult { width, scalar_ipc: s.ipc(), scalar_cycles: s.cycles, multi });
     }
-    Ok(EvalRow { name: w.name.to_string(), per_width })
+
+    /// The design points this table reads, in the order
+    /// [`Table::render`] takes their outcomes. Tables share points (all
+    /// of Table 2 and of the cycle distribution are Table 3 points), so a
+    /// caller printing several tables runs each distinct job once.
+    pub fn jobs(self, scale: Scale) -> Vec<Job> {
+        let names = || suite(scale).into_iter().map(|w| w.name);
+        match self {
+            Table::Latencies => Vec::new(),
+            Table::Counts => curves(names(), scale, [SimConfig::multiscalar(4)].into_iter()),
+            Table::Speedups { ooo } => SweepSpec::table34(scale, ooo).expand(),
+            Table::Cycles => names()
+                .map(|w| job(w, scale, JobKind::Multiscalar, SimConfig::multiscalar(CYCLE_UNITS)))
+                .collect(),
+            Table::Scaling => curves(
+                SCALING_WORKLOADS,
+                scale,
+                SCALING_UNITS.into_iter().map(SimConfig::multiscalar),
+            ),
+            Table::Ablation => {
+                curves(ABLATION_WORKLOADS, scale, ablation_points().into_iter().map(|(_, c)| c))
+            }
+        }
+    }
+
+    /// Renders the table from the outcomes of its own [`Table::jobs`],
+    /// in that order.
+    pub fn render(self, outcomes: &[&JobOutcome]) -> String {
+        match self {
+            Table::Latencies => table1(),
+            Table::Counts => render_table2(outcomes),
+            Table::Speedups { ooo } => render_table34(&table34_rows(outcomes), ooo),
+            Table::Cycles => render_cycles(outcomes),
+            Table::Scaling => render_scaling(outcomes),
+            Table::Ablation => render_ablation(outcomes),
+        }
+    }
 }
 
-/// Assembles Table 3/4 rows from a sweep report (the outcomes of a
-/// [`SweepSpec`] that included scalar baselines). Rows keep the report's
-/// workload order; widths and unit counts keep their order of appearance.
+/// The outcomes of `jobs`, in their order, out of a `report` that ran
+/// them among other points: how each table reads its own points from the
+/// one sweep that `tables` runs for all of them.
 ///
 /// # Errors
-/// Returns the first failed design point whose issue order matches
-/// `ooo`, with its full job identity.
-pub fn rows_from_sweep(report: &SweepReport, ooo: bool) -> Result<Vec<EvalRow>, JobFailure> {
-    if let Some(f) = report.failures().find(|f| f.job.cfg.ooo == ooo) {
-        return Err(f.clone());
-    }
-    // Scalar baselines per (workload, width).
-    let scalars: Vec<(&str, usize, &RunStats)> = report
-        .successes()
-        .filter(|o| o.job.kind == JobKind::Scalar && o.job.cfg.ooo == ooo)
-        .map(|o| (o.job.workload.as_str(), o.job.cfg.issue_width, &o.stats))
-        .collect();
+/// Returns the first of `jobs` that failed, with its job identity.
+///
+/// # Panics
+/// Panics if `report` holds no outcome for one of `jobs`.
+pub fn select<'r>(
+    report: &'r SweepReport,
+    jobs: &[Job],
+) -> Result<Vec<&'r JobOutcome>, JobFailure> {
+    jobs.iter()
+        .map(|job| {
+            report
+                .outcomes
+                .iter()
+                .find(|o| o.as_ref().map_or_else(|f| &f.job, |o| &o.job) == job)
+                .unwrap_or_else(|| panic!("the sweep ran no {}", job.id()))
+                .as_ref()
+                .map_err(JobFailure::clone)
+        })
+        .collect()
+}
+
+fn speedup(scalar: &JobOutcome, multi: &JobOutcome) -> f64 {
+    scalar.stats.cycles as f64 / multi.stats.cycles as f64
+}
+
+/// Assembles Table 3/4 rows from successful outcomes of one issue order
+/// that include the scalar baselines. Rows keep the outcomes' workload
+/// order; widths and unit counts keep their order of appearance.
+///
+/// # Panics
+/// Panics if a multiscalar point has no scalar baseline at its width.
+pub fn table34_rows(outcomes: &[&JobOutcome]) -> Vec<EvalRow> {
     let mut rows: Vec<EvalRow> = Vec::new();
-    for o in report.successes() {
-        if o.job.kind != JobKind::Multiscalar || o.job.cfg.ooo != ooo {
-            continue;
-        }
+    for o in outcomes.iter().filter(|o| o.job.kind == JobKind::Multiscalar) {
         let width = o.job.cfg.issue_width;
-        let &(_, _, s) =
-            scalars.iter().find(|(w, wd, _)| *w == o.job.workload && *wd == width).unwrap_or_else(
-                || panic!("sweep is missing the scalar baseline for {} w{width}", o.job.workload),
-            );
+        let s = outcomes
+            .iter()
+            .find(|s| {
+                s.job.kind == JobKind::Scalar
+                    && s.job.workload == o.job.workload
+                    && s.job.cfg.issue_width == width
+            })
+            .unwrap_or_else(|| {
+                panic!("sweep is missing the scalar baseline for {} w{width}", o.job.workload)
+            });
         let row = match rows.iter_mut().find(|r| r.name == o.job.workload) {
             Some(r) => r,
             None => {
@@ -178,8 +274,8 @@ pub fn rows_from_sweep(report: &SweepReport, ooo: bool) -> Result<Vec<EvalRow>, 
             None => {
                 row.per_width.push(WidthResult {
                     width,
-                    scalar_ipc: s.ipc(),
-                    scalar_cycles: s.cycles,
+                    scalar_ipc: s.stats.ipc(),
+                    scalar_cycles: s.stats.cycles,
                     multi: Vec::new(),
                 });
                 row.per_width.last_mut().expect("just pushed")
@@ -187,27 +283,27 @@ pub fn rows_from_sweep(report: &SweepReport, ooo: bool) -> Result<Vec<EvalRow>, 
         };
         wres.multi.push(MultiResult {
             units: o.job.cfg.units,
-            speedup: s.cycles as f64 / o.stats.cycles as f64,
+            speedup: speedup(s, o),
             pred: o.stats.prediction_accuracy(),
             cycles: o.stats.cycles,
         });
     }
-    Ok(rows)
+    rows
 }
 
-/// Runs the Table 3 (`ooo = false`) or Table 4 (`ooo = true`) sweep for
-/// the whole suite on the `ms-sweep` engine — parallel across design
-/// points and served from the result cache where possible, with row
-/// assembly independent of worker count.
+/// Assembles Table 3/4 rows from a sweep report (the outcomes of a
+/// [`SweepSpec`] that included scalar baselines), from its points whose
+/// issue order is `ooo`; see [`table34_rows`].
 ///
 /// # Errors
-/// Returns the first failed design point with its job identity.
-pub fn evaluate_suite(
-    ooo: bool,
-    scale: Scale,
-    opts: &SweepOptions,
-) -> Result<Vec<EvalRow>, JobFailure> {
-    rows_from_sweep(&run_sweep(&SweepSpec::table34(scale, ooo), opts), ooo)
+/// Returns the first failed design point whose issue order matches
+/// `ooo`, with its full job identity.
+pub fn rows_from_sweep(report: &SweepReport, ooo: bool) -> Result<Vec<EvalRow>, JobFailure> {
+    if let Some(f) = report.failures().find(|f| f.job.cfg.ooo == ooo) {
+        return Err(f.clone());
+    }
+    let outcomes: Vec<&JobOutcome> = report.successes().filter(|o| o.job.cfg.ooo == ooo).collect();
+    Ok(table34_rows(&outcomes))
 }
 
 /// Renders Table 3/4 in the paper's layout.
@@ -308,50 +404,9 @@ pub fn tables_to_json(table3: Option<&[EvalRow]>, table4: Option<&[EvalRow]>) ->
     out
 }
 
-/// One row of Table 2.
-#[derive(Clone, Debug)]
-pub struct CountRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Scalar-binary dynamic instruction count.
-    pub scalar: u64,
-    /// Multiscalar-binary dynamic instruction count.
-    pub multiscalar: u64,
-}
-
-impl CountRow {
-    /// Percentage increase of the multiscalar binary's dynamic count.
-    pub fn increase(&self) -> f64 {
-        if self.scalar == 0 {
-            0.0
-        } else {
-            100.0 * (self.multiscalar as f64 - self.scalar as f64) / self.scalar as f64
-        }
-    }
-}
-
-/// Runs the Table-2 comparison: dynamic instruction counts of the scalar
-/// binary vs. the multiscalar binary built from the same source.
-///
-/// # Panics
-/// Panics if a run fails or produces wrong outputs.
-pub fn table2(scale: Scale) -> Vec<CountRow> {
-    suite(scale)
-        .iter()
-        .map(|w| {
-            let s = w
-                .run_scalar(SimConfig::scalar())
-                .unwrap_or_else(|e| panic!("{} scalar: {e}", w.name));
-            let m = w
-                .run_multiscalar(SimConfig::multiscalar(4))
-                .unwrap_or_else(|e| panic!("{} ms: {e}", w.name));
-            CountRow { name: w.name, scalar: s.instructions, multiscalar: m.instructions }
-        })
-        .collect()
-}
-
-/// Renders Table 2 in the paper's layout.
-pub fn render_table2(rows: &[CountRow]) -> String {
+/// Renders Table 2 from its points: per workload, the scalar run, then
+/// the 4-unit run.
+fn render_table2(outcomes: &[&JobOutcome]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Table 2: Benchmark Instruction Counts");
     let _ = writeln!(
@@ -359,47 +414,40 @@ pub fn render_table2(rows: &[CountRow]) -> String {
         "{:10} | {:>12} {:>12} {:>9}",
         "Program", "Scalar", "Multiscalar", "Increase"
     );
-    for r in rows {
+    for pair in outcomes.chunks_exact(2) {
+        let (scalar, multi) = (pair[0].stats.instructions, pair[1].stats.instructions);
+        let increase =
+            if scalar == 0 { 0.0 } else { 100.0 * (multi as f64 - scalar as f64) / scalar as f64 };
         let _ = writeln!(
             out,
             "{:10} | {:>12} {:>12} {:>8.1}%",
-            r.name,
-            r.scalar,
-            r.multiscalar,
-            r.increase()
+            pair[0].job.workload, scalar, multi, increase
         );
     }
     out
 }
 
-/// Runs one benchmark on an 8-unit in-order multiscalar processor and
-/// returns the Section-3 cycle-distribution report.
-///
-/// # Panics
-/// Panics if the run fails or produces wrong outputs.
-pub fn cycle_distribution(w: &Workload, units: usize) -> RunStats {
-    w.run_multiscalar(SimConfig::multiscalar(units)).unwrap_or_else(|e| panic!("{}: {e}", w.name))
-}
-
-/// Renders the cycle-distribution report for the whole suite.
-pub fn render_cycles(scale: Scale, units: usize) -> String {
+/// Renders the cycle-distribution report from one 8-unit run per
+/// workload.
+fn render_cycles(outcomes: &[&JobOutcome]) -> String {
     let mut out = String::new();
-    let _ =
-        writeln!(out, "Section 3 cycle distribution ({units}-unit multiscalar, 1-way in-order)\n");
+    let _ = writeln!(
+        out,
+        "Section 3 cycle distribution ({CYCLE_UNITS}-unit multiscalar, 1-way in-order)\n"
+    );
     let _ = writeln!(
         out,
         "{:10} {:>8} {:>9} {:>7} {:>7} {:>7} {:>6} {:>6}",
         "Program", "useful", "nonuseful", "inter", "intra", "retire", "arb", "idle"
     );
-    for w in suite(scale) {
-        let st = cycle_distribution(&w, units);
-        let b = st.breakdown;
+    for o in outcomes {
+        let b = o.stats.breakdown;
         let t = b.total().max(1) as f64;
         let pct = |v: u64| 100.0 * v as f64 / t;
         let _ = writeln!(
             out,
             "{:10} {:>7.1}% {:>8.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>5.1}% {:>5.1}%",
-            w.name,
+            o.job.workload,
             pct(b.useful),
             pct(b.non_useful),
             pct(b.no_comp_inter_task),
@@ -412,10 +460,59 @@ pub fn render_cycles(scale: Scale, units: usize) -> String {
     out
 }
 
+/// Renders the scaling curves: per workload, the scalar run, then one
+/// run per unit count.
+fn render_scaling(outcomes: &[&JobOutcome]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "Speedup vs. processing units (1-way in-order)\n");
+    let _ = write!(out, "{:10}", "Program");
+    for u in SCALING_UNITS {
+        let _ = write!(out, " {u:>6}");
+    }
+    let _ = writeln!(out);
+    for curve in outcomes.chunks_exact(1 + SCALING_UNITS.len()) {
+        let _ = write!(out, "{:10}", curve[0].job.workload);
+        for m in &curve[1..] {
+            let _ = write!(out, " {:>6.2}", speedup(curve[0], m));
+        }
+        let _ = writeln!(out);
+    }
+    out
+}
+
+/// Renders one ablation table per workload: per workload, the scalar
+/// run, then one run per ablation point.
+fn render_ablation(outcomes: &[&JobOutcome]) -> String {
+    let points = ablation_points();
+    let mut tables = Vec::new();
+    for runs in outcomes.chunks_exact(1 + points.len()) {
+        let mut out = String::new();
+        let _ = writeln!(out, "Ablation: {} (8-unit, 1-way, in-order)", runs[0].job.workload);
+        let _ = writeln!(
+            out,
+            "{:38} {:>8} {:>7} {:>9}",
+            "configuration", "speedup", "pred", "squashes"
+        );
+        for ((label, _), m) in points.iter().zip(&runs[1..]) {
+            let s = &m.stats;
+            let _ = writeln!(
+                out,
+                "{:38} {:>8.2} {:>6.1}% {:>9}",
+                label,
+                speedup(runs[0], m),
+                100.0 * s.prediction_accuracy(),
+                s.control_squashes + s.memory_squashes + s.arb_squashes
+            );
+        }
+        tables.push(out);
+    }
+    tables.join("\n")
+}
+
 /// Renders Table 1 (the functional-unit latency configuration actually
 /// used by the simulator).
 pub fn table1() -> String {
-    let t = ms_pipeline_latency_table();
+    let t = SimConfig::scalar().latencies;
     format!(
         "Table 1: Functional Unit Latencies\n\
          Integer                     Float\n\
@@ -442,64 +539,89 @@ pub fn table1() -> String {
     )
 }
 
-fn ms_pipeline_latency_table() -> ms_pipeline::LatencyTable {
-    SimConfig::scalar().latencies
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ms_sweep::{run_jobs, run_sweep, SweepOptions};
+
+    /// Runs `table`'s own points at test scale and renders it.
+    fn render_alone(table: Table) -> String {
+        let jobs = table.jobs(Scale::Test);
+        let report = run_jobs(jobs.clone(), &SweepOptions::default());
+        table.render(&select(&report, &jobs).expect("every point succeeds"))
+    }
 
     #[test]
     fn table2_rows_have_positive_increase_shape() {
-        let rows = table2(Scale::Test);
-        assert_eq!(rows.len(), 10);
-        for r in &rows {
-            assert!(r.multiscalar >= r.scalar, "{}", r.name);
-            assert!(r.increase() >= 0.0);
+        let rendered = render_alone(Table::Counts);
+        let rows: Vec<&str> = rendered.lines().skip(2).collect();
+        assert_eq!(rows.len(), 10, "{rendered}");
+        for row in rows {
+            let increase = row.split_whitespace().last().unwrap().trim_end_matches('%');
+            assert!(increase.parse::<f64>().unwrap() >= 0.0, "{row}");
         }
-        let rendered = render_table2(&rows);
         assert!(rendered.contains("Example"));
         assert!(rendered.contains("Compress"));
     }
 
     #[test]
     fn table3_one_row_renders() {
-        let w = ms_workloads::by_name("Wc", Scale::Test).unwrap();
-        let row = evaluate_workload(&w, false, &[1], &[4]).expect("Wc evaluates");
-        assert_eq!(row.per_width.len(), 1);
-        assert!(row.per_width[0].scalar_ipc > 0.0);
-        assert!(row.per_width[0].multi[0].speedup > 0.5);
-        let s = render_table34(&[row], false);
+        let spec = SweepSpec {
+            workloads: vec!["Wc".into()],
+            widths: vec![1],
+            unit_counts: vec![4],
+            ..SweepSpec::table34(Scale::Test, false)
+        };
+        let rows = rows_from_sweep(&run_sweep(&spec, &SweepOptions::default()), false).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].per_width.len(), 1);
+        assert!(rows[0].per_width[0].scalar_ipc > 0.0);
+        assert!(rows[0].per_width[0].multi[0].speedup > 0.5);
+        let s = render_table34(&rows, false);
         assert!(s.contains("Table 3"));
         assert!(s.contains("Wc"));
     }
 
+    /// The scaling and ablation points are in-order multiscalar points
+    /// too; a table read from a merged report must take only its own.
     #[test]
-    fn sweep_rows_match_the_direct_serial_path() {
-        let spec = SweepSpec {
-            workloads: vec!["Wc".into(), "Cmp".into()],
-            widths: vec![1],
-            unit_counts: vec![4, 8],
-            ..SweepSpec::table34(Scale::Test, false)
-        };
-        let report = run_sweep(&spec, &SweepOptions { jobs: 1, ..SweepOptions::default() });
-        let rows = rows_from_sweep(&report, false).expect("sweep succeeds");
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            let w = ms_workloads::by_name(&row.name, Scale::Test).unwrap();
-            let direct = evaluate_workload(&w, false, &[1], &[4, 8]).unwrap();
+    fn each_table_reads_only_its_own_points_from_a_merged_sweep() {
+        let tables = [Table::Speedups { ooo: false }, Table::Scaling, Table::Cycles];
+        let own: Vec<Vec<Job>> = tables.iter().map(|t| t.jobs(Scale::Test)).collect();
+        let mut merged: Vec<Job> = Vec::new();
+        for j in own.iter().flatten() {
+            if !merged.contains(j) {
+                merged.push(j.clone());
+            }
+        }
+        assert!(merged.len() < own.iter().map(Vec::len).sum(), "the tables share points");
+        let report = run_jobs(merged, &SweepOptions { jobs: 2, ..SweepOptions::default() });
+        for (table, jobs) in tables.into_iter().zip(&own) {
             assert_eq!(
-                render_table34(&[direct], false),
-                render_table34(std::slice::from_ref(row), false)
+                table.render(&select(&report, jobs).unwrap()),
+                render_alone(table),
+                "{table:?}"
             );
         }
+        let t3 = &own[0];
+        assert_eq!(
+            table34_rows(&select(&report, t3).unwrap()).len(),
+            10,
+            "one Table 3 row per workload"
+        );
     }
 
     #[test]
     fn tables_json_is_deterministic_and_shaped() {
-        let w = ms_workloads::by_name("Wc", Scale::Test).unwrap();
-        let row = evaluate_workload(&w, false, &[1], &[4]).unwrap();
+        let row = EvalRow {
+            name: "Wc".into(),
+            per_width: vec![WidthResult {
+                width: 1,
+                scalar_ipc: 0.5,
+                scalar_cycles: 100,
+                multi: vec![MultiResult { units: 4, speedup: 1.25, pred: 0.9, cycles: 80 }],
+            }],
+        };
         let j1 = tables_to_json(Some(std::slice::from_ref(&row)), None);
         let j2 = tables_to_json(Some(std::slice::from_ref(&row)), None);
         assert_eq!(j1, j2);
@@ -509,16 +631,18 @@ mod tests {
     }
 
     #[test]
-    fn eval_error_carries_job_identity() {
-        // An impossible cycle bound produces a real WorkloadError; the
-        // EvalError wrapper must surface the design point identity.
-        let w = ms_workloads::by_name("Wc", Scale::Test).unwrap();
-        let source =
-            w.run_multiscalar(SimConfig::multiscalar(4).max_cycles(1)).expect_err("must fail");
-        let e = EvalError { job: "Wc ms4 w1 inorder".into(), source };
-        let msg = e.to_string();
-        assert!(msg.starts_with("Wc ms4 w1 inorder: "), "{msg}");
-        assert!(std::error::Error::source(&e).is_some());
+    fn failed_point_carries_job_identity() {
+        // An impossible cycle bound produces a real failure; selecting the
+        // point must surface its design-point identity.
+        let jobs = vec![job(
+            "Wc",
+            Scale::Test,
+            JobKind::Multiscalar,
+            SimConfig::multiscalar(4).max_cycles(1),
+        )];
+        let report = run_jobs(jobs.clone(), &SweepOptions::default());
+        let msg = select(&report, &jobs).expect_err("must fail").to_string();
+        assert!(msg.starts_with("wc@test/ms4/w1/inorder: "), "{msg}");
     }
 
     #[test]
@@ -531,117 +655,9 @@ mod tests {
 
     #[test]
     fn cycles_report_covers_suite() {
-        let s = render_cycles(Scale::Test, 4);
+        let s = render_alone(Table::Cycles);
         for name in ["Compress", "Xlisp", "Example"] {
             assert!(s.contains(name), "{s}");
         }
     }
-}
-
-/// One ablation data point.
-#[derive(Clone, Debug)]
-pub struct AblationRow {
-    /// Knob description.
-    pub config: String,
-    /// Speedup over the default-config scalar baseline.
-    pub speedup: f64,
-    /// Task-prediction accuracy.
-    pub pred: f64,
-    /// Squashes (control + memory + ARB).
-    pub squashes: u64,
-}
-
-/// Runs the design-space ablation of DESIGN.md §4 on one workload:
-/// ring latency, ring width, prediction scheme, and ARB-overflow policy,
-/// each varied against the paper's 8-unit in-order configuration.
-///
-/// # Panics
-/// Panics if any run fails (all runs validate outputs).
-pub fn ablation(w: &Workload) -> Vec<AblationRow> {
-    use multiscalar::{ArbFullPolicy, PredictorKind};
-    let s = w.run_scalar(SimConfig::scalar()).expect("scalar baseline");
-    let mut rows = Vec::new();
-    let mut point = |name: &str, cfg: SimConfig| {
-        let m = w.run_multiscalar(cfg).unwrap_or_else(|e| panic!("{} [{name}]: {e}", w.name));
-        rows.push(AblationRow {
-            config: name.to_string(),
-            speedup: s.cycles as f64 / m.cycles as f64,
-            pred: m.prediction_accuracy(),
-            squashes: m.control_squashes + m.memory_squashes + m.arb_squashes,
-        });
-    };
-    let base = SimConfig::multiscalar(8);
-    point("baseline (8u, ring=1, PAs, stall)", base);
-    point("ring latency 2", base.ring_latency(2));
-    point("ring latency 4", base.ring_latency(4));
-    point("ring width 4", base.ring_width(4));
-    point("static prediction", base.predictor(PredictorKind::StaticFirstTarget));
-    point("last-outcome prediction", base.predictor(PredictorKind::LastOutcome));
-    point("ARB overflow: squash", base.arb_policy(ArbFullPolicy::Squash));
-    let mut tiny = base;
-    tiny.arb_capacity = 8;
-    point("tiny ARB (8 lines/bank), stall", tiny);
-    let mut tiny_squash = base.arb_policy(ArbFullPolicy::Squash);
-    tiny_squash.arb_capacity = 8;
-    point("tiny ARB (8 lines/bank), squash", tiny_squash);
-    rows
-}
-
-/// Renders an ablation table.
-pub fn render_ablation(name: &str, rows: &[AblationRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Ablation: {name} (8-unit, 1-way, in-order)");
-    let _ =
-        writeln!(out, "{:38} {:>8} {:>7} {:>9}", "configuration", "speedup", "pred", "squashes");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:38} {:>8.2} {:>6.1}% {:>9}",
-            r.config,
-            r.speedup,
-            100.0 * r.pred,
-            r.squashes
-        );
-    }
-    out
-}
-
-/// Speedup-vs-units scaling curve (an extension beyond the paper's 4/8
-/// design points, using the same machine scaling rule: 2 x units banks).
-///
-/// # Panics
-/// Panics if any run fails (all runs validate outputs).
-pub fn scaling(w: &Workload, unit_counts: &[usize]) -> Vec<(usize, f64)> {
-    let s = w.run_scalar(SimConfig::scalar()).expect("scalar baseline");
-    unit_counts
-        .iter()
-        .map(|&u| {
-            let m = w
-                .run_multiscalar(SimConfig::multiscalar(u))
-                .unwrap_or_else(|e| panic!("{} @{u}: {e}", w.name));
-            (u, s.cycles as f64 / m.cycles as f64)
-        })
-        .collect()
-}
-
-/// Renders the scaling curves for a few representative workloads.
-pub fn render_scaling(scale: Scale) -> String {
-    let units = [1usize, 2, 4, 6, 8, 12, 16];
-    let mut out = String::new();
-    let _ = writeln!(out, "Speedup vs. processing units (1-way in-order)\n");
-    let _ = write!(out, "{:10}", "Program");
-    for u in units {
-        let _ = write!(out, " {u:>6}");
-    }
-    let _ = writeln!(out);
-    for name in ["Cmp", "Example", "Eqntott", "Compress", "Xlisp"] {
-        let w = by_name(name, scale).expect("workload");
-        let curve = scaling(&w, &units);
-        let _ = write!(out, "{:10}", name);
-        for (_, sp) in curve {
-            let _ = write!(out, " {sp:>6.2}");
-        }
-        let _ = writeln!(out);
-    }
-    out
 }

@@ -1,14 +1,14 @@
 //! CPI-stack profiling (the `msprof` harness).
 //!
 //! Where [`crate::perf`] times the simulator itself, this module profiles
-//! the *simulated machine*: it runs a workload × machine matrix with a
-//! live [`multiscalar::CpiAccountant`] and reports where every unit-cycle
-//! went — the conservation-checked CPI stack of
-//! [`multiscalar::trace::CpiStack`]. All outputs are byte-deterministic
-//! for a given build, workload set and machine set (they contain only
-//! simulated quantities, never wall times), so two `msprof` runs can be
-//! `cmp`'d and profiles recorded before and after a change can be
-//! diffed.
+//! the *simulated machine*: it sweeps a workload × machine matrix on the
+//! `ms-sweep` engine with a live [`multiscalar::CpiAccountant`] per point
+//! and reports where every unit-cycle went — the conservation-checked CPI
+//! stack of [`multiscalar::trace::CpiStack`]. All outputs are
+//! byte-deterministic for a given build, workload set and machine set
+//! (they contain only simulated quantities, never wall times), so two
+//! `msprof` runs can be `cmp`'d and profiles recorded before and after a
+//! change can be diffed.
 //!
 //! ## `msprof` JSON schema (`multiscalar-prof/v1`)
 //!
@@ -32,11 +32,11 @@
 //! recorded profiles.
 
 use crate::perf::MachineSpec;
+use ms_sweep::{run_jobs, Job, JobFailure, JobKind, SweepOptions};
 use ms_trace::json;
 use ms_trace::jsonv::{self, JsonValue};
 use ms_trace::{CpiStack, StallReason};
-use ms_workloads::{Workload, WorkloadError};
-use multiscalar::CpiAccountant;
+use ms_workloads::Scale;
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into [`profile_to_json`] output.
@@ -53,32 +53,51 @@ pub struct ProfPoint {
     pub cpi: CpiStack,
 }
 
-/// Profiles one workload on one multiscalar machine.
+/// Profiles every workload in `workloads` on every machine in
+/// `machines`, workload-major, on the `ms-sweep` engine: each point runs
+/// with a live cycle accountant ([`SweepOptions::cpi`]) and without the
+/// result cache, whose entries carry no CPI stack.
 ///
-/// The run is validated against the workload's reference outputs (like
-/// every other run path) and the returned stack is conservation-checked
+/// Every run is validated against the workload's reference outputs (like
+/// every other run path) and every returned stack is conservation-checked
 /// — a violation is a simulator bug and panics rather than producing a
 /// silently wrong profile.
 ///
 /// # Errors
-/// Propagates assembly/simulation/validation failures.
+/// Returns the first failed design point with its job identity.
 ///
 /// # Panics
-/// Panics if `m` is the scalar baseline (it has no unit queue to
+/// Panics if a machine is the scalar baseline (it has no unit queue to
 /// profile) or if cycle accounting lost a unit-cycle.
-pub fn profile(w: &Workload, m: &MachineSpec) -> Result<ProfPoint, WorkloadError> {
-    assert!(m.multiscalar, "msprof profiles multiscalar machines; `{}` is scalar", m.name);
-    let stats = w.run_multiscalar_with_sink(m.cfg, CpiAccountant::new()).0?;
-    let cpi = stats.cpi.expect("a live accountant always yields a stack");
-    assert!(
-        cpi.conservation_holds(),
-        "{} on {}: CPI conservation violated — accounted {} of {} unit-cycles",
-        w.name,
-        m.name,
-        cpi.accounted_unit_cycles(),
-        cpi.total_unit_cycles()
-    );
-    Ok(ProfPoint { workload: w.name.to_string(), machine: m.name.clone(), cpi })
+pub fn sweep(
+    workloads: &[&str],
+    machines: &[MachineSpec],
+    scale: Scale,
+) -> Result<Vec<ProfPoint>, JobFailure> {
+    let points: Vec<(&str, &MachineSpec)> =
+        workloads.iter().flat_map(|&w| machines.iter().map(move |m| (w, m))).collect();
+    let jobs = points.iter().map(|&(workload, m)| {
+        assert!(m.multiscalar, "msprof profiles multiscalar machines; `{}` is scalar", m.name);
+        let kind = JobKind::Multiscalar;
+        Job { workload: workload.to_string(), scale, kind, cfg: m.cfg, partition: None }
+    });
+    let opts = SweepOptions { cpi: true, ..SweepOptions::default() };
+    Ok(run_jobs(jobs.collect(), &opts)
+        .into_results()?
+        .into_iter()
+        .zip(points)
+        .map(|(o, (workload, m))| {
+            let cpi = o.stats.cpi.expect("a live accountant always yields a stack");
+            assert!(
+                cpi.conservation_holds(),
+                "{workload} on {}: CPI conservation violated — accounted {} of {} unit-cycles",
+                m.name,
+                cpi.accounted_unit_cycles(),
+                cpi.total_unit_cycles()
+            );
+            ProfPoint { workload: workload.to_string(), machine: m.name.clone(), cpi }
+        })
+        .collect())
 }
 
 /// Renders profiled points as the `multiscalar-prof/v1` JSON document.
@@ -308,12 +327,10 @@ pub fn diff_profiles(old: &RecordedProfile, new: &RecordedProfile) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ms_workloads::Scale;
 
     fn point() -> ProfPoint {
-        let w = ms_workloads::by_name("Wc", Scale::Test).unwrap();
         let m = MachineSpec::parse("ms4").unwrap();
-        profile(&w, &m).unwrap()
+        sweep(&["Wc"], &[m], Scale::Test).unwrap().remove(0)
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! binary can be verified before it ever runs:
 //!
 //! * every statically reachable task exit appears among its descriptor's
-//!   targets,
+//!   targets, `halt` reached inside a suppressed call included,
 //! * control never falls through into another task's entry without a stop
 //!   bit,
 //! * every forwarded (`!f`) or released register — including inside
@@ -20,8 +20,9 @@
 //!   releases).
 //!
 //! Functions reached by `jal` are summarized once (writes, forwards,
-//! releases, whether they return) and the summaries are folded into each
-//! calling task, so recursion and shared helpers are handled.
+//! releases, whether they return, whether they halt) and the summaries
+//! are folded into each calling task, so recursion and shared helpers are
+//! handled.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

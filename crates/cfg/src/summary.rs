@@ -3,9 +3,9 @@
 //! "A task should be free to contain function calls" (paper Section
 //! 3.2.3), and a function executed entirely inside a task is the paper's
 //! *suppressed* function. To check a task's annotations we need each
-//! callee's effects: the registers it may write, forward and release, and
-//! whether it can return. Summaries are computed to a fixpoint, so mutual
-//! recursion converges.
+//! callee's effects: the registers it may write, forward and release,
+//! whether it can return, and whether it can end the program. Summaries
+//! are computed to a fixpoint, so mutual recursion converges.
 
 use crate::taskcheck::{edges, StaticExit};
 use ms_isa::{Op, Program, RegMask, StopCond};
@@ -25,6 +25,9 @@ pub struct FnSummary {
     pub releases: RegMask,
     /// Whether a path reaches `jr $31` at the function's own call depth.
     pub returns: bool,
+    /// Whether the function or a function it calls reaches `halt`: a
+    /// call to it can end the calling task at the program's end.
+    pub halts: bool,
     /// Functions this one calls directly.
     pub calls: BTreeSet<u32>,
     /// PCs of stop-tagged instructions inside the function (a task ending
@@ -62,6 +65,7 @@ fn walk_function(prog: &Program, entry: u32) -> FnSummary {
         if let Op::Release { regs } = instr.op {
             s.releases = s.releases.union(regs.to_mask());
         }
+        s.halts |= matches!(instr.op, Op::Halt);
         if instr.tags.stop != StopCond::None {
             s.internal_stops.push(pc);
         }
@@ -104,10 +108,12 @@ pub fn summarize_functions(prog: &Program) -> BTreeMap<u32, FnSummary> {
                     let w = s.writes.union(c.writes);
                     let f = s.forwards.union(c.forwards);
                     let r = s.releases.union(c.releases);
-                    if w != s.writes || f != s.forwards || r != s.releases {
+                    if w != s.writes || f != s.forwards || r != s.releases || (c.halts && !s.halts)
+                    {
                         s.writes = w;
                         s.forwards = f;
                         s.releases = r;
+                        s.halts |= c.halts;
                         changed = true;
                     }
                     for &stop in &c.internal_stops {
@@ -145,6 +151,21 @@ mod tests {
         assert!(f.forwards.contains(ms_isa::Reg::int(5)));
         assert!(f.releases.contains(ms_isa::Reg::int(6)));
         assert!(f.calls.is_empty());
+        assert!(!f.halts);
+    }
+
+    #[test]
+    fn a_halt_in_a_callee_halts_its_callers() {
+        let prog = assemble(
+            "main:\n jal outer\n halt\nouter:\n jal inner\n jr $31\ninner:\n halt\n",
+            AsmMode::Multiscalar,
+        )
+        .unwrap();
+        let sums = summarize_functions(&prog);
+        let outer = sums.get(&prog.symbol("outer").unwrap()).unwrap();
+        let inner = sums.get(&prog.symbol("inner").unwrap()).unwrap();
+        assert!(inner.halts && !inner.returns);
+        assert!(outer.halts, "the callee's halt folds into its caller");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! 2. **Differential** — the program runs on the multiscalar simulator
 //!    at several [`SimConfig`] points, each run checked task by task
 //!    against the sequential walk of the same binary
-//!    ([`Processor::run_checked`]); final memory and registers must
-//!    agree with the scalar binary walked to its halt.
+//!    ([`Processor::run_checked`]); each run's final memory, and the
+//!    final registers of that walk, must agree with the scalar binary
+//!    walked to its halt.
 //! 3. **Runtime containment** — a perturbed program the checker missed
 //!    may still fail loudly (simulator fault, watchdog, cycle bound);
 //!    that counts as *caught*. A panic never does: it fails the case
@@ -131,11 +132,17 @@ pub fn validate_source(src: &str, adversarial: bool, opts: &ValidateOpts) -> Cas
 }
 
 /// Validates an assembled multiscalar program against a scalar reference
-/// binary: the static checker must accept `ms_prog`, and at every config
-/// in `configs` the checked run must retire exactly the tasks of the
-/// walk of `ms_prog`, and the final bytes of each `(base, len)` region
-/// in `regions` and the final registers (except `$31`) must match the
-/// walk of `sc_prog`.
+/// binary: the static checker must accept `ms_prog`, at every config in
+/// `configs` the checked run must retire exactly the tasks of the walk
+/// of `ms_prog` and leave the bytes of each `(base, len)` region in
+/// `regions` as the walk of `sc_prog` does, and the walk of `ms_prog`
+/// must end with the registers (except `$31`) of the walk of `sc_prog`.
+///
+/// The registers are compared once, walk against walk: a checked run
+/// holds each task's create-mask registers to the walk of `ms_prog`, and
+/// nothing else of a processor's registers is architectural at the end
+/// (the last task's forwarded view still holds whatever the task did not
+/// create).
 pub fn validate_pair(
     ms_prog: &Program,
     sc_prog: &Program,
@@ -158,15 +165,10 @@ pub fn validate_pair(
     }
 
     // Scalar reference: the scalar binary walked to its halt.
-    let mut scalar = SequentialWalk::new(sc_prog.clone());
-    match scalar.next_task(opts.max_cycles) {
-        Ok((_, Some(_))) if scalar.halted() => {}
-        Ok(_) => {
-            let e = format!("the scalar binary did not halt in {} instructions", opts.max_cycles);
-            return CaseOutcome::fail("scalar-error", e);
-        }
-        Err(e) => return CaseOutcome::fail("scalar-error", e.to_string()),
-    }
+    let scalar = match walk_to_halt(sc_prog, "scalar", opts.max_cycles) {
+        Ok(walk) => walk,
+        Err(e) => return CaseOutcome::fail("scalar-error", e),
+    };
     let sc_mem: Vec<Vec<u8>> =
         regions.iter().map(|&(base, len)| scalar.memory().read_vec(base, len)).collect();
 
@@ -174,15 +176,13 @@ pub fn validate_pair(
     for (name, cfg) in configs {
         let prog = ms_prog.clone();
         let cfg = *cfg;
-        let run = catch_unwind(AssertUnwindSafe(|| -> Result<_, SimError> {
+        let run = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Vec<u8>>, SimError> {
             let mut p = Processor::new(prog, cfg)?;
             p.run_checked()?;
-            let mem: Vec<Vec<u8>> =
-                regions.iter().map(|&(base, len)| p.memory().read_vec(base, len)).collect();
-            Ok((mem, p.final_regs().expect("a finished run has retired a task")))
+            Ok(regions.iter().map(|&(base, len)| p.memory().read_vec(base, len)).collect())
         }));
-        let (mem, regs) = match run {
-            Ok(Ok(r)) => r,
+        let mem = match run {
+            Ok(Ok(mem)) => mem,
             Ok(Err(e @ SimError::Diverged { .. })) => {
                 return CaseOutcome::fail(diverged, format!("{name}: {e}"));
             }
@@ -204,9 +204,29 @@ pub fn validate_pair(
                 return CaseOutcome::fail("panic", format!("{name}: panicked: {msg}"));
             }
         };
-        if let Some(d) = diverges(name, regions, &mem, &regs, &sc_mem, scalar.regs()) {
-            return CaseOutcome::fail(diverged, d);
+        for (ri, &(base, _)) in regions.iter().enumerate() {
+            if let Some(i) = (0..mem[ri].len()).find(|&i| mem[ri][i] != sc_mem[ri][i]) {
+                let (it, sc) = (mem[ri][i], sc_mem[ri][i]);
+                let at = base + i as u32;
+                let d = format!("{name}: memory byte {at:#x} is {it:#04x}, scalar has {sc:#04x}");
+                return CaseOutcome::fail(diverged, d);
+            }
         }
+    }
+
+    // $31 holds a return address; the multiscalar text carries
+    // instructions the scalar text lacks (releases, boundary jumps), so
+    // code addresses — and only code addresses — legitimately differ
+    // between binaries.
+    let walk = match walk_to_halt(ms_prog, "multiscalar", opts.max_cycles) {
+        Ok(walk) => walk,
+        Err(e) => return CaseOutcome::fail(diverged, e),
+    };
+    let (regs, sc_regs) = (walk.regs(), scalar.regs());
+    if let Some(r) = (0..regs.len()).find(|&r| r != 31 && regs[r] != sc_regs[r]) {
+        let (it, sc) = (regs[r], sc_regs[r]);
+        let d = format!("walk: register ${r} is {it:#x}, scalar has {sc:#x}");
+        return CaseOutcome::fail(diverged, d);
     }
 
     if adversarial {
@@ -216,33 +236,18 @@ pub fn validate_pair(
     }
 }
 
-fn diverges(
-    name: &str,
-    regions: &[(u32, usize)],
-    mem: &[Vec<u8>],
-    regs: &[u64; ms_isa::NUM_REGS],
-    sc_mem: &[Vec<u8>],
-    sc_regs: &[u64; ms_isa::NUM_REGS],
-) -> Option<String> {
-    for (ri, &(base, _)) in regions.iter().enumerate() {
-        if let Some(i) = (0..mem[ri].len()).find(|&i| mem[ri][i] != sc_mem[ri][i]) {
-            return Some(format!(
-                "{name}: memory byte {:#x} is {:#04x}, scalar has {:#04x}",
-                base + i as u32,
-                mem[ri][i],
-                sc_mem[ri][i]
-            ));
+/// Walks `prog` to its halt within `limit` instructions in all.
+fn walk_to_halt(prog: &Program, binary: &str, limit: u64) -> Result<SequentialWalk, String> {
+    let mut walk = SequentialWalk::new(prog.clone());
+    let mut left = limit;
+    while !walk.halted() {
+        match walk.next_task(left) {
+            Ok((_, Some(n))) => left -= n,
+            Ok((_, None)) => {
+                return Err(format!("the {binary} binary did not halt in {limit} instructions"))
+            }
+            Err(e) => return Err(e.to_string()),
         }
     }
-    // $31 holds a return address; the multiscalar text carries
-    // instructions the scalar text lacks (releases, boundary jumps), so
-    // code addresses — and only code addresses — legitimately differ
-    // between binaries.
-    if let Some(r) = (0..regs.len()).find(|&r| r != 31 && regs[r] != sc_regs[r]) {
-        return Some(format!(
-            "{name}: register ${r} is {:#x}, scalar has {:#x}",
-            regs[r], sc_regs[r]
-        ));
-    }
-    None
+    Ok(walk)
 }

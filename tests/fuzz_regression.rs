@@ -13,6 +13,8 @@ const STALE_FORWARD: &str = include_str!("repros/stale_forward.s");
 const STOP_ON_JUMP: &str = include_str!("repros/stop_on_jump.s");
 const STOP_ON_FALLTHROUGH: &str = include_str!("repros/stop_on_fallthrough.s");
 const DEAD_FALLTHROUGH: &str = include_str!("repros/dead_fallthrough.s");
+const UNCREATED_WRITE: &str = include_str!("repros/uncreated_write.s");
+const HALT_IN_CALLEE: &str = include_str!("repros/halt_in_callee.s");
 
 fn opts() -> ValidateOpts {
     ValidateOpts { max_cycles: 1_000_000, watchdog: 200_000 }
@@ -139,4 +141,35 @@ fn always_taken_stop_needs_no_fallthrough_target() {
     let outcome = validate_source(DEAD_FALLTHROUGH, false, &opts());
     assert!(outcome.pass, "{} ({})", outcome.verdict, outcome.detail);
     assert_eq!(outcome.verdict, "ok");
+}
+
+/// A last task may write a register outside its create mask: no
+/// successor reads it, and the program ends with the value the scalar
+/// binary computes. The oracle used to read the final registers from the
+/// processor, whose last-task view only tracks created registers, and
+/// reported the correct run as diverged. It now compares the final
+/// registers of the multiscalar binary's walk with the scalar binary's.
+#[test]
+fn a_last_task_may_write_registers_it_does_not_create() {
+    let outcome = validate_source(UNCREATED_WRITE, false, &opts());
+    assert!(outcome.pass, "{} ({})", outcome.verdict, outcome.detail);
+    assert_eq!(outcome.verdict, "ok");
+}
+
+/// A `halt` inside a suppressed call ends the calling task, as at run
+/// time, so it is an exit the descriptor must list. The checker used to
+/// stop at the call that never returns, warn and accept the program, and
+/// every machine then faulted on the unlisted `Halt` exit.
+#[test]
+fn a_halt_inside_a_suppressed_call_exits_the_task() {
+    let report =
+        check_program(&assemble(HALT_IN_CALLEE, AsmMode::Multiscalar).expect("assemble ms"));
+    let errors: Vec<String> = report.of_severity(Severity::Error).map(|d| d.to_string()).collect();
+    assert!(
+        errors.iter().any(|e| e.contains("exit Halt is not among its descriptor targets")),
+        "expected the halt in the callee to be flagged, got {errors:?}"
+    );
+    let outcome = validate_source(HALT_IN_CALLEE, true, &opts());
+    assert!(outcome.pass, "{} ({})", outcome.verdict, outcome.detail);
+    assert_eq!(outcome.verdict, "caught-static", "{}", outcome.detail);
 }

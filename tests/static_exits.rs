@@ -74,3 +74,22 @@ fn fuzz_tasks_leave_through_listed_exits() {
         check_corpus_program(&format!("fuzz seed {seed}"), &render(&generate(seed, false)), true);
     }
 }
+
+/// A `halt` inside a suppressed call ends the calling task, so the
+/// checker must list `halt` among that task's exits.
+#[test]
+fn a_halt_inside_a_suppressed_call_is_a_listed_exit() {
+    let src = "
+.text
+main:
+.task targets=halt create=$2
+A:
+    li!f $2, 7
+    jal  F
+    halt
+F:
+    halt
+";
+    let prog = assemble(src, AsmMode::Multiscalar).expect("assembles");
+    walked_exits_are_listed("halt in callee", &prog);
+}
