@@ -228,11 +228,8 @@ pub fn select<'r>(
     jobs.iter()
         .map(|job| {
             report
-                .outcomes
-                .iter()
-                .find(|o| o.as_ref().map_or_else(|f| &f.job, |o| &o.job) == job)
+                .outcome(job)
                 .unwrap_or_else(|| panic!("the sweep ran no {}", job.id()))
-                .as_ref()
                 .map_err(JobFailure::clone)
         })
         .collect()

@@ -793,8 +793,7 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             let Some(head) = self.active.pop_front() else {
                 return Err(self.internal_error("retire: head task vanished mid-cycle"));
             };
-            let lines = self.arb.drain_stage(u, &mut self.mem);
-            for line in lines {
+            for &line in self.arb.drain_stage(u, &mut self.mem) {
                 self.banks.drain_store(now, line, &mut self.bus);
             }
             let c = self.units[u].counters();

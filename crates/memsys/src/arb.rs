@@ -27,6 +27,13 @@
 //! beyond capacity fail for speculative stages (the caller stalls the
 //! unit), while the head stage may always allocate — "the head which does
 //! not require ARB storage is not squashed" and must always make progress.
+//!
+//! Storage: one index maps each resident line to a *slot*, and a flat
+//! slab holds every slot's `nstages` stage states. Each stage keeps its
+//! *footprint*, the slots where it holds a bit, so retiring or squashing
+//! a task visits only that task's lines; a slot no stage holds any more
+//! leaves the index and is reused. `crates/memsys/tests/arb_model.rs`
+//! holds the reference model this behaviour is specified by.
 
 use crate::mem::Memory;
 use std::collections::HashMap;
@@ -38,8 +45,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// SipHash (the `HashMap` default) costs more than the rest of an ARB
 /// probe for keys this small. Line numbers are dense and sequential-ish;
 /// a Fibonacci multiply plus a fold of the high bits spreads them well,
-/// and the simulator never depends on map iteration order (drains sort,
-/// dependence checks walk stages by rank).
+/// and nothing iterates the index, so its order never matters.
 #[derive(Clone, Copy, Default)]
 struct LineHasher(u64);
 
@@ -62,7 +68,26 @@ impl Hasher for LineHasher {
     }
 }
 
-type Bank = HashMap<u32, Entry, BuildHasherDefault<LineHasher>>;
+/// Resident line → its slot.
+type LineIndex = HashMap<u32, u32, BuildHasherDefault<LineHasher>>;
+
+/// Byte `i` of `BYTE_MASK[m]` is `0xFF` exactly when bit `i` of `m` is
+/// set: a line's byte mask widened to a mask over its 8-byte word.
+const BYTE_MASK: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mut i = 0;
+        while i < 8 {
+            if m & (1 << i) != 0 {
+                table[m] |= 0xFF << (8 * i);
+            }
+            i += 1;
+        }
+        m += 1;
+    }
+    table
+};
 
 /// Error returned when a speculative access cannot allocate ARB space.
 ///
@@ -100,7 +125,8 @@ pub struct ArbStats {
     pub peak_bank_occupancy: usize,
 }
 
-#[derive(Clone, Default)]
+/// One stage's bits and stored bytes on one line.
+#[derive(Clone, Copy, Default)]
 struct StageState {
     load_mask: u8,
     store_mask: u8,
@@ -113,8 +139,11 @@ impl StageState {
     }
 }
 
-struct Entry {
-    stages: Box<[StageState]>,
+/// A slot's line and the number of stages holding a bit on it.
+#[derive(Clone, Copy)]
+struct Slot {
+    line: u32,
+    holders: u32,
 }
 
 /// The Address Resolution Buffer.
@@ -125,7 +154,17 @@ pub struct Arb {
     /// normal operation.
     pressure_cap: Option<usize>,
     head: usize,
-    banks: Vec<Bank>,
+    index: LineIndex,
+    /// `nstages` states per slot; slot `s`'s start at `s * nstages`.
+    states: Vec<StageState>,
+    slots: Vec<Slot>,
+    free_slots: Vec<u32>,
+    /// Per stage: the slots where it holds a bit, each once.
+    footprints: Vec<Vec<u32>>,
+    /// Per bank: resident lines.
+    bank_occupancy: Vec<usize>,
+    /// The lines the last [`Arb::drain_stage`] wrote.
+    drained: Vec<u32>,
     stats: ArbStats,
 }
 
@@ -152,7 +191,13 @@ impl Arb {
             capacity_per_bank,
             pressure_cap: None,
             head: 0,
-            banks: (0..nbanks).map(|_| Bank::default()).collect(),
+            index: LineIndex::default(),
+            states: Vec::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            footprints: vec![Vec::new(); nstages],
+            bank_occupancy: vec![0; nbanks],
+            drained: Vec::new(),
             stats: ArbStats::default(),
         }
     }
@@ -192,7 +237,7 @@ impl Arb {
     fn bank_of(&self, line: u32) -> usize {
         // Lines are 8 bytes; banks are interleaved at 64-byte cache-block
         // granularity, matching `DataBanks::bank_of`.
-        ((line >> 3) as usize) % self.banks.len()
+        ((line >> 3) as usize) % self.bank_occupancy.len()
     }
 
     /// Bytes a size-`n` access at `addr` touches within each 8-byte line.
@@ -215,31 +260,107 @@ impl Arb {
         pieces.into_iter().take(if head < size { 2 } else { 1 })
     }
 
-    /// Ensures an entry exists for `line`, respecting bank capacity.
-    /// The head stage may always allocate. One hash probe on the common
-    /// (not-at-capacity) path.
-    fn entry_mut(&mut self, line: u32, stage: usize) -> Result<&mut Entry, ArbFull> {
-        let bank = self.bank_of(line);
-        let at_head = self.rank(stage) == 0;
-        let nstages = self.nstages;
+    /// The slot of each line of an access, `None` for a line no stage
+    /// holds: the one index lookup per line an access makes.
+    fn lookup(&self, addr: u32, size: u32) -> [Option<u32>; 2] {
+        let mut slots = [None; 2];
+        for (slot, (line, _, _)) in slots.iter_mut().zip(Self::split(addr, size)) {
+            *slot = self.index.get(&line).copied();
+        }
+        slots
+    }
+
+    /// Checks, against the occupancy before the access, that a stage of
+    /// rank `rank` may take every line `slots` finds new. Each line is
+    /// checked again when it is taken (see [`Arb::allocate`]).
+    fn check_capacity(
+        &mut self,
+        rank: usize,
+        addr: u32,
+        size: u32,
+        slots: [Option<u32>; 2],
+    ) -> Result<(), ArbFull> {
+        if rank == 0 {
+            return Ok(());
+        }
         let capacity = self.effective_capacity();
-        let stats = &mut self.stats;
-        let map = &mut self.banks[bank];
-        if !at_head && map.len() >= capacity && !map.contains_key(&line) {
-            stats.full_events += 1;
+        for ((line, _, _), slot) in Self::split(addr, size).zip(slots) {
+            let bank = self.bank_of(line);
+            if slot.is_none() && self.bank_occupancy[bank] >= capacity {
+                self.stats.full_events += 1;
+                return Err(ArbFull { bank });
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes a slot for `line`, which no stage holds. The head may always
+    /// allocate; any other stage fails on a full bank.
+    ///
+    /// This check is what keeps a failed access from being atomic: a
+    /// line-crossing access whose two lines are both new to one bank
+    /// with one place left passes [`Arb::check_capacity`], records its
+    /// first line here, and then fails on its second.
+    fn allocate(&mut self, line: u32, at_head: bool) -> Result<u32, ArbFull> {
+        let bank = self.bank_of(line);
+        if !at_head && self.bank_occupancy[bank] >= self.effective_capacity() {
+            self.stats.full_events += 1;
             return Err(ArbFull { bank });
         }
-        let len_before = map.len();
-        let mut inserted = false;
-        let entry = map.entry(line).or_insert_with(|| {
-            inserted = true;
-            Entry { stages: vec![StageState::default(); nstages].into_boxed_slice() }
-        });
-        let occ = len_before + inserted as usize;
-        if occ > stats.peak_bank_occupancy {
-            stats.peak_bank_occupancy = occ;
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Slot { line, holders: 0 };
+                slot
+            }
+            None => {
+                self.slots.push(Slot { line, holders: 0 });
+                self.states.resize(self.states.len() + self.nstages, StageState::default());
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(line, slot);
+        self.bank_occupancy[bank] += 1;
+        self.stats.peak_bank_occupancy =
+            self.stats.peak_bank_occupancy.max(self.bank_occupancy[bank]);
+        Ok(slot)
+    }
+
+    /// `stage`'s state on `slot`, entered in the stage's footprint the
+    /// first time the stage is about to hold a bit there.
+    fn held_state(&mut self, slot: u32, stage: usize) -> &mut StageState {
+        let i = slot as usize * self.nstages + stage;
+        if self.states[i].is_empty() {
+            self.footprints[stage].push(slot);
+            self.slots[slot as usize].holders += 1;
         }
-        Ok(entry)
+        &mut self.states[i]
+    }
+
+    /// Clears `stage`'s state on every slot of its footprint, writing its
+    /// stored bytes to `mem` (and their lines to `drained`) when given
+    /// one. A slot no stage holds any more is freed.
+    fn clear_stage(&mut self, stage: usize, mut mem: Option<&mut Memory>) {
+        assert!(stage < self.nstages);
+        let mut footprint = std::mem::take(&mut self.footprints[stage]);
+        for &slot in &footprint {
+            let Slot { line, holders } = self.slots[slot as usize];
+            let st = std::mem::take(&mut self.states[slot as usize * self.nstages + stage]);
+            if let Some(mem) = mem.as_deref_mut() {
+                if st.store_mask != 0 {
+                    write_stored_bytes(mem, line, st);
+                    self.drained.push(line << 3);
+                }
+            }
+            if holders == 1 {
+                self.index.remove(&line);
+                let bank = self.bank_of(line);
+                self.bank_occupancy[bank] -= 1;
+                self.free_slots.push(slot);
+            }
+            self.slots[slot as usize].holders = holders - 1;
+        }
+        footprint.clear();
+        self.footprints[stage] = footprint;
     }
 
     /// Performs a speculative load of `size` bytes at `addr` by `stage`.
@@ -260,57 +381,42 @@ impl Arb {
         assert!(stage < self.nstages, "stage {stage} out of range");
         assert!((1..=8).contains(&size), "load size {size}");
         let my_rank = self.rank(stage);
-        let mut value = 0u64;
-        let mut forwarded = false;
-
-        // First pass: make sure all needed entries can be allocated before
-        // mutating any state (avoids partial effects on ArbFull).
-        if my_rank != 0 {
-            let capacity = self.effective_capacity();
-            for (line, _, _) in Self::split(addr, size) {
-                let bank = self.bank_of(line);
-                if !self.banks[bank].contains_key(&line) && self.banks[bank].len() >= capacity {
-                    self.stats.full_events += 1;
-                    return Err(ArbFull { bank });
-                }
-            }
-        } else if Self::split(addr, size)
-            .all(|(line, _, _)| !self.banks[self.bank_of(line)].contains_key(&line))
-        {
+        let slots = self.lookup(addr, size);
+        if my_rank == 0 && slots == [None; 2] {
             // Head fast path: the head records no load bits, so with no
             // ARB entry on any touched line the whole access is a plain
             // memory read — the common case for non-speculative traffic.
             self.stats.loads += 1;
             return Ok(LoadResult { value: mem.read_le(addr, size), forwarded: false });
         }
+        self.check_capacity(my_rank, addr, size, slots)?;
 
-        for (line, mask, chunk_off) in Self::split(addr, size) {
-            let bank = self.bank_of(line);
-            let entry = self.banks[bank].get(&line);
-
-            // No ARB entry covers this line: every byte comes straight
-            // from memory, in one contiguous chunk (split masks are
-            // contiguous), so a single table walk serves it.
-            if entry.is_none() && my_rank == 0 {
-                let base = (line << 3) | mask.trailing_zeros();
-                value |= mem.read_le(base, mask.count_ones()) << (8 * chunk_off);
-                continue;
-            }
-
-            // Resolve bytes by scanning ranks nearest-first as bit masks:
-            // each stage claims whatever still-unresolved bytes its store
-            // mask covers, exactly reproducing the per-byte
-            // "nearest store at or before our rank" rule.
+        let mut value = 0u64;
+        let mut forwarded = false;
+        for ((line, mask, chunk_off), slot) in Self::split(addr, size).zip(slots) {
+            let first = mask.trailing_zeros();
+            // The line's bytes as one little-endian word, resolved by
+            // scanning ranks nearest-first as bit masks: each stage claims
+            // whatever still-unresolved bytes its store mask covers,
+            // exactly reproducing the per-byte "nearest store at or before
+            // our rank" rule.
+            let mut word = 0u64;
             let mut remaining = mask;
             let mut from_own = 0u8;
-            if let Some(e) = entry {
+            if let Some(slot) = slot {
+                let states = &self.states[slot as usize * self.nstages..][..self.nstages];
                 for back in 0..=my_rank {
                     if remaining == 0 {
                         break;
                     }
-                    let r = my_rank - back;
-                    let s = (self.head + r) % self.nstages;
-                    let st = &e.stages[s];
+                    // The seeded mutant forwards from the farthest older
+                    // stage instead of the nearest.
+                    let r = if cfg!(feature = "arb-teeth") && back > 0 {
+                        back - 1
+                    } else {
+                        my_rank - back
+                    };
+                    let st = &states[(self.head + r) % self.nstages];
                     let hit = st.store_mask & remaining;
                     if hit != 0 {
                         if back == 0 {
@@ -318,33 +424,28 @@ impl Arb {
                         } else {
                             forwarded = true;
                         }
-                        let mut h = hit;
-                        while h != 0 {
-                            let bit = h.trailing_zeros();
-                            h &= h - 1;
-                            let global_addr = (line << 3) | bit;
-                            value |= (st.bytes[bit as usize] as u64)
-                                << (8 * global_addr.wrapping_sub(addr));
-                        }
+                        word |= u64::from_le_bytes(st.bytes) & BYTE_MASK[hit as usize];
                         remaining &= !hit;
                     }
                 }
             }
-            let mut h = remaining;
-            while h != 0 {
-                let bit = h.trailing_zeros();
-                h &= h - 1;
-                let global_addr = (line << 3) | bit;
-                value |= (mem.read_u8(global_addr) as u64) << (8 * global_addr.wrapping_sub(addr));
+            // Bytes no stage stored come from memory: the access's bytes
+            // in this line are contiguous, so one read serves them.
+            if remaining != 0 {
+                let base = (line << 3) | first;
+                word |= (mem.read_le(base, mask.count_ones()) << (8 * first))
+                    & BYTE_MASK[remaining as usize];
             }
+            value |= (word >> (8 * first)) << (8 * chunk_off);
             // Every byte not supplied by our own store records a load bit
             // (the violation-detection footprint); the head never does.
-            if my_rank != 0 {
-                let need_load_bits = mask & !from_own;
-                if need_load_bits != 0 {
-                    let e = self.entry_mut(line, stage)?;
-                    e.stages[stage].load_mask |= need_load_bits;
-                }
+            let need_load_bits = mask & !from_own;
+            if my_rank != 0 && need_load_bits != 0 {
+                let slot = match slot {
+                    Some(slot) => slot,
+                    None => self.allocate(line, false)?,
+                };
+                self.held_state(slot, stage).load_mask |= need_load_bits;
             }
         }
         self.stats.loads += 1;
@@ -375,51 +476,33 @@ impl Arb {
         assert!(stage < self.nstages, "stage {stage} out of range");
         assert!((1..=8).contains(&size), "store size {size}");
         let my_rank = self.rank(stage);
-
-        // Pre-check allocations.
-        let capacity = self.effective_capacity();
-        for (line, _, _) in Self::split(addr, size) {
-            let bank = self.bank_of(line);
-            if !self.banks[bank].contains_key(&line)
-                && self.banks[bank].len() >= capacity
-                && my_rank != 0
-            {
-                self.stats.full_events += 1;
-                return Err(ArbFull { bank });
-            }
-        }
+        let slots = self.lookup(addr, size);
+        self.check_capacity(my_rank, addr, size, slots)?;
 
         let mut violated: Vec<usize> = Vec::new();
-        for (line, mask, _) in Self::split(addr, size) {
-            let head = self.head;
-            let nstages = self.nstages;
-            let e = self.entry_mut(line, stage)?;
+        for ((line, mask, chunk_off), slot) in Self::split(addr, size).zip(slots) {
+            let slot = match slot {
+                Some(slot) => slot,
+                None => self.allocate(line, my_rank == 0)?,
+            };
             // Record the store bytes.
-            for bit in 0..8u8 {
-                if mask & (1 << bit) == 0 {
-                    continue;
-                }
-                let byte_index = ((line << 3) | bit as u32).wrapping_sub(addr);
-                e.stages[stage].bytes[bit as usize] = (value >> (8 * byte_index)) as u8;
-                e.stages[stage].store_mask |= 1 << bit;
-            }
+            let word_mask = BYTE_MASK[mask as usize];
+            let stored = (value >> (8 * chunk_off)) << (8 * mask.trailing_zeros());
+            let st = self.held_state(slot, stage);
+            st.bytes =
+                ((u64::from_le_bytes(st.bytes) & !word_mask) | (stored & word_mask)).to_le_bytes();
+            st.store_mask |= mask;
             // Check successor loads: a successor's load bit on a byte we
             // just stored means it read a stale value, unless a store by a
             // strictly intervening task supplied that byte.
+            let states = &self.states[slot as usize * self.nstages..][..self.nstages];
+            let mut covered = 0u8;
             for succ_rank in my_rank + 1..active_ranks {
-                let s = (head + succ_rank) % nstages;
-                let overlap = e.stages[s].load_mask & mask;
-                if overlap == 0 {
-                    continue;
-                }
-                let mut covered = 0u8;
-                for mid_rank in my_rank + 1..succ_rank {
-                    let m = (head + mid_rank) % nstages;
-                    covered |= e.stages[m].store_mask;
-                }
-                if overlap & !covered != 0 && !violated.contains(&s) {
+                let s = (self.head + succ_rank) % self.nstages;
+                if states[s].load_mask & mask & !covered != 0 && !violated.contains(&s) {
                     violated.push(s);
                 }
+                covered |= states[s].store_mask;
             }
         }
         self.stats.stores += 1;
@@ -513,49 +596,29 @@ impl Arb {
     /// Clears all ARB state for `stage` (task squashed). Entries that
     /// become empty are reclaimed.
     pub fn free_stage(&mut self, stage: usize) {
-        assert!(stage < self.nstages);
-        for bank in &mut self.banks {
-            bank.retain(|_, e| {
-                e.stages[stage] = StageState::default();
-                e.stages.iter().any(|s| !s.is_empty())
-            });
-        }
+        self.clear_stage(stage, None);
     }
 
     /// Drains `stage`'s speculative stores to memory (task retired) and
-    /// clears the stage. Returns the 8-byte-line addresses written, for
-    /// the caller's cache/bandwidth modelling.
-    pub fn drain_stage(&mut self, stage: usize, mem: &mut Memory) -> Vec<u32> {
-        assert!(stage < self.nstages);
-        let mut lines = Vec::new();
-        for bank in &mut self.banks {
-            bank.retain(|&line, e| {
-                let st = &mut e.stages[stage];
-                if st.store_mask != 0 {
-                    for bit in 0..8u8 {
-                        if st.store_mask & (1 << bit) != 0 {
-                            mem.write_u8((line << 3) | bit as u32, st.bytes[bit as usize]);
-                        }
-                    }
-                    lines.push(line << 3);
-                }
-                *st = StageState::default();
-                e.stages.iter().any(|s| !s.is_empty())
-            });
-        }
-        // Deterministic drain order regardless of hash-map iteration.
-        lines.sort_unstable();
-        lines
+    /// clears the stage. Returns the 8-byte-line addresses written, in
+    /// ascending order, for the caller's cache/bandwidth modelling: a
+    /// buffer the ARB reuses at the next drain.
+    pub fn drain_stage(&mut self, stage: usize, mem: &mut Memory) -> &[u32] {
+        self.drained.clear();
+        self.clear_stage(stage, Some(mem));
+        // Deterministic drain order regardless of footprint order.
+        self.drained.sort_unstable();
+        &self.drained
     }
 
     /// Entries currently resident in `bank`.
     pub fn occupancy(&self, bank: usize) -> usize {
-        self.banks[bank].len()
+        self.bank_occupancy[bank]
     }
 
     /// Total entries across banks.
     pub fn total_occupancy(&self) -> usize {
-        self.banks.iter().map(HashMap::len).sum()
+        self.index.len()
     }
 
     /// Accumulated statistics.
@@ -564,11 +627,24 @@ impl Arb {
     }
 }
 
+/// Writes the bytes `st` stored on `line` to `mem`, one write per run of
+/// consecutive bytes.
+fn write_stored_bytes(mem: &mut Memory, line: u32, st: StageState) {
+    let word = u64::from_le_bytes(st.bytes);
+    let mut rest = st.store_mask;
+    while rest != 0 {
+        let first = rest.trailing_zeros();
+        let len = (rest >> first).trailing_ones();
+        mem.write_le((line << 3) | first, len, word >> (8 * first));
+        rest &= !((((1u16 << len) - 1) << first) as u8);
+    }
+}
+
 impl fmt::Debug for Arb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Arb")
             .field("stages", &self.nstages)
-            .field("banks", &self.banks.len())
+            .field("banks", &self.bank_occupancy.len())
             .field("head", &self.head)
             .field("occupancy", &self.total_occupancy())
             .finish()
@@ -725,6 +801,19 @@ mod tests {
     }
 
     #[test]
+    fn line_crossing_access_can_fail_after_recording_its_first_line() {
+        // Both lines of the 8-byte store are new to the one bank, which
+        // has one place left: the check before the access passes, the
+        // first line is recorded, and the second fails.
+        let mut arb = Arb::new(2, 1, 2);
+        let mem = Memory::new();
+        arb.store(1, 0x0, 4, 1, 2).unwrap();
+        assert_eq!(arb.store(1, 0x14, 8, 0x1122_3344_5566_7788, 2), Err(ArbFull { bank: 0 }));
+        assert_eq!((arb.occupancy(0), arb.stats().full_events, arb.stats().stores), (2, 1, 1));
+        assert_eq!(arb.load(1, 0x14, 4, &mem).unwrap().value, 0x5566_7788);
+    }
+
+    #[test]
     fn capacity_pressure_tightens_and_lifts() {
         let mut arb = Arb::new(2, 1, 4);
         arb.set_capacity_pressure(Some(1));
@@ -849,7 +938,7 @@ mod matrix_tests {
             arb.store(0, addr, 4, addr as u64, 1).unwrap();
         }
         let lines = arb.drain_stage(0, &mut mem);
-        let mut sorted = lines.clone();
+        let mut sorted = lines.to_vec();
         sorted.sort_unstable();
         assert_eq!(lines, sorted);
         assert_eq!(lines.len(), 4);

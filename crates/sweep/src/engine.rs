@@ -255,10 +255,14 @@ impl SweepReport {
         self.outcomes.iter().filter_map(|o| o.as_ref().ok())
     }
 
-    /// Looks up the outcome for an exact job (workload, scale, kind, and
-    /// full config must all match).
-    pub fn get(&self, job: &Job) -> Option<&JobOutcome> {
-        self.successes().find(|o| &o.job == job)
+    /// How an exact job settled (workload, scale, kind, and full config
+    /// must all match): its outcome or its failure, or `None` if the
+    /// sweep did not run it.
+    pub fn outcome(&self, job: &Job) -> Option<Result<&JobOutcome, &JobFailure>> {
+        self.outcomes
+            .iter()
+            .find(|o| o.as_ref().map_or_else(|f| &f.job, |o| &o.job) == job)
+            .map(Result::as_ref)
     }
 
     /// All outcomes, or the first failure if any point failed.
@@ -594,13 +598,15 @@ mod tests {
     }
 
     #[test]
-    fn get_finds_exact_points() {
-        let jobs = tiny_jobs();
-        let probe = jobs[1].clone();
+    fn outcome_finds_exact_points_and_their_failures() {
+        let mut jobs = tiny_jobs();
+        jobs[0].workload = "NoSuchBenchmark".into();
+        let (failed, probe) = (jobs[0].clone(), jobs[1].clone());
         let report = run_jobs(jobs, &SweepOptions::default());
-        assert!(report.get(&probe).is_some());
+        assert_eq!(report.outcome(&probe).unwrap().unwrap().job, probe);
+        assert_eq!(report.outcome(&failed).unwrap().unwrap_err().job, failed);
         let mut other = probe.clone();
         other.cfg.arb_capacity = 1;
-        assert!(report.get(&other).is_none());
+        assert!(report.outcome(&other).is_none());
     }
 }

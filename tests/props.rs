@@ -2,7 +2,6 @@
 //!
 //! * ISA encode/decode round-trips for every instruction shape,
 //! * register-mask set algebra,
-//! * the ARB against a sequential-memory oracle,
 //! * `li` constant reconstruction through the assembler,
 //! * end-to-end: randomly generated task loops produce identical
 //!   architectural results on the scalar baseline and on multiscalar
@@ -13,7 +12,6 @@ use ms_isa::{
     decode, encode, AluImmOp, AluOp, BranchCond, BranchZCond, FpArithKind, FpCmpCond, Instr,
     MemWidth, Op, Prec, Reg, RegList, RegMask, ShiftOp, StopCond, TagBits,
 };
-use ms_memsys::{Arb, Memory};
 use multiscalar::{Processor, ScalarProcessor, SimConfig};
 use proptest::prelude::*;
 
@@ -178,93 +176,6 @@ proptest! {
             .unwrap_or_else(|e| panic!("regenerated source fails: {e}\n{regen}"));
         prop_assert_eq!(&p1.text, &p2.text, "text differs\n{}", regen);
         prop_assert_eq!(&p1.tasks, &p2.tasks);
-    }
-}
-
-/// Sequential oracle for the ARB: per-stage write buffers over memory,
-/// reads resolved in task order.
-#[derive(Default)]
-struct Oracle {
-    // (stage, addr) -> byte
-    writes: std::collections::HashMap<(usize, u32), u8>,
-}
-
-impl Oracle {
-    fn store(&mut self, stage: usize, addr: u32, size: u32, value: u64) {
-        for i in 0..size {
-            self.writes.insert((stage, addr + i), (value >> (8 * i)) as u8);
-        }
-    }
-
-    fn load(&self, stage: usize, addr: u32, size: u32, mem: &Memory) -> u64 {
-        let mut v = 0u64;
-        for i in 0..size {
-            let a = addr + i;
-            let mut byte = None;
-            for s in (0..=stage).rev() {
-                if let Some(&b) = self.writes.get(&(s, a)) {
-                    byte = Some(b);
-                    break;
-                }
-            }
-            v |= (byte.unwrap_or_else(|| mem.read_u8(a)) as u64) << (8 * i);
-        }
-        v
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// For any interleaving of loads and stores issued in task order
-    /// (earlier stages never issue after later stages touch the same
-    /// data — the violation-free schedule), ARB loads equal the oracle.
-    #[test]
-    fn arb_matches_sequential_oracle_on_ordered_schedules(
-        ops in proptest::collection::vec(
-            (0usize..4, any::<bool>(), 0u32..64, 1u32..=8, any::<u64>()),
-            1..60
-        )
-    ) {
-        let mut arb = Arb::new(4, 2, 256);
-        let mut mem = Memory::new();
-        for a in 0..80u32 {
-            mem.write_u8(a, a as u8);
-        }
-        let mut oracle = Oracle::default();
-        // Sort by stage so every access happens in task order: no
-        // violations possible, loads must match the oracle exactly.
-        let mut ops = ops;
-        ops.sort_by_key(|&(stage, ..)| stage);
-        for (stage, is_store, addr, size, value) in ops {
-            let size = size.min(8);
-            if is_store {
-                let v = arb.store(stage, addr, size, value, 4).expect("capacity");
-                prop_assert!(v.is_empty(), "ordered schedule must not violate");
-                oracle.store(stage, addr, size, value);
-            } else {
-                let got = arb.load(stage, addr, size, &mem).expect("capacity");
-                let want = oracle.load(stage, addr, size, &mem);
-                prop_assert_eq!(got.value, want);
-            }
-        }
-    }
-
-    /// A later-task load followed by an earlier-task store to overlapping
-    /// bytes is always reported as a violation of the loading task.
-    #[test]
-    fn arb_always_detects_reordered_conflicts(
-        addr in 0u32..32,
-        lsize in 1u32..=8,
-        ssize in 1u32..=8,
-        lstage in 1usize..4,
-    ) {
-        let mut arb = Arb::new(4, 2, 256);
-        let mem = Memory::new();
-        let _ = arb.load(lstage, addr, lsize, &mem).unwrap();
-        // Head stores over the loaded bytes.
-        let v = arb.store(0, addr, ssize, 0xff, 4).unwrap();
-        prop_assert!(v.contains(&lstage), "violation of stage {} missing: {:?}", lstage, v);
     }
 }
 
