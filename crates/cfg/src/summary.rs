@@ -4,8 +4,9 @@
 //! 3.2.3), and a function executed entirely inside a task is the paper's
 //! *suppressed* function. To check a task's annotations we need each
 //! callee's effects: the registers it may write, forward and release,
-//! whether it can return, and whether it can end the program. Summaries
-//! are computed to a fixpoint, so mutual recursion converges.
+//! whether it can return, whether it can end the program, and the task
+//! exits its stop tags can fire. Summaries are computed to a fixpoint,
+//! so mutual recursion converges.
 
 use crate::taskcheck::{edges, StaticExit};
 use ms_isa::{Op, Program, RegMask, StopCond};
@@ -33,6 +34,10 @@ pub struct FnSummary {
     /// PCs of stop-tagged instructions inside the function (a task ending
     /// inside a suppressed call — legal but worth surfacing).
     pub internal_stops: Vec<u32>,
+    /// The task exits the stop tags of the function or its callees can
+    /// fire, each where [`StopCond::fires`] fires it: a call to it can
+    /// end the calling task at any of them.
+    pub stop_exits: BTreeSet<StaticExit>,
     /// PCs of register-indirect jumps through a register other than `$31`
     /// (statically unverifiable control).
     pub indirect_jumps: Vec<u32>,
@@ -43,8 +48,9 @@ pub struct FnSummary {
 
 /// Walks one function body (without descending into callees) along the
 /// task walks' [`edges`] and records its local effects, its direct call
-/// targets and the addresses it reaches. Stops are recorded, not obeyed:
-/// the walk goes on past them, and assumes every nested call returns.
+/// targets and the addresses it reaches. Stops are recorded, with the
+/// exit of each edge they fire on, but not obeyed: the walk goes on past
+/// them, and assumes every nested call returns.
 fn walk_function(prog: &Program, entry: u32) -> FnSummary {
     let mut s = FnSummary { entry, ..FnSummary::default() };
     let mut seen = BTreeSet::new();
@@ -73,6 +79,9 @@ fn walk_function(prog: &Program, entry: u32) -> FnSummary {
             s.calls.insert(target);
         }
         for e in edges(&instr.op, pc, &|_| true) {
+            if instr.tags.stop.fires(e.taken) {
+                s.stop_exits.insert(e.exit);
+            }
             match e.exit {
                 StaticExit::Return => s.returns = true,
                 StaticExit::Unverifiable(_) => s.indirect_jumps.push(pc),
@@ -122,6 +131,9 @@ pub fn summarize_functions(prog: &Program) -> BTreeMap<u32, FnSummary> {
                             changed = true;
                         }
                     }
+                    for &exit in &c.stop_exits {
+                        changed |= s.stop_exits.insert(exit);
+                    }
                 }
             }
         }
@@ -166,6 +178,24 @@ mod tests {
         let inner = sums.get(&prog.symbol("inner").unwrap()).unwrap();
         assert!(inner.halts && !inner.returns);
         assert!(outer.halts, "the callee's halt folds into its caller");
+    }
+
+    #[test]
+    fn stop_exits_fire_as_at_run_time_and_fold_into_callers() {
+        let prog = assemble(
+            "main:\n jal outer\n halt\nouter:\n jal inner\n jr $31\n\
+             inner:\n addiu!s $3, $0, 1\n beq!st $3, $0, inner\n jr $31\n",
+            AsmMode::Multiscalar,
+        )
+        .unwrap();
+        let sums = summarize_functions(&prog);
+        let inner_at = prog.symbol("inner").unwrap();
+        let inner = sums.get(&inner_at).unwrap();
+        // `addiu!s` fires on its fall-through; `beq!st` only when taken.
+        let want = BTreeSet::from([StaticExit::Addr(inner_at), StaticExit::Addr(inner_at + 4)]);
+        assert_eq!(inner.stop_exits, want);
+        let outer = sums.get(&prog.symbol("outer").unwrap()).unwrap();
+        assert_eq!(outer.stop_exits, want, "the callee's stop exits fold into its caller");
     }
 
     #[test]

@@ -436,11 +436,13 @@ impl Checker<'_> {
                 }
                 if let Op::Jump { link: true, target } = instr.op {
                     if let Some(sum) = self.code.summaries.get(&target).cloned() {
-                        // A `halt` inside the suppressed call ends this
-                        // task, as it does at run time.
+                        // A `halt` or a stop that fires inside the
+                        // suppressed call ends this task, as it does at
+                        // run time.
                         if sum.halts {
                             exits.insert(StaticExit::Halt);
                         }
+                        exits.extend(&sum.stop_exits);
                         forwards = forwards.union(sum.forwards);
                         releases = releases.union(sum.releases);
                         for &at in &sum.internal_stops {

@@ -2,19 +2,24 @@
 //!
 //! Owns the circular queue of processing units, the sequencer (task
 //! prediction, descriptor fetch, assignment), the register-forwarding
-//! ring, the ARB and the shared memory system; orchestrates one cycle as:
+//! ring, the ARB and the shared memory system. `Processor::step` runs one
+//! cycle as six phases, one method each:
 //!
-//! 1. ring hop (messages sent last cycle arrive),
-//! 2. delivery/propagation of arrivals,
-//! 3. unit execution (head → tail, so same-cycle memory references are
-//!    processed in task order),
-//! 4. collection of new ring sends,
-//! 5. squash processing — control mispredictions ("the exit point of the
-//!    immediately preceding task is known", Section 3.1.2) and ARB memory
-//!    violations; squashing a task squashes all its successors,
-//! 6. in-order retirement at the head (ARB drain to the data cache),
-//! 7. task assignment at the tail (predict successor, fetch descriptor,
-//!    install the predecessor's forwarded register view).
+//! 1. `ring_phase`: the ring hops (messages sent last cycle arrive), and
+//!    each arrival is delivered, passed on or dropped;
+//! 2. `execute_phase`: the units tick head → tail, so same-cycle memory
+//!    references are processed in task order;
+//! 3. `send_phase`: the units' new register sends go onto the ring;
+//! 4. `squash_phase`: this cycle's exits are validated ("the exit point
+//!    of the immediately preceding task is known", Section 3.1.2), and
+//!    the earliest of the squashes the cycle asks for (control
+//!    misprediction, ARB memory violation, ARB overflow, chaos) is taken;
+//!    squashing a task squashes all its successors;
+//! 5. `retire_phase`: in-order retirement at the head (ARB drain to the
+//!    data cache);
+//! 6. `assign_phase`: task assignment at the tail (predict successor,
+//!    fetch descriptor, install the predecessor's forwarded register
+//!    view).
 
 use crate::ablation::{ArbFullPolicy, PredictorKind};
 use crate::config::SimConfig;
@@ -76,23 +81,27 @@ enum Pending {
     Stop,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SquashCause {
-    Control,
-    Memory,
-    ArbFull,
-    /// Spurious squash injected by a fault plan (chaos testing).
-    Chaos,
-}
+/// A squash one cycle asks for: the queue position squashed from, why,
+/// and where the sequencer resumes.
+type SquashRequest = (usize, SquashKind, Pending);
 
-impl SquashCause {
-    fn kind(self) -> SquashKind {
-        match self {
-            SquashCause::Control => SquashKind::Control,
-            SquashCause::Memory => SquashKind::Memory,
-            SquashCause::ArbFull => SquashKind::ArbFull,
-            SquashCause::Chaos => SquashKind::Chaos,
+/// Folds `req` into the cycle's squash so far. The earliest position
+/// wins, since squashing it squashes every later task. At one position a
+/// control squash displaces any other cause: the others re-dispatch the
+/// task there, which the control squash has just shown is the wrong
+/// task. Otherwise the request considered first stands. The squash phase
+/// considers memory, then control in exit order, then ARB-full, then
+/// chaos.
+fn arbitrate(held: &mut Option<SquashRequest>, req: SquashRequest) {
+    let displaces = match held {
+        None => true,
+        Some((pos, cause, _)) => {
+            req.0 < *pos
+                || (req.0 == *pos && req.1 == SquashKind::Control && *cause != SquashKind::Control)
         }
+    };
+    if displaces {
+        *held = Some(req);
     }
 }
 
@@ -153,15 +162,17 @@ pub struct Processor<S: TraceSink = NullSink, F: FaultInjector = NoFaults, A: Tr
     /// The sequential walk every retiring task is checked against, set
     /// by [`Processor::run_checked`].
     walk: Option<Box<SequentialWalk>>,
+    /// Per task entry, the target index of its last resolved exit; kept
+    /// only under [`PredictorKind::LastOutcome`], the one reader.
     last_outcome: HashMap<u32, usize>,
 
     // Per-cycle scratch buffers, reused across `step` calls so the hot
     // loop allocates nothing. Each is taken (`std::mem::take`), used,
-    // and put back within one `step`.
+    // and put back within one phase, except `scratch_exits`: the queue
+    // positions whose exit resolved this cycle, filled by the execute
+    // phase and emptied by the squash phase.
     scratch_arrivals: Vec<(usize, RingMsg)>,
-    scratch_violations: Vec<usize>,
-    scratch_exits: Vec<(usize, ExitKind)>,
-    scratch_arb_stalled: Vec<usize>,
+    scratch_exits: Vec<usize>,
     scratch_sends: Vec<(Reg, u64)>,
 
     /// The observers: every event goes to both, first sink first.
@@ -305,9 +316,7 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             walk: None,
             last_outcome: HashMap::new(),
             scratch_arrivals: Vec::new(),
-            scratch_violations: Vec::new(),
             scratch_exits: Vec::new(),
-            scratch_arb_stalled: Vec::new(),
             scratch_sends: Vec::new(),
             sink: TeeSink(sink, extra),
             inject: injector,
@@ -351,6 +360,28 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
     /// Current cycle.
     pub fn cycles(&self) -> u64 {
         self.now
+    }
+
+    /// Always `(0, 0, 0)`: the whole-machine skip-ahead these counters
+    /// measured is gone (unit parking is the only quiet-span mechanism,
+    /// see [`Processor::unit_park_stats`]). Kept so callers that still
+    /// report it, such as the `perfbench` harness, keep building.
+    pub fn skip_telemetry(&self) -> (u64, u64, u64) {
+        (0, 0, 0)
+    }
+
+    /// Aggregated unit-parking telemetry: `(probes, parks, cycles
+    /// replayed)` summed over all units (see
+    /// [`ms_pipeline::ProcessingUnit::park_stats`]).
+    pub fn unit_park_stats(&self) -> (u64, u64, u64) {
+        let mut t = (0, 0, 0);
+        for u in &self.units {
+            let s = u.park_stats();
+            t.0 += s.0;
+            t.1 += s.1;
+            t.2 += s.2;
+        }
+        t
     }
 
     /// Runs to completion.
@@ -512,14 +543,13 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         (pos < self.active.len()).then_some(pos)
     }
 
-    /// Advances the simulation one cycle.
+    /// Advances the simulation one cycle: the phases of the module doc,
+    /// in order, under the injector's pressure window.
     ///
     /// # Errors
     /// See [`Processor::run`].
     pub fn step(&mut self) -> Result<(), SimError> {
         let now = self.now;
-        let n = self.cfg.units;
-
         // Chaos pressure windows: the injector may temporarily throttle
         // ring bandwidth or ARB capacity (both clamped so progress is
         // never starved). Compiles away under `NoFaults`.
@@ -529,104 +559,107 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             let arb_cap = self.inject.arb_capacity_cap(now);
             self.arb.set_capacity_pressure(arb_cap);
         }
+        self.ring_phase(now);
+        let (violated, arb_stalled) = self.execute_phase(now)?;
+        self.send_phase(now);
+        self.squash_phase(now, violated, arb_stalled)?;
+        self.retire_phase(now)?;
+        self.assign_phase(now)?;
+        if Self::TRACED && now.is_multiple_of(ARB_OCCUPANCY_SAMPLE_PERIOD) {
+            self.sink.event(&TraceEvent::ArbOccupancy {
+                cycle: now,
+                entries: self.arb.total_occupancy(),
+            });
+        }
+        self.now += 1;
+        Ok(())
+    }
 
-        // 1-2. Ring hop and delivery. A message travels forward until it
-        // reaches (a) an older or equal task — it has wrapped all the way
-        // around, or (b) the newest assigned task — every future task will
-        // snapshot that unit's forwarded view, so the value need travel no
-        // further. Idle units pass messages through (their successors may
-        // hold later tasks that still need the value).
-        let newest_order = self.active.back().map(|r| r.order);
-        // Reused scratch buffer (taken so `self.ring.send` stays legal
-        // inside the loop; restored — cleared — at the end of the pass).
+    /// Ring hop and delivery. A message travels forward until it reaches
+    /// (a) an older or equal task — it has wrapped all the way around, or
+    /// (b) the newest assigned task — every future task will snapshot
+    /// that unit's forwarded view, so the value need travel no further.
+    /// Idle units pass messages through (their successors may hold later
+    /// tasks that still need the value). A message that goes no further
+    /// dies.
+    fn ring_phase(&mut self, now: u64) {
+        // Taken so delivery may send while the arrivals are read.
         let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
         self.ring.step_into(now, &mut arrivals, &mut self.sink);
         for (dest, msg) in arrivals.drain(..) {
-            debug_assert!(msg.hops <= 4 * n, "ring message circulating: {msg:?}");
-            // Stale-value kill: a later producer of this register already
-            // retired, so no live or future task may consume this copy.
-            if self.retired_creates[msg.reg.index()] > msg.sender_order + 1 {
-                if Self::TRACED {
-                    self.sink.event(&TraceEvent::RingDie {
-                        cycle: now,
-                        unit: dest,
-                        reg: msg.reg.index() as u8,
-                        hops: msg.hops as u32,
-                    });
-                }
-                continue;
-            }
-            match self.pos_of(dest).map(|pos| (pos, self.active[pos].order)) {
-                Some((pos, order)) if order > msg.sender_order => {
-                    // A live producer of this register sits between the
-                    // sender and this task in program order. The message
-                    // should have died at that producer's unit but slipped
-                    // past while the unit was idle (a squash re-sequencing
-                    // window can re-assign the producer after the message
-                    // has gone by) — the value is stale here and for every
-                    // later task, so kill it instead of delivering.
-                    let skipped_producer = self
-                        .active
-                        .range(..pos)
-                        .any(|rec| rec.order > msg.sender_order && rec.create.contains(msg.reg));
-                    if skipped_producer {
-                        if Self::TRACED {
-                            self.sink.event(&TraceEvent::RingDie {
-                                cycle: now,
-                                unit: dest,
-                                reg: msg.reg.index() as u8,
-                                hops: msg.hops as u32,
-                            });
-                        }
-                        continue;
-                    }
-                    let propagate = self.units[dest].receive(msg.reg, msg.val, now);
-                    if Self::TRACED {
-                        self.sink.event(&TraceEvent::RingDeliver {
-                            cycle: now,
-                            unit: dest,
-                            reg: msg.reg.index() as u8,
-                            hops: msg.hops as u32,
-                            propagate,
-                        });
-                    }
-                    if propagate && Some(order) != newest_order {
-                        self.ring_send(dest, msg, now);
-                    }
-                }
-                Some(_) => {
-                    if Self::TRACED {
-                        self.sink.event(&TraceEvent::RingDie {
-                            cycle: now,
-                            unit: dest,
-                            reg: msg.reg.index() as u8,
-                            hops: msg.hops as u32,
-                        });
-                    }
-                } // wrapped to the sender or older tasks: dies
-                None => {
-                    if !self.active.is_empty() {
-                        self.ring_send(dest, msg, now); // pass through an idle unit
-                    } else if Self::TRACED {
-                        self.sink.event(&TraceEvent::RingDie {
-                            cycle: now,
-                            unit: dest,
-                            reg: msg.reg.index() as u8,
-                            hops: msg.hops as u32,
-                        });
-                    }
-                }
+            debug_assert!(msg.hops <= 4 * self.cfg.units, "ring message circulating: {msg:?}");
+            if !self.deliver(dest, msg, now) && Self::TRACED {
+                self.sink.event(&TraceEvent::RingDie {
+                    cycle: now,
+                    unit: dest,
+                    reg: msg.reg.index() as u8,
+                    hops: msg.hops as u32,
+                });
             }
         }
-
         self.scratch_arrivals = arrivals;
+    }
 
-        // 3. Execute, head to tail (deterministic task-order memory refs).
-        let mut violations = std::mem::take(&mut self.scratch_violations);
-        let mut exits = std::mem::take(&mut self.scratch_exits);
-        let mut arb_stalled = std::mem::take(&mut self.scratch_arb_stalled);
+    /// Delivers `msg`, arrived at unit `dest`, to the task there and
+    /// passes it on if it must travel further. Returns false when the
+    /// message dies at `dest`.
+    fn deliver(&mut self, dest: usize, msg: RingMsg, now: u64) -> bool {
+        // Stale-value kill: a later producer of this register already
+        // retired, so no live or future task may consume this copy.
+        if self.retired_creates[msg.reg.index()] > msg.sender_order + 1 {
+            return false;
+        }
+        let Some(pos) = self.pos_of(dest) else {
+            // An idle unit passes the message through, unless no task
+            // is left to receive it.
+            if self.active.is_empty() {
+                return false;
+            }
+            self.ring_send(dest, msg, now);
+            return true;
+        };
+        let order = self.active[pos].order;
+        // Wrapped to the sender or older tasks: dies. Otherwise, if a
+        // live producer of this register sits between the sender and
+        // this task in program order, the message should have died at
+        // that producer's unit but slipped past while the unit was idle
+        // (a squash re-sequencing window can re-assign the producer after
+        // the message has gone by): the value is stale here and for every
+        // later task, so it dies instead of delivering.
+        if order <= msg.sender_order
+            || self
+                .active
+                .range(..pos)
+                .any(|rec| rec.order > msg.sender_order && rec.create.contains(msg.reg))
+        {
+            return false;
+        }
+        let propagate = self.units[dest].receive(msg.reg, msg.val, now);
+        if Self::TRACED {
+            self.sink.event(&TraceEvent::RingDeliver {
+                cycle: now,
+                unit: dest,
+                reg: msg.reg.index() as u8,
+                hops: msg.hops as u32,
+                propagate,
+            });
+        }
+        if propagate && pos + 1 < self.active.len() {
+            self.ring_send(dest, msg, now);
+        }
+        true
+    }
+
+    /// Ticks the units head to tail (deterministic task-order memory
+    /// references), records the exits that resolve, and charges the
+    /// units that hold no task. Returns the earliest queue position a
+    /// store violated and the earliest non-head position stalled on a
+    /// full ARB: all that the squash arbitration reads of them.
+    fn execute_phase(&mut self, now: u64) -> Result<(Option<usize>, Option<usize>), SimError> {
+        let n = self.cfg.units;
         let active_len = self.active.len();
         let head_unit = self.active.front().map_or(0, |r| r.unit);
+        let (mut violated, mut arb_stalled) = (None, None);
         for pos in 0..active_len {
             let unit_idx = unit_after(head_unit, pos, n);
             debug_assert_eq!(self.active[pos].unit, unit_idx, "active tasks off consecutive units");
@@ -643,13 +676,16 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                 return Err(SimError::Fault(f.to_owned()));
             }
             if out.violated {
-                violations.extend_from_slice(self.units[unit_idx].violations());
+                let earliest =
+                    self.units[unit_idx].violations().iter().filter_map(|&v| self.pos_of(v)).min();
+                violated = violated.into_iter().chain(earliest).min();
             }
             if out.stall == Some(ms_pipeline::StallClass::ArbFull) && pos > 0 {
-                arb_stalled.push(pos);
+                arb_stalled.get_or_insert(pos);
             }
             if let Some(exit) = out.exit {
-                exits.push((pos, exit));
+                self.active[pos].exit = Some(exit);
+                self.scratch_exits.push(pos);
             }
         }
         self.stats.breakdown.idle += (n - active_len) as u64;
@@ -671,10 +707,16 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                 u = unit_after(u, 1, n);
             }
         }
+        Ok((violated, arb_stalled))
+    }
 
-        // 4. Collect new ring sends (most units have none queued).
+    /// Puts the units' new register sends on the ring (most units have
+    /// none queued).
+    fn send_phase(&mut self, now: u64) {
+        let n = self.cfg.units;
+        let head_unit = self.active.front().map_or(0, |r| r.unit);
         let mut sends = std::mem::take(&mut self.scratch_sends);
-        for pos in 0..active_len {
+        for pos in 0..self.active.len() {
             let rec_unit = unit_after(head_unit, pos, n);
             self.units[rec_unit].drain_sends_into(now, &mut sends);
             if sends.is_empty() {
@@ -698,195 +740,70 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             }
         }
         self.scratch_sends = sends;
+    }
 
-        // 5. Record exits, validate successors, process violations.
-        for &(pos, exit) in &exits {
-            self.active[pos].exit = Some(exit);
-        }
-        let mut squash: Option<(usize, Pending, SquashCause)> = None;
-        let consider = |req: (usize, Pending, SquashCause), slot: &mut Option<_>| {
-            let replace = match slot {
-                None => true,
-                Some((p, _, c)) => {
-                    req.0 < *p
-                        || (req.0 == *p
-                            && req.2 == SquashCause::Control
-                            && *c != SquashCause::Control)
-                }
-            };
-            if replace {
-                *slot = Some(req);
-            }
-        };
-        // Memory violations: squash the earliest violated task.
-        for v_unit in violations.drain(..) {
-            if let Some(pos) = self.pos_of(v_unit) {
-                let rec = &self.active[pos];
-                let redirect = Pending::Entry {
-                    pc: rec.entry,
-                    by_prediction: rec.by_prediction,
-                    choice: rec.hist.map(|(from, _, idx)| (from, idx)),
-                };
-                consider((pos, redirect, SquashCause::Memory), &mut squash);
-            }
-        }
+    /// Validates this cycle's exits and takes the squash the cycle asks
+    /// for, as [`arbitrate`] picks it from the earliest `violated`
+    /// position, the control mispredictions validation finds, the
+    /// earliest `arb_stalled` position and a fault plan's spurious
+    /// squash.
+    fn squash_phase(
+        &mut self,
+        now: u64,
+        violated: Option<usize>,
+        arb_stalled: Option<usize>,
+    ) -> Result<(), SimError> {
+        let mut squash = violated.map(|pos| (pos, SquashKind::Memory, self.redispatch(pos)));
         // Control validation, in task order. A task's exit is validated
         // in the cycle it resolves, so only this cycle's exits need it.
-        for &(pos, _) in &exits {
+        let mut exits = std::mem::take(&mut self.scratch_exits);
+        for &pos in &exits {
             debug_assert!(!self.active[pos].validated, "task at {pos} validated twice");
             if let Some(req) = self.validate(pos)? {
-                consider(req, &mut squash);
+                arbitrate(&mut squash, req);
             }
         }
+        exits.clear();
+        self.scratch_exits = exits;
         // ARB-overflow policy: the paper's "simple solution is to free ARB
         // storage by squashing tasks" (vs. the default stall).
         if self.cfg.arb_full_policy == ArbFullPolicy::Squash {
-            for pos in arb_stalled.drain(..) {
-                if pos < self.active.len() {
-                    let rec = &self.active[pos];
-                    let redirect = Pending::Entry {
-                        pc: rec.entry,
-                        by_prediction: rec.by_prediction,
-                        choice: rec.hist.map(|(from, _, idx)| (from, idx)),
-                    };
-                    consider((pos, redirect, SquashCause::ArbFull), &mut squash);
-                }
+            if let Some(pos) = arb_stalled {
+                arbitrate(&mut squash, (pos, SquashKind::ArbFull, self.redispatch(pos)));
             }
         }
         // Chaos: a fault plan may request a spurious squash at position
-        // `k`. Recovery re-dispatches the squashed task itself (the
-        // memory-violation redirect), so architectural results are
-        // unchanged. The head (k = 0) is never squashed — as in the
-        // paper, the head is non-speculative — and real squash causes at
-        // earlier positions take precedence via `consider`.
+        // `k`, recovered like a memory violation, so architectural
+        // results are unchanged. The head (k = 0) is never squashed — as
+        // in the paper, the head is non-speculative.
         if F::ENABLED {
             if let Some(k) = self.inject.spurious_squash(now, self.active.len()) {
                 if k >= 1 && k < self.active.len() {
-                    let rec = &self.active[k];
-                    let redirect = Pending::Entry {
-                        pc: rec.entry,
-                        by_prediction: rec.by_prediction,
-                        choice: rec.hist.map(|(from, _, idx)| (from, idx)),
-                    };
-                    consider((k, redirect, SquashCause::Chaos), &mut squash);
+                    arbitrate(&mut squash, (k, SquashKind::Chaos, self.redispatch(k)));
                 }
             }
         }
-        if let Some((pos, redirect, cause)) = squash {
-            self.squash_from(pos, redirect, cause)?;
+        if let Some((pos, cause, redirect)) = squash {
+            self.squash_from(pos, redirect, cause);
         }
-        exits.clear();
-        arb_stalled.clear();
-        self.scratch_violations = violations;
-        self.scratch_exits = exits;
-        self.scratch_arb_stalled = arb_stalled;
-
-        // 6. Retire at the head (one per cycle).
-        let retire = match self.active.front() {
-            Some(head) => {
-                let u = head.unit;
-                (self.units[u].is_complete(now) && head.validated).then_some(u)
-            }
-            None => None,
-        };
-        if let Some(u) = retire {
-            let Some(head) = self.active.pop_front() else {
-                return Err(self.internal_error("retire: head task vanished mid-cycle"));
-            };
-            for &line in self.arb.drain_stage(u, &mut self.mem) {
-                self.banks.drain_store(now, line, &mut self.bus);
-            }
-            let c = self.units[u].counters();
-            if let Some(walk) = self.walk.as_deref_mut() {
-                if let Some(what) = walk.diff(head.entry, head.create, &self.units[u], &self.mem) {
-                    return Err(SimError::Diverged {
-                        order: head.order,
-                        entry: head.entry,
-                        unit: u,
-                        cycle: now,
-                        what,
-                        snapshot: Box::new(self.snapshot()),
-                        history: self.flight.history(),
-                    });
-                }
-            }
-            self.stats.instructions += c.instructions;
-            self.stats.tasks_retired += 1;
-            self.stats.breakdown.useful += c.busy_cycles;
-            self.stats.breakdown.no_comp_inter_task += c.inter_task_cycles;
-            self.stats.breakdown.no_comp_intra_task += c.intra_task_cycles;
-            self.stats.breakdown.no_comp_wait_retire += c.wait_retire_cycles;
-            self.stats.breakdown.no_comp_arb += c.arb_stall_cycles;
-            if Self::TRACED {
-                self.sink.event(&TraceEvent::TaskRetire {
-                    cycle: now,
-                    order: head.order,
-                    unit: u,
-                    entry: head.entry,
-                    instructions: c.instructions,
-                });
-            }
-            self.units[u].retire(now);
-            self.last_retired_unit = Some(u);
-            self.last_retire_cycle = now;
-            // Record this task as the latest retired producer of its
-            // create-mask registers; in-flight messages from older tasks
-            // carrying these registers are now stale (see the kill in
-            // the arrivals loop).
-            for r in head.create.iter() {
-                self.retired_creates[r.index()] = head.order + 1;
-            }
-            match self.active.front() {
-                Some(next) => self.arb.set_head(next.unit),
-                None => self.arb.set_head(self.next_unit),
-            }
-            if head.exit == Some(ExitKind::Halt) {
-                self.halted = true;
-            }
-        }
-
-        // 7. Assign at the tail.
-        if !self.halted {
-            self.assign_phase(now)?;
-        }
-
-        if Self::TRACED && now.is_multiple_of(ARB_OCCUPANCY_SAMPLE_PERIOD) {
-            self.sink.event(&TraceEvent::ArbOccupancy {
-                cycle: now,
-                entries: self.arb.total_occupancy(),
-            });
-        }
-
-        self.now += 1;
         Ok(())
     }
 
-    /// Always `(0, 0, 0)`: the whole-machine skip-ahead these counters
-    /// measured is gone (unit parking is the only quiet-span mechanism,
-    /// see [`Processor::unit_park_stats`]). Kept so callers that still
-    /// report it, such as the `perfbench` harness, keep building.
-    pub fn skip_telemetry(&self) -> (u64, u64, u64) {
-        (0, 0, 0)
-    }
-
-    /// Aggregated unit-parking telemetry: `(probes, parks, cycles
-    /// replayed)` summed over all units (see
-    /// [`ms_pipeline::ProcessingUnit::park_stats`]).
-    pub fn unit_park_stats(&self) -> (u64, u64, u64) {
-        let mut t = (0, 0, 0);
-        for u in &self.units {
-            let s = u.park_stats();
-            t.0 += s.0;
-            t.1 += s.1;
-            t.2 += s.2;
+    /// The redirect that dispatches the task at `pos` again: how a
+    /// memory, ARB-full or chaos squash recovers.
+    fn redispatch(&self, pos: usize) -> Pending {
+        let rec = &self.active[pos];
+        Pending::Entry {
+            pc: rec.entry,
+            by_prediction: rec.by_prediction,
+            choice: rec.hist.map(|(from, _, idx)| (from, idx)),
         }
-        t
     }
 
     /// Validates the successor of the task at `pos`, training the
     /// predictor and maintaining the RAS. Returns a squash request if the
     /// successor on record is wrong.
-    fn validate(&mut self, pos: usize) -> Result<Option<(usize, Pending, SquashCause)>, SimError> {
+    fn validate(&mut self, pos: usize) -> Result<Option<SquashRequest>, SimError> {
         let Some(exit) = self.active[pos].exit else {
             return Err(self.internal_error("validate: task has no resolved exit"));
         };
@@ -903,7 +820,9 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             _ => self.predictor.history(entry),
         };
         self.predictor.train(entry, train_hist, actual_idx);
-        self.last_outcome.insert(entry, actual_idx);
+        if self.cfg.predictor == PredictorKind::LastOutcome {
+            self.last_outcome.insert(entry, actual_idx);
+        }
         self.active[pos].validated = true;
 
         // RAS bookkeeping at resolution.
@@ -917,86 +836,60 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         }
 
         let actual_next = exit.next_pc();
-        if pos + 1 < self.active.len() {
+        let resolved = match actual_next {
+            Some(pc) => {
+                Pending::Entry { pc, by_prediction: false, choice: Some((entry, actual_idx)) }
+            }
+            None => Pending::Stop,
+        };
+        let (correct, squash) = match self.active.get(pos + 1) {
             // A successor is running: check it.
-            let succ = &self.active[pos + 1];
-            let correct = actual_next == Some(succ.entry);
-            if succ.by_prediction {
-                self.predictor.note_outcome(correct);
-            }
-            if Self::TRACED {
-                self.sink.event(&TraceEvent::TaskValidate {
-                    cycle: self.now,
-                    entry,
-                    actual_next,
-                    correct,
-                });
-            }
-            if !correct {
-                let redirect = match actual_next {
-                    Some(pc) => Pending::Entry {
-                        pc,
-                        by_prediction: false,
-                        choice: Some((entry, actual_idx)),
-                    },
-                    None => Pending::Stop,
-                };
-                return Ok(Some((pos + 1, redirect, SquashCause::Control)));
-            }
-        } else {
-            // No successor assigned yet: resolve the pending choice.
-            let resolved = match actual_next {
-                Some(pc) => {
-                    Pending::Entry { pc, by_prediction: false, choice: Some((entry, actual_idx)) }
-                }
-                None => Pending::Stop,
-            };
-            let mut correct = true;
-            match self.pending {
-                Pending::Unknown => self.pending = resolved,
-                Pending::Entry { pc: e, by_prediction: by_pred, .. } => {
-                    correct = actual_next == Some(e);
-                    if by_pred {
-                        self.predictor.note_outcome(correct);
-                    }
-                    self.pending = resolved;
-                }
-                Pending::Stop => {
-                    correct = actual_next.is_none();
+            Some(succ) => {
+                let correct = actual_next == Some(succ.entry);
+                if succ.by_prediction {
                     self.predictor.note_outcome(correct);
-                    if actual_next.is_some() {
-                        self.pending = resolved;
-                    }
                 }
+                (correct, (!correct).then_some((pos + 1, SquashKind::Control, resolved)))
             }
-            if Self::TRACED {
-                self.sink.event(&TraceEvent::TaskValidate {
-                    cycle: self.now,
-                    entry,
-                    actual_next,
-                    correct,
-                });
+            // No successor assigned yet: resolve the pending choice.
+            None => {
+                let correct = match self.pending {
+                    Pending::Unknown => true,
+                    Pending::Entry { pc, by_prediction, .. } => {
+                        let correct = actual_next == Some(pc);
+                        if by_prediction {
+                            self.predictor.note_outcome(correct);
+                        }
+                        correct
+                    }
+                    Pending::Stop => {
+                        let correct = actual_next.is_none();
+                        self.predictor.note_outcome(correct);
+                        correct
+                    }
+                };
+                self.pending = resolved;
+                (correct, None)
             }
+        };
+        if Self::TRACED {
+            self.sink.event(&TraceEvent::TaskValidate {
+                cycle: self.now,
+                entry,
+                actual_next,
+                correct,
+            });
         }
-        Ok(None)
+        Ok(squash)
     }
 
     /// Squashes the task at `pos` and all its successors; the sequencer
     /// resumes from `redirect`.
-    fn squash_from(
-        &mut self,
-        pos: usize,
-        redirect: Pending,
-        cause: SquashCause,
-    ) -> Result<(), SimError> {
-        debug_assert!(pos < self.active.len());
+    fn squash_from(&mut self, pos: usize, redirect: Pending, cause: SquashKind) {
         let cutoff = self.active[pos].order;
         let depth = self.active.len() - pos;
         self.ras.restore(self.active[pos].ras_snap);
-        while self.active.len() > pos {
-            let Some(rec) = self.active.pop_back() else {
-                return Err(self.internal_error("squash: active queue shrank mid-wave"));
-            };
+        for rec in self.active.drain(pos..).rev() {
             let c = self.units[rec.unit].counters();
             if Self::TRACED {
                 self.sink.event(&TraceEvent::TaskSquash {
@@ -1004,15 +897,13 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                     order: rec.order,
                     unit: rec.unit,
                     entry: rec.entry,
-                    cause: cause.kind(),
+                    cause,
                 });
+                self.recovering[rec.unit] = true;
             }
             self.stats.tasks_squashed += 1;
             self.stats.squashed_instructions += c.instructions;
             self.stats.breakdown.non_useful += c.total_cycles();
-            if Self::TRACED {
-                self.recovering[rec.unit] = true;
-            }
             self.units[rec.unit].clear();
             self.arb.free_stage(rec.unit);
             // Undo the speculative history shift (newest first, so
@@ -1036,19 +927,19 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
             };
             self.sink.event(&TraceEvent::SquashWave {
                 cycle: self.now,
-                cause: cause.kind(),
+                cause,
                 depth,
                 redirect: redirect_pc,
             });
         }
         match cause {
-            SquashCause::Control => self.stats.control_squashes += 1,
-            SquashCause::Memory => self.stats.memory_squashes += 1,
-            SquashCause::ArbFull => self.stats.arb_squashes += 1,
+            SquashKind::Control => self.stats.control_squashes += 1,
+            SquashKind::Memory => self.stats.memory_squashes += 1,
+            SquashKind::ArbFull => self.stats.arb_squashes += 1,
             // Chaos waves reach the trace sink but deliberately touch no
             // `RunStats` counter: reported stats describe the modeled
             // machine, not the injected faults.
-            SquashCause::Chaos => {}
+            SquashKind::Chaos => {}
         }
         self.next_unit = match self.active.back() {
             Some(last) => (last.unit + 1) % self.cfg.units,
@@ -1063,11 +954,69 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
         self.pending = redirect;
         // Re-sequencing costs a cycle before the next assignment.
         self.seq_ready_at = self.now + 1;
+    }
+
+    /// Retires the head task (one per cycle) once it is complete and
+    /// validated: its ARB stage drains to the data cache, a checked run
+    /// compares it with the sequential walk, and its unit frees.
+    fn retire_phase(&mut self, now: u64) -> Result<(), SimError> {
+        let units = &self.units;
+        let Some(head) =
+            self.active.pop_front_if(|head| head.validated && units[head.unit].is_complete(now))
+        else {
+            return Ok(());
+        };
+        let u = head.unit;
+        for &line in self.arb.drain_stage(u, &mut self.mem) {
+            self.banks.drain_store(now, line, &mut self.bus);
+        }
+        let c = self.units[u].counters();
+        if let Some(walk) = self.walk.as_deref_mut() {
+            if let Some(what) = walk.diff(head.entry, head.create, &self.units[u], &self.mem) {
+                return Err(SimError::Diverged {
+                    order: head.order,
+                    entry: head.entry,
+                    unit: u,
+                    cycle: now,
+                    what,
+                    snapshot: Box::new(self.snapshot()),
+                    history: self.flight.history(),
+                });
+            }
+        }
+        self.stats.charge_retired(&c);
+        if Self::TRACED {
+            self.sink.event(&TraceEvent::TaskRetire {
+                cycle: now,
+                order: head.order,
+                unit: u,
+                entry: head.entry,
+                instructions: c.instructions,
+            });
+        }
+        self.units[u].retire(now);
+        self.last_retired_unit = Some(u);
+        self.last_retire_cycle = now;
+        // Record this task as the latest retired producer of its
+        // create-mask registers; in-flight messages from older tasks
+        // carrying these registers are now stale (see `deliver`).
+        for r in head.create.iter() {
+            self.retired_creates[r.index()] = head.order + 1;
+        }
+        match self.active.front() {
+            Some(next) => self.arb.set_head(next.unit),
+            None => self.arb.set_head(self.next_unit),
+        }
+        if head.exit == Some(ExitKind::Halt) {
+            self.halted = true;
+        }
         Ok(())
     }
 
+    /// Assigns the next task to the tail unit, at most one per cycle,
+    /// predicting it first when the sequencer does not know it yet.
     fn assign_phase(&mut self, now: u64) -> Result<(), SimError> {
-        if now < self.seq_ready_at || self.active.len() >= self.cfg.units {
+        if self.halted || now < self.seq_ready_at || self.active.len() >= self.cfg.units {
             return Ok(());
         }
         // Derive the next task if unknown.
@@ -1263,5 +1212,64 @@ mod tests {
         assert_eq!(actual_target_index(&desc, ExitKind::Halt), Some(2));
         assert_eq!(actual_target_index(&desc, ExitKind::Jump(0x2000)), None);
         assert_eq!(actual_target_index(&desc, ExitKind::Call { target: 0x1000, ret: 0 }), Some(0));
+    }
+
+    /// A squash request whose redirect is told apart by `pc`.
+    fn req(pos: usize, cause: SquashKind, pc: u32) -> SquashRequest {
+        (pos, cause, Pending::Entry { pc, by_prediction: false, choice: None })
+    }
+
+    /// The squash a cycle takes from `reqs`, considered in order.
+    fn arbitrated(reqs: &[SquashRequest]) -> Option<SquashRequest> {
+        let mut held = None;
+        for &r in reqs {
+            arbitrate(&mut held, r);
+        }
+        held
+    }
+
+    #[test]
+    fn the_earliest_squash_position_wins() {
+        use SquashKind::*;
+        assert_eq!(arbitrated(&[]), None);
+        let early = req(1, Chaos, 0xa);
+        for late in [req(2, Memory, 0xb), req(2, Control, 0xb), req(3, ArbFull, 0xb)] {
+            assert_eq!(arbitrated(&[late, early]), Some(early), "{late:?} then {early:?}");
+            assert_eq!(arbitrated(&[early, late]), Some(early), "{early:?} then {late:?}");
+        }
+        let phase_order =
+            [req(4, Memory, 0x1), req(3, Control, 0x2), req(2, ArbFull, 0x3), req(5, Chaos, 0x4)];
+        assert_eq!(arbitrated(&phase_order), Some(req(2, ArbFull, 0x3)));
+    }
+
+    #[test]
+    fn a_control_squash_displaces_other_causes_at_its_position() {
+        use SquashKind::*;
+        let control = req(2, Control, 0xc);
+        for other in [Memory, ArbFull, Chaos] {
+            let first = req(2, other, 0xd);
+            assert_eq!(arbitrated(&[first, control]), Some(control), "{other:?} then control");
+            assert_eq!(arbitrated(&[control, first]), Some(control), "control then {other:?}");
+        }
+    }
+
+    #[test]
+    fn otherwise_the_first_request_considered_stands() {
+        use SquashKind::*;
+        // Two controls at one position cannot both occur (one exit per
+        // task), but the rule still keeps the first.
+        let firsts = [
+            (req(2, Memory, 0x1), req(2, ArbFull, 0x2)),
+            (req(2, Memory, 0x1), req(2, Chaos, 0x2)),
+            (req(2, ArbFull, 0x1), req(2, Chaos, 0x2)),
+            (req(2, Control, 0x1), req(2, Control, 0x2)),
+            (req(2, Chaos, 0x1), req(2, Memory, 0x2)),
+        ];
+        for (first, second) in firsts {
+            assert_eq!(arbitrated(&[first, second]), Some(first), "{first:?} then {second:?}");
+        }
+        let phase_order =
+            [req(3, Memory, 0x1), req(4, Control, 0x2), req(3, ArbFull, 0x3), req(3, Chaos, 0x4)];
+        assert_eq!(arbitrated(&phase_order), Some(req(3, Memory, 0x1)));
     }
 }

@@ -102,17 +102,8 @@ impl ScalarProcessor {
             self.now += 1;
         }
         self.done = true;
-        let c = self.unit.counters();
-        let mut stats = RunStats {
-            cycles: self.now + 1,
-            instructions: c.instructions,
-            tasks_retired: 1,
-            ..RunStats::default()
-        };
-        stats.breakdown.useful = c.busy_cycles;
-        stats.breakdown.no_comp_inter_task = c.inter_task_cycles;
-        stats.breakdown.no_comp_intra_task = c.intra_task_cycles;
-        stats.breakdown.no_comp_wait_retire = c.wait_retire_cycles;
+        let mut stats = RunStats { cycles: self.now + 1, ..RunStats::default() };
+        stats.charge_retired(&self.unit.counters());
         stats.dcache = self.banks.stats();
         stats.icache = self.unit.icache_stats();
         stats.bus = self.bus.stats();

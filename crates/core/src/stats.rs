@@ -1,6 +1,7 @@
 //! Run statistics and the Section-3 cycle-distribution taxonomy.
 
 use ms_memsys::{ArbStats, BusStats, CacheStats};
+use ms_pipeline::TaskCounters;
 use ms_trace::CpiStack;
 use std::fmt;
 
@@ -123,6 +124,18 @@ impl RunStats {
         } else {
             self.correct_predictions as f64 / self.predictions as f64
         }
+    }
+
+    /// Charges a retired task: its instructions, and its unit's cycles as
+    /// Section 3 splits them. The scalar baseline's whole run is one task.
+    pub(crate) fn charge_retired(&mut self, c: &TaskCounters) {
+        self.instructions += c.instructions;
+        self.tasks_retired += 1;
+        self.breakdown.useful += c.busy_cycles;
+        self.breakdown.no_comp_inter_task += c.inter_task_cycles;
+        self.breakdown.no_comp_intra_task += c.intra_task_cycles;
+        self.breakdown.no_comp_wait_retire += c.wait_retire_cycles;
+        self.breakdown.no_comp_arb += c.arb_stall_cycles;
     }
 }
 

@@ -15,6 +15,7 @@ const STOP_ON_FALLTHROUGH: &str = include_str!("repros/stop_on_fallthrough.s");
 const DEAD_FALLTHROUGH: &str = include_str!("repros/dead_fallthrough.s");
 const UNCREATED_WRITE: &str = include_str!("repros/uncreated_write.s");
 const HALT_IN_CALLEE: &str = include_str!("repros/halt_in_callee.s");
+const STOP_IN_CALLEE: &str = include_str!("repros/stop_in_callee.s");
 
 fn opts() -> ValidateOpts {
     ValidateOpts { max_cycles: 1_000_000, watchdog: 200_000 }
@@ -170,6 +171,24 @@ fn a_halt_inside_a_suppressed_call_exits_the_task() {
         "expected the halt in the callee to be flagged, got {errors:?}"
     );
     let outcome = validate_source(HALT_IN_CALLEE, true, &opts());
+    assert!(outcome.pass, "{} ({})", outcome.verdict, outcome.detail);
+    assert_eq!(outcome.verdict, "caught-static", "{}", outcome.detail);
+}
+
+/// A stop tag that fires inside a suppressed call ends the calling task
+/// there, as at run time, so its exit is one the descriptor must list.
+/// The checker used to warn about the stop and accept the program, and
+/// every machine then faulted on the unlisted fall-through exit.
+#[test]
+fn a_stop_inside_a_suppressed_call_exits_the_task() {
+    let report =
+        check_program(&assemble(STOP_IN_CALLEE, AsmMode::Multiscalar).expect("assemble ms"));
+    let errors: Vec<String> = report.of_severity(Severity::Error).map(|d| d.to_string()).collect();
+    assert!(
+        errors.iter().any(|e| e.contains("exit Addr(4116) is not among its descriptor targets")),
+        "expected the stop in the callee to be flagged, got {errors:?}"
+    );
+    let outcome = validate_source(STOP_IN_CALLEE, true, &opts());
     assert!(outcome.pass, "{} ({})", outcome.verdict, outcome.detail);
     assert_eq!(outcome.verdict, "caught-static", "{}", outcome.detail);
 }
