@@ -19,11 +19,12 @@
 //!   including one `unit_issue` or `unit_stall` per (unit, cycle).
 //!
 //! The metrics, the CPI stack and the trace files are sinks on one event
-//! stream, so the stack's buckets equal the metrics' stall counters by
-//! construction. What is checked is that the events agree with the
-//! simulator's own `RunStats` counters and that the stack conserves
-//! (every unit-cycle in exactly one bucket). Exits non-zero with the
-//! exact disagreements if either check fails.
+//! stream. What is checked is that the events agree with the
+//! simulator's own `RunStats` counters, that the stack conserves (every
+//! unit-cycle in exactly one bucket), and that the Section 3 breakdown
+//! the stack implies (`CycleBreakdown::from_cpi`) is the run's own
+//! `RunStats::breakdown`. Exits non-zero with the exact disagreements if
+//! any check fails.
 //!
 //! A run that fails (timeout, watchdog, fault, wrong result) still
 //! leaves complete `trace.json` and `trace.jsonl` up to the failure;
@@ -34,7 +35,7 @@ use ms_sweep::statsio::stats_to_json;
 use ms_trace::{json, ChromeTraceSink, JsonLinesSink, MetricsReport, MetricsSink, TeeSink};
 use ms_workloads::cli::{parse_cli, units, CliArgs, CliError, CliSpec};
 use ms_workloads::{Scale, WorkloadError};
-use multiscalar::{CpiAccountant, RunStats, SimConfig};
+use multiscalar::{CpiAccountant, CycleBreakdown, RunStats, SimConfig};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -68,9 +69,9 @@ fn parse_args(args: &CliArgs) -> Result<Args, CliError> {
     Ok(Args { workload, units, scale, out_dir, jsonl: args.has("--jsonl"), list })
 }
 
-/// Cross-checks event-derived counters against the simulator's own
-/// aggregates. Any disagreement means an instrumentation call-site is
-/// missing or double-counting.
+/// Cross-checks event-derived counters, and the CPI stack, against the
+/// simulator's own aggregates. Any disagreement means an instrumentation
+/// call-site is missing or double-counting.
 fn reconcile(m: &MetricsReport, s: &RunStats) -> Vec<String> {
     let icache_misses = m.icache_fetches - m.icache_hits;
     let desc_misses = m.descriptor_fetches - m.descriptor_hits;
@@ -97,14 +98,23 @@ fn reconcile(m: &MetricsReport, s: &RunStats) -> Vec<String> {
         .map(|(name, ev, st)| format!("{name}: events say {ev}, RunStats says {st}"))
         .collect();
 
-    match &s.cpi {
-        None => mismatches.push("cpi: accountant produced no CpiStack".to_string()),
-        Some(cpi) if !cpi.conservation_holds() => mismatches.push(format!(
+    let Some(cpi) = &s.cpi else {
+        mismatches.push("cpi: accountant produced no CpiStack".to_string());
+        return mismatches;
+    };
+    if !cpi.conservation_holds() {
+        mismatches.push(format!(
             "cpi conservation: accounted {} of {} unit-cycles",
             cpi.accounted_unit_cycles(),
             cpi.total_unit_cycles()
-        )),
-        Some(_) => {}
+        ));
+    }
+    let implied = CycleBreakdown::from_cpi(cpi);
+    if implied != s.breakdown {
+        mismatches.push(format!(
+            "cpi breakdown: the stack implies {implied:?}, RunStats says {:?}",
+            s.breakdown
+        ));
     }
     mismatches
 }
@@ -248,7 +258,10 @@ fn main() -> ExitCode {
     println!("wrote {}", report_path.display());
 
     if mismatches.is_empty() {
-        println!("reconciliation: event counters match RunStats and the CPI stack conserves");
+        println!(
+            "reconciliation: event counters match RunStats, and the CPI stack conserves and \
+             implies its cycle breakdown"
+        );
         ExitCode::SUCCESS
     } else {
         eprintln!("reconciliation FAILED:");
@@ -276,5 +289,21 @@ mod tests {
         assert_eq!(report.get("error").and_then(|e| e.as_str()), Some(err.to_string().as_str()));
         let snapshot = report.get("snapshot").expect("snapshot field");
         assert_eq!(snapshot.get("cycle").and_then(|c| c.as_u64()), Some(500));
+    }
+
+    #[test]
+    fn reconcile_checks_the_breakdown_the_stack_implies() {
+        let w = ms_workloads::by_name("Wc", Scale::Test).expect("Wc exists");
+        let sink = TeeSink(MetricsSink::new(), CpiAccountant::new());
+        let (result, TeeSink(metrics, _)) =
+            w.run_multiscalar_with_sink(SimConfig::multiscalar(4), sink);
+        let mut stats = result.expect("Wc runs");
+        let metrics = metrics.into_report();
+        assert_eq!(reconcile(&metrics, &stats), Vec::<String>::new());
+        stats.breakdown.useful += 1;
+        stats.breakdown.non_useful -= 1;
+        let mismatches = reconcile(&metrics, &stats);
+        assert_eq!(mismatches.len(), 1, "{mismatches:?}");
+        assert!(mismatches[0].starts_with("cpi breakdown: "), "{mismatches:?}");
     }
 }

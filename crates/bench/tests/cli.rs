@@ -1,7 +1,9 @@
 //! CLI contract tests for `msperf`, `msprof`, `mssweep`, `mstrace` and
 //! `tables`: a malformed command line prints the usage to stderr, writes
-//! nothing to stdout, and exits 2 — before any simulation starts.
+//! nothing to stdout, and exits 2 — before any simulation starts. Also
+//! what `mssweep --cpi --metrics` writes, and what it leaves in the cache.
 
+use ms_trace::jsonv;
 use std::process::Command;
 
 fn assert_usage_error(bin: &str, args: &[&str]) {
@@ -90,4 +92,55 @@ fn list_prints_the_suite_and_accepts_the_value_spelling() {
         assert_eq!(stdout.lines().count(), 10, "{stdout}");
         assert!(stdout.starts_with("Compress"), "{stdout}");
     }
+}
+
+/// `mssweep --cpi --metrics` gives each multiscalar entry of
+/// `results.json` its CPI stack and writes one metrics report per
+/// executed multiscalar job, but the cache stores neither: a plain sweep
+/// over the same cache afterwards is all hits and writes the bytes of a
+/// plain uncached sweep.
+#[test]
+fn mssweep_cpi_and_metrics_stay_out_of_the_cache() {
+    let dir = std::env::temp_dir().join(format!("ms-bench-cli-cpi-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.join("cache").display().to_string();
+    let sweep = |out: &str, extra: &[&str]| -> String {
+        let o = Command::new(env!("CARGO_BIN_EXE_mssweep"))
+            .args(["--workloads", "wc", "--scale", "test", "--units", "4", "--widths", "1"])
+            .args(["--order", "inorder", "--quiet", "--out-dir"])
+            .arg(dir.join(out))
+            .args(extra)
+            .output()
+            .expect("mssweep runs");
+        let stdout = String::from_utf8_lossy(&o.stdout).into_owned();
+        assert!(o.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&o.stderr));
+        stdout
+    };
+    let read = |path: &str| std::fs::read_to_string(dir.join(path)).expect("artifact exists");
+
+    let stdout = sweep("cpi", &["--cpi", "--metrics", "--cache-dir", &cache]);
+    assert!(stdout.contains("sweep: 2 jobs, 2 executed, 0 cached, 0 failed"), "{stdout}");
+    let results = jsonv::parse(&read("cpi/results.json")).expect("results.json parses");
+    let jobs = results.get("jobs").and_then(|j| j.as_arr()).expect("a jobs array");
+    let kinds: Vec<_> = jobs.iter().map(|j| j.get("kind").and_then(|k| k.as_str())).collect();
+    assert_eq!(kinds, [Some("scalar"), Some("multiscalar")]);
+    assert!(jobs[0].get("cpi").is_none(), "the scalar job has no stack");
+    let conserved = jobs[1].get("cpi").and_then(|c| c.get("conserved"));
+    assert_eq!(conserved.and_then(|c| c.as_bool()), Some(true), "the ms4 job's stack conserves");
+
+    let metrics: Vec<_> = std::fs::read_dir(dir.join("cpi/metrics"))
+        .expect("metrics/ exists")
+        .map(|e| e.expect("readable entry").path())
+        .collect();
+    assert_eq!(metrics.len(), 1, "one report per executed multiscalar job: {metrics:?}");
+    let report = std::fs::read_to_string(&metrics[0]).expect("readable report");
+    let report = jsonv::parse(&report).expect("the metrics report parses");
+    assert_eq!(report.get("tasks_retired").and_then(|t| t.as_u64()), Some(302));
+
+    let stdout = sweep("warm", &["--cache-dir", &cache]);
+    assert!(stdout.contains("sweep: 2 jobs, 0 executed, 2 cached, 0 failed"), "{stdout}");
+    let stdout = sweep("cold", &["--no-cache"]);
+    assert!(stdout.contains("sweep: 2 jobs, 2 executed, 0 cached, 0 failed"), "{stdout}");
+    assert_eq!(read("warm/results.json"), read("cold/results.json"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -488,7 +488,7 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                         complete: self.units[u].is_complete(self.now),
                         awaiting: self.units[u].awaiting_regs().len(),
                         stall: self.units[u].stall_reason(),
-                        stall_hist: *self.units[u].stall_histogram(),
+                        stall_hist: self.units[u].stall_histogram(),
                     }
                 })
                 .collect(),
@@ -680,7 +680,7 @@ impl<S: TraceSink, F: FaultInjector, A: TraceSink> Processor<S, F, A> {
                     self.units[unit_idx].violations().iter().filter_map(|&v| self.pos_of(v)).min();
                 violated = violated.into_iter().chain(earliest).min();
             }
-            if out.stall == Some(ms_pipeline::StallClass::ArbFull) && pos > 0 {
+            if out.stall == Some(StallReason::ArbFull) && pos > 0 {
                 arb_stalled.get_or_insert(pos);
             }
             if let Some(exit) = out.exit {

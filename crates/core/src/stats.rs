@@ -2,7 +2,7 @@
 
 use ms_memsys::{ArbStats, BusStats, CacheStats};
 use ms_pipeline::TaskCounters;
-use ms_trace::CpiStack;
+use ms_trace::{CpiStack, StallBuckets, StallReason};
 use std::fmt;
 
 /// Distribution of processing-unit cycles, following the paper's
@@ -28,6 +28,43 @@ pub struct CycleBreakdown {
 }
 
 impl CycleBreakdown {
+    /// Charges `issued` busy cycles as useful and each zero-issue cycle in
+    /// `stalls` to its Section 3 class: the one mapping from a
+    /// [`StallReason`] to a class. A remote operand is an inter-task
+    /// wait, a unit holding no task is idle, and the rest of a task's
+    /// stalls (local dependences, hazards, FUs, fetch, caches, drain)
+    /// are intra-task.
+    pub fn charge(&mut self, issued: u64, stalls: &StallBuckets) {
+        self.useful += issued;
+        for r in StallReason::ALL {
+            *match r {
+                StallReason::RemoteDep => &mut self.no_comp_inter_task,
+                StallReason::WaitRetire => &mut self.no_comp_wait_retire,
+                StallReason::ArbFull => &mut self.no_comp_arb,
+                StallReason::NoTask | StallReason::SquashRecovery => &mut self.idle,
+                _ => &mut self.no_comp_intra_task,
+            } += stalls[r.index()];
+        }
+    }
+
+    /// The breakdown a CPI stack implies: its retired-task rows by class,
+    /// its idle buckets as idle, and every other unit-cycle as squashed
+    /// work. A run's [`RunStats::breakdown`] equals this for its own
+    /// [`RunStats::cpi`].
+    pub fn from_cpi(cpi: &CpiStack) -> CycleBreakdown {
+        let mut b = CycleBreakdown::default();
+        for t in &cpi.per_task {
+            b.charge(t.issued_cycles, &t.stall_cycles);
+        }
+        // A unit holding a task is never charged idle, so the whole
+        // run's idle class is the stack's.
+        let mut run = CycleBreakdown::default();
+        run.charge(cpi.issued_cycles, &cpi.stall_cycles);
+        b.idle = run.idle;
+        b.non_useful = cpi.accounted_unit_cycles().saturating_sub(b.total());
+        b
+    }
+
     /// Total unit-cycles accounted.
     pub fn total(&self) -> u64 {
         self.useful
@@ -131,11 +168,7 @@ impl RunStats {
     pub(crate) fn charge_retired(&mut self, c: &TaskCounters) {
         self.instructions += c.instructions;
         self.tasks_retired += 1;
-        self.breakdown.useful += c.busy_cycles;
-        self.breakdown.no_comp_inter_task += c.inter_task_cycles;
-        self.breakdown.no_comp_intra_task += c.intra_task_cycles;
-        self.breakdown.no_comp_wait_retire += c.wait_retire_cycles;
-        self.breakdown.no_comp_arb += c.arb_stall_cycles;
+        self.breakdown.charge(c.issued_cycles, &c.stall_cycles);
     }
 }
 
@@ -196,5 +229,92 @@ mod tests {
         let s = b.to_string();
         assert!(s.contains("useful computation"), "{s}");
         assert!(s.contains("50.00%"), "{s}");
+    }
+
+    #[test]
+    fn charge_maps_each_reason_to_one_class() {
+        let bit = |r: StallReason| 1u64 << r.index();
+        let mut stalls = StallBuckets::default();
+        for r in StallReason::ALL {
+            stalls[r.index()] = bit(r);
+        }
+        let mut b = CycleBreakdown::default();
+        b.charge(5, &stalls);
+        use StallReason::*;
+        let want = CycleBreakdown {
+            useful: 5,
+            non_useful: 0,
+            no_comp_inter_task: bit(RemoteDep),
+            no_comp_intra_task: [FetchEmpty, LocalDep, FuBusy, Hazard, Drain, CacheMiss]
+                .into_iter()
+                .map(bit)
+                .sum(),
+            no_comp_wait_retire: bit(WaitRetire),
+            no_comp_arb: bit(ArbFull),
+            idle: bit(NoTask) + bit(SquashRecovery),
+        };
+        assert_eq!(b, want);
+        assert_eq!(b.total(), 5 + stalls.iter().sum::<u64>(), "every reason has a class");
+    }
+
+    #[test]
+    fn from_cpi_splits_retired_rows_idle_and_squashed_work() {
+        use ms_trace::{TaskCpi, UnitCpi};
+        let buckets = |charges: &[(StallReason, u64)]| {
+            let mut b = StallBuckets::default();
+            for &(r, n) in charges {
+                b[r.index()] = n;
+            }
+            b
+        };
+        // 2 units x 10 cycles. Unit 0 ran a task that retired (4 issued,
+        // 2 local-dependence stalls), then a squashed one (2 issued), and
+        // idled 2 cycles; unit 1 ran squashed work only (3 issued, 4
+        // remote stalls) and spent 3 cycles in squash recovery.
+        let per_unit = vec![
+            UnitCpi {
+                issued_cycles: 6,
+                stall_cycles: buckets(&[(StallReason::LocalDep, 2), (StallReason::NoTask, 2)]),
+            },
+            UnitCpi {
+                issued_cycles: 3,
+                stall_cycles: buckets(&[
+                    (StallReason::RemoteDep, 4),
+                    (StallReason::SquashRecovery, 3),
+                ]),
+            },
+        ];
+        let cpi = CpiStack {
+            units: 2,
+            cycles: 10,
+            instructions: 4,
+            issued_cycles: 9,
+            stall_cycles: buckets(&[
+                (StallReason::LocalDep, 2),
+                (StallReason::RemoteDep, 4),
+                (StallReason::NoTask, 2),
+                (StallReason::SquashRecovery, 3),
+            ]),
+            per_unit,
+            per_task: vec![TaskCpi {
+                order: 0,
+                unit: 0,
+                entry: 0x1000,
+                instructions: 4,
+                issued_cycles: 4,
+                stall_cycles: buckets(&[(StallReason::LocalDep, 2)]),
+            }],
+        };
+        assert!(cpi.conservation_holds());
+        let b = CycleBreakdown::from_cpi(&cpi);
+        let want = CycleBreakdown {
+            useful: 4,
+            no_comp_intra_task: 2,
+            idle: 5,
+            non_useful: 9,
+            ..CycleBreakdown::default()
+        };
+        assert_eq!(b, want);
+        assert_eq!(b.total(), cpi.total_unit_cycles());
     }
 }

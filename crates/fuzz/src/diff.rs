@@ -14,11 +14,14 @@
 //! 3. **Runtime containment** — a perturbed program the checker missed
 //!    may still fail loudly (simulator fault, watchdog, cycle bound);
 //!    that counts as *caught*. A panic never does: it fails the case
-//!    with verdict `panic` in every mode. What must never happen is a
-//!    perturbed program computing something other than its sequential
-//!    walk: a task that leaves the walk, or a final state that differs
-//!    from the scalar binary's, is silent divergence, the bug class this
-//!    crate hunts.
+//!    with verdict `panic` in every mode. Nor does an annotation error
+//!    (an exit outside the descriptor's targets, or no descriptor where
+//!    control went) in a program the checker vouched for: that fails
+//!    with verdict `checker-gap` in every mode. What must never happen
+//!    is a perturbed program computing something other than its
+//!    sequential walk: a task that leaves the walk, or a final state
+//!    that differs from the scalar binary's, is silent divergence, the
+//!    bug class this crate hunts.
 //!
 //! The core oracle, [`validate_pair`], takes an already-assembled
 //! multiscalar/scalar program pair and the memory regions to compare, so
@@ -27,7 +30,7 @@
 
 use crate::gen::{ARR_BYTES, OUT_BYTES};
 use ms_asm::{assemble, AsmMode};
-use ms_cfg::{check_program, Severity};
+use ms_cfg::{check_program, Report, Severity, StaticExit};
 use ms_isa::{Program, DATA_BASE};
 use multiscalar::{Processor, SequentialWalk, SimConfig, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -186,13 +189,7 @@ pub fn validate_pair(
             Ok(Err(e @ SimError::Diverged { .. })) => {
                 return CaseOutcome::fail(diverged, format!("{name}: {e}"));
             }
-            Ok(Err(e)) => {
-                return if adversarial {
-                    CaseOutcome::pass("caught-runtime")
-                } else {
-                    CaseOutcome::fail("runtime-error", format!("{name}: {e}"))
-                };
-            }
+            Ok(Err(e)) => return run_error(name, &e, &report, adversarial),
             // A panic is a simulator bug whatever the annotations say,
             // never a catch.
             Err(panic) => {
@@ -236,6 +233,29 @@ pub fn validate_pair(
     }
 }
 
+/// The verdict on a checked run at config point `name` that failed with
+/// `e`, other than by leaving its walk, given the checker's `report` on
+/// the program. An annotation error in a program the checker vouched for
+/// (no error, and no register-indirect exit it declared unverifiable) is
+/// a `checker-gap`: the checker and the machine disagree, a bug in every
+/// mode. Any other failure is a runtime catch of a perturbed program and
+/// an error of an honest one.
+fn run_error(name: &str, e: &SimError, report: &Report, adversarial: bool) -> CaseOutcome {
+    let vouched = !report.has_errors()
+        && !report
+            .tasks
+            .iter()
+            .flat_map(|t| &t.exits)
+            .any(|x| matches!(x, StaticExit::Unverifiable(_)));
+    match e {
+        SimError::ExitNotInTargets { .. } | SimError::NoDescriptor { .. } if vouched => {
+            CaseOutcome::fail("checker-gap", format!("{name}: {e}"))
+        }
+        _ if adversarial => CaseOutcome::pass("caught-runtime"),
+        _ => CaseOutcome::fail("runtime-error", format!("{name}: {e}")),
+    }
+}
+
 /// Walks `prog` to its halt within `limit` instructions in all.
 fn walk_to_halt(prog: &Program, binary: &str, limit: u64) -> Result<SequentialWalk, String> {
     let mut walk = SequentialWalk::new(prog.clone());
@@ -250,4 +270,63 @@ fn walk_to_halt(prog: &Program, binary: &str, limit: u64) -> Result<SequentialWa
         }
     }
     Ok(walk)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(src: &str) -> Report {
+        check_program(&assemble(src, AsmMode::Multiscalar).expect("assembles"))
+    }
+
+    /// Task A leaves through `jr $5` to C, which is not among its
+    /// targets: the checker can only warn that the exit is unverifiable,
+    /// and every machine stops with an annotation error.
+    const INDIRECT: &str = "
+main:
+.task targets=B create=$5
+A:
+    la    $5, C
+    jr!s  $5
+.task targets=halt create=
+B:
+    halt
+.task targets=halt create=
+C:
+    halt
+";
+
+    #[test]
+    fn an_annotation_error_in_a_vouched_program_is_a_checker_gap() {
+        let report = check(".task targets=halt create=\nA:\n    halt\n");
+        assert!(report.diagnostics.is_empty(), "{report}");
+        for e in [
+            SimError::ExitNotInTargets { task: 0x1000, exit: "Fall(4116)".into() },
+            SimError::NoDescriptor { pc: 0x1014 },
+        ] {
+            for adversarial in [false, true] {
+                let v = run_error("ms1", &e, &report, adversarial);
+                assert_eq!((v.verdict, v.pass), ("checker-gap", false), "{e}");
+                assert_eq!(v.detail, format!("ms1: {e}"));
+            }
+        }
+        // Other failures keep their verdicts.
+        let e = SimError::Fault("fetch outside text".into());
+        assert_eq!(run_error("ms1", &e, &report, true).verdict, "caught-runtime");
+        assert_eq!(run_error("ms1", &e, &report, false).verdict, "runtime-error");
+    }
+
+    #[test]
+    fn an_exit_the_checker_declared_unverifiable_is_caught_at_run_time() {
+        let report = check(INDIRECT);
+        assert!(!report.has_errors(), "{report}");
+        assert!(report.tasks[0].exits.contains(&StaticExit::Unverifiable(0x1008)));
+        let opts = ValidateOpts { max_cycles: 100_000, watchdog: 10_000 };
+        let v = validate_source(INDIRECT, true, &opts);
+        assert_eq!((v.verdict, v.pass), ("caught-runtime", true), "{}", v.detail);
+        let v = validate_source(INDIRECT, false, &opts);
+        assert_eq!((v.verdict, v.pass), ("runtime-error", false));
+        assert!(v.detail.contains("not among its descriptor targets"), "{}", v.detail);
+    }
 }

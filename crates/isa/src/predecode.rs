@@ -135,11 +135,6 @@ impl PredecodedProgram {
     pub fn program(&self) -> &Program {
         &self.prog
     }
-
-    /// Unwraps the program, discarding the metadata table.
-    pub fn into_program(self) -> Program {
-        self.prog
-    }
 }
 
 impl Deref for PredecodedProgram {
@@ -227,7 +222,5 @@ mod tests {
         let pd = PredecodedProgram::new(prog());
         assert_eq!(pd.text_end(), TEXT_BASE + 16);
         assert_eq!(pd.program().text.len(), 4);
-        let back = pd.clone().into_program();
-        assert_eq!(back.text.len(), 4);
     }
 }

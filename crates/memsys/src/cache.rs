@@ -106,11 +106,6 @@ impl DirectMappedCache {
         self.tags[set] = Some(self.tag_of(addr));
     }
 
-    /// Empties the cache (tags only; stats are kept).
-    pub fn invalidate_all(&mut self) {
-        self.tags.fill(None);
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -147,14 +142,6 @@ mod tests {
         c.fill(0x80);
         assert!(c.probe(0x80));
         assert_eq!(c.stats().accesses, 0);
-    }
-
-    #[test]
-    fn invalidate_clears_tags() {
-        let mut c = DirectMappedCache::new(256, 64);
-        c.fill(0);
-        c.invalidate_all();
-        assert!(!c.probe(0));
     }
 
     #[test]

@@ -26,6 +26,4 @@ mod unit;
 pub use exec::{execute, extend_load, ControlOutcome, MemRequest, Outcome};
 pub use fu::{FuPool, LatencyTable};
 pub use regfile::{ReadStatus, RegFile};
-pub use unit::{
-    ExitKind, MemPorts, ProcessingUnit, StallClass, TaskCounters, TickOutput, UnitConfig,
-};
+pub use unit::{ExitKind, MemPorts, ProcessingUnit, TaskCounters, TickOutput, UnitConfig};

@@ -25,7 +25,7 @@ use crate::fu::{FuPool, LatencyTable};
 use crate::regfile::{ReadStatus, RegFile};
 use ms_isa::{Instr, InstrMeta, Op, PredecodedProgram, Reg, RegMask, StopCond, NUM_REGS};
 use ms_memsys::{Arb, DataBanks, ICache, ICacheConfig, MemBus, Memory};
-use ms_trace::{NullSink, StallReason, TraceEvent, TraceSink};
+use ms_trace::{NullSink, StallBuckets, StallReason, TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
 /// Static configuration of one processing unit.
@@ -105,49 +105,16 @@ impl ExitKind {
     }
 }
 
-/// Why a unit made no progress this cycle (paper Section 3 taxonomy).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StallClass {
-    /// Issued at least one instruction.
-    Busy,
-    /// Oldest ready-to-issue instruction waits on an inter-task register.
-    InterTask,
-    /// Waiting on an intra-task dependence, cache, FU or fetch.
-    IntraTask,
-    /// Task complete; waiting to be retired at the head.
-    WaitRetire,
-    /// Blocked allocating ARB space.
-    ArbFull,
-    /// No task assigned.
-    Idle,
-}
-
-impl StallClass {
-    /// The Section 3 class of a zero-issue cycle charged to `reason`.
-    fn of(reason: StallReason) -> StallClass {
-        match reason {
-            StallReason::RemoteDep => StallClass::InterTask,
-            StallReason::WaitRetire => StallClass::WaitRetire,
-            StallReason::ArbFull => StallClass::ArbFull,
-            StallReason::NoTask | StallReason::SquashRecovery => StallClass::Idle,
-            _ => StallClass::IntraTask,
-        }
-    }
-}
-
-/// Per-task cycle/instruction counters, classified per Section 3.
+/// Per-task counters: each cycle the task held its unit, charged to
+/// issue or to one [`StallReason`], and the instructions it issued. The
+/// Section 3 classes are drawn from them in one place, ms-core's
+/// `CycleBreakdown::charge`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TaskCounters {
     /// Cycles with at least one issue.
-    pub busy_cycles: u64,
-    /// Cycles stalled on inter-task register communication.
-    pub inter_task_cycles: u64,
-    /// Cycles stalled on intra-task dependences/fetch/FUs/cache.
-    pub intra_task_cycles: u64,
-    /// Cycles complete but not yet retired.
-    pub wait_retire_cycles: u64,
-    /// Cycles stalled on ARB capacity.
-    pub arb_stall_cycles: u64,
+    pub issued_cycles: u64,
+    /// Zero-issue cycles, indexed by [`StallReason::index`].
+    pub stall_cycles: StallBuckets,
     /// Instructions issued (architectural path within the task).
     pub instructions: u64,
 }
@@ -155,22 +122,7 @@ pub struct TaskCounters {
 impl TaskCounters {
     /// Total accounted cycles.
     pub fn total_cycles(&self) -> u64 {
-        self.busy_cycles
-            + self.inter_task_cycles
-            + self.intra_task_cycles
-            + self.wait_retire_cycles
-            + self.arb_stall_cycles
-    }
-
-    fn count(&mut self, class: StallClass) {
-        match class {
-            StallClass::Busy => self.busy_cycles += 1,
-            StallClass::InterTask => self.inter_task_cycles += 1,
-            StallClass::IntraTask => self.intra_task_cycles += 1,
-            StallClass::WaitRetire => self.wait_retire_cycles += 1,
-            StallClass::ArbFull => self.arb_stall_cycles += 1,
-            StallClass::Idle => {}
-        }
+        self.issued_cycles + self.stall_cycles.iter().sum::<u64>()
     }
 }
 
@@ -179,8 +131,9 @@ impl TaskCounters {
 pub struct TickOutput {
     /// Instructions issued this cycle.
     pub issued: u32,
-    /// Stall classification ([`StallClass::Busy`] when `issued > 0`).
-    pub stall: Option<StallClass>,
+    /// The reason a zero-issue cycle was charged to (`None` when the
+    /// unit issued, or holds no task).
+    pub stall: Option<StallReason>,
     /// The task's exit, reported exactly once when its stop resolves.
     pub exit: Option<ExitKind>,
     /// Whether a store issued this cycle violated memory order. The ARB
@@ -293,11 +246,11 @@ pub struct ProcessingUnit {
     /// Fine-grained reason for the most recent zero-issue cycle (`None`
     /// while issuing); surfaced in diagnostic snapshots.
     last_stall: Option<StallReason>,
-    /// Cumulative stalled cycles per reason over the unit's lifetime,
-    /// indexed by [`StallReason::index`]. Deliberately *not* reset on
-    /// task assignment: diagnostic snapshots want the whole history,
-    /// and per-task slices come from the cycle accountant instead.
-    stall_hist: [u64; StallReason::COUNT],
+    /// Stalled cycles per reason of the tasks before the current one,
+    /// folded in at each assignment: diagnostic snapshots want the whole
+    /// history, which [`ProcessingUnit::stall_histogram`] completes with
+    /// the current task's counters.
+    earlier_stalls: StallBuckets,
     /// Event-driven parking (DESIGN.md §13): while `now < parked_until`,
     /// [`ProcessingUnit::tick`] skips the issue, fetch and completion
     /// phases, which a [`ProcessingUnit::quiet_until`] certificate proved
@@ -344,7 +297,7 @@ impl ProcessingUnit {
             counters: TaskCounters::default(),
             fault: None,
             last_stall: None,
-            stall_hist: [0; StallReason::COUNT],
+            earlier_stalls: StallBuckets::default(),
             parked_until: 0,
             parked_head: None,
             park_enabled: true,
@@ -414,6 +367,7 @@ impl ProcessingUnit {
         // itself create is immediately visible to successors.
         self.fwd_known = RegMask::from_bits(!0).difference(awaiting).difference(create);
         self.pending_sends.clear();
+        self.earlier_stalls = self.stall_histogram();
         self.counters = TaskCounters::default();
         self.fault = None;
         self.last_stall = None;
@@ -497,8 +451,12 @@ impl ProcessingUnit {
 
     /// Cumulative stalled cycles per reason over the unit's lifetime
     /// (across task assignments), indexed by [`StallReason::index`].
-    pub fn stall_histogram(&self) -> &[u64; StallReason::COUNT] {
-        &self.stall_hist
+    pub fn stall_histogram(&self) -> StallBuckets {
+        let mut hist = self.earlier_stalls;
+        for (h, c) in hist.iter_mut().zip(self.counters.stall_cycles) {
+            *h += c;
+        }
+        hist
     }
 
     /// Ring delivery of register `r` with value `v` at cycle `now`.
@@ -601,8 +559,8 @@ impl ProcessingUnit {
         if now < self.parked_until {
             self.park_stats.2 += 1;
             let reason = self.zero_issue_reason(now, self.parked_head);
-            let stall = Some(self.record_stall(now, reason, sink));
-            return TickOutput { stall, ..TickOutput::default() };
+            self.record_stall(now, reason, sink);
+            return TickOutput { stall: Some(reason), ..TickOutput::default() };
         }
         self.tick_unparked(now, prog, ports, sink)
     }
@@ -618,7 +576,6 @@ impl ProcessingUnit {
     ) -> TickOutput {
         let mut out = TickOutput::default();
         if !self.active || self.fault.is_some() {
-            out.stall = Some(StallClass::Idle);
             return out;
         }
         self.fu.begin_cycle();
@@ -649,16 +606,16 @@ impl ProcessingUnit {
         self.fetch_phase(now, prog, ports, sink);
         self.completion_phase(now);
 
-        let stall = if issued > 0 {
+        if issued > 0 {
             self.last_stall = None;
-            self.counters.count(StallClass::Busy);
+            self.counters.issued_cycles += 1;
             if S::ENABLED {
                 sink.event(&TraceEvent::UnitIssue { cycle: now, unit: self.id });
             }
-            StallClass::Busy
         } else {
             let reason = self.zero_issue_reason(now, first_block);
-            let class = self.record_stall(now, reason, sink);
+            self.record_stall(now, reason, sink);
+            out.stall = Some(reason);
             // Try to park for the rest of this stall. Only reasons that
             // produce multi-cycle waits are worth the probe: FetchEmpty
             // resolves next cycle (the fetch pipeline refills every
@@ -681,9 +638,7 @@ impl ProcessingUnit {
                     self.parked_head = head;
                 }
             }
-            class
-        };
-        out.stall = Some(stall);
+        }
 
         if self.stop_resolved && !self.exit_reported {
             self.exit_reported = true;
@@ -766,24 +721,15 @@ impl ProcessingUnit {
         }
     }
 
-    /// Books one zero-issue cycle charged to `reason` — the diagnostic
-    /// marker (kept up to date even untraced: snapshots report it), the
-    /// stall histogram, the trace event and the Section 3 counter — and
-    /// returns its Section 3 class.
-    fn record_stall<S: TraceSink>(
-        &mut self,
-        now: u64,
-        reason: StallReason,
-        sink: &mut S,
-    ) -> StallClass {
+    /// Books one zero-issue cycle charged to `reason`: the task's counter
+    /// (the one record of the charge), the diagnostic marker (kept up to
+    /// date even untraced: snapshots report it) and the trace event.
+    fn record_stall<S: TraceSink>(&mut self, now: u64, reason: StallReason, sink: &mut S) {
+        self.counters.stall_cycles[reason.index()] += 1;
         self.last_stall = Some(reason);
-        self.stall_hist[reason.index()] += 1;
         if S::ENABLED {
             sink.event(&TraceEvent::UnitStall { cycle: now, unit: self.id, reason });
         }
-        let class = StallClass::of(reason);
-        self.counters.count(class);
-        class
     }
 
     /// Attempts to issue the instruction at buffer index `idx`, which
@@ -1779,7 +1725,7 @@ A:
             let out = rig.tick();
             assert_eq!(out.issued, 0, "must stall on the inter-task operand");
             if rig.now > 25 {
-                assert_eq!(out.stall, Some(StallClass::InterTask));
+                assert_eq!(out.stall, Some(StallReason::RemoteDep));
             }
         }
         let now = rig.now;
@@ -1933,7 +1879,18 @@ A:
         for _ in 0..10 {
             rig.tick(); // complete but unretired
         }
-        assert!(rig.unit.counters().wait_retire_cycles >= 9);
+        let first = rig.unit.counters();
+        assert!(first.stall_cycles[StallReason::WaitRetire.index()] >= 9);
+        // The lifetime histogram sums the tasks' buckets: a new
+        // assignment starts fresh counters and keeps the old task's.
+        rig.unit.retire(rig.now);
+        rig.assign_entry(RegMask::EMPTY);
+        rig.run_to_exit(40);
+        let mut both = first.stall_cycles;
+        for (b, s) in both.iter_mut().zip(rig.unit.counters().stall_cycles) {
+            *b += s;
+        }
+        assert_eq!(rig.unit.stall_histogram(), both);
     }
 
     #[test]

@@ -12,11 +12,15 @@
 //! return address stack." The sequencer also keeps "a 1024 entry direct
 //! mapped cache of task descriptors".
 //!
-//! This crate provides all three structures. Histories are updated at
-//! task *resolution* (when a task's actual successor is known), a common
-//! simplification relative to speculative history update with repair; the
-//! return-address stack is repaired on squash by restoring its top
-//! pointer.
+//! This crate provides all three structures. Histories are updated
+//! speculatively: the processor shifts the chosen target into a task's
+//! history when it assigns the successor ([`TaskPredictor::shift`]),
+//! trains the pattern entry at the pre-shift history once the actual
+//! successor is known ([`TaskPredictor::train`]), and restores the
+//! pre-shift history when it squashes the task
+//! ([`TaskPredictor::set_history`]). Updating histories only at
+//! resolution measurably breaks PAs (DESIGN.md §3). The return-address
+//! stack is repaired on squash by restoring its top pointer.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -30,17 +34,6 @@ pub struct PredictorStats {
     pub predictions: u64,
     /// Predictions later found correct.
     pub correct: u64,
-}
-
-impl PredictorStats {
-    /// Fraction of correct predictions (1.0 when none were made).
-    pub fn accuracy(&self) -> f64 {
-        if self.predictions == 0 {
-            1.0
-        } else {
-            self.correct as f64 / self.predictions as f64
-        }
-    }
 }
 
 const L1_ENTRIES: usize = 64;
@@ -180,15 +173,6 @@ impl TaskPredictor {
         prev
     }
 
-    /// Trains with the actual outcome at the *current* history, then
-    /// shifts it in (the non-speculative sequence, for callers that know
-    /// outcomes immediately).
-    pub fn update(&mut self, task: u32, actual: usize) {
-        let h = self.history(task);
-        self.train(task, h, actual);
-        self.shift(task, actual);
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> PredictorStats {
         self.stats
@@ -246,11 +230,6 @@ impl ReturnAddressStack {
         self.top = snap.0;
         self.depth = snap.1.min(self.slots.len());
     }
-
-    /// Current number of live entries.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
 }
 
 /// Timing model of the sequencer's direct-mapped task-descriptor cache.
@@ -304,12 +283,21 @@ impl DescriptorCache {
 mod tests {
     use super::*;
 
+    /// Trains with the actual outcome at the current history, then
+    /// shifts it in: the non-speculative sequence, as if every outcome
+    /// were known at prediction time.
+    fn update(p: &mut TaskPredictor, task: u32, actual: usize) {
+        let h = p.history(task);
+        p.train(task, h, actual);
+        p.shift(task, actual);
+    }
+
     #[test]
     fn learns_a_constant_target() {
         let mut p = TaskPredictor::new();
         let task = 0x1000;
         for _ in 0..8 {
-            p.update(task, 1);
+            update(&mut p, task, 1);
         }
         assert_eq!(p.predict(task, 2), 1);
     }
@@ -322,16 +310,16 @@ mod tests {
         let mut p = TaskPredictor::new();
         let task = 0x2000;
         for _ in 0..40 {
-            p.update(task, 0);
-            p.update(task, 0);
-            p.update(task, 1);
+            update(&mut p, task, 0);
+            update(&mut p, task, 0);
+            update(&mut p, task, 1);
         }
         let mut correct = 0;
         for &actual in &[0usize, 0, 1, 0, 0, 1] {
             if p.predict(task, 2) == actual {
                 correct += 1;
             }
-            p.update(task, actual);
+            update(&mut p, task, actual);
         }
         assert_eq!(correct, 6, "pattern should be fully predictable");
     }
@@ -341,7 +329,7 @@ mod tests {
         let mut p = TaskPredictor::new();
         let task = 0x3000;
         for _ in 0..8 {
-            p.update(task, 3);
+            update(&mut p, task, 3);
         }
         assert_eq!(p.predict(task, 4), 3);
         // Same history but a descriptor with fewer targets: clamp to 0.
@@ -354,8 +342,7 @@ mod tests {
         p.note_outcome(true);
         p.note_outcome(false);
         p.note_outcome(true);
-        assert_eq!(p.stats().predictions, 3);
-        assert!((p.stats().accuracy() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(p.stats(), PredictorStats { predictions: 3, correct: 2 });
     }
 
     #[test]
@@ -375,7 +362,6 @@ mod tests {
         ras.push(1);
         ras.push(2);
         ras.push(3);
-        assert_eq!(ras.depth(), 2);
         assert_eq!(ras.pop(), Some(3));
         assert_eq!(ras.pop(), Some(2));
         assert_eq!(ras.pop(), None);

@@ -25,9 +25,10 @@
 //! [`TraceSink`]: the processor emits exactly one
 //! [`TraceEvent::UnitIssue`] or [`TraceEvent::UnitStall`] per (unit,
 //! cycle), and the task rows come from the `TaskAssign`, `TaskRetire`
-//! and `TaskSquash` events. Any other sink that counts `UnitStall`
-//! events (such as [`crate::MetricsSink`]) therefore sees the same
-//! buckets by construction.
+//! and `TaskSquash` events. No other sink counts `UnitStall` events:
+//! the stack is the one per-reason answer, and ms-core's
+//! `CycleBreakdown::from_cpi` draws the paper's Section 3 classes from
+//! it, which must equal the run's own `RunStats::breakdown`.
 //!
 //! Charges arrive one cycle at a time. A parked unit (DESIGN.md §13)
 //! is charged exactly what an unparked one would be;

@@ -9,14 +9,16 @@
 //! - [`MetricsSink`] — folds the stream into a [`MetricsReport`] of
 //!   counters and [`Histogram`]s (task sizes, inter-squash distance,
 //!   ring latency, ARB occupancy) matching the paper's Section-5
-//!   evaluation axes.
+//!   evaluation axes. It leaves the per-(unit, cycle) charges to the
+//!   accountant.
 //! - [`JsonLinesSink`] — one JSON object per event; byte-deterministic
 //!   across identical runs.
 //! - [`ChromeTraceSink`] — Chrome trace_event JSON: per-unit task
 //!   timelines, squash instants and ARB occupancy counters, loadable
 //!   in Perfetto.
 //! - [`CpiAccountant`] — folds the per-(unit, cycle) issue/stall events
-//!   and the task lifecycle into a conservation-checked [`CpiStack`].
+//!   and the task lifecycle into a conservation-checked [`CpiStack`],
+//!   the one per-reason record of where a run's unit-cycles went.
 //! - [`TeeSink`] — fan one run into several sinks at once.
 //!
 //! The `mstrace` binary (in `ms-bench`) drives any named workload and

@@ -1,6 +1,6 @@
 //! Aggregating sink: folds the event stream into a [`MetricsReport`].
 
-use crate::event::{SquashKind, StallReason, TraceEvent};
+use crate::event::{SquashKind, TraceEvent};
 use crate::histogram::Histogram;
 use crate::json;
 use crate::sink::TraceSink;
@@ -50,10 +50,6 @@ pub struct MetricsReport {
     pub ring_dies: u64,
 
     // Processing units.
-    /// Stalled unit-cycles by [`StallReason::index`], idle units
-    /// included: equal, bucket for bucket, to the run's
-    /// [`crate::CpiStack::stall_cycles`].
-    pub stall_cycles: [u64; StallReason::COUNT],
     /// Intra-task fetch redirects.
     pub unit_redirects: u64,
 
@@ -133,19 +129,6 @@ impl MetricsReport {
         field(&mut out, "ring_hops", self.ring_hops.to_string());
         field(&mut out, "ring_delivers", self.ring_delivers.to_string());
         field(&mut out, "ring_dies", self.ring_dies.to_string());
-        {
-            let mut stalls = String::from("{");
-            for (i, r) in StallReason::ALL.iter().enumerate() {
-                if i > 0 {
-                    stalls.push(',');
-                }
-                json::push_str(&mut stalls, r.as_str());
-                stalls.push(':');
-                stalls.push_str(&self.stall_cycles[i].to_string());
-            }
-            stalls.push('}');
-            field(&mut out, "stall_cycles", stalls);
-        }
         field(&mut out, "unit_redirects", self.unit_redirects.to_string());
         field(&mut out, "arb_loads", self.arb_loads.to_string());
         field(&mut out, "arb_forwarded_loads", self.arb_forwarded_loads.to_string());
@@ -232,8 +215,8 @@ impl TraceSink for MetricsSink {
                 r.ring_latency_hops.record(hops as u64);
             }
             TraceEvent::RingDie { .. } => r.ring_dies += 1,
-            TraceEvent::UnitIssue { .. } => {}
-            TraceEvent::UnitStall { reason, .. } => r.stall_cycles[reason.index()] += 1,
+            // Per-(unit, cycle) charges are the CPI stack's to count.
+            TraceEvent::UnitIssue { .. } | TraceEvent::UnitStall { .. } => {}
             TraceEvent::UnitRedirect { .. } => r.unit_redirects += 1,
             TraceEvent::ArbLoad { forwarded, .. } => {
                 r.arb_loads += 1;
@@ -327,6 +310,5 @@ mod tests {
         let j = r.to_json();
         assert!(j.starts_with("{\"tasks_assigned\":0,"));
         assert!(j.ends_with('}'));
-        assert!(j.contains("\"stall_cycles\":{\"fetch_empty\":0,"));
     }
 }

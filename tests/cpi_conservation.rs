@@ -22,9 +22,10 @@
 //! the untraced run of the same program. Unit parking (DESIGN.md §13)
 //! must be too: every accounted run is compared, stats and complete CPI
 //! stack, against the same run under [`Unparked`], a live fault
-//! injector that perturbs nothing and so turns parking off. And since
-//! the accountant and `MetricsSink` read one event stream, the metrics'
-//! stall counters equal the stack's buckets for every suite workload.
+//! injector that perturbs nothing and so turns parking off. And the
+//! stack is the one per-reason record of a run's unit-cycles, so the
+//! Section 3 breakdown it implies (`CycleBreakdown::from_cpi`) must be
+//! the run's own `RunStats::breakdown`, for every program and machine.
 //!
 //! The golden fixture (`tests/golden/cpi_stack.txt`) pins the complete
 //! `CpiStack::to_json()` rendering for one workload so the bucket
@@ -40,9 +41,9 @@ use ms_fuzz::diff::{config_points, ValidateOpts};
 use ms_fuzz::gen;
 use ms_isa::Program;
 use ms_sweep::statsio::stats_to_json;
-use ms_trace::{CpiStack, MetricsSink, NullSink, StallReason, TeeSink};
+use ms_trace::{CpiStack, NullSink, StallReason};
 use ms_workloads::Workload;
-use multiscalar::{CpiAccountant, FaultInjector, Processor, RunStats, SimConfig};
+use multiscalar::{CpiAccountant, CycleBreakdown, FaultInjector, Processor, RunStats, SimConfig};
 
 fn opts() -> ValidateOpts {
     ValidateOpts { max_cycles: 1_000_000, watchdog: 200_000 }
@@ -87,8 +88,16 @@ fn assert_parking_neutral(label: &str, parked: &RunStats, unparked: &RunStats) {
     assert_eq!(cpi(parked), cpi(unparked), "{label}: parking changed the CPI stack");
 }
 
-/// Asserts every form of the conservation invariant on one stack.
-fn assert_conserved(label: &str, cpi: &CpiStack) {
+/// Asserts every form of the conservation invariant on the stack of an
+/// accounted run, and that the stack implies the run's own Section 3
+/// breakdown.
+fn assert_conserved(label: &str, stats: &RunStats) {
+    let cpi = stats.cpi.as_ref().unwrap_or_else(|| panic!("{label}: no CPI stack"));
+    assert_eq!(
+        CycleBreakdown::from_cpi(cpi),
+        stats.breakdown,
+        "{label}: the CPI stack implies a different cycle breakdown than RunStats"
+    );
     let stalls: u64 = cpi.stall_cycles.iter().sum();
     assert_eq!(
         cpi.issued_cycles + stalls,
@@ -166,7 +175,7 @@ fn fuzz_corpus_conserves_unit_cycles() {
                 cpi.instructions, stats.instructions,
                 "{label}: stack has wrong instruction count"
             );
-            assert_conserved(&label, cpi);
+            assert_conserved(&label, &stats);
         }
     }
 }
@@ -177,16 +186,9 @@ fn workload_suite_conserves_unit_cycles() {
         for units in [1usize, 4, 8] {
             let cfg = SimConfig::multiscalar(units);
             let label = format!("{} on ms{units}", w.name);
-            let sink = TeeSink(MetricsSink::new(), CpiAccountant::new());
-            let (stats, TeeSink(metrics, _)) = w.run_multiscalar_with_sink(cfg, sink);
+            let stats = w.run_multiscalar_with_sink(cfg, CpiAccountant::new()).0;
             let stats = stats.unwrap_or_else(|e| panic!("{label}: {e}"));
-            let cpi = stats.cpi.as_ref().unwrap_or_else(|| panic!("{label}: no CPI stack"));
-            assert_conserved(&label, cpi);
-            assert_eq!(
-                metrics.report().stall_cycles,
-                cpi.stall_cycles,
-                "{label}: the metrics' stall counters disagree with the CPI stack"
-            );
+            assert_conserved(&label, &stats);
             let unparked = run_workload_unparked(&label, &w, cfg);
             assert_parking_neutral(&label, &stats, &unparked);
         }
